@@ -1,5 +1,7 @@
 """Static electro-vacuum data: construction, verification, photon spheres."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DegeneracyError,
     DomainError,
@@ -81,5 +83,8 @@ from .variational import (
     surface_gravity,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing the names above also binds each submodule as a package attribute;
+# those are not part of the public API.
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))
 __version__ = "0.1.0"

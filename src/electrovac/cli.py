@@ -74,8 +74,6 @@ def load_table(path: str, n: int, lam: float) -> SphericalStaticData:
     """Whitespace-separated columns r A V Emag [Psi]; '#' starts a comment."""
     try:
         arr = np.loadtxt(path, comments="#", ndmin=2)
-    except OSError:
-        raise
     except ValueError as exc:
         raise DomainError(f"unreadable table {path}: {exc}") from exc
     if arr.shape[1] not in (4, 5):

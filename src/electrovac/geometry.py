@@ -69,8 +69,6 @@ class SphericalStaticData:
     Psi : optional electric potential with dV Psi = V E as dictionary.
     v_zeros : radii where V vanishes (domain edges for the standard family);
         operations refuse radii within 1e-9 of any of them.
-    e_sign : sign of the radial electric field. Stored for completeness; no
-        equation in scope distinguishes E from -E, so nothing consumes it.
     r_scale : characteristic radius used when picking default grids on data
         whose domain reaches down to 0.
     """
@@ -82,7 +80,6 @@ class SphericalStaticData:
     Emag: RadialProfile
     Psi: Optional[RadialProfile] = None
     v_zeros: tuple[float, ...] = field(default=())
-    e_sign: int = 1
     r_scale: float = 1.0
 
     def __post_init__(self):

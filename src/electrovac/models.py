@@ -14,11 +14,10 @@ when V^2 > 0 on the whole half-line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, ParameterError
 from .geometry import SphericalStaticData
@@ -133,7 +132,6 @@ def rn_data(p: RNParameters) -> SphericalStaticData:
             domain=dom,
         ),
         v_zeros=(h,) if h is not None else (),
-        e_sign=1 if q >= 0 else -1,
         r_scale=max(m, abs(q)) ** (1.0 / k),
     )
 
@@ -177,10 +175,7 @@ def perturbed_potential_data(base: SphericalStaticData, amplitude: float,
         lambda r: V.d2(r) + bump2(r),
         domain=V.domain,
     )
-    return SphericalStaticData(
-        n=base.n, lam=base.lam, A=base.A, V=newV, Emag=base.Emag,
-        Psi=base.Psi, v_zeros=base.v_zeros, e_sign=base.e_sign,
-    )
+    return replace(base, V=newV)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +326,8 @@ def isotropic_inverse(p: RNParameters, r: float) -> float:
         hi *= 2.0
         if hi > 1e300:
             raise DomainError("failed to bracket the isotropic radius")
+    from scipy.optimize import brentq  # on first use: closed-form paths never load scipy
+
     s = brentq(f, lo, hi, xtol=1e-15 * max(1.0, lo), rtol=8.9e-16, maxiter=200)
     # Newton polish; r'(s) > 0 away from the branch start.
     for _ in range(3):

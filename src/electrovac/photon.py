@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError
 from .geometry import SphericalStaticData, level_set_geometry
@@ -158,6 +157,8 @@ def scan_photon_spheres(data: SphericalStaticData, lo: Optional[float] = None,
         lo = r0 * (1.0 + 1e-6) if r0 > 0 else 0.05 * data.r_scale
     if not (data.domain[0] <= lo < hi):
         raise DomainError(f"scan interval [{lo}, {hi}] outside the data domain")
+    from scipy.optimize import brentq  # on first use: closed-form paths never load scipy
+
     rs = np.geomspace(lo, hi, samples)
     vals = np.asarray(boundary_residual(data, rs), dtype=float)
 

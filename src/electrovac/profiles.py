@@ -11,9 +11,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, ParameterError
 
 _EPS = float(np.finfo(float).eps)
 
@@ -39,6 +38,12 @@ class RadialProfile:
         ``value`` are used and ``mode`` reports "finite-difference".
     domain : pair of floats
         Open interval of validity.
+    mode : str, optional
+        MODE_CLOSED_FORM or MODE_FINITE_DIFFERENCE. Defaults to closed-form
+        exactly when both derivatives are given, and may only be closed-form
+        then. A profile whose supplied derivatives are only as accurate as a
+        difference scheme passes MODE_FINITE_DIFFERENCE, so callers pick the
+        loose tolerance.
     """
 
     def __init__(
@@ -47,6 +52,7 @@ class RadialProfile:
         d1: Optional[Callable] = None,
         d2: Optional[Callable] = None,
         domain: tuple[float, float] = (0.0, np.inf),
+        mode: Optional[str] = None,
     ):
         lo, hi = float(domain[0]), float(domain[1])
         if not lo < hi:
@@ -55,7 +61,14 @@ class RadialProfile:
         self._d1 = d1
         self._d2 = d2
         self.domain = (lo, hi)
-        self.mode = MODE_CLOSED_FORM if (d1 is not None and d2 is not None) else MODE_FINITE_DIFFERENCE
+        # Closed-form mode needs both derivatives; the first allowed mode is the default.
+        allowed = ((MODE_CLOSED_FORM, MODE_FINITE_DIFFERENCE) if (d1 is not None and d2 is not None)
+                   else (MODE_FINITE_DIFFERENCE,))
+        if mode is None:
+            mode = allowed[0]
+        elif mode not in allowed:
+            raise ParameterError(f"profile mode {mode!r} is not one of {allowed}")
+        self.mode = mode
 
     def require_inside(self, r):
         r = np.asarray(r, dtype=float)
@@ -131,11 +144,12 @@ def tabulated_profile(radii, values) -> RadialProfile:
         raise DomainError("table radii must be strictly increasing")
     if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(values))):
         raise NumericsError("non-finite entries in table")
+    # scipy is imported here, not at module level: only table profiles need
+    # it, and importing it costs more than a closed-form command's whole run.
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(radii, values)
-    prof = RadialProfile(spline, domain=(radii[0], radii[-1]))
     # Spline derivatives are exact derivatives of the interpolant; keep them,
-    # but leave the mode at finite-difference: accuracy is set by the table.
-    prof._d1 = spline.derivative(1)
-    prof._d2 = spline.derivative(2)
-    prof.mode = MODE_FINITE_DIFFERENCE
-    return prof
+    # but report finite-difference mode: accuracy is set by the table.
+    return RadialProfile(spline, spline.derivative(1), spline.derivative(2),
+                         domain=(radii[0], radii[-1]), mode=MODE_FINITE_DIFFERENCE)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from electrovac import (
     ParameterError,
     RNParameters,
     coupling_constant,
+    default_grid,
     euclidean_ball_residuals,
     flat_data,
     isotropic_inverse,
@@ -108,6 +110,19 @@ def test_perturbed_potential_changes_values_keeps_derivative_consistency():
     h = 1e-6
     fd1 = (bumped.V.value(rs + h) - bumped.V.value(rs - h)) / (2 * h)
     assert np.allclose(bumped.V.d1(rs), fd1, rtol=1e-7, atol=1e-10)
+
+
+def test_perturbed_potential_keeps_every_other_field():
+    # Super-extremal: the domain reaches 0, so default_grid starts at r_scale/2.
+    base = rn_data(RNParameters(3, 1.0, 1.5))
+    bumped = perturbed_potential_data(base, 1e-3, 2.0, 0.2)
+    assert bumped.V is not base.V
+    for f in dataclasses.fields(base):
+        if f.name != "V":
+            assert getattr(bumped, f.name) is getattr(base, f.name), f.name
+    assert base.r_scale == 1.5
+    assert default_grid(bumped) == default_grid(base)
+    assert default_grid(bumped).lo == 0.75
 
 
 # ----------------------------------------------------------------------------

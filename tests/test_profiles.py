@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from electrovac import DomainError, NumericsError, RadialProfile, constant_profile, tabulated_profile
+from electrovac import DomainError, NumericsError, ParameterError, RadialProfile, constant_profile, tabulated_profile
 from electrovac.profiles import MODE_CLOSED_FORM, MODE_FINITE_DIFFERENCE
 
 
@@ -35,6 +35,20 @@ def test_finite_difference_fallback_accuracy():
 def test_supplying_only_d1_still_finite_difference_mode():
     p = RadialProfile(lambda r: r**3, d1=lambda r: 3 * r**2)
     assert p.mode == MODE_FINITE_DIFFERENCE
+
+
+def test_mode_argument_overrides_the_default_rule():
+    p = RadialProfile(lambda r: r**3, d1=lambda r: 3 * r**2, d2=lambda r: 6 * r,
+                      mode=MODE_FINITE_DIFFERENCE)
+    assert p.mode == MODE_FINITE_DIFFERENCE
+    # the supplied derivatives are still used, not a difference stencil
+    assert p.d1(2.0) == 12.0
+    assert p.d2(2.0) == 12.0
+    with pytest.raises(ParameterError):
+        RadialProfile(lambda r: r**3, d1=lambda r: 3 * r**2, d2=lambda r: 6 * r, mode="spline")
+    # closed-form mode without both derivatives would claim the tight tolerance
+    with pytest.raises(ParameterError):
+        RadialProfile(lambda r: r**3, d1=lambda r: 3 * r**2, mode=MODE_CLOSED_FORM)
 
 
 def test_domain_is_open_at_both_ends():
