@@ -135,21 +135,33 @@ def warped_scalar(n, A, Ap, C, Cp, Cpp):
     return 2.0 * (n - 1) * K_rad + (n - 1) * (n - 2) * K_tan
 
 
-def ricci_radial(data: SphericalStaticData, r) -> FrameTensor2:
-    """Ricci tensor of g in frame components at radius r."""
-    r = data.require_interior(r)
-    a = data.a_positive(r)
-    ap = data.A.d1(r)
-    ric = warped_ricci(data.n, a, ap, r, np.ones_like(np.asarray(r, dtype=float))[()], 0.0)
+# Kernels on values already evaluated at r: a = A, ap = A', fp = f', fpp = f''.
+def ricci_kernel(n, a, ap, r) -> FrameTensor2:
+    ric = warped_ricci(n, a, ap, r, 1.0, 0.0)
     if not (np.all(np.isfinite(ric.radial)) and np.all(np.isfinite(ric.tangential))):
         raise NumericsError("non-finite Ricci components")
     return ric
 
 
+def hessian_kernel(a, ap, fp, fpp, r) -> FrameTensor2:
+    return FrameTensor2(radial=(fpp - ap * fp / (2.0 * a)) / a, tangential=fp / (r * a))
+
+
+def laplacian_kernel(n, a, ap, fp, fpp, r):
+    """Divergence form, grouped unlike trace(hessian_kernel) on purpose: their
+    agreement to rounding is a consistency check, not a tautology."""
+    return fpp / a - fp * ap / (2.0 * a * a) + (n - 1) * fp / (r * a)
+
+
+def ricci_radial(data: SphericalStaticData, r) -> FrameTensor2:
+    """Ricci tensor of g in frame components at radius r."""
+    r = data.require_interior(r)
+    return ricci_kernel(data.n, data.a_positive(r), data.A.d1(r), r)
+
+
 def scalar_curvature(data: SphericalStaticData, r):
     """Scalar curvature R_g at radius r."""
-    ric = ricci_radial(data, r)
-    return ric.trace(data.n)
+    return ricci_radial(data, r).trace(data.n)
 
 
 def scalar_curvature_d1(data: SphericalStaticData, r):
@@ -167,28 +179,13 @@ def scalar_curvature_d1(data: SphericalStaticData, r):
 def hessian_radial(data: SphericalStaticData, f: RadialProfile, r) -> FrameTensor2:
     """Hessian of a radial function f in frame components."""
     r = data.require_interior(r)
-    a = data.a_positive(r)
-    ap = data.A.d1(r)
-    fp = f.d1(r)
-    fpp = f.d2(r)
-    return FrameTensor2(
-        radial=(fpp - ap * fp / (2.0 * a)) / a,
-        tangential=fp / (r * a),
-    )
+    return hessian_kernel(data.a_positive(r), data.A.d1(r), f.d1(r), f.d2(r), r)
 
 
 def laplacian_radial(data: SphericalStaticData, f: RadialProfile, r):
-    """Laplace-Beltrami of a radial function, via the divergence form.
-
-    Grouped differently from trace(hessian_radial) on purpose: agreement of
-    the two to rounding is a consistency check, not a tautology.
-    """
+    """Laplace-Beltrami of a radial function, via the divergence form."""
     r = data.require_interior(r)
-    a = data.a_positive(r)
-    ap = data.A.d1(r)
-    fp = f.d1(r)
-    fpp = f.d2(r)
-    return fpp / a - fp * ap / (2.0 * a * a) + (data.n - 1) * fp / (r * a)
+    return laplacian_kernel(data.n, data.a_positive(r), data.A.d1(r), f.d1(r), f.d2(r), r)
 
 
 def grad_norm(data: SphericalStaticData, f: RadialProfile, r):
@@ -206,12 +203,12 @@ def level_set_geometry(data: SphericalStaticData, r) -> HypersurfaceGeometry:
     sa = np.sqrt(a)
     H = (n - 1) / (r * sa)
     return HypersurfaceGeometry(
-        r=r[()] if hasattr(r, "ndim") else r,
+        r=r[()],
         H=H,
         B_tan=H / (n - 1),
         R_S=(n - 1) * (n - 2) / (r * r),
         nuV=data.V.d1(r) / sa,
-        ric_nn=ricci_radial(data, r).radial,
+        ric_nn=ricci_kernel(n, a, data.A.d1(r), r).radial,
     )
 
 

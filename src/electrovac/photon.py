@@ -35,9 +35,8 @@ def boundary_residual(data: SphericalStaticData, r):
 
     Well defined at small V too: no division by the potential occurs.
     """
-    rs = data.require_interior(r)
-    geo = level_set_geometry(data, rs)
-    return (data.n - 1) * geo.nuV - data.V(rs) * geo.H
+    geo = level_set_geometry(data, r)
+    return (data.n - 1) * geo.nuV - data.V(geo.r) * geo.H
 
 
 @dataclass(frozen=True)

@@ -39,11 +39,10 @@ import numpy as np
 from .errors import DegeneracyError, DomainError, NumericsError
 from .geometry import (
     SphericalStaticData,
-    hessian_radial,
-    laplacian_radial,
+    hessian_kernel,
+    laplacian_kernel,
     level_set_geometry,
-    ricci_radial,
-    scalar_curvature,
+    ricci_kernel,
 )
 from .profiles import MODE_CLOSED_FORM
 
@@ -179,69 +178,141 @@ def _structural(tag, note) -> TagResult:
 
 
 class _Fields:
-    """Shared pointwise quantities for the residual formulas."""
+    """Pointwise quantities of one grid, shared by every family's tags: one
+    domain check, each profile value or derivative evaluated at most once."""
 
-    def __init__(self, data: SphericalStaticData, rs: np.ndarray):
-        n = data.n
-        self.n = n
-        self.rs = rs
+    def __init__(self, data: SphericalStaticData, grid: GridSpec):
+        self.data = data
+        self.n, self.lam = data.n, data.lam
+        self.rs = rs = grid.radii()
         self.a = data.a_positive(rs)
         self.sa = np.sqrt(self.a)
         self.ap = data.A.d1(rs)
-        self.v = data.V(rs)
-        self.vp = data.V.d1(rs)
-        self.e = data.Emag(rs)
-        self.ep = data.Emag.d1(rs)
-        self.ric = ricci_radial(data, rs)
-        self.hess = hessian_radial(data, data.V, rs)
-        self.lap = laplacian_radial(data, data.V, rs)
-        self.R = scalar_curvature(data, rs)
-        self.lam = data.lam
+        self.v, self.vp = data.V(rs), data.V.d1(rs)
+        self.e, self.ep = data.Emag(rs), data.Emag.d1(rs)
+        # After the profiles' own checks, as before: the first error is unchanged.
+        data.require_interior(rs)
+        self.ric = ricci_kernel(self.n, self.a, self.ap, rs)
+        vpp = data.V.d2(rs)
+        self.hess = hessian_kernel(self.a, self.ap, self.vp, vpp, rs)
+        self.lap = laplacian_kernel(self.n, self.a, self.ap, self.vp, vpp, rs)
+        self.R = self.ric.trace(self.n)
         if data.Psi is not None:
-            self.psip = data.Psi.d1(rs)
-            self.psipp = data.Psi.d2(rs)
+            self.psip, self.psipp = data.Psi.d1(rs), data.Psi.d2(rs)
             self.dpsi2 = self.psip * self.psip / self.a
-        else:
-            self.psip = self.psipp = self.dpsi2 = None
+        self.e2 = self.e * self.e
 
 
-def residual_system(data: SphericalStaticData, grid: GridSpec,
-                    tol: Optional[float] = None) -> ResidualReport:
-    """Residuals of the first-order system E1, E2, E3a (E3b structural)."""
-    tol = default_tolerance(data) if tol is None else tol
-    rs = grid.radii()
-    f = _Fields(data, rs)
-    n, lam = f.n, f.lam
-    e2 = f.e * f.e
-
-    rhs_rad = f.ric.radial - 2.0 * lam / (n - 1) + 2.0 * e2 - 2.0 * e2 / (n - 1)
-    rhs_tan = f.ric.tangential - 2.0 * lam / (n - 1) - 2.0 * e2 / (n - 1)
+def _system_tags(f: _Fields, tol: float, r_boundary=None) -> dict[str, TagResult]:
+    n, lam, rs = f.n, f.lam, f.rs
+    rhs_rad = f.ric.radial - 2.0 * lam / (n - 1) + 2.0 * f.e2 - 2.0 * f.e2 / (n - 1)
+    rhs_tan = f.ric.tangential - 2.0 * lam / (n - 1) - 2.0 * f.e2 / (n - 1)
     e1 = np.maximum(np.abs(f.hess.radial - f.v * rhs_rad),
                     np.abs(f.hess.tangential - f.v * rhs_tan))
-    e2_res = f.lap - f.v * (2.0 * (n - 2) / (n - 1) * e2 - 2.0 * lam / (n - 1))
+    e2_res = f.lap - f.v * (2.0 * (n - 2) / (n - 1) * f.e2 - 2.0 * lam / (n - 1))
     e3a = (f.ep + (n - 1) * f.e / rs) / f.sa
 
-    entries = {
+    return {
         "E1": _tag_from_values("E1", rs, e1, tol),
         "E2": _tag_from_values("E2", rs, e2_res, tol),
         "E3a": _tag_from_values("E3a", rs, e3a, tol),
         "E3b": _structural("E3b", "radial 1-form f(r) dr is closed identically"),
     }
+
+
+def _master_tags(f: _Fields, tol: float, r_boundary=None) -> dict[str, TagResult]:
+    rad = f.hess.radial - f.lap - f.v * f.ric.radial
+    tan = f.hess.tangential - f.lap - f.v * f.ric.tangential + 2.0 * f.v * f.e2
+    ae1 = np.maximum(np.abs(rad), np.abs(tan))
+    return {"AE1": _tag_from_values("AE1", f.rs, ae1, tol)}
+
+
+def _traced_tags(f: _Fields, tol: float, r_boundary=None) -> dict[str, TagResult]:
+    n, lam, rs = f.n, f.lam, f.rs
+    te1 = f.lap - f.v * (f.R - 2.0 * n * lam / (n - 1) - 2.0 * f.e2 / (n - 1))
+    trace_ae = f.lap - (-f.R / (n - 1) + 2.0 * f.e2) * f.v
+    entries = {
+        "TE1": _tag_from_values("TE1", rs, te1, tol),
+        "TRACE_AE": _tag_from_values("TRACE_AE", rs, trace_ae, tol),
+    }
+    if r_boundary is not None:
+        geo, vb = level_set_geometry(f.data, r_boundary), f.data.V(r_boundary)
+        te2 = geo.nuV - geo.H / (n - 1) * vb
+        e4 = geo.nuV - vb * geo.B_tan
+        entries["TE2"] = _tag_from_values("TE2", [r_boundary], [te2], tol)
+        entries["E4"] = _tag_from_values(
+            "E4", [r_boundary], [e4], tol,
+            note="tangential component; round slices are umbilic")
+    return entries
+
+
+def _pem_tags(f: _Fields, tol: float, r_boundary=None) -> dict[str, TagResult]:
+    n = f.n
+    ok = np.abs(f.v) >= DEGENERATE_V
+    skipped = int(np.size(ok) - np.count_nonzero(ok))
+    if not np.any(ok):
+        raise DegeneracyError("V is degenerate on the whole grid")
+    ok = ok if skipped else slice(None)  # views, not masked copies, when nothing is skipped
+    rs_ok, v, dpsi2 = f.rs[ok], f.v[ok], f.dpsi2[ok]
+    note = f"{skipped} grid points with |V| < {DEGENERATE_V:g} skipped" if skipped else None
+
+    pem1_rad = f.hess.radial[ok] - (v * f.ric.radial[ok]
+                                    + 2.0 * dpsi2 / v - 2.0 * dpsi2 / ((n - 1) * v))
+    pem1_tan = f.hess.tangential[ok] - (v * f.ric.tangential[ok]
+                                        - 2.0 * dpsi2 / ((n - 1) * v))
+    pem1 = np.maximum(np.abs(pem1_rad), np.abs(pem1_tan))
+    pem2 = f.lap[ok] - 2.0 * (n - 2) / (n - 1) * dpsi2 / v
+
+    # div(grad Psi / V): frame component X = Psi'/(sqrt(A) V), divergence
+    # X' + (n-1) X / r with X' expanded in closed form.
+    a, sa, ap, vp = f.a[ok], f.sa[ok], f.ap[ok], f.vp[ok]
+    psip, psipp = f.psip[ok], f.psipp[ok]
+    X = psip / (sa * v)
+    Xp = psipp / (sa * v) - psip * ap / (2.0 * a * sa * v) - psip * vp / (sa * v * v)
+    pem3 = Xp + (n - 1) * X / rs_ok
+    npem1 = f.R[ok] - 2.0 * dpsi2 / (v * v)
+
+    entries = {
+        "PEM1": _tag_from_values("PEM1", rs_ok, pem1, tol, note=note, skipped=skipped),
+        "PEM2": _tag_from_values("PEM2", rs_ok, pem2, tol, note=note, skipped=skipped),
+        "PEM3": _tag_from_values("PEM3", rs_ok, pem3, tol, note=note, skipped=skipped),
+        "NPEM1": _tag_from_values("NPEM1", rs_ok, npem1, tol, note=note, skipped=skipped),
+    }
+    if r_boundary is not None:
+        geo, vb = level_set_geometry(f.data, r_boundary), f.data.V(r_boundary)
+        pem4 = geo.nuV - vb * geo.B_tan
+        entries["PEM4"] = _tag_from_values("PEM4", [r_boundary], [pem4], tol)
+    return entries
+
+
+def _identity_tags(f: _Fields, tol: float, r_boundary=None) -> dict[str, TagResult]:
+    ne1 = f.R - 2.0 * f.e * f.e - 2.0 * f.lam
+    return {
+        "NE1": _tag_from_values("NE1", f.rs, ne1, tol),
+        "NE2": _structural("NE2", "round slices are umbilic by construction"),
+    }
+
+
+def _report(families, data, grid, tol, r_boundary=None) -> ResidualReport:
+    """The tags of every family in turn, all from one _Fields build."""
+    tol = default_tolerance(data) if tol is None else tol
+    f = _Fields(data, grid)
+    entries: dict[str, TagResult] = {}
+    for family in families:
+        entries.update(family(f, tol, r_boundary))
     return ResidualReport(entries=entries, grid=grid.describe(), tolerance=tol)
+
+
+def residual_system(data: SphericalStaticData, grid: GridSpec,
+                    tol: Optional[float] = None) -> ResidualReport:
+    """Residuals of the first-order system E1, E2, E3a (E3b structural)."""
+    return _report((_system_tags,), data, grid, tol)
 
 
 def residual_master(data: SphericalStaticData, grid: GridSpec,
                     tol: Optional[float] = None) -> ResidualReport:
     """Residual of the master equation AE1 (both frame components)."""
-    tol = default_tolerance(data) if tol is None else tol
-    rs = grid.radii()
-    f = _Fields(data, rs)
-    e2 = f.e * f.e
-    rad = f.hess.radial - f.lap - f.v * f.ric.radial
-    tan = f.hess.tangential - f.lap - f.v * f.ric.tangential + 2.0 * f.v * e2
-    ae1 = np.maximum(np.abs(rad), np.abs(tan))
-    entries = {"AE1": _tag_from_values("AE1", rs, ae1, tol)}
-    return ResidualReport(entries=entries, grid=grid.describe(), tolerance=tol)
+    return _report((_master_tags,), data, grid, tol)
 
 
 def residual_traced(data: SphericalStaticData, grid: GridSpec,
@@ -249,28 +320,7 @@ def residual_traced(data: SphericalStaticData, grid: GridSpec,
                     r_boundary: Optional[float] = None) -> ResidualReport:
     """Residuals of the traced equations TE1 and TRACE_AE on the grid, plus
     the boundary forms TE2/E4 at r_boundary when one is supplied."""
-    tol = default_tolerance(data) if tol is None else tol
-    rs = grid.radii()
-    f = _Fields(data, rs)
-    n, lam = f.n, f.lam
-    e2 = f.e * f.e
-
-    te1 = f.lap - f.v * (f.R - 2.0 * n * lam / (n - 1) - 2.0 * e2 / (n - 1))
-    trace_ae = f.lap - (-f.R / (n - 1) + 2.0 * e2) * f.v
-    entries = {
-        "TE1": _tag_from_values("TE1", rs, te1, tol),
-        "TRACE_AE": _tag_from_values("TRACE_AE", rs, trace_ae, tol),
-    }
-    if r_boundary is not None:
-        geo = level_set_geometry(data, r_boundary)
-        vb = data.V(r_boundary)
-        te2 = geo.nuV - geo.H / (n - 1) * vb
-        e4 = geo.nuV - vb * geo.B_tan
-        entries["TE2"] = _tag_from_values("TE2", [r_boundary], [te2], tol)
-        entries["E4"] = _tag_from_values(
-            "E4", [r_boundary], [e4], tol,
-            note="tangential component; round slices are umbilic")
-    return ResidualReport(entries=entries, grid=grid.describe(), tolerance=tol)
+    return _report((_traced_tags,), data, grid, tol, r_boundary)
 
 
 def residual_pem(data: SphericalStaticData, grid: GridSpec,
@@ -284,88 +334,31 @@ def residual_pem(data: SphericalStaticData, grid: GridSpec,
     """
     if data.Psi is None:
         raise DomainError("data has no electric potential; PEM residuals undefined")
-    tol = default_tolerance(data) if tol is None else tol
-    rs = grid.radii()
-    f = _Fields(data, rs)
-    n = f.n
-
-    ok = np.abs(f.v) >= DEGENERATE_V
-    skipped = int(np.size(ok) - np.count_nonzero(ok))
-    if not np.any(ok):
-        raise DegeneracyError("V is degenerate on the whole grid")
-    rs_ok = rs[ok]
-    v = f.v[ok]
-    dpsi2 = f.dpsi2[ok]
-    note = f"{skipped} grid points with |V| < {DEGENERATE_V:g} skipped" if skipped else None
-
-    pem1_rad = f.hess.radial[ok] - (v * f.ric.radial[ok]
-                                    + 2.0 * dpsi2 / v - 2.0 * dpsi2 / ((n - 1) * v))
-    pem1_tan = f.hess.tangential[ok] - (v * f.ric.tangential[ok]
-                                        - 2.0 * dpsi2 / ((n - 1) * v))
-    pem1 = np.maximum(np.abs(pem1_rad), np.abs(pem1_tan))
-    pem2 = f.lap[ok] - 2.0 * (n - 2) / (n - 1) * dpsi2 / v
-
-    # div(grad Psi / V): frame component X = Psi'/(sqrt(A) V), divergence
-    # X' + (n-1) X / r with X' expanded in closed form.
-    a = f.a[ok]
-    sa = f.sa[ok]
-    ap = f.ap[ok]
-    psip = f.psip[ok]
-    psipp = f.psipp[ok]
-    vp = f.vp[ok]
-    X = psip / (sa * v)
-    Xp = psipp / (sa * v) - psip * ap / (2.0 * a * sa * v) - psip * vp / (sa * v * v)
-    pem3 = Xp + (n - 1) * X / rs_ok
-    npem1 = f.R[ok] - 2.0 * dpsi2 / (v * v)
-
-    entries = {
-        "PEM1": _tag_from_values("PEM1", rs_ok, pem1, tol, note=note, skipped=skipped),
-        "PEM2": _tag_from_values("PEM2", rs_ok, pem2, tol, note=note, skipped=skipped),
-        "PEM3": _tag_from_values("PEM3", rs_ok, pem3, tol, note=note, skipped=skipped),
-        "NPEM1": _tag_from_values("NPEM1", rs_ok, npem1, tol, note=note, skipped=skipped),
-    }
-    if r_boundary is not None:
-        geo = level_set_geometry(data, r_boundary)
-        vb = data.V(r_boundary)
-        pem4 = geo.nuV - vb * geo.B_tan
-        entries["PEM4"] = _tag_from_values("PEM4", [r_boundary], [pem4], tol)
-    return ResidualReport(entries=entries, grid=grid.describe(), tolerance=tol)
+    return _report((_pem_tags,), data, grid, tol, r_boundary)
 
 
 def residual_identities(data: SphericalStaticData, grid: GridSpec,
                         tol: Optional[float] = None) -> ResidualReport:
     """Scalar curvature identity NE1 on the grid; NE2 structural."""
-    tol = default_tolerance(data) if tol is None else tol
-    rs = grid.radii()
-    f = _Fields(data, rs)
-    ne1 = f.R - 2.0 * f.e * f.e - 2.0 * f.lam
-    entries = {
-        "NE1": _tag_from_values("NE1", rs, ne1, tol),
-        "NE2": _structural("NE2", "round slices are umbilic by construction"),
-    }
-    return ResidualReport(entries=entries, grid=grid.describe(), tolerance=tol)
+    return _report((_identity_tags,), data, grid, tol)
 
 
 def equivalence_property(data: SphericalStaticData, grid: GridSpec,
                          tol: Optional[float] = None) -> bool:
     """True iff the first-order system and the master equation agree on
     whether this data passes (both pass or both fail)."""
-    sys_rep = residual_system(data, grid, tol)
-    mas_rep = residual_master(data, grid, tol)
-    return sys_rep.passed == mas_rep.passed
+    rep = _report((_system_tags, _master_tags), data, grid, tol)
+    master_passed = rep.entries.pop("AE1").passed
+    return rep.passed == master_passed
 
 
 def verify_all(data: SphericalStaticData, grid: GridSpec,
                tol: Optional[float] = None,
                r_boundary: Optional[float] = None) -> ResidualReport:
-    """Every applicable residual tag in one report (PEM only when Psi given)."""
-    tol = default_tolerance(data) if tol is None else tol
-    entries: dict[str, TagResult] = {}
-    entries.update(residual_system(data, grid, tol).entries)
-    entries.update(residual_master(data, grid, tol).entries)
-    entries.update(residual_traced(data, grid, tol, r_boundary=r_boundary).entries)
-    if data.Psi is not None:
-        entries.update(residual_pem(data, grid, tol, r_boundary=r_boundary).entries)
-    entries.update(residual_identities(data, grid, tol).entries)
-    ordered = {t: entries[t] for t in EQUATION_TAGS if t in entries}
-    return ResidualReport(entries=ordered, grid=grid.describe(), tolerance=tol)
+    """Every applicable residual tag in one report (PEM only when Psi given),
+    all computed from one evaluation of the grid's fields."""
+    pem = (_pem_tags,) if data.Psi is not None else ()
+    rep = _report((_system_tags, _master_tags, _traced_tags, *pem, _identity_tags),
+                  data, grid, tol, r_boundary)
+    rep.entries = {t: rep.entries[t] for t in EQUATION_TAGS if t in rep.entries}
+    return rep

@@ -20,6 +20,7 @@ solving the static system is therefore critical.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -44,6 +45,15 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per node count
+    and read-only, so no caller can corrupt the cache."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Composite Gauss-Legendre rule: `panels` equal panels, `nodes` points
@@ -61,7 +71,7 @@ class QuadratureConfig:
 
     def points(self, lo: float, hi: float, panels: Optional[int] = None):
         panels = self.panels if panels is None else panels
-        x, w = np.polynomial.legendre.leggauss(self.nodes)
+        x, w = _gauss_legendre(self.nodes)
         edges = np.linspace(lo, hi, panels + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
@@ -381,7 +391,7 @@ def pohozaev_residual(data: SphericalStaticData, annulus,
         sa = np.sqrt(data.a_positive(r))
         hess = hessian_radial(data, data.V, r)
         ric = ricci_radial(data, r)
-        R = scalar_curvature(data, r)
+        R = ric.trace(n)
         t_rad = ric.radial - R / n
         t_tan = ric.tangential - R / n
         inner = hess.radial * t_rad + (n - 1) * hess.tangential * t_tan
@@ -399,7 +409,7 @@ def pohozaev_residual(data: SphericalStaticData, annulus,
     def bterm(r, sign):
         sa = math.sqrt(float(data.a_positive(r)))
         ric = ricci_radial(data, r)
-        R = float(scalar_curvature(data, r))
+        R = float(ric.trace(n))
         t_rad = float(ric.radial) - R / n
         x_frame = float(data.V.d1(r)) / sa
         return sign * omega * r ** (n - 1) * x_frame * t_rad

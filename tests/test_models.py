@@ -157,11 +157,15 @@ def test_isotropic_schwarzschild_landmark():
 def test_isotropic_radius_matches_quadratic_oracle():
     for p in CHART_CASES:
         chart = IsotropicChart(p)
-        r_lo = rn_horizon(p) if p.regime != "super-extremal" else 0.7 * p.r_scale if hasattr(p, "r_scale") else 0.7
-        r_lo = max(r_lo, 0.5)
+        # The outer branch maps onto (r0, oo): it starts at the horizon when
+        # m >= |q| and at r = 0 otherwise, so super-extremal probes start at
+        # a fraction of the data's own length scale.
+        r_lo = rn_horizon(p) if p.regime != "super-extremal" else 0.7 * rn_data(p).r_scale
         for r in np.geomspace(r_lo * 1.01, 50.0, 20):
+            assert r >= rn_r0(p)
             u = quadratic_u_oracle(p, r)
             s = u ** (1.0 / (p.n - 2))
+            assert s > chart.s_branch
             assert np.isclose(float(chart.r_of_s(s)), r, rtol=1e-12)
             assert np.isclose(isotropic_inverse(p, r), s, rtol=1e-10)
 

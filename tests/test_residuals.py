@@ -1,3 +1,7 @@
+import dataclasses
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from electrovac import (
     laplacian_radial,
     perturbed_potential_data,
     photon_sphere_radii,
+    residual_identities,
     residual_master,
     residual_pem,
     residual_system,
@@ -27,6 +32,7 @@ from electrovac import (
     scalar_curvature,
     verify_all,
 )
+from electrovac import residuals
 from electrovac.residuals import TOL_CLOSED_FORM, TOL_FINITE_DIFFERENCE
 
 
@@ -122,9 +128,9 @@ def test_perturbation_moves_only_potential_equations():
     assert rep.entries["NE1"].passed
 
 
-def test_degenerate_potential_points_are_skipped_in_psi_form():
-    # V crosses zero inside the grid; those points are masked, not fatal
-    data = SphericalStaticData(
+def zero_crossing_data():
+    # V crosses zero at r = 5, so a grid through 5 has a degenerate point.
+    return SphericalStaticData(
         n=3, lam=0.0,
         A=constant_profile(1.0),
         V=RadialProfile(lambda r: (r - 5.0) * 1e-6,
@@ -133,6 +139,11 @@ def test_degenerate_potential_points_are_skipped_in_psi_form():
         Emag=constant_profile(0.0),
         Psi=constant_profile(0.0),
     )
+
+
+def test_degenerate_potential_points_are_skipped_in_psi_form():
+    # V crosses zero inside the grid; those points are masked, not fatal
+    data = zero_crossing_data()
     grid = GridSpec(1.0, 9.0, count=9, spacing="linear")
     rep = residual_pem(data, grid)
     assert rep.entries["PEM1"].skipped == 1
@@ -224,3 +235,91 @@ def test_flat_data_verifies_trivially():
     rep = verify_all(data, GridSpec(0.5, 50.0))
     assert rep.passed
     assert rep.entries["E1"].max_residual == 0.0
+
+
+def family_union(data, grid, r_boundary):
+    """Entries of the five residual families, each run on its own."""
+    reports = [residual_system(data, grid), residual_master(data, grid),
+               residual_traced(data, grid, r_boundary=r_boundary),
+               residual_identities(data, grid)]
+    if data.Psi is not None:
+        reports.append(residual_pem(data, grid, r_boundary=r_boundary))
+    union = {}
+    for rep in reports:
+        for tag, entry in rep.entries.items():
+            assert tag not in union
+            union[tag] = entry.to_dict()
+    return union
+
+
+def test_verify_all_equals_the_union_of_the_families():
+    cases = []
+    for p in seeded_parameter_sets(6, seed=23):
+        base = rn_data(p)
+        grid = default_grid(base, count=400)
+        radii = photon_sphere_radii(p).roots
+        r_b = radii[-1].r if radii else 2.0 * base.r_scale
+        bump_at = grid.lo * (grid.hi / grid.lo) ** 0.4
+        for data in (base, perturbed_potential_data(base, 1e-3, bump_at, 0.1 * bump_at)):
+            cases.append((data, grid, r_b))
+    assert {p.regime for p in seeded_parameter_sets(6, seed=23)} == {
+        "sub-extremal", "extremal", "super-extremal"}
+    # A grid through the zero of V: the PEM tags skip that point.
+    cases.append((zero_crossing_data(), GridSpec(1.0, 9.0, count=9, spacing="linear"), 3.0))
+    for data, grid, r_b in cases:
+        for r_boundary in (None, r_b):
+            got = verify_all(data, grid, r_boundary=r_boundary).to_dict()["equations"]
+            assert got == family_union(data, grid, r_boundary)
+    assert got["PEM1"]["skipped_points"] == 1
+
+
+def counting_profile(prof, counts):
+    """Copy of prof whose value/d1/d2 count the calls made on arrays."""
+    def counted(name, fn):
+        def call(r):
+            if np.ndim(r) > 0:
+                counts[name] += 1
+            return fn(r)
+        counts[name] = 0
+        return call
+    return RadialProfile(counted("value", prof.value), counted("d1", prof.d1),
+                         counted("d2", prof.d2), domain=prof.domain, mode=prof.mode)
+
+
+def test_verify_all_evaluates_each_profile_once_on_the_grid():
+    p = RNParameters(3, 1.0, 0.5)
+    base = rn_data(p)
+    counts = {name: {} for name in ("A", "V", "Emag", "Psi")}
+    data = dataclasses.replace(base, **{
+        name: counting_profile(getattr(base, name), counts[name]) for name in counts})
+    rep = verify_all(data, default_grid(data), r_boundary=photon_sphere_radii(p).roots[0].r)
+    assert rep.passed and "PEM4" in rep.entries
+    for name, per_call in counts.items():
+        for call, times in per_call.items():
+            assert times <= 1, f"{name}.{call} evaluated {times} times on the grid"
+    assert counts["V"] == {"value": 1, "d1": 1, "d2": 1}
+
+
+def load_benchmark_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans_for_tests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_residual_families_resolve():
+    # The benchmark's traced run looks each family up by name and skips a
+    # missing one silently, which would corrupt residuals.shared_ratio.
+    families = load_benchmark_spans().FAMILIES
+    assert len(families) == 5
+    p = RNParameters(3, 1.0, 0.5)
+    data = rn_data(p)
+    grid = default_grid(data, count=50)
+    r_boundary = photon_sphere_radii(p).roots[0].r
+    for name in families:
+        fn = getattr(residuals, name, None)
+        assert callable(fn), name
+        # Called as the benchmark calls it.
+        kwargs = {"r_boundary": r_boundary} if name in ("residual_traced", "residual_pem") else {}
+        assert fn(data, grid, **kwargs).passed, name

@@ -23,6 +23,7 @@ from electrovac import (
     sphere_area,
     surface_gravity,
 )
+from electrovac.variational import _gauss_legendre
 
 ANNULUS = (3.0, 6.0)
 PERT = Perturbation(center=4.5, halfwidth=1.0, mode="both")
@@ -37,6 +38,24 @@ def test_quadrature_exact_on_inverse_square():
     quad = QuadratureConfig()
     val = radial_integral(lambda r: 1.0 / r**2, 1.0, 2.0, quad)
     assert np.isclose(val, 0.5, rtol=1e-13)
+
+
+def test_gauss_legendre_rule_is_cached_read_only_and_unchanged():
+    x, w = _gauss_legendre(12)
+    assert _gauss_legendre(12)[0] is x and _gauss_legendre(12)[1] is w
+    ref_x, ref_w = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # The composite rule is built from the cached one bit for bit.
+    xs, ws = QuadratureConfig(panels=3, nodes=12).points(1.0, 2.5)
+    edges = np.linspace(1.0, 2.5, 4)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    assert np.array_equal(xs, (mids[:, None] + half[:, None] * ref_x[None, :]).ravel())
+    assert np.array_equal(ws, (half[:, None] * ref_w[None, :]).ravel())
+    assert xs.flags.writeable and ws.flags.writeable
 
 
 def test_flat_annulus_functional_value():
