@@ -45,6 +45,10 @@ class RNParameters:
             raise ParameterError(f"mass must be positive and finite, got {self.m}")
         if not math.isfinite(self.q):
             raise ParameterError(f"charge must be finite, got {self.q}")
+        # rn_horizon and the closed forms square both; an overflow there empties the domain.
+        for name, value in (("mass", self.m), ("charge", self.q)):
+            if not math.isfinite(value * value):
+                raise ParameterError(f"{name} squared overflows a float, got {value}")
         if self.lam != 0.0:
             raise ParameterError("this family is constructed with lam = 0")
 

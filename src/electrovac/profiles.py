@@ -129,12 +129,51 @@ def constant_profile(c: float, domain=(0.0, np.inf)) -> RadialProfile:
     )
 
 
-def tabulated_profile(radii, values) -> RadialProfile:
-    """Cubic-spline profile through strictly increasing sample radii.
+def _not_a_knot_slopes(x, y):
+    """Knot slopes of the not-a-knot cubic spline through (x, y), x.size >= 4.
 
-    The spline's own derivatives back d1/d2, but interpolation error scales
-    like a difference scheme, so the profile reports finite-difference mode
-    and callers should use the loose tolerance.
+    This is the tridiagonal system of scipy's ``CubicSpline`` with its default
+    boundary condition: continuity of the second derivative at every interior
+    knot, and of the third derivative at the second and second-to-last knots.
+    It is solved by elimination on the three bands, O(n) with no dense matrix.
+    No pivoting is needed: the pivots are dx[1] on row 0, dx[0] + dx[1] on
+    row 1, more than 2 dx[i-1] on each row i from 2 to n - 2, and positive on
+    the last row.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    n = x.size
+    lower, diag, upper, rhs = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    # row i: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
+    lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    lower[-1], diag[-1] = d, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    # Python floats: a scalar loop over lists beats numpy element access.
+    lower, diag, upper, rhs = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    s = [0.0] * n
+    s[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+    return np.array(s), slope
+
+
+def tabulated_profile(radii, values) -> RadialProfile:
+    """Not-a-knot cubic-spline profile through strictly increasing sample radii.
+
+    The spline is the one scipy's ``CubicSpline`` builds by default: the first
+    two and the last two cubic pieces join with a continuous third derivative.
+    Its own derivatives back d1/d2, but interpolation error scales like a
+    difference scheme, so the profile reports finite-difference mode and
+    callers should use the loose tolerance.
     """
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -144,12 +183,31 @@ def tabulated_profile(radii, values) -> RadialProfile:
         raise DomainError("table radii must be strictly increasing")
     if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(values))):
         raise NumericsError("non-finite entries in table")
-    # scipy is imported here, not at module level: only table profiles need
-    # it, and importing it costs more than a closed-form command's whole run.
-    from scipy.interpolate import CubicSpline
+    s, slope = _not_a_knot_slopes(radii, values)
+    # Horner coefficients per interval: f = ((c3 h + c2) h + c1) h + c0, h = r - radii[i].
+    dx = np.diff(radii)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    c3, c2, c1, c0 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], values[:-1]
 
-    spline = CubicSpline(radii, values)
+    def locate(r):
+        # RadialProfile admits only radii inside the open table interval,
+        # so the piece index lies in [0, radii.size - 2]; a knot takes its right piece.
+        i = np.searchsorted(radii, r, side="right") - 1
+        return i, r - radii[i]
+
+    def value(r):
+        i, h = locate(r)
+        return ((c3[i] * h + c2[i]) * h + c1[i]) * h + c0[i]
+
+    def d1(r):
+        i, h = locate(r)
+        return (3.0 * c3[i] * h + 2.0 * c2[i]) * h + c1[i]
+
+    def d2(r):
+        i, h = locate(r)
+        return 6.0 * c3[i] * h + 2.0 * c2[i]
+
     # Spline derivatives are exact derivatives of the interpolant; keep them,
     # but report finite-difference mode: accuracy is set by the table.
-    return RadialProfile(spline, spline.derivative(1), spline.derivative(2),
-                         domain=(radii[0], radii[-1]), mode=MODE_FINITE_DIFFERENCE)
+    return RadialProfile(value, d1, d2, domain=(radii[0], radii[-1]),
+                         mode=MODE_FINITE_DIFFERENCE)

@@ -76,6 +76,11 @@ def test_exit_code_two_on_bad_parameters():
     assert run_cli("verify", "--n", "3", "--m", "1.0", "--lam", "0.1").returncode == 2
     assert run_cli("functional", "--n", "3", "--m", "1.0", "--q", "0.5",
                    "--annulus", "6.0", "3.0").returncode == 2
+    # a mass or charge whose square overflows is a usage error, not an empty domain
+    for m, q, name in (("1e300", "0", "mass"), ("1e160", "0", "mass"), ("1.0", "1e200", "charge")):
+        res = run_cli("verify", "--n", "3", "--m", m, "--q", q)
+        assert res.returncode == 2
+        assert name in res.stderr and "Traceback" not in res.stderr
 
 
 def test_exit_code_three_on_missing_table():

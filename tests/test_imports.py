@@ -1,7 +1,7 @@
 """Package-level contracts: what importing electrovac loads and exports.
 
-scipy is imported only where a table profile or a root finder needs it, so a
-closed-form CLI command never pays for it. Each check runs in a fresh
+scipy is imported only where a root finder needs it, so no CLI command pays
+for it: table profiles are built with numpy. Each check runs in a fresh
 interpreter, because this test process has long since imported scipy.
 """
 
@@ -35,37 +35,52 @@ def run_fresh(body: str) -> dict:
     return json.loads(res.stdout)
 
 
-def test_closed_form_cli_commands_never_load_scipy():
+def test_cli_commands_never_load_scipy():
     got = run_fresh("""
-        import contextlib, io
+        import contextlib, io, os, tempfile
+        import numpy as np
         import electrovac, electrovac.cli
+        from electrovac import RNParameters, rn_data
         after_import = scipy_modules()
+        data = rn_data(RNParameters(3, 1.0, 0.5))
+        rs = np.geomspace(2.2, 12.0, 2400)  # as in test_cli: passes at the loose tolerance
         codes = []
-        for argv in (["classify", "--n", "3", "--m", "1.0", "--q", "0.5"],
-                     ["verify", "--n", "3", "--m", "1.0", "--q", "0.0", "--boundary", "3.0"],
-                     ["functional", "--n", "3", "--m", "1.0", "--q", "0.5",
-                      "--annulus", "3.0", "6.0"]):
-            with contextlib.redirect_stdout(io.StringIO()):
-                codes.append(electrovac.cli.main(argv))
+        with tempfile.TemporaryDirectory() as tmp:
+            table = os.path.join(tmp, "family.dat")
+            np.savetxt(table, np.column_stack([rs, data.A(rs), data.V(rs), data.Emag(rs)]))
+            for argv in (["classify", "--n", "3", "--m", "1.0", "--q", "0.5"],
+                         ["verify", "--n", "3", "--m", "1.0", "--q", "0.0", "--boundary", "3.0"],
+                         ["functional", "--n", "3", "--m", "1.0", "--q", "0.5",
+                          "--annulus", "3.0", "6.0"],
+                         ["verify", "--profile", table, "--n", "3"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes.append(electrovac.cli.main(argv))
         print(json.dumps({"after_import": after_import, "codes": codes,
                           "after_commands": scipy_modules()}))
     """)
     assert got["after_import"] == []
-    assert got["codes"] == [0, 0, 0]
+    assert got["codes"] == [0, 0, 0, 0]
     assert got["after_commands"] == []
+
+
+def test_table_profile_never_loads_scipy():
+    got = run_fresh("""
+        import numpy as np
+        from electrovac import tabulated_profile
+        rs = np.linspace(1.0, 3.0, 201)
+        p = tabulated_profile(rs, rs ** 3)
+        # not-a-knot ends reproduce a cubic
+        got = [float(p(2.05)), float(p.d1(2.05)), float(p.d2(2.05))]
+        want = [2.05 ** 3, 3 * 2.05 ** 2, 6 * 2.05]
+        print(json.dumps({"got": got, "want": want, "after": scipy_modules()}))
+    """)
+    assert got["got"] == pytest.approx(got["want"], rel=1e-10)
+    assert got["after"] == []
 
 
 # Each lazy import site, called as the first scipy user in a fresh process,
 # must still import what it needs and return the right answer.
 LAZY_SITES = {
-    "tabulated_profile": """
-        import numpy as np
-        from electrovac import tabulated_profile
-        before = scipy_modules()
-        rs = np.linspace(1.0, 3.0, 201)
-        p = tabulated_profile(rs, rs ** 3)
-        got, want = [float(p(2.05)), float(p.d1(2.05))], [2.05 ** 3, 3 * 2.05 ** 2]
-    """,
     "scan_photon_spheres": """
         import math
         from electrovac import RNParameters, rn_data, scan_photon_spheres

@@ -37,6 +37,12 @@ def test_parameter_validation():
         RNParameters(3, math.inf, 0.0)
     with pytest.raises(ParameterError):
         RNParameters(3, 1.0, 0.0, lam=0.1)
+    # a square that overflows would empty the domain; the error names the parameter
+    with pytest.raises(ParameterError, match="mass"):
+        RNParameters(3, 1e160, 0.0)
+    with pytest.raises(ParameterError, match="charge"):
+        RNParameters(3, 1.0, -1e160)
+    assert RNParameters(3, 1e150, 1e150).regime == "extremal"
 
 
 def test_regime_labels():

@@ -114,3 +114,69 @@ def test_tabulated_profile_input_validation():
         tabulated_profile([1.0, 2.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(NumericsError):
         tabulated_profile([1.0, 2.0, 3.0, 4.0], [1.0, np.nan, 3.0, 4.0])
+
+
+def draw_table(rng, rows, scale):
+    """Non-uniform, strictly increasing radii at the given scale, and a wiggly column."""
+    radii = scale * (1.0 + np.cumsum(rng.uniform(0.05, 1.0, rows)) / rows * rng.uniform(1.0, 20.0))
+    values = rng.uniform(-5.0, 5.0) * np.sin(3.0 * radii / radii[-1]) + rng.normal(0.0, 0.1, rows)
+    return radii, values
+
+
+def probes(rng, radii):
+    """Random radii inside the open table interval plus every interior knot."""
+    inner = rng.uniform(radii[0], radii[-1], 400)
+    inner = inner[(inner > radii[0]) & (inner < radii[-1])]
+    return np.concatenate([inner, radii[1:-1]])
+
+
+def test_tabulated_profile_matches_scipy_cubic_spline():
+    # scipy is the oracle only here; the library builds the spline with numpy
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(5)
+    for rows in (4, 5, 6, 7, 13, 50, 400, 1200, 2400, 3000):
+        for scale in (1e-3, 1.0, 1e3):
+            radii, values = draw_table(rng, rows, scale)
+            p, want = tabulated_profile(radii, values), CubicSpline(radii, values)
+            r = probes(rng, radii)
+            for got, ref, rel in ((p.value(r), want(r), 1e-13),
+                                  (p.d1(r), want(r, 1), 1e-12),
+                                  (p.d2(r), want(r, 2), 1e-10)):
+                assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref)), (rows, scale)
+
+
+def test_tabulated_profile_reproduces_any_cubic():
+    # Not-a-knot ends impose no condition a cubic violates, so the spline is the
+    # cubic; with 4 rows it is a single cubic piece. Round-off in d2 grows like
+    # eps * rows**2, so the exact check uses coarse tables; the scipy oracle
+    # above covers long ones.
+    rng = np.random.default_rng(9)
+    for rows in (4, 5, 6):
+        for scale in (1e-3, 1.0, 1e3):
+            radii, _ = draw_table(rng, rows, scale)
+            lo, width = radii[0], radii[-1] - radii[0]
+            c = rng.normal(size=4)  # a cubic in u = (r - lo) / width, balanced on the table
+
+            def cubic(r, order=0):
+                return np.polyval(np.polyder(c, order), (r - lo) / width) / width**order
+
+            p = tabulated_profile(radii, cubic(radii))
+            r = probes(rng, radii)
+            for order, f in enumerate((p.value, p.d1, p.d2)):
+                want = cubic(r, order)
+                assert np.max(np.abs(f(r) - want)) <= 1e-12 * np.max(np.abs(want)), (rows, order)
+
+
+def test_tabulated_profile_knot_is_the_same_from_either_interval():
+    rng = np.random.default_rng(3)
+    radii, values = draw_table(rng, 40, 1.0)
+    p = tabulated_profile(radii, values)
+    knots = radii[1:-1]
+    # on a knot the right-hand piece gives the sample itself
+    assert np.array_equal(p.value(knots), values[1:-1])
+    # one ulp to the left is evaluated on the left-hand piece, at its far end
+    left = np.nextafter(knots, -np.inf)
+    for f in (p.value, p.d1, p.d2):
+        ref = f(knots)
+        assert np.max(np.abs(f(left) - ref)) <= 1e-12 * np.max(np.abs(ref))
