@@ -104,10 +104,18 @@ class SphericalStaticData:
         return r
 
     def a_positive(self, r):
-        a = self.A(r)
-        if np.any(a <= 0):
-            raise DomainError("metric coefficient A must be positive")
-        return a
+        return _require_positive(self.A(r))
+
+    def a_jet(self, r):
+        """(A, A', A'') at r from one jet of A; DomainError unless A > 0."""
+        a, ap, app = self.A.jet(r)
+        return _require_positive(a), ap, app
+
+
+def _require_positive(a):
+    if np.any(a <= 0):
+        raise DomainError("metric coefficient A must be positive")
+    return a
 
 
 def warped_sectional(n, A, Ap, C, Cp, Cpp):
@@ -153,10 +161,18 @@ def laplacian_kernel(n, a, ap, fp, fpp, r):
     return fpp / a - fp * ap / (2.0 * a * a) + (n - 1) * fp / (r * a)
 
 
+def scalar_curvature_d1_kernel(n, a, ap, app, r):
+    """dR/dr from A, A', A'' already evaluated at r."""
+    term1 = app / (a * a * r) - 2.0 * ap * ap / (a ** 3 * r) - ap / (a * a * r * r)
+    term2 = ap / (a * a * r * r) - 2.0 * (1.0 - 1.0 / a) / r ** 3
+    return (n - 1) * term1 + (n - 1) * (n - 2) * term2
+
+
 def ricci_radial(data: SphericalStaticData, r) -> FrameTensor2:
     """Ricci tensor of g in frame components at radius r."""
     r = data.require_interior(r)
-    return ricci_kernel(data.n, data.a_positive(r), data.A.d1(r), r)
+    a, ap, _ = data.a_jet(r)
+    return ricci_kernel(data.n, a, ap, r)
 
 
 def scalar_curvature(data: SphericalStaticData, r):
@@ -167,25 +183,23 @@ def scalar_curvature(data: SphericalStaticData, r):
 def scalar_curvature_d1(data: SphericalStaticData, r):
     """Radial derivative dR/dr, in closed form from A, A', A''."""
     r = data.require_interior(r)
-    n = data.n
-    a = data.a_positive(r)
-    ap = data.A.d1(r)
-    app = data.A.d2(r)
-    term1 = app / (a * a * r) - 2.0 * ap * ap / (a ** 3 * r) - ap / (a * a * r * r)
-    term2 = ap / (a * a * r * r) - 2.0 * (1.0 - 1.0 / a) / r ** 3
-    return (n - 1) * term1 + (n - 1) * (n - 2) * term2
+    return scalar_curvature_d1_kernel(data.n, *data.a_jet(r), r)
 
 
 def hessian_radial(data: SphericalStaticData, f: RadialProfile, r) -> FrameTensor2:
     """Hessian of a radial function f in frame components."""
     r = data.require_interior(r)
-    return hessian_kernel(data.a_positive(r), data.A.d1(r), f.d1(r), f.d2(r), r)
+    a, ap, _ = data.a_jet(r)
+    _, fp, fpp = f.jet(r)
+    return hessian_kernel(a, ap, fp, fpp, r)
 
 
 def laplacian_radial(data: SphericalStaticData, f: RadialProfile, r):
     """Laplace-Beltrami of a radial function, via the divergence form."""
     r = data.require_interior(r)
-    return laplacian_kernel(data.n, data.a_positive(r), data.A.d1(r), f.d1(r), f.d2(r), r)
+    a, ap, _ = data.a_jet(r)
+    _, fp, fpp = f.jet(r)
+    return laplacian_kernel(data.n, a, ap, fp, fpp, r)
 
 
 def grad_norm(data: SphericalStaticData, f: RadialProfile, r):
@@ -199,7 +213,7 @@ def level_set_geometry(data: SphericalStaticData, r) -> HypersurfaceGeometry:
     """Geometry of the coordinate sphere at r, normal toward increasing r."""
     r = data.require_interior(r)
     n = data.n
-    a = data.a_positive(r)
+    a, ap, _ = data.a_jet(r)
     sa = np.sqrt(a)
     H = (n - 1) / (r * sa)
     return HypersurfaceGeometry(
@@ -208,7 +222,7 @@ def level_set_geometry(data: SphericalStaticData, r) -> HypersurfaceGeometry:
         B_tan=H / (n - 1),
         R_S=(n - 1) * (n - 2) / (r * r),
         nuV=data.V.d1(r) / sa,
-        ric_nn=ricci_kernel(n, a, data.A.d1(r), r).radial,
+        ric_nn=ricci_kernel(n, a, ap, r).radial,
     )
 
 

@@ -91,26 +91,22 @@ def rn_data(p: RNParameters) -> SphericalStaticData:
     def Wpp(r):
         return 2.0 * k * (-(k + 1) * m / r ** (k + 2) + (2 * k + 1) * q * q / r ** (2 * k + 2))
 
+    # Values alone need only W; the jets take W, W' and W'' once each.
     def V(r):
         return np.sqrt(W(r))
 
-    def Vp(r):
-        return Wp(r) / (2.0 * np.sqrt(W(r)))
-
-    def Vpp(r):
-        w = W(r)
-        return Wpp(r) / (2.0 * np.sqrt(w)) - Wp(r) ** 2 / (4.0 * w ** 1.5)
+    def V_jet(r):
+        w, wp, wpp = W(r), Wp(r), Wpp(r)
+        sw = np.sqrt(w)
+        return sw, wp / (2.0 * sw), wpp / (2.0 * sw) - wp ** 2 / (4.0 * w ** 1.5)
 
     def A(r):
         return 1.0 / W(r)
 
-    def Ap(r):
-        w = W(r)
-        return -Wp(r) / (w * w)
-
-    def App(r):
-        w = W(r)
-        return -Wpp(r) / (w * w) + 2.0 * Wp(r) ** 2 / w ** 3
+    def A_jet(r):
+        w, wp, wpp = W(r), Wp(r), Wpp(r)
+        ww = w * w
+        return 1.0 / w, -wp / ww, -wpp / ww + 2.0 * wp ** 2 / w ** 3
 
     ce = k * abs(q) / cn
     cp = q / cn
@@ -121,8 +117,8 @@ def rn_data(p: RNParameters) -> SphericalStaticData:
     return SphericalStaticData(
         n=n,
         lam=0.0,
-        A=RadialProfile(A, Ap, App, domain=dom),
-        V=RadialProfile(V, Vp, Vpp, domain=dom),
+        A=RadialProfile(A, domain=dom, jet=A_jet),
+        V=RadialProfile(V, domain=dom, jet=V_jet),
         Emag=RadialProfile(
             lambda r: ce / r ** (n - 1),
             lambda r: -(n - 1) * ce / r ** n,
@@ -161,24 +157,17 @@ def perturbed_potential_data(base: SphericalStaticData, amplitude: float,
     """
     V = base.V
 
-    def bump(r):
+    def gaussian(r):
+        """(t, amplitude exp(-t^2)) with t = (r - center) / width."""
         t = (r - center) / width
-        return amplitude * np.exp(-t * t)
+        return t, amplitude * np.exp(-t * t)
 
-    def bump1(r):
-        t = (r - center) / width
-        return amplitude * np.exp(-t * t) * (-2.0 * t / width)
+    def jet(r):
+        f, f1, f2 = V.jet(r)
+        t, g = gaussian(r)
+        return f + g, f1 + g * (-2.0 * t / width), f2 + g * (4.0 * t * t - 2.0) / (width * width)
 
-    def bump2(r):
-        t = (r - center) / width
-        return amplitude * np.exp(-t * t) * (4.0 * t * t - 2.0) / (width * width)
-
-    newV = RadialProfile(
-        lambda r: V.value(r) + bump(r),
-        lambda r: V.d1(r) + bump1(r),
-        lambda r: V.d2(r) + bump2(r),
-        domain=V.domain,
-    )
+    newV = RadialProfile(lambda r: V.value(r) + gaussian(r)[1], domain=V.domain, jet=jet)
     return replace(base, V=newV)
 
 
@@ -295,53 +284,46 @@ def isotropic_map(p: RNParameters, s: float) -> IsotropicPoint:
 
 
 def isotropic_inverse(p: RNParameters, r: float) -> float:
-    """Isotropic radius with r(s) = r, by bracketed root finding.
+    """Isotropic radius with r(s) = r, in closed form.
 
-    Accepts any r at or above the branch minimum radius; the result satisfies
-    |r(s) - r| <= 1e-12 * r.
+    With u = s^{n-2} and R = r^{n-2} the chart reads R = u + m + (m^2-q^2)/(4u),
+    a quadratic in u whose larger root u = ((R-m) + sqrt((R-m)^2 - (m^2-q^2)))/2
+    is the outer branch. Accepts any r at or above the branch minimum radius.
+    The result lies within a few units in the last place of the exact root;
+    where r(s) is steep (near an open branch start) one such unit can move
+    r(s) by more than that relative to r.
     """
     chart = IsotropicChart(p)
+    r = float(r)
     if not (math.isfinite(r) and r > 0):
         raise DomainError(f"area radius must be positive and finite, got {r}")
-
-    def f(s):
-        return float(chart.r_of_s(s) - r)
-
+    m, q, k = p.m, p.q, chart.k
     if chart.closed_start:
         r_min = rn_horizon(p)
         if r < r_min * (1.0 - 1e-14):
             raise DomainError(f"radius {r} below the branch minimum {r_min}")
-        lo = chart.s_branch
-        if f(lo) >= 0.0:
-            # The branch minimum already attains r (up to rounding).
-            if abs(f(lo)) <= 1e-12 * r:
-                return float(lo)
-            raise DomainError(f"radius {r} below the branch minimum radius")
-    else:
-        # Open branch start (extremal or super-extremal): r(s) decreases to
-        # its infimum there, so walk the endpoint down until it brackets.
-        lo = chart.s_branch + max(chart.s_branch, r, 1.0)
-        while f(lo) >= 0.0:
-            lo = chart.s_branch + (lo - chart.s_branch) / 4.0
-            if lo - chart.s_branch < 1e-300:
-                raise DomainError(f"radius {r} at or below the branch infimum")
-    hi = max(2.0 * lo, r)
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise DomainError("failed to bracket the isotropic radius")
-    from scipy.optimize import brentq  # on first use: closed-form paths never load scipy
-
-    s = brentq(f, lo, hi, xtol=1e-15 * max(1.0, lo), rtol=8.9e-16, maxiter=200)
-    # Newton polish; r'(s) > 0 away from the branch start.
-    for _ in range(3):
-        err = float(chart.r_of_s(s) - r)
-        if abs(err) <= 1e-13 * r:
-            break
-        slope = float(chart.r_of_s_d1(s))
-        if slope <= 0:
-            break
-        s -= err / slope
+    try:
+        big_r = r ** k
+    except OverflowError:
+        raise DomainError(f"radius {r} too large for the isotropic chart") from None
+    b = big_r - m
+    d = (m - q) * (m + q)
+    # The discriminant (R-m)^2 - (m^2-q^2), divided by b^2 where b^2 would overflow.
+    big = abs(b) >= 1e150
+    disc = 1.0 - d / b / b if big else b * b - d
+    if chart.closed_start and (b <= 0.0 or disc <= 0.0):
+        # At the horizon (up to rounding) the two roots meet at the branch start.
+        return float(chart.s_branch)
+    root = abs(b) * math.sqrt(disc) if big else math.sqrt(disc)
+    # Larger root without cancellation: through the product d/4 when b < 0.
+    u = 0.5 * (b + root) if b >= 0.0 else d / (2.0 * (b - root))
+    if not u > 0.0:
+        raise DomainError(f"radius {r} at or below the branch infimum")
+    s = u ** (1.0 / k)
+    if chart.closed_start:
+        return float(max(s, chart.s_branch))
+    if not s > chart.s_branch:
+        raise DomainError(f"radius {r} at or below the branch infimum")
     return float(s)
 
 

@@ -1,9 +1,10 @@
 """Radial profiles: scalar functions of the area radius with two derivatives.
 
 A profile evaluates its value and first two derivatives at radii inside an
-open interval. Derivatives are either supplied in closed form or produced by
-central finite differences on the value; the ``mode`` attribute records which,
-so callers can pick tolerances accordingly.
+open interval, one at a time or all three as a jet. Derivatives are either
+supplied in closed form or produced by central finite differences on the
+value; the ``mode`` attribute records which, so callers can pick tolerances
+accordingly.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ _EPS = float(np.finfo(float).eps)
 MODE_CLOSED_FORM = "closed-form"
 MODE_FINITE_DIFFERENCE = "finite-difference"
 
+_JET_PARTS = ("value", "first derivative", "second derivative")
+
 
 def _fd_step(r):
     # Cube-root-of-eps step, floored so tiny radii do not starve the stencil.
@@ -33,17 +36,29 @@ class RadialProfile:
     value : callable
         Vectorized map r -> f(r).
     d1, d2 : callable, optional
-        Closed-form first and second derivatives. Both must be given for the
-        profile to be in closed-form mode; otherwise central differences on
-        ``value`` are used and ``mode`` reports "finite-difference".
+        Closed-form first and second derivatives; the parts of ``jet`` stand
+        in for any not given. Both must be available for the profile to be in
+        closed-form mode; otherwise central differences on ``value`` are used
+        and ``mode`` reports "finite-difference".
     domain : pair of floats
         Open interval of validity.
     mode : str, optional
         MODE_CLOSED_FORM or MODE_FINITE_DIFFERENCE. Defaults to closed-form
-        exactly when both derivatives are given, and may only be closed-form
+        exactly when both derivatives are available, and may only be closed-form
         then. A profile whose supplied derivatives are only as accurate as a
         difference scheme passes MODE_FINITE_DIFFERENCE, so callers pick the
         loose tolerance.
+    jet : callable, optional
+        Vectorized map r -> (f, f', f'') that shares work between the three,
+        such as one table lookup or one pass over a common subexpression.
+        Its parts must equal ``value`` (and ``d1``, ``d2`` when those are
+        given too) bit for bit.
+
+    The jet contract: ``jet(r)`` returns ``(value(r), d1(r), d2(r))`` bit for
+    bit, scalar for a scalar radius, and raises the error that evaluating the
+    three in that order raises first. It checks the domain once and the
+    finiteness of its three outputs once. Without a ``jet`` callable it calls
+    the value and the two derivatives (or their difference stencils).
     """
 
     def __init__(
@@ -53,13 +68,18 @@ class RadialProfile:
         d2: Optional[Callable] = None,
         domain: tuple[float, float] = (0.0, np.inf),
         mode: Optional[str] = None,
+        jet: Optional[Callable] = None,
     ):
         lo, hi = float(domain[0]), float(domain[1])
         if not lo < hi:
             raise DomainError(f"empty profile domain ({lo}, {hi})")
+        if jet is not None:
+            d1 = (lambda r: jet(r)[1]) if d1 is None else d1
+            d2 = (lambda r: jet(r)[2]) if d2 is None else d2
         self._value = value
         self._d1 = d1
         self._d2 = d2
+        self._jet = jet
         self.domain = (lo, hi)
         # Closed-form mode needs both derivatives; the first allowed mode is the default.
         allowed = ((MODE_CLOSED_FORM, MODE_FINITE_DIFFERENCE) if (d1 is not None and d2 is not None)
@@ -91,23 +111,36 @@ class RadialProfile:
 
     def d1(self, r):
         self.require_inside(r)
-        r = np.asarray(r, dtype=float)
-        if self._d1 is not None:
-            out = np.asarray(self._d1(r), dtype=float)
-        else:
-            h = self._fd_safe_step(r)
-            out = (self._value(r + h) - self._value(r - h)) / (2.0 * h)
-        return self._check_finite(out, "first derivative")[()]
+        return self._check_finite(self._raw_d1(np.asarray(r, dtype=float)),
+                                  "first derivative")[()]
 
     def d2(self, r):
         self.require_inside(r)
+        return self._check_finite(self._raw_d2(np.asarray(r, dtype=float)),
+                                  "second derivative")[()]
+
+    def jet(self, r):
+        """(f, f', f'') at r, equal to (value(r), d1(r), d2(r)) bit for bit."""
+        self.require_inside(r)
         r = np.asarray(r, dtype=float)
-        if self._d2 is not None:
-            out = np.asarray(self._d2(r), dtype=float)
+        if self._jet is not None:
+            parts = self._jet(r)
         else:
-            h = self._fd_safe_step(r)
-            out = (self._value(r + h) - 2.0 * self._value(r) + self._value(r - h)) / (h * h)
-        return self._check_finite(out, "second derivative")[()]
+            parts = (self._value(r), self._raw_d1(r), self._raw_d2(r))
+        return tuple(self._check_finite(np.asarray(out, dtype=float), what)[()]
+                     for out, what in zip(parts, _JET_PARTS))
+
+    def _raw_d1(self, r):
+        if self._d1 is not None:
+            return np.asarray(self._d1(r), dtype=float)
+        h = self._fd_safe_step(r)
+        return (self._value(r + h) - self._value(r - h)) / (2.0 * h)
+
+    def _raw_d2(self, r):
+        if self._d2 is not None:
+            return np.asarray(self._d2(r), dtype=float)
+        h = self._fd_safe_step(r)
+        return (self._value(r + h) - 2.0 * self._value(r) + self._value(r - h)) / (h * h)
 
     def _fd_safe_step(self, r):
         # Shrink the stencil near the domain edges so r +/- h stays inside.
@@ -195,19 +228,18 @@ def tabulated_profile(radii, values) -> RadialProfile:
         i = np.searchsorted(radii, r, side="right") - 1
         return i, r - radii[i]
 
+    def jet(r):
+        i, h = locate(r)
+        a3, a2, a1 = c3[i], c2[i], c1[i]
+        return (((a3 * h + a2) * h + a1) * h + c0[i],
+                (3.0 * a3 * h + 2.0 * a2) * h + a1,
+                6.0 * a3 * h + 2.0 * a2)
+
     def value(r):
         i, h = locate(r)
         return ((c3[i] * h + c2[i]) * h + c1[i]) * h + c0[i]
 
-    def d1(r):
-        i, h = locate(r)
-        return (3.0 * c3[i] * h + 2.0 * c2[i]) * h + c1[i]
-
-    def d2(r):
-        i, h = locate(r)
-        return 6.0 * c3[i] * h + 2.0 * c2[i]
-
     # Spline derivatives are exact derivatives of the interpolant; keep them,
     # but report finite-difference mode: accuracy is set by the table.
-    return RadialProfile(value, d1, d2, domain=(radii[0], radii[-1]),
-                         mode=MODE_FINITE_DIFFERENCE)
+    return RadialProfile(value, domain=(radii[0], radii[-1]),
+                         mode=MODE_FINITE_DIFFERENCE, jet=jet)

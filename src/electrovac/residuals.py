@@ -179,26 +179,25 @@ def _structural(tag, note) -> TagResult:
 
 class _Fields:
     """Pointwise quantities of one grid, shared by every family's tags: one
-    domain check, each profile value or derivative evaluated at most once."""
+    domain check, one jet per profile. Jet parts no tag reads are dropped at
+    once, so no extra grid-sized array stays alive."""
 
     def __init__(self, data: SphericalStaticData, grid: GridSpec):
         self.data = data
         self.n, self.lam = data.n, data.lam
         self.rs = rs = grid.radii()
-        self.a = data.a_positive(rs)
+        self.a, self.ap = data.a_jet(rs)[:2]
         self.sa = np.sqrt(self.a)
-        self.ap = data.A.d1(rs)
-        self.v, self.vp = data.V(rs), data.V.d1(rs)
-        self.e, self.ep = data.Emag(rs), data.Emag.d1(rs)
-        # After the profiles' own checks, as before: the first error is unchanged.
+        self.v, self.vp, vpp = data.V.jet(rs)
+        self.e, self.ep = data.Emag.jet(rs)[:2]
+        # After the profiles' own checks, so their errors come first.
         data.require_interior(rs)
         self.ric = ricci_kernel(self.n, self.a, self.ap, rs)
-        vpp = data.V.d2(rs)
         self.hess = hessian_kernel(self.a, self.ap, self.vp, vpp, rs)
         self.lap = laplacian_kernel(self.n, self.a, self.ap, self.vp, vpp, rs)
         self.R = self.ric.trace(self.n)
         if data.Psi is not None:
-            self.psip, self.psipp = data.Psi.d1(rs), data.Psi.d2(rs)
+            self.psip, self.psipp = data.Psi.jet(rs)[1:]
             self.dpsi2 = self.psip * self.psip / self.a
         self.e2 = self.e * self.e
 

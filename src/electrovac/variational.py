@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,11 +30,10 @@ import numpy as np
 from .errors import DomainError, NumericsError, ParameterError
 from .geometry import (
     SphericalStaticData,
-    hessian_radial,
-    laplacian_radial,
-    ricci_radial,
-    scalar_curvature,
-    scalar_curvature_d1,
+    hessian_kernel,
+    laplacian_kernel,
+    ricci_kernel,
+    scalar_curvature_d1_kernel,
     warped_scalar,
 )
 from .models import RNParameters, rn_horizon
@@ -83,14 +82,22 @@ class QuadratureConfig:
 def radial_integral(fn, lo: float, hi: float, quad: QuadratureConfig,
                     panels: Optional[int] = None) -> float:
     xs, ws = quad.points(lo, hi, panels)
-    vals = np.asarray(fn(xs), dtype=float)
+    return float(_weighted_sums(ws, fn(xs))[0])
+
+
+def _weighted_sums(ws, vals) -> np.ndarray:
+    """np.dot(ws, row) for each row of vals (one row when vals is 1-D): the
+    sum radial_integral takes, bit for bit, whatever else is in the batch."""
+    vals = np.asarray(vals, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise NumericsError("non-finite integrand")
-    return float(np.dot(ws, vals))
+    return np.array([np.dot(ws, row) for row in np.atleast_2d(vals)])
 
 
-def _integral_with_breaks(fn, breaks, quad: QuadratureConfig, panels: int) -> float:
-    """Composite rule whose segment edges sit on the integrand's kink radii.
+def _integral_with_breaks(fn, breaks, quad: QuadratureConfig, panels: int) -> np.ndarray:
+    """Composite rule whose segment edges sit on the integrand's kink radii,
+    applied to each row of fn: per row, one radial_integral sum per segment,
+    added in segment order.
 
     The bump profile is only C^2 at its support edges; putting those on
     segment boundaries keeps every Gauss panel on a smooth piece.
@@ -99,8 +106,8 @@ def _integral_with_breaks(fn, breaks, quad: QuadratureConfig, panels: int) -> fl
     total = breaks[-1] - breaks[0]
     out = 0.0
     for a, b in zip(breaks[:-1], breaks[1:]):
-        seg_panels = max(2, math.ceil(panels * (b - a) / total))
-        out += radial_integral(fn, a, b, quad, panels=seg_panels)
+        xs, ws = quad.points(a, b, max(2, math.ceil(panels * (b - a) / total)))
+        out = out + _weighted_sums(ws, fn(xs))
     return out
 
 
@@ -135,19 +142,22 @@ class Perturbation:
     def support(self) -> tuple[float, float]:
         return (self.center - self.halfwidth, self.center + self.halfwidth)
 
-    def bump(self, r):
+    def bump_jet(self, r):
+        """(b, b', b'') at r."""
         t = (np.asarray(r, dtype=float) - self.center) / self.halfwidth
-        return np.where(np.abs(t) < 1.0, (1.0 - t * t) ** 3, 0.0)
+        inside, u, hw = np.abs(t) < 1.0, 1.0 - t * t, self.halfwidth
+        return (np.where(inside, u ** 3, 0.0),
+                np.where(inside, -6.0 * t * u ** 2 / hw, 0.0),
+                np.where(inside, (-6.0 * u ** 2 + 24.0 * t * t * u) / hw ** 2, 0.0))
+
+    def bump(self, r):
+        return self.bump_jet(r)[0]
 
     def bump_d1(self, r):
-        t = (np.asarray(r, dtype=float) - self.center) / self.halfwidth
-        return np.where(np.abs(t) < 1.0,
-                        -6.0 * t * (1.0 - t * t) ** 2 / self.halfwidth, 0.0)
+        return self.bump_jet(r)[1]
 
     def bump_d2(self, r):
-        t = (np.asarray(r, dtype=float) - self.center) / self.halfwidth
-        val = (-6.0 * (1.0 - t * t) ** 2 + 24.0 * t * t * (1.0 - t * t)) / self.halfwidth ** 2
-        return np.where(np.abs(t) < 1.0, val, 0.0)
+        return self.bump_jet(r)[2]
 
     @property
     def radial_on(self) -> float:
@@ -173,29 +183,35 @@ def _require_supported_inside(pert: Perturbation, r1: float, r2: float):
             f"perturbation support [{lo}, {hi}] must lie in the open annulus ({r1}, {r2})")
 
 
-def _functional_once(data: SphericalStaticData, r1: float, r2: float,
-                     pert: Optional[Perturbation], quad: QuadratureConfig,
-                     panels: int) -> float:
+def _functional_values(data: SphericalStaticData, r1: float, r2: float,
+                       pert: Optional[Perturbation], amplitudes,
+                       quad: QuadratureConfig) -> list[float]:
+    """F at each amplitude of pert's direction (pert None: the one unperturbed
+    value), each with its own panel-doubling convergence check, in order."""
     n = data.n
     omega = sphere_area(n)
+    eps = None if pert is None else np.asarray(amplitudes, dtype=float)[:, None]
+    breaks = [r1, r2] if pert is None else [r1, r2, *pert.support()]
 
     def bulk(r):
-        a0 = data.a_positive(r)
+        # One row per amplitude of the column eps (one row when pert is None).
+        # The base fields and the bump are evaluated once for all rows; each
+        # row's arithmetic is the single-amplitude expression, elementwise, so
+        # a row is bit-identical to the integrand of that amplitude alone.
+        a0, ap0, _ = data.a_jet(r)
         sa0 = np.sqrt(a0)
         v = data.V(r)
         e2 = data.Emag(r) ** 2
         if pert is None:
-            R = scalar_curvature(data, r)
+            data.require_interior(r)
+            R = ricci_kernel(n, a0, ap0, r).trace(n)
             return v * (R - 6.0 * e2) * sa0 * r ** (n - 1) + 4.0 * v * e2 * sa0 * r ** (n - 1)
-        eps = pert.amplitude
-        ba = pert.radial_on * pert.bump(r)
-        ba1 = pert.radial_on * pert.bump_d1(r)
-        bc = pert.tangential_on * pert.bump(r)
-        bc1 = pert.tangential_on * pert.bump_d1(r)
-        bc2 = pert.tangential_on * pert.bump_d2(r)
+        b, b1, b2 = pert.bump_jet(r)
+        ba, ba1 = pert.radial_on * b, pert.radial_on * b1
+        bc, bc1, bc2 = pert.tangential_on * b, pert.tangential_on * b1, pert.tangential_on * b2
         pa = 1.0 + eps * ba
         A = a0 * pa
-        Ap = data.A.d1(r) * pa + a0 * eps * ba1
+        Ap = ap0 * pa + a0 * eps * ba1
         s = np.sqrt(1.0 + eps * bc)
         sp = eps * bc1 / (2.0 * s)
         spp = eps * bc2 / (2.0 * s) - (eps * bc1) ** 2 / (4.0 * s ** 3)
@@ -207,10 +223,8 @@ def _functional_once(data: SphericalStaticData, r1: float, r2: float,
         return (v * (R - 6.0 * e2p) * sa0 * r ** (n - 1)
                 + 4.0 * v * e2p * np.sqrt(A) * C ** (n - 1))
 
-    breaks = [r1, r2]
-    if pert is not None:
-        breaks.extend(pert.support())
-    val = _integral_with_breaks(bulk, breaks, quad, panels)
+    coarse = omega * _integral_with_breaks(bulk, breaks, quad, quad.panels)
+    fine = omega * _integral_with_breaks(bulk, breaks, quad, 2 * quad.panels)
 
     # Boundary term 2 int V H ds_o with outward normals; the perturbation
     # vanishes on a neighborhood of the boundary, so base quantities apply.
@@ -219,7 +233,13 @@ def _functional_once(data: SphericalStaticData, r1: float, r2: float,
 
     term = 2.0 * omega * (float(data.V(r2)) * H_of(r2) * r2 ** (n - 1)
                           - float(data.V(r1)) * H_of(r1) * r1 ** (n - 1))
-    return omega * val + term
+    values = []
+    for c, f in zip(coarse + term, fine + term):
+        if abs(f - c) > quad.tol * (1.0 + abs(f)):
+            raise NumericsError(
+                f"quadrature did not converge: panel doubling moved the value by {f - c:.3e}")
+        values.append(float(f))
+    return values
 
 
 def evaluate_functional(data: SphericalStaticData, annulus,
@@ -229,12 +249,8 @@ def evaluate_functional(data: SphericalStaticData, annulus,
     r1, r2 = _require_annulus(data, annulus)
     if pert is not None:
         _require_supported_inside(pert, r1, r2)
-    coarse = _functional_once(data, r1, r2, pert, quad, quad.panels)
-    fine = _functional_once(data, r1, r2, pert, quad, 2 * quad.panels)
-    if abs(fine - coarse) > quad.tol * (1.0 + abs(fine)):
-        raise NumericsError(
-            f"quadrature did not converge: panel doubling moved the value by {fine - coarse:.3e}")
-    return fine
+    amplitudes = () if pert is None else (pert.amplitude,)
+    return _functional_values(data, r1, r2, pert, amplitudes, quad)[0]
 
 
 @dataclass(frozen=True)
@@ -270,13 +286,14 @@ def perturbation_norm(data: SphericalStaticData, annulus, pert: Perturbation,
     omega = sphere_area(n)
 
     def fn(r):
-        a = pert.radial_on * pert.bump(r)
-        c = pert.tangential_on * pert.bump(r)
+        b = pert.bump(r)
+        a = pert.radial_on * b
+        c = pert.tangential_on * b
         sa = np.sqrt(data.a_positive(r))
         return (a * a + (n - 1) * c * c) * sa * r ** (n - 1)
 
     breaks = [r1, *pert.support(), r2]
-    return math.sqrt(omega * _integral_with_breaks(fn, breaks, quad, quad.panels))
+    return math.sqrt(omega * _integral_with_breaks(fn, breaks, quad, quad.panels)[0])
 
 
 DEFAULT_EPSILONS = (1e-2, 1e-3, 2e-4, 1e-4)
@@ -285,17 +302,35 @@ DEFAULT_EPSILONS = (1e-2, 1e-3, 2e-4, 1e-4)
 def criticality_test(data: SphericalStaticData, annulus, pert: Perturbation,
                      quad: QuadratureConfig = QuadratureConfig(),
                      epsilons: tuple[float, ...] = DEFAULT_EPSILONS) -> CriticalityResult:
-    """Estimate dF/deps at eps = 0 by central differences over an eps ladder."""
+    """Estimate dF/deps at eps = 0 by central differences over an eps ladder.
+
+    Every epsilon must be finite, in (0, 0.5] (so each bumped metric stays
+    positive definite) and distinct from the others; ParameterError otherwise.
+    The 2 len(epsilons) bumped functionals share one evaluation of the base
+    fields and of the bump per quadrature node set, and each is summed and
+    convergence-checked on its own, so derivatives[i] equals
+
+        (evaluate_functional(+eps_i) - evaluate_functional(-eps_i)) / (2 eps_i)
+
+    bit for bit, and a ladder whose quadrature does not converge raises the
+    NumericsError that amplitude raises alone.
+    """
     if len(epsilons) < 2:
         raise ParameterError("need at least two epsilon values")
     r1, r2 = _require_annulus(data, annulus)
     _require_supported_inside(pert, r1, r2)
+    # Zero divides by zero, a negative epsilon has no logarithm for the slope
+    # fit, and a repeated one leaves the fit rank-deficient.
+    epsilons = tuple(float(e) for e in epsilons)
+    if not all(0.0 < e <= 0.5 for e in epsilons):
+        raise ParameterError(f"each epsilon must be finite and in (0, 0.5], got {epsilons}")
+    if len(set(epsilons)) != len(epsilons):
+        raise ParameterError(f"epsilons must be distinct, got {epsilons}")
 
-    derivs = []
-    for eps in epsilons:
-        fp = evaluate_functional(data, annulus, replace(pert, amplitude=+eps), quad)
-        fm = evaluate_functional(data, annulus, replace(pert, amplitude=-eps), quad)
-        derivs.append((fp - fm) / (2.0 * eps))
+    values = _functional_values(data, r1, r2, pert,
+                                [a for eps in epsilons for a in (+eps, -eps)], quad)
+    derivs = [(fp - fm) / (2.0 * eps)
+              for eps, fp, fm in zip(epsilons, values[0::2], values[1::2])]
 
     norm = perturbation_norm(data, annulus, pert, quad)
     tol = 1e-5 * norm
@@ -319,7 +354,7 @@ def criticality_test(data: SphericalStaticData, annulus, pert: Perturbation,
             break
 
     return CriticalityResult(
-        epsilons=tuple(float(e) for e in epsilons),
+        epsilons=epsilons,
         derivatives=tuple(float(d) for d in derivs),
         slope=slope,
         refined=float(refined),
@@ -330,20 +365,26 @@ def criticality_test(data: SphericalStaticData, annulus, pert: Perturbation,
     )
 
 
-def euler_lagrange_density(data: SphericalStaticData, pert: Perturbation, r):
-    """Pointwise <T, h> for the unit-amplitude direction h of pert."""
+def _el_fields(data: SphericalStaticData, pert: Perturbation, r):
+    """<T, h> for the unit-amplitude direction h of pert, and A, at r: one
+    domain check and one jet of A and of V."""
     rs = data.require_interior(r)
     n = data.n
-    hess = hessian_radial(data, data.V, rs)
-    lap = laplacian_radial(data, data.V, rs)
-    ric = ricci_radial(data, rs)
-    v = data.V(rs)
+    a, ap, _ = data.a_jet(rs)
+    v, vp, vpp = data.V.jet(rs)
+    hess = hessian_kernel(a, ap, vp, vpp, rs)
+    lap = laplacian_kernel(n, a, ap, vp, vpp, rs)
+    ric = ricci_kernel(n, a, ap, rs)
     e2 = data.Emag(rs) ** 2
     T_rad = -lap + hess.radial - v * ric.radial
     T_tan = -lap + hess.tangential - v * ric.tangential + 2.0 * v * e2
-    a = pert.radial_on * pert.bump(rs)
-    c = pert.tangential_on * pert.bump(rs)
-    return T_rad * a + (n - 1) * T_tan * c
+    b = pert.bump(rs)
+    return T_rad * (pert.radial_on * b) + (n - 1) * T_tan * (pert.tangential_on * b), a
+
+
+def euler_lagrange_density(data: SphericalStaticData, pert: Perturbation, r):
+    """Pointwise <T, h> for the unit-amplitude direction h of pert."""
+    return _el_fields(data, pert, r)[0]
 
 
 def euler_lagrange_integral(data: SphericalStaticData, annulus, pert: Perturbation,
@@ -355,15 +396,15 @@ def euler_lagrange_integral(data: SphericalStaticData, annulus, pert: Perturbati
     omega = sphere_area(n)
 
     def fn(r):
-        sa = np.sqrt(data.a_positive(r))
-        return euler_lagrange_density(data, pert, r) * sa * r ** (n - 1)
+        density, a = _el_fields(data, pert, r)
+        return density * np.sqrt(a) * r ** (n - 1)
 
     breaks = [r1, *pert.support(), r2]
-    coarse = _integral_with_breaks(fn, breaks, quad, quad.panels)
-    fine = _integral_with_breaks(fn, breaks, quad, 2 * quad.panels)
+    coarse = _integral_with_breaks(fn, breaks, quad, quad.panels)[0]
+    fine = _integral_with_breaks(fn, breaks, quad, 2 * quad.panels)[0]
     if abs(fine - coarse) > quad.tol * (1.0 + abs(fine)):
         raise NumericsError("quadrature did not converge for the variation integral")
-    return omega * fine
+    return float(omega * fine)
 
 
 def pohozaev_residual(data: SphericalStaticData, annulus,
@@ -375,46 +416,47 @@ def pohozaev_residual(data: SphericalStaticData, annulus,
     where Ric0 is the trace-free Ricci tensor and L_X g = 2 Hess V. Holds for
     any metric by the contracted second Bianchi identity, so the residual
     measures numerical consistency of the curvature operators, not a property
-    of the data.
+    of the data. Both integrands come from one jet of A and of V per node set.
     """
     r1, r2 = _require_annulus(data, annulus)
     n = data.n
     omega = sphere_area(n)
 
-    def lhs_fn(r):
-        sa = np.sqrt(data.a_positive(r))
-        vp = data.V.d1(r)
-        Rp = scalar_curvature_d1(data, r)
-        return vp * Rp / sa * r ** (n - 1)
-
-    def rhs_fn(r):
-        sa = np.sqrt(data.a_positive(r))
-        hess = hessian_radial(data, data.V, r)
-        ric = ricci_radial(data, r)
+    def integrands(r):
+        # Rows: the left side's X(R) and the right side's <Hess V, Ric0>, times dv.
+        a, ap, app = data.a_jet(r)
+        sa = np.sqrt(a)
+        _, vp, vpp = data.V.jet(r)
+        data.require_interior(r)
+        Rp = scalar_curvature_d1_kernel(n, a, ap, app, r)
+        hess = hessian_kernel(a, ap, vp, vpp, r)
+        ric = ricci_kernel(n, a, ap, r)
         R = ric.trace(n)
         t_rad = ric.radial - R / n
         t_tan = ric.tangential - R / n
         inner = hess.radial * t_rad + (n - 1) * hess.tangential * t_tan
-        return inner * sa * r ** (n - 1)
+        return vp * Rp / sa * r ** (n - 1), inner * sa * r ** (n - 1)
 
-    def converged(fn):
-        coarse = radial_integral(fn, r1, r2, quad)
-        fine = radial_integral(fn, r1, r2, quad, panels=2 * quad.panels)
-        if abs(fine - coarse) > quad.tol * (1.0 + abs(fine)):
+    def sums(panels):
+        xs, ws = quad.points(r1, r2, panels)
+        return [float(_weighted_sums(ws, rows)[0]) for rows in integrands(xs)]
+
+    coarse, fine = sums(quad.panels), sums(2 * quad.panels)
+    for c, f in zip(coarse, fine):
+        if abs(f - c) > quad.tol * (1.0 + abs(f)):
             raise NumericsError("quadrature did not converge in the identity check")
-        return fine
-
-    lhs = (n - 2) / (2.0 * n) * omega * converged(lhs_fn)
+    lhs = (n - 2) / (2.0 * n) * omega * fine[0]
 
     def bterm(r, sign):
-        sa = math.sqrt(float(data.a_positive(r)))
-        ric = ricci_radial(data, r)
+        rr = data.require_interior(r)
+        a, ap, _ = data.a_jet(rr)
+        ric = ricci_kernel(n, a, ap, rr)
         R = float(ric.trace(n))
         t_rad = float(ric.radial) - R / n
-        x_frame = float(data.V.d1(r)) / sa
+        x_frame = float(data.V.d1(r)) / math.sqrt(float(a))
         return sign * omega * r ** (n - 1) * x_frame * t_rad
 
-    rhs = -omega * converged(rhs_fn) + bterm(r2, +1.0) + bterm(r1, -1.0)
+    rhs = -omega * fine[1] + bterm(r2, +1.0) + bterm(r1, -1.0)
     return abs(lhs - rhs)
 
 

@@ -1,0 +1,50 @@
+"""Profiles that count how often a computation evaluates them on radius arrays."""
+
+import dataclasses
+
+import numpy as np
+
+from electrovac import RadialProfile
+
+PROFILES = ("A", "V", "Emag", "Psi")
+
+
+class CountingProfile(RadialProfile):
+    """Delegates every evaluation to base and counts, per entry point
+    (value, d1, d2, jet), the calls made on radius arrays; scalar calls are
+    not counted."""
+
+    def __init__(self, base: RadialProfile, counts: dict):
+        super().__init__(base.value, base.d1, base.d2, domain=base.domain, mode=base.mode)
+        self.base, self.counts = base, counts
+
+    def _count(self, name, r):
+        if np.ndim(r) > 0:
+            self.counts[name] = self.counts.get(name, 0) + 1
+
+    def value(self, r):
+        self._count("value", r)
+        return self.base.value(r)
+
+    __call__ = value
+
+    def d1(self, r):
+        self._count("d1", r)
+        return self.base.d1(r)
+
+    def d2(self, r):
+        self._count("d2", r)
+        return self.base.d2(r)
+
+    def jet(self, r):
+        self._count("jet", r)
+        return self.base.jet(r)
+
+
+def counting_data(data):
+    """Copy of data whose profiles count their array evaluations; returns
+    (copy, counts) with counts[name][entry point] -> calls."""
+    counts = {name: {} for name in PROFILES if getattr(data, name) is not None}
+    copy = dataclasses.replace(data, **{
+        name: CountingProfile(getattr(data, name), counts[name]) for name in counts})
+    return copy, counts

@@ -1,7 +1,8 @@
 """Package-level contracts: what importing electrovac loads and exports.
 
-scipy is imported only where a root finder needs it, so no CLI command pays
-for it: table profiles are built with numpy. Each check runs in a fresh
+scipy is imported only where the photon-sphere scan needs it, so no CLI
+command pays for it: table profiles are built with numpy and the isotropic
+inverse is solved in closed form. Each check runs in a fresh
 interpreter, because this test process has long since imported scipy.
 """
 
@@ -78,6 +79,19 @@ def test_table_profile_never_loads_scipy():
     assert got["after"] == []
 
 
+def test_isotropic_inverse_never_loads_scipy():
+    got = run_fresh("""
+        import math
+        from electrovac import RNParameters, isotropic_inverse
+        got = [isotropic_inverse(RNParameters(3, 1.0, 0.0), 4.0)]
+        # Schwarzschild, m = 1: r = s (1 + 1/(2s))^2 inverts to this
+        want = [(3.0 + math.sqrt(8.0)) / 2.0]
+        print(json.dumps({"got": got, "want": want, "after": scipy_modules()}))
+    """)
+    assert got["got"] == pytest.approx(got["want"], rel=1e-10)
+    assert got["after"] == []
+
+
 # Each lazy import site, called as the first scipy user in a fresh process,
 # must still import what it needs and return the right answer.
 LAZY_SITES = {
@@ -89,14 +103,6 @@ LAZY_SITES = {
         got = scan_photon_spheres(data)
         # u^2 - 3 m u + 2 q^2 = 0 at n = 3; only the larger root is admissible
         want = [(3.0 + math.sqrt(9.0 - 8.0 * 0.25)) / 2.0]
-    """,
-    "isotropic_inverse": """
-        import math
-        from electrovac import RNParameters, isotropic_inverse
-        before = scipy_modules()
-        got = [isotropic_inverse(RNParameters(3, 1.0, 0.0), 4.0)]
-        # Schwarzschild, m = 1: r = s (1 + 1/(2s))^2 inverts to this
-        want = [(3.0 + math.sqrt(8.0)) / 2.0]
     """,
 }
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -135,11 +136,27 @@ def test_perturbed_potential_keeps_every_other_field():
 # isotropic chart
 
 
-def quadratic_u_oracle(p, r):
-    # r^k = u + m + (m^2 - q^2)/(4u) inverts to a quadratic in u; outer branch
-    w = r ** (p.n - 2)
-    half = 0.5 * (w - p.m)
-    return half + math.sqrt(half * half - (p.m**2 - p.q**2) / 4.0)
+def isotropic_radius_oracle(p, r):
+    """s on the outer branch with r(s) = r, by a 50-digit root of the chart map
+    itself, r(s) = s ((1 + (m+q)/(2u)) (1 + (m-q)/(2u)))^{1/k} with u = s^k,
+    bracketed between the branch start and a radius where r(s) > r."""
+    with mpmath.workdps(50):
+        m, q, k = mpmath.mpf(p.m), mpmath.mpf(p.q), p.n - 2
+        target = mpmath.mpf(r)
+
+        def gap(s):
+            u = s ** k
+            return s * ((1 + (m + q) / (2 * u)) * (1 + (m - q) / (2 * u))) ** (mpmath.mpf(1) / k) - target
+
+        if p.m >= abs(p.q):
+            lo = (mpmath.sqrt(m * m - q * q) / 2) ** (mpmath.mpf(1) / k)
+        else:
+            lo = ((abs(q) - m) / 2) ** (mpmath.mpf(1) / k)
+        lo += mpmath.mpf(10) ** -40  # r(lo) < r: just past the branch start
+        hi = target + 1
+        while gap(hi) <= 0:
+            hi *= 2
+        return float(mpmath.findroot(gap, (lo, hi), solver="anderson"))
 
 
 CHART_CASES = [
@@ -161,6 +178,7 @@ def test_isotropic_schwarzschild_landmark():
 
 
 def test_isotropic_radius_matches_quadratic_oracle():
+    # The library solves the chart's quadratic; the oracle solves r(s) = r.
     for p in CHART_CASES:
         chart = IsotropicChart(p)
         # The outer branch maps onto (r0, oo): it starts at the horizon when
@@ -169,11 +187,10 @@ def test_isotropic_radius_matches_quadratic_oracle():
         r_lo = rn_horizon(p) if p.regime != "super-extremal" else 0.7 * rn_data(p).r_scale
         for r in np.geomspace(r_lo * 1.01, 50.0, 20):
             assert r >= rn_r0(p)
-            u = quadratic_u_oracle(p, r)
-            s = u ** (1.0 / (p.n - 2))
+            s = isotropic_radius_oracle(p, float(r))
             assert s > chart.s_branch
             assert np.isclose(float(chart.r_of_s(s)), r, rtol=1e-12)
-            assert np.isclose(isotropic_inverse(p, r), s, rtol=1e-10)
+            assert np.isclose(isotropic_inverse(p, r), s, rtol=1e-14, atol=0.0)
 
 
 def test_isotropic_round_trip():
@@ -228,6 +245,18 @@ def test_isotropic_inverse_rejects_radii_below_branch():
         isotropic_inverse(p, 0.9 * rn_horizon(p))
     with pytest.raises(DomainError):
         isotropic_inverse(p, -1.0)
+    # the horizon itself maps to the closed branch start, where the two roots meet
+    for sub in (p, RNParameters(4, 1.5, -0.9), RNParameters(3, 1.0, 1.0 - 1e-12)):
+        assert np.isclose(isotropic_inverse(sub, rn_horizon(sub)), IsotropicChart(sub).s_branch, rtol=1e-7)
+    # the extremal branch only approaches its horizon
+    ext = RNParameters(3, 1.0, 1.0)
+    for r in (rn_horizon(ext), 0.5):
+        with pytest.raises(DomainError):
+            isotropic_inverse(ext, r)
+    with pytest.raises(DomainError):  # r^2 overflows
+        isotropic_inverse(RNParameters(4, 1.0, 0.5), 1e200)
+    # where (R - m)^2 would overflow the discriminant is scaled: r = s + m + ...
+    assert np.isclose(isotropic_inverse(RNParameters(3, 1.0, 0.5), 1e200), 1e200, rtol=1e-15)
 
 
 # ----------------------------------------------------------------------------

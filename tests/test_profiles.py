@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from electrovac import DomainError, NumericsError, ParameterError, RadialProfile, constant_profile, tabulated_profile
+from electrovac import (
+    DomainError,
+    NumericsError,
+    ParameterError,
+    RadialProfile,
+    RNParameters,
+    constant_profile,
+    perturbed_potential_data,
+    rn_data,
+    tabulated_profile,
+)
 from electrovac.profiles import MODE_CLOSED_FORM, MODE_FINITE_DIFFERENCE
 
 
@@ -180,3 +190,72 @@ def test_tabulated_profile_knot_is_the_same_from_either_interval():
     for f in (p.value, p.d1, p.d2):
         ref = f(knots)
         assert np.max(np.abs(f(left) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def jet_cases():
+    for n, m, q in ((3, 1.0, 0.5), (4, 1.5, -0.9), (5, 2.0, 1.1), (3, 1.0, 1.0), (3, 1.0, 1.3)):
+        data = rn_data(RNParameters(n, m, q))
+        lo = data.domain[0] if data.domain[0] > 0 else 0.3 * data.r_scale
+        for name in ("A", "V", "Emag", "Psi"):
+            yield f"rn_data({n}, {m}, {q}).{name}", getattr(data, name), lo
+        bumped = perturbed_potential_data(data, 0.01, 2.0 * lo + 1.0, 0.7)
+        yield f"perturbed_potential_data({n}, {m}, {q}).V", bumped.V, lo
+    yield "constant_profile", constant_profile(-2.5), 0.1
+    rs = np.geomspace(1.1, 40.0, 300)
+    yield "tabulated_profile", tabulated_profile(rs, np.sin(rs) / rs), 1.1
+    yield "finite-difference", RadialProfile(lambda r: np.exp(-r) * r, domain=(0.5, 50.0)), 0.5
+
+
+def bits(x):
+    return (np.ndim(x), type(x).__name__, np.asarray(x, dtype=float).tobytes())
+
+
+@pytest.mark.parametrize("name,prof,lo", [pytest.param(*case, id=case[0]) for case in jet_cases()])
+def test_jet_equals_value_d1_d2_bit_for_bit(name, prof, lo):
+    rng = np.random.default_rng(len(name))
+    radii = [lo * (1.0 + 1e-7), lo * 1.5, lo * 3.7 + 0.25, lo + 19.0]
+    arrays = [np.asarray(radii), lo * np.exp(rng.uniform(1e-6, 3.0, 257)), np.array([lo * 2.0])]
+    for r in radii + arrays:
+        got = prof.jet(r)
+        want = (prof.value(r), prof.d1(r), prof.d2(r))
+        assert len(got) == 3
+        for part, g, w in zip(("value", "d1", "d2"), got, want):
+            assert bits(g) == bits(w), (name, part, r)
+
+
+def outcome(fn):
+    try:
+        return ("ok", [bits(x) for x in fn()])
+    except Exception as exc:  # the comparison is the point
+        return (type(exc), str(exc))
+
+
+def test_jet_raises_what_the_separate_calls_raise():
+    def spiky(part):
+        # finite except on r > 3, where the named part is infinite
+        def f(which):
+            return lambda r: np.where((r > 3.0) & (part == which), np.inf, r * r)
+        return RadialProfile(f("value"), f("d1"), f("d2"), domain=(1.0, 5.0))
+
+    def spiky_jet(part):
+        base = spiky(part)
+        return RadialProfile(base._value, base._d1, base._d2, domain=base.domain,
+                             jet=lambda r: (base._value(r), base._d1(r), base._d2(r)))
+
+    data = rn_data(RNParameters(3, 1.0, 0.5))
+    rs = np.linspace(2.0, 4.0, 9)
+    profiles = [spiky(p) for p in ("value", "d1", "d2")] + [spiky_jet(p) for p in ("value", "d1", "d2")]
+    profiles += [data.A, data.V, constant_profile(1.0, domain=(1.0, 5.0)),
+                 tabulated_profile(np.linspace(1.0, 5.0, 12), np.linspace(1.0, 5.0, 12) ** 2)]
+    seen = set()
+    for prof in profiles:
+        for r in (rs, 3.5, 0.5, np.array([2.0, 6.0]), 5.0, 1.0):
+            want = outcome(lambda: (prof.value(r), prof.d1(r), prof.d2(r)))
+            assert outcome(lambda: prof.jet(r)) == want, (prof, r)
+            seen.add(want[0] if want[0] == "ok" else want[0].__name__)
+            if want[0] == NumericsError:
+                seen.add(want[1])
+    # every error path was taken
+    assert {"ok", "DomainError", "NumericsError"} <= seen
+    assert {f"profile {what} is non-finite inside the domain"
+            for what in ("value", "first derivative", "second derivative")} <= seen

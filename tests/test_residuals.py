@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -34,6 +33,8 @@ from electrovac import (
 )
 from electrovac import residuals
 from electrovac.residuals import TOL_CLOSED_FORM, TOL_FINITE_DIFFERENCE
+
+from counting import counting_data
 
 
 def seeded_parameter_sets(count, seed=11):
@@ -273,31 +274,14 @@ def test_verify_all_equals_the_union_of_the_families():
     assert got["PEM1"]["skipped_points"] == 1
 
 
-def counting_profile(prof, counts):
-    """Copy of prof whose value/d1/d2 count the calls made on arrays."""
-    def counted(name, fn):
-        def call(r):
-            if np.ndim(r) > 0:
-                counts[name] += 1
-            return fn(r)
-        counts[name] = 0
-        return call
-    return RadialProfile(counted("value", prof.value), counted("d1", prof.d1),
-                         counted("d2", prof.d2), domain=prof.domain, mode=prof.mode)
-
-
 def test_verify_all_evaluates_each_profile_once_on_the_grid():
+    # One jet per profile on the grid, and no separate value, d1 or d2 call
+    # there; the boundary radius is a scalar and is not counted.
     p = RNParameters(3, 1.0, 0.5)
-    base = rn_data(p)
-    counts = {name: {} for name in ("A", "V", "Emag", "Psi")}
-    data = dataclasses.replace(base, **{
-        name: counting_profile(getattr(base, name), counts[name]) for name in counts})
+    data, counts = counting_data(rn_data(p))
     rep = verify_all(data, default_grid(data), r_boundary=photon_sphere_radii(p).roots[0].r)
     assert rep.passed and "PEM4" in rep.entries
-    for name, per_call in counts.items():
-        for call, times in per_call.items():
-            assert times <= 1, f"{name}.{call} evaluated {times} times on the grid"
-    assert counts["V"] == {"value": 1, "d1": 1, "d2": 1}
+    assert counts == {name: {"jet": 1} for name in ("A", "V", "Emag", "Psi")}
 
 
 def load_benchmark_spans():

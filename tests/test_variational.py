@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from electrovac import (
     DomainError,
+    NumericsError,
     ParameterError,
     Perturbation,
     QuadratureConfig,
@@ -23,7 +25,9 @@ from electrovac import (
     sphere_area,
     surface_gravity,
 )
-from electrovac.variational import _gauss_legendre
+from electrovac.variational import _gauss_legendre, _weighted_sums
+
+from counting import counting_data
 
 ANNULUS = (3.0, 6.0)
 PERT = Perturbation(center=4.5, halfwidth=1.0, mode="both")
@@ -56,6 +60,19 @@ def test_gauss_legendre_rule_is_cached_read_only_and_unchanged():
     assert np.array_equal(xs, (mids[:, None] + half[:, None] * ref_x[None, :]).ravel())
     assert np.array_equal(ws, (half[:, None] * ref_w[None, :]).ravel())
     assert xs.flags.writeable and ws.flags.writeable
+
+
+def test_batched_sums_are_one_dot_per_row():
+    # A batch of integrands is summed row by row with the dot radial_integral
+    # takes, not as one matrix-vector product, whose rounding differs.
+    rng = np.random.default_rng(4)
+    quad = QuadratureConfig()
+    for panels in (2, 9, 16, 32):
+        xs, ws = quad.points(1.0, 4.0, panels)
+        rows = rng.normal(size=(8, xs.size)) * np.exp(rng.uniform(-5.0, 5.0, (8, 1)))
+        sums = _weighted_sums(ws, rows)
+        assert [float(x) for x in sums] == [float(np.dot(ws, row)) for row in rows]
+        assert radial_integral(lambda r: rows[3], 1.0, 4.0, quad, panels) == float(np.dot(ws, rows[3]))
 
 
 def test_flat_annulus_functional_value():
@@ -173,3 +190,77 @@ def test_perturbation_norm_positive_and_mode_monotone():
     n_both = perturbation_norm(data, ANNULUS, PERT)
     assert n_rad > 0 and n_tan > 0
     assert np.isclose(n_both, math.hypot(n_rad, n_tan), rtol=1e-12)
+
+
+def drawn_variational_cases(count, seed):
+    # (n, m, q) over all three regimes and an annulus clear of the domain edge,
+    # drawn as the variational benchmark draws them, cycling the bump modes
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(3, 6))
+        m = float(rng.uniform(0.3, 3.0))
+        q = m * float(rng.uniform(-1.8, 1.8))
+        p = RNParameters(n, m, q)
+        base = max(rn_horizon(p) or 0.0, max(m, abs(q)) ** (1.0 / (n - 2)))
+        r1 = base * float(rng.uniform(1.3, 2.0))
+        r2 = r1 * float(rng.uniform(1.5, 3.0))
+        mode = ("radial", "tangential", "both")[i % 3]
+        yield p, (r1, r2), Perturbation(0.5 * (r1 + r2), 0.25 * (r2 - r1), mode=mode)
+
+
+def test_criticality_derivatives_equal_the_per_amplitude_definition():
+    # The ladder shares base fields across amplitudes; each derivative must
+    # still be the central difference of two separate functional values.
+    for p, ann, pert in drawn_variational_cases(12, seed=6):
+        for data in (rn_data(p), perturbed_potential_data(rn_data(p), 0.01, pert.center, pert.halfwidth)):
+            crit = criticality_test(data, ann, pert)
+            for eps, got in zip(crit.epsilons, crit.derivatives):
+                fp = evaluate_functional(data, ann, replace(pert, amplitude=+eps))
+                fm = evaluate_functional(data, ann, replace(pert, amplitude=-eps))
+                assert got == (fp - fm) / (2.0 * eps), (p, ann, pert.mode, eps)
+
+
+def test_criticality_ladder_raises_the_per_amplitude_convergence_error():
+    # A rule too coarse for the bump: the ladder fails on its first amplitude,
+    # with the error that amplitude's functional raises alone.
+    data = rn_data(RNParameters(3, 1.0, 0.5))
+    quad = QuadratureConfig(panels=5, nodes=7)
+    epsilons = (0.3, 0.05, 0.025)
+    with pytest.raises(NumericsError) as alone:
+        evaluate_functional(data, ANNULUS, replace(PERT, amplitude=0.3), quad)
+    with pytest.raises(NumericsError) as ladder:
+        criticality_test(data, ANNULUS, PERT, quad, epsilons)
+    assert str(ladder.value) == str(alone.value)
+    assert "panel doubling moved the value" in str(ladder.value)
+
+
+@pytest.mark.parametrize("epsilons", [
+    pytest.param((1e-2, 0.0), id="zero"),
+    pytest.param((1e-2, -1e-3), id="negative"),
+    pytest.param((1e-2, 1e-3, 1e-3), id="duplicate"),
+    pytest.param((1e-2, 0.6), id="above-half"),
+    pytest.param((1e-2, math.nan), id="nan"),
+    pytest.param((1e-2, math.inf), id="inf"),
+])
+def test_criticality_rejects_bad_epsilons(epsilons, capfd):
+    # Before: zero divided by zero, a negative epsilon failed inside the
+    # slope fit with LAPACK messages on stderr, a duplicate fit a
+    # rank-deficient slope and reported "not critical".
+    data = rn_data(RNParameters(3, 1.0, 0.5))
+    with pytest.raises(ParameterError):
+        criticality_test(data, ANNULUS, PERT, epsilons=epsilons)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_criticality_evaluates_base_fields_once_per_node_set():
+    # Three segments (annulus edges and bump support), each at the coarse and
+    # the fine panel count: at most one array evaluation of each profile per
+    # node set, plus one of A per segment for the perturbation norm. The
+    # boundary terms evaluate scalars, which are not counted.
+    data, counts = counting_data(rn_data(RNParameters(3, 1.0, 0.5)))
+    assert criticality_test(data, ANNULUS, PERT).passed
+    calls = {name: sum(per_call.values()) for name, per_call in counts.items()}
+    assert calls["A"] <= 2 * 3 + 3
+    assert calls["V"] <= 2 * 3
+    assert calls["Emag"] <= 2 * 3
+    assert calls["Psi"] == 0
