@@ -81,35 +81,69 @@ def rn_data(p: RNParameters) -> SphericalStaticData:
     k = n - 2
     cn = coupling_constant(n)
 
+    def powers(r):
+        """(x, x^k) with x = 1/r, by multiplication: no float power to overflow."""
+        x = 1.0 / r
+        xk = x
+        for _ in range(k - 1):
+            xk = xk * x
+        return x, xk
+
+    def W_terms(r):
+        """(x, u1, u2) with u1 = m x^k and u2 = (q x^k)^2, so W = 1 - 2 u1 + u2."""
+        x, xk = powers(r)
+        qx = q * xk
+        return x, m * xk, qx * qx
+
     def W(r):
-        u = r ** k
-        return 1.0 - 2.0 * m / u + (q * q) / (u * u)
+        _, u1, u2 = W_terms(r)
+        return 1.0 - 2.0 * u1 + u2
 
-    def Wp(r):
-        return 2.0 * k * (m / r ** (k + 1) - q * q / r ** (2 * k + 1))
+    def W_jet(r):
+        x, u1, u2 = W_terms(r)
+        return (1.0 - 2.0 * u1 + u2,
+                2.0 * k * x * (u1 - u2),
+                2.0 * k * x * (x * ((2 * k + 1) * u2 - (k + 1) * u1)))
 
-    def Wpp(r):
-        return 2.0 * k * (-(k + 1) * m / r ** (k + 2) + (2 * k + 1) * q * q / r ** (2 * k + 2))
-
-    # Values alone need only W; the jets take W, W' and W'' once each.
+    # Values alone need only W; the jets take one W jet each.
     def V(r):
         return np.sqrt(W(r))
 
     def V_jet(r):
-        w, wp, wpp = W(r), Wp(r), Wpp(r)
+        w, wp, wpp = W_jet(r)
         sw = np.sqrt(w)
-        return sw, wp / (2.0 * sw), wpp / (2.0 * sw) - wp ** 2 / (4.0 * w ** 1.5)
+        return sw, wp / (2.0 * sw), wpp / (2.0 * sw) - wp * wp / (4.0 * (w * sw))
 
     def A(r):
         return 1.0 / W(r)
 
     def A_jet(r):
-        w, wp, wpp = W(r), Wp(r), Wpp(r)
+        w, wp, wpp = W_jet(r)
         ww = w * w
-        return 1.0 / w, -wp / ww, -wpp / ww + 2.0 * wp ** 2 / w ** 3
+        return 1.0 / w, -wp / ww, -wpp / ww + 2.0 * wp * wp / (ww * w)
 
     ce = k * abs(q) / cn
     cp = q / cn
+
+    # |E| = ce x^(k+1) and Psi = cp x^k; each derivative is one more factor of x.
+    def Emag(r):
+        x, xk = powers(r)
+        return ce * xk * x
+
+    def Emag_jet(r):
+        x, xk = powers(r)
+        e = ce * xk * x
+        ex = e * x
+        return e, -(n - 1) * ex, n * (n - 1) * ex * x
+
+    def Psi(r):
+        return cp * powers(r)[1]
+
+    def Psi_jet(r):
+        x, xk = powers(r)
+        psi = cp * xk
+        px = psi * x
+        return psi, -k * px, k * (k + 1) * px * x
 
     r0 = rn_r0(p)
     dom = (r0, np.inf)
@@ -119,18 +153,8 @@ def rn_data(p: RNParameters) -> SphericalStaticData:
         lam=0.0,
         A=RadialProfile(A, domain=dom, jet=A_jet),
         V=RadialProfile(V, domain=dom, jet=V_jet),
-        Emag=RadialProfile(
-            lambda r: ce / r ** (n - 1),
-            lambda r: -(n - 1) * ce / r ** n,
-            lambda r: n * (n - 1) * ce / r ** (n + 1),
-            domain=dom,
-        ),
-        Psi=RadialProfile(
-            lambda r: cp / r ** k,
-            lambda r: -k * cp / r ** (k + 1),
-            lambda r: k * (k + 1) * cp / r ** (k + 2),
-            domain=dom,
-        ),
+        Emag=RadialProfile(Emag, domain=dom, jet=Emag_jet),
+        Psi=RadialProfile(Psi, domain=dom, jet=Psi_jet),
         v_zeros=(h,) if h is not None else (),
         r_scale=max(m, abs(q)) ** (1.0 / k),
     )

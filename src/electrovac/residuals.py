@@ -27,16 +27,28 @@ The equations, in orthonormal-frame components (rad/tan), with E = |E|:
 
 The lam terms cancel in AE1, so the system/master equivalence is exercised at
 any lam; the Psi-form equations are stated for lam = 0.
+
+A report walks the grid in consecutive blocks of _BLOCK radii, with one set of
+pointwise fields per block. Each grid tag keeps a running maximum of its
+|residual| and the radius where it occurs; a later block replaces them only
+when strictly larger, so the result equals one argmax over the whole grid,
+bit for bit. Skipped points are summed over blocks. The boundary tags (TE2,
+E4, PEM4) are computed once per report, with the last block. When any block
+raises, the whole grid runs again as one block: that raises the error a single
+pass meets first, or, when some blocks had no point with |V| >= 1e-9, checks
+the grid as a whole. The arithmetic is elementwise, so a report does not
+depend on the block length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError, NumericsError
+from .errors import DegeneracyError, DomainError, ElectrovacError, NumericsError
 from .geometry import (
     SphericalStaticData,
     hessian_kernel,
@@ -49,6 +61,10 @@ from .profiles import MODE_CLOSED_FORM
 DEGENERATE_V = 1e-9
 TOL_CLOSED_FORM = 1e-9
 TOL_FINITE_DIFFERENCE = 1e-5
+# Radii per block of a report: each float64 temporary is then 64 KB, below
+# glibc's default 128 KB mmap threshold, so the heap reuses it while it is
+# still in cache instead of mapping and faulting in fresh pages.
+_BLOCK = 8192
 
 EQUATION_TAGS = {
     "E1": "Hessian equation for the potential",
@@ -164,13 +180,30 @@ def _tag_from_values(tag, rs, res, tol, note=None, skipped=0) -> TagResult:
     res = np.abs(np.asarray(res, dtype=float))
     if res.size == 0:
         raise DegeneracyError(f"no checkable grid points for {tag}")
-    if not np.all(np.isfinite(res)):
-        raise NumericsError(f"non-finite residual for {tag}")
+    # argmax stops at the first NaN, and the max is inf if any entry is.
     i = int(np.argmax(res))
     mx = float(res[i])
+    if not math.isfinite(mx):
+        raise NumericsError(f"non-finite residual for {tag}")
     worst = float(np.asarray(rs, dtype=float).reshape(-1)[i]) if rs is not None else None
     return TagResult(tag=tag, max_residual=mx, worst_radius=worst,
                      passed=bool(mx <= tol), note=note, skipped=skipped)
+
+
+def _skip_note(skipped):
+    return f"{skipped} grid points with |V| < {DEGENERATE_V:g} skipped" if skipped else None
+
+
+def _fold(earlier: Optional[TagResult], later: TagResult) -> TagResult:
+    """One tag over two consecutive runs of radii: the larger max (the earlier
+    on a tie, as one argmax over both would pick), skipped points summed."""
+    if earlier is None:
+        return later
+    best = later if later.max_residual > earlier.max_residual else earlier
+    skipped = earlier.skipped + later.skipped
+    if not skipped:
+        return best
+    return replace(best, skipped=skipped, note=_skip_note(skipped))
 
 
 def _structural(tag, note) -> TagResult:
@@ -178,14 +211,14 @@ def _structural(tag, note) -> TagResult:
 
 
 class _Fields:
-    """Pointwise quantities of one grid, shared by every family's tags: one
-    domain check, one jet per profile. Jet parts no tag reads are dropped at
-    once, so no extra grid-sized array stays alive."""
+    """Pointwise quantities at one run of radii, shared by every family's
+    tags: one domain check, one jet per profile. Jet parts no tag reads are
+    dropped at once, so no extra array stays alive."""
 
-    def __init__(self, data: SphericalStaticData, grid: GridSpec):
+    def __init__(self, data: SphericalStaticData, rs: np.ndarray):
         self.data = data
         self.n, self.lam = data.n, data.lam
-        self.rs = rs = grid.radii()
+        self.rs = rs
         self.a, self.ap = data.a_jet(rs)[:2]
         self.sa = np.sqrt(self.a)
         self.v, self.vp, vpp = data.V.jet(rs)
@@ -253,23 +286,23 @@ def _pem_tags(f: _Fields, tol: float, r_boundary=None) -> dict[str, TagResult]:
         raise DegeneracyError("V is degenerate on the whole grid")
     ok = ok if skipped else slice(None)  # views, not masked copies, when nothing is skipped
     rs_ok, v, dpsi2 = f.rs[ok], f.v[ok], f.dpsi2[ok]
-    note = f"{skipped} grid points with |V| < {DEGENERATE_V:g} skipped" if skipped else None
+    note = _skip_note(skipped)
 
-    pem1_rad = f.hess.radial[ok] - (v * f.ric.radial[ok]
-                                    + 2.0 * dpsi2 / v - 2.0 * dpsi2 / ((n - 1) * v))
-    pem1_tan = f.hess.tangential[ok] - (v * f.ric.tangential[ok]
-                                        - 2.0 * dpsi2 / ((n - 1) * v))
+    t = dpsi2 / v
+    pem1_rad = f.hess.radial[ok] - (v * f.ric.radial[ok] + 2.0 * (n - 2) / (n - 1) * t)
+    pem1_tan = f.hess.tangential[ok] - (v * f.ric.tangential[ok] - 2.0 / (n - 1) * t)
     pem1 = np.maximum(np.abs(pem1_rad), np.abs(pem1_tan))
-    pem2 = f.lap[ok] - 2.0 * (n - 2) / (n - 1) * dpsi2 / v
+    pem2 = f.lap[ok] - 2.0 * (n - 2) / (n - 1) * t
 
     # div(grad Psi / V): frame component X = Psi'/(sqrt(A) V), divergence
     # X' + (n-1) X / r with X' expanded in closed form.
     a, sa, ap, vp = f.a[ok], f.sa[ok], f.ap[ok], f.vp[ok]
     psip, psipp = f.psip[ok], f.psipp[ok]
-    X = psip / (sa * v)
-    Xp = psipp / (sa * v) - psip * ap / (2.0 * a * sa * v) - psip * vp / (sa * v * v)
+    inv = 1.0 / (sa * v)
+    X = psip * inv
+    Xp = psipp * inv - X * (ap / (2.0 * a) + vp * sa * inv)
     pem3 = Xp + (n - 1) * X / rs_ok
-    npem1 = f.R[ok] - 2.0 * dpsi2 / (v * v)
+    npem1 = f.R[ok] - 2.0 * t / v
 
     entries = {
         "PEM1": _tag_from_values("PEM1", rs_ok, pem1, tol, note=note, skipped=skipped),
@@ -292,13 +325,33 @@ def _identity_tags(f: _Fields, tol: float, r_boundary=None) -> dict[str, TagResu
     }
 
 
-def _report(families, data, grid, tol, r_boundary=None) -> ResidualReport:
-    """The tags of every family in turn, all from one _Fields build."""
-    tol = default_tolerance(data) if tol is None else tol
-    f = _Fields(data, grid)
+def _entries(families, data, rs, tol, r_boundary, block) -> dict[str, TagResult]:
+    """Every family's tags from consecutive blocks of rs, one _Fields each.
+    Each tag folds its block results in order. The boundary tags come with
+    the last block only, after their family's grid tags as in a single pass."""
     entries: dict[str, TagResult] = {}
-    for family in families:
-        entries.update(family(f, tol, r_boundary))
+    for lo in range(0, rs.size, block):
+        f = _Fields(data, rs[lo:lo + block])
+        r_b = r_boundary if lo + block >= rs.size else None
+        for family in families:
+            for tag, result in family(f, tol, r_b).items():
+                entries[tag] = _fold(entries.get(tag), result)
+    return entries
+
+
+def _report(families, data, grid, tol, r_boundary=None) -> ResidualReport:
+    """The tags of every family, in blocks of _BLOCK radii."""
+    tol = default_tolerance(data) if tol is None else tol
+    rs = grid.radii()
+    try:
+        entries = _entries(families, data, rs, tol, r_boundary, _BLOCK)
+    except ElectrovacError:
+        if rs.size <= _BLOCK:
+            raise
+        # The whole grid as one block raises the error a single pass meets
+        # first; or, when some blocks had no point with |V| >= DEGENERATE_V,
+        # it checks the grid as a whole.
+        entries = _entries(families, data, rs, tol, r_boundary, rs.size)
     return ResidualReport(entries=entries, grid=grid.describe(), tolerance=tol)
 
 
@@ -355,7 +408,7 @@ def verify_all(data: SphericalStaticData, grid: GridSpec,
                tol: Optional[float] = None,
                r_boundary: Optional[float] = None) -> ResidualReport:
     """Every applicable residual tag in one report (PEM only when Psi given),
-    all computed from one evaluation of the grid's fields."""
+    all computed from one evaluation of the grid's fields per block."""
     pem = (_pem_tags,) if data.Psi is not None else ()
     rep = _report((_system_tags, _master_tags, _traced_tags, *pem, _identity_tags),
                   data, grid, tol, r_boundary)

@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from report_compare import assert_json_equal
 
@@ -157,3 +159,19 @@ def test_classify_reports_failure_when_counts_disagree():
     doc = json.loads(res.stdout)
     assert doc["results"]["count"] == 0
     assert doc["results"]["counts_agree"] is True
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("q_over_m", [0.0, 0.1])
+def test_huge_mass_runs_without_runtime_warnings(n, q_over_m, capsys):
+    # r^(2k+1) and its kin overflow a float at m = 1e150; the profiles form
+    # powers of 1/r instead, so these finish cleanly.
+    from electrovac.cli import main
+
+    m = 1e150
+    args = ["--n", str(n), "--m", repr(m), "--q", repr(q_over_m * m)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for command in ("verify", "classify"):
+            assert main([command, *args]) == 0, command
+            assert json.loads(capsys.readouterr().out)["verdict"] == "pass"

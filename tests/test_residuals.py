@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from electrovac import (
     DegeneracyError,
     DomainError,
+    ElectrovacError,
     EQUATION_TAGS,
     GridSpec,
     RNParameters,
@@ -29,12 +31,13 @@ from electrovac import (
     ricci_radial,
     rn_data,
     scalar_curvature,
+    tabulated_profile,
     verify_all,
 )
 from electrovac import residuals
 from electrovac.residuals import TOL_CLOSED_FORM, TOL_FINITE_DIFFERENCE
 
-from counting import counting_data
+from counting import PROFILES, counting_data
 
 
 def seeded_parameter_sets(count, seed=11):
@@ -129,13 +132,13 @@ def test_perturbation_moves_only_potential_equations():
     assert rep.entries["NE1"].passed
 
 
-def zero_crossing_data():
-    # V crosses zero at r = 5, so a grid through 5 has a degenerate point.
+def zero_crossing_data(slope=1e-6):
+    # V crosses zero at r = 5, so a grid through 5 has degenerate points.
     return SphericalStaticData(
         n=3, lam=0.0,
         A=constant_profile(1.0),
-        V=RadialProfile(lambda r: (r - 5.0) * 1e-6,
-                        d1=lambda r: np.full_like(np.asarray(r, float), 1e-6),
+        V=RadialProfile(lambda r: (r - 5.0) * slope,
+                        d1=lambda r: np.full_like(np.asarray(r, float), slope),
                         d2=lambda r: np.zeros_like(np.asarray(r, float))),
         Emag=constant_profile(0.0),
         Psi=constant_profile(0.0),
@@ -275,13 +278,137 @@ def test_verify_all_equals_the_union_of_the_families():
 
 
 def test_verify_all_evaluates_each_profile_once_on_the_grid():
-    # One jet per profile on the grid, and no separate value, d1 or d2 call
-    # there; the boundary radius is a scalar and is not counted.
+    # One jet per profile and block, whose radii together are the grid once
+    # and in order; no separate value, d1 or d2 call on an array. The
+    # boundary radius is a scalar and is not counted.
     p = RNParameters(3, 1.0, 0.5)
-    data, counts = counting_data(rn_data(p))
-    rep = verify_all(data, default_grid(data), r_boundary=photon_sphere_radii(p).roots[0].r)
-    assert rep.passed and "PEM4" in rep.entries
-    assert counts == {name: {"jet": 1} for name in ("A", "V", "Emag", "Psi")}
+    r_boundary = photon_sphere_radii(p).roots[0].r
+    for count in (1000, 2 * residuals._BLOCK + 3):
+        data, counts = counting_data(rn_data(p))
+        grid = default_grid(data, count=count)
+        rep = verify_all(data, grid, r_boundary=r_boundary)
+        assert rep.passed and "PEM4" in rep.entries
+        blocks = -(-count // residuals._BLOCK)
+        assert counts == {name: {"jet": blocks} for name in PROFILES}
+        for name in PROFILES:
+            assert np.array_equal(np.concatenate(getattr(data, name).jet_radii), grid.radii())
+
+
+def hex_floats(doc):
+    if isinstance(doc, float):
+        return doc.hex()
+    if isinstance(doc, dict):
+        return {k: hex_floats(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [hex_floats(v) for v in doc]
+    return doc
+
+
+def report_or_error(fn):
+    """A report as float.hex JSON, key order included, or the error it raised."""
+    try:
+        return json.dumps(hex_floats(fn().to_dict()))
+    except ElectrovacError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def every_report(data, grid, r_boundary):
+    """verify_all, then each family on its own."""
+    calls = [lambda: verify_all(data, grid, r_boundary=r_boundary),
+             lambda: residual_system(data, grid),
+             lambda: residual_master(data, grid),
+             lambda: residual_traced(data, grid, r_boundary=r_boundary),
+             lambda: residual_pem(data, grid, r_boundary=r_boundary),
+             lambda: residual_identities(data, grid)]
+    return [report_or_error(call) for call in calls]
+
+
+def table_data(data, rs):
+    profiles = {name: tabulated_profile(rs, getattr(data, name)(rs)) for name in PROFILES}
+    return SphericalStaticData(n=data.n, lam=data.lam, v_zeros=data.v_zeros, **profiles)
+
+
+def block_cases():
+    """(label, data, grid, r_boundary, fine) on 1e4-radius grids; fine cases
+    also run verify_all in blocks of 7 radii."""
+    count = 10_000
+    sets = seeded_parameter_sets(3, seed=29)
+    assert [p.regime for p in sets] == ["sub-extremal", "extremal", "super-extremal"]
+    for p in sets:
+        base = rn_data(p)
+        grid = default_grid(base, count=count)
+        radii = photon_sphere_radii(p).roots
+        r_b = radii[-1].r if radii else 2.0 * base.r_scale
+        bump_at = grid.lo * (grid.hi / grid.lo) ** 0.6
+        bumped = perturbed_potential_data(base, 1e-3, bump_at, 0.1 * bump_at)
+        yield f"{p} exact", base, grid, None, False
+        yield f"{p} exact, boundary", base, grid, r_b, False
+        yield f"{p} bump", bumped, grid, None, False
+        yield f"{p} bump, boundary", bumped, grid, r_b, True
+    base = rn_data(RNParameters(3, 1.0, 0.5))
+    rs = np.geomspace(2.0, 40.0, 400)
+    yield "table", table_data(base, rs), GridSpec(2.1, 39.0, count=count), 5.0, True
+    fd = SphericalStaticData(
+        n=3, lam=0.0, A=RadialProfile(lambda r: np.asarray(base.A(r)), domain=base.A.domain),
+        V=base.V, Emag=base.Emag, Psi=base.Psi, v_zeros=base.v_zeros)
+    yield "finite difference", fd, default_grid(fd, count=count), 3.0, False
+    linear = GridSpec(1.0, 9.0, count=count, spacing="linear")
+    # |V| < 1e-9 within 0.1 of r = 5: about 250 radii, so whole blocks of 7 are skipped.
+    yield "V zero", zero_crossing_data(1e-8), linear, 3.0, True
+    yield "V zero everywhere", zero_crossing_data(0.0), linear, None, False
+    # The blocked pass meets a non-finite E1 residual (|E| = 1e200) in its
+    # first block, the single pass the end of the Emag domain at r = 8 first.
+    huge_e = SphericalStaticData(
+        n=3, lam=0.0, A=constant_profile(1.0), V=constant_profile(1.0),
+        Emag=RadialProfile(lambda r: np.where(r < 1.01, 1e200, 0.0),
+                           d1=lambda r: np.zeros_like(r), d2=lambda r: np.zeros_like(r),
+                           domain=(0.0, 8.0)),
+        Psi=constant_profile(0.0))
+    yield "late domain error", huge_e, linear, None, True
+    yield "boundary outside the domain", base, default_grid(base, count=count), 0.5, False
+    yield "grid below the horizon", base, GridSpec(1.0, 20.0, count=count), None, False
+
+
+def test_reports_do_not_depend_on_the_block_length(monkeypatch):
+    # float.hex, so equal means bit for bit; errors by type and message.
+    for label, data, grid, r_boundary, fine in block_cases():
+        got = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block in (grid.count, 4096) + ((7,) if fine else ()):
+                monkeypatch.setattr(residuals, "_BLOCK", block)
+                reports = every_report(data, grid, r_boundary) if block > 7 else \
+                    [report_or_error(lambda: verify_all(data, grid, r_boundary=r_boundary))]
+                got[block] = reports
+        whole = got.pop(grid.count)
+        for block, reports in got.items():
+            assert reports == whole[:len(reports)], (label, block)
+
+
+def test_equal_maxima_keep_the_first_radius_across_blocks(monkeypatch):
+    # Flat metric, constant V and |E|: E1's residual is the same at every
+    # radius, so every block edge splits a tie and the first radius wins.
+    data = SphericalStaticData(n=3, lam=0.0, A=constant_profile(1.0), V=constant_profile(2.0),
+                               Emag=constant_profile(0.25), Psi=constant_profile(0.0))
+    grid = GridSpec(1.0, 2.0, count=100)
+    for block in (7, 100):
+        monkeypatch.setattr(residuals, "_BLOCK", block)
+        e1 = verify_all(data, grid).entries["E1"]
+        assert e1.max_residual == 2.0 * 2.0 * (0.25 ** 2 - 0.25 ** 2 / 2)
+        assert e1.worst_radius == grid.radii()[0]
+
+
+def test_fully_skipped_blocks_count_toward_the_total(monkeypatch):
+    data = zero_crossing_data(1e-8)
+    grid = GridSpec(1.0, 9.0, count=10_000, spacing="linear")
+    want = int(np.count_nonzero(np.abs(1e-8 * (grid.radii() - 5.0)) < residuals.DEGENERATE_V))
+    assert want > 7 * 2
+    # Blocks of 5000 split the skipped radii; blocks of 7 skip some whole.
+    for block in (5000, 7):
+        monkeypatch.setattr(residuals, "_BLOCK", block)
+        rep = residual_pem(data, grid)
+        for tag in ("PEM1", "PEM2", "PEM3", "NPEM1"):
+            assert rep.entries[tag].skipped == want
+            assert rep.entries[tag].note == f"{want} grid points with |V| < 1e-09 skipped"
 
 
 def load_benchmark_spans():
