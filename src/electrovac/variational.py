@@ -53,6 +53,10 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+MAX_NODES = 100
+MAX_PANEL_NODES = 2 ** 16
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Composite Gauss-Legendre rule: `panels` equal panels, `nodes` points
@@ -65,6 +69,13 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.panels < 1 or self.nodes < 2:
             raise ParameterError("need at least 1 panel and 2 nodes")
+        # leggauss builds a nodes x nodes companion matrix, and every call
+        # evaluates its integrand on about 3 panels x nodes points per row.
+        if self.nodes > MAX_NODES:
+            raise ParameterError(f"at most {MAX_NODES} nodes per panel, got {self.nodes}")
+        if self.panels * self.nodes > MAX_PANEL_NODES:
+            raise ParameterError(
+                f"panels x nodes must be at most {MAX_PANEL_NODES}, got {self.panels * self.nodes}")
         if not (self.tol > 0):
             raise ParameterError("quadrature tolerance must be positive")
 
@@ -81,34 +92,61 @@ class QuadratureConfig:
 
 def radial_integral(fn, lo: float, hi: float, quad: QuadratureConfig,
                     panels: Optional[int] = None) -> float:
-    xs, ws = quad.points(lo, hi, panels)
-    return float(_weighted_sums(ws, fn(xs))[0])
+    return float(_rule_integrals(fn, quad, [[(lo, hi, panels)]])[0][0])
 
 
-def _weighted_sums(ws, vals) -> np.ndarray:
-    """np.dot(ws, row) for each row of vals (one row when vals is 1-D): the
-    sum radial_integral takes, bit for bit, whatever else is in the batch."""
-    vals = np.asarray(vals, dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NumericsError("non-finite integrand")
-    return np.array([np.dot(ws, row) for row in np.atleast_2d(vals)])
-
-
-def _integral_with_breaks(fn, breaks, quad: QuadratureConfig, panels: int) -> np.ndarray:
-    """Composite rule whose segment edges sit on the integrand's kink radii,
-    applied to each row of fn: per row, one radial_integral sum per segment,
-    added in segment order.
+def _break_segments(breaks, panels: int) -> list[tuple[float, float, int]]:
+    """Segments (lo, hi, panels) of a composite rule whose segment edges sit
+    on the integrand's kink radii, panels shared out by length.
 
     The bump profile is only C^2 at its support edges; putting those on
     segment boundaries keeps every Gauss panel on a smooth piece.
     """
     breaks = sorted(set(float(b) for b in breaks))
     total = breaks[-1] - breaks[0]
-    out = 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        xs, ws = quad.points(a, b, max(2, math.ceil(panels * (b - a) / total)))
-        out = out + _weighted_sums(ws, fn(xs))
-    return out
+    return [(a, b, max(2, math.ceil(panels * (b - a) / total)))
+            for a, b in zip(breaks[:-1], breaks[1:])]
+
+
+def _node_array(quad: QuadratureConfig, rules):
+    """One node array holding every segment of every rule, in order.
+
+    rules lists each rule's segments as (lo, hi, panels). Returns the nodes
+    and, per rule, its segments as (slice into the nodes, weights), so one
+    integrand evaluation serves the coarse and the doubled rule alike.
+    """
+    parts, out, start = [], [], 0
+    for rule in rules:
+        segments = []
+        for lo, hi, panels in rule:
+            xs, ws = quad.points(lo, hi, panels)
+            segments.append((slice(start, start + xs.size), ws))
+            parts.append(xs)
+            start += xs.size
+        out.append(segments)
+    return np.concatenate(parts), out
+
+
+def _finite_rows(vals) -> np.ndarray:
+    """vals as rows of a 2-D float array; NumericsError unless all finite."""
+    vals = np.atleast_2d(np.asarray(vals, dtype=float))
+    if not np.all(np.isfinite(vals)):
+        raise NumericsError("non-finite integrand")
+    return vals
+
+
+def _rule_sums(rows, rule) -> np.ndarray:
+    """Per row, one np.dot(ws, row[segment]) per segment of rule, added in
+    segment order: the sum radial_integral takes on each segment, bit for
+    bit, whatever else is in the batch or the node array."""
+    return sum(np.array([np.dot(ws, row[seg]) for row in rows]) for seg, ws in rule)
+
+
+def _rule_integrals(fn, quad: QuadratureConfig, rules) -> list[np.ndarray]:
+    """Each rule's per-row sums of fn, evaluated once on one node array."""
+    xs, rules = _node_array(quad, rules)
+    rows = _finite_rows(fn(xs))
+    return [_rule_sums(rows, rule) for rule in rules]
 
 
 @dataclass(frozen=True)
@@ -138,14 +176,25 @@ class Perturbation:
             raise ParameterError(f"unknown perturbation mode {self.mode!r}")
         if not (abs(self.amplitude) <= 0.5):
             raise ParameterError("|amplitude| must be <= 0.5 for a positive metric")
+        lo, hi = self.support()
+        if not lo < self.center < hi:
+            raise ParameterError(
+                f"bump halfwidth {self.halfwidth} is below the resolution of its center "
+                f"{self.center}: the support edges round onto the center")
 
     def support(self) -> tuple[float, float]:
         return (self.center - self.halfwidth, self.center + self.halfwidth)
 
     def bump_jet(self, r):
-        """(b, b', b'') at r."""
-        t = (np.asarray(r, dtype=float) - self.center) / self.halfwidth
-        inside, u, hw = np.abs(t) < 1.0, 1.0 - t * t, self.halfwidth
+        """(b, b', b'') at r.
+
+        The offset from the center is clipped to the support before it is
+        scaled and squared: inside the support that changes no bit, outside
+        every part is 0 anyway, and far from a narrow support nothing
+        overflows."""
+        hw = self.halfwidth
+        t = np.clip(np.asarray(r, dtype=float) - self.center, -hw, hw) / hw
+        inside, u = np.abs(t) < 1.0, 1.0 - t * t
         return (np.where(inside, u ** 3, 0.0),
                 np.where(inside, -6.0 * t * u ** 2 / hw, 0.0),
                 np.where(inside, (-6.0 * u ** 2 + 24.0 * t * t * u) / hw ** 2, 0.0))
@@ -183,63 +232,95 @@ def _require_supported_inside(pert: Perturbation, r1: float, r2: float):
             f"perturbation support [{lo}, {hi}] must lie in the open annulus ({r1}, {r2})")
 
 
-def _functional_values(data: SphericalStaticData, r1: float, r2: float,
-                       pert: Optional[Perturbation], amplitudes,
-                       quad: QuadratureConfig) -> list[float]:
-    """F at each amplitude of pert's direction (pert None: the one unperturbed
-    value), each with its own panel-doubling convergence check, in order."""
+def _functional_integrand(data: SphericalStaticData, pert: Optional[Perturbation],
+                          amplitudes, r):
+    """F's bulk integrand at r, one row per amplitude of pert's direction (one
+    row when pert is None), with sqrt(A) and pert's bump b at r (b None when
+    pert is None), from which _norm_density follows.
+
+    The base fields and the bump are evaluated once for all rows; each row's
+    arithmetic is the single-amplitude expression, elementwise, so a row is
+    bit-identical to the integrand of that amplitude alone, at any radii.
+    """
     n = data.n
-    omega = sphere_area(n)
-    eps = None if pert is None else np.asarray(amplitudes, dtype=float)[:, None]
-    breaks = [r1, r2] if pert is None else [r1, r2, *pert.support()]
+    a0, ap0, _ = data.a_jet(r)
+    sa0 = np.sqrt(a0)
+    v = data.V(r)
+    e2 = data.Emag(r) ** 2
+    if pert is None:
+        data.require_interior(r)
+        R = ricci_kernel(n, a0, ap0, r).trace(n)
+        return v * (R - 6.0 * e2) * sa0 * r ** (n - 1) + 4.0 * v * e2 * sa0 * r ** (n - 1), sa0, None
+    eps = np.asarray(amplitudes, dtype=float)[:, None]
+    b, b1, b2 = pert.bump_jet(r)
+    ba, ba1 = pert.radial_on * b, pert.radial_on * b1
+    bc, bc1, bc2 = pert.tangential_on * b, pert.tangential_on * b1, pert.tangential_on * b2
+    pa = 1.0 + eps * ba
+    A = a0 * pa
+    Ap = ap0 * pa + a0 * eps * ba1
+    s = np.sqrt(1.0 + eps * bc)
+    sp = eps * bc1 / (2.0 * s)
+    spp = eps * bc2 / (2.0 * s) - (eps * bc1) ** 2 / (4.0 * s ** 3)
+    C = r * s
+    Cp = s + r * sp
+    Cpp = 2.0 * sp + r * spp
+    R = warped_scalar(n, A, Ap, C, Cp, Cpp)
+    e2p = e2 * pa
+    return (v * (R - 6.0 * e2p) * sa0 * r ** (n - 1)
+            + 4.0 * v * e2p * np.sqrt(A) * C ** (n - 1)), sa0, b
 
-    def bulk(r):
-        # One row per amplitude of the column eps (one row when pert is None).
-        # The base fields and the bump are evaluated once for all rows; each
-        # row's arithmetic is the single-amplitude expression, elementwise, so
-        # a row is bit-identical to the integrand of that amplitude alone.
-        a0, ap0, _ = data.a_jet(r)
-        sa0 = np.sqrt(a0)
-        v = data.V(r)
-        e2 = data.Emag(r) ** 2
-        if pert is None:
-            data.require_interior(r)
-            R = ricci_kernel(n, a0, ap0, r).trace(n)
-            return v * (R - 6.0 * e2) * sa0 * r ** (n - 1) + 4.0 * v * e2 * sa0 * r ** (n - 1)
-        b, b1, b2 = pert.bump_jet(r)
-        ba, ba1 = pert.radial_on * b, pert.radial_on * b1
-        bc, bc1, bc2 = pert.tangential_on * b, pert.tangential_on * b1, pert.tangential_on * b2
-        pa = 1.0 + eps * ba
-        A = a0 * pa
-        Ap = ap0 * pa + a0 * eps * ba1
-        s = np.sqrt(1.0 + eps * bc)
-        sp = eps * bc1 / (2.0 * s)
-        spp = eps * bc2 / (2.0 * s) - (eps * bc1) ** 2 / (4.0 * s ** 3)
-        C = r * s
-        Cp = s + r * sp
-        Cpp = 2.0 * sp + r * spp
-        R = warped_scalar(n, A, Ap, C, Cp, Cpp)
-        e2p = e2 * pa
-        return (v * (R - 6.0 * e2p) * sa0 * r ** (n - 1)
-                + 4.0 * v * e2p * np.sqrt(A) * C ** (n - 1))
 
-    coarse = omega * _integral_with_breaks(bulk, breaks, quad, quad.panels)
-    fine = omega * _integral_with_breaks(bulk, breaks, quad, 2 * quad.panels)
+def _norm_density(n: int, pert: Perturbation, b, sa, r):
+    """|h|^2 dv_o of pert's unit-amplitude direction, from its bump b and
+    sqrt(A) at r."""
+    a = pert.radial_on * b
+    c = pert.tangential_on * b
+    return (a * a + (n - 1) * c * c) * sa * r ** (n - 1)
 
-    # Boundary term 2 int V H ds_o with outward normals; the perturbation
-    # vanishes on a neighborhood of the boundary, so base quantities apply.
+
+def _functional_boundary(data: SphericalStaticData, r1: float, r2: float) -> float:
+    """Boundary term 2 int V H ds_o with outward normals; the perturbation
+    vanishes on a neighborhood of the boundary, so base quantities apply."""
+    n = data.n
+
     def H_of(r):
         return (n - 1) / (r * math.sqrt(float(data.a_positive(r))))
 
-    term = 2.0 * omega * (float(data.V(r2)) * H_of(r2) * r2 ** (n - 1)
-                          - float(data.V(r1)) * H_of(r1) * r1 ** (n - 1))
+    return 2.0 * sphere_area(n) * (float(data.V(r2)) * H_of(r2) * r2 ** (n - 1)
+                                   - float(data.V(r1)) * H_of(r1) * r1 ** (n - 1))
+
+
+def _functional_values(data: SphericalStaticData, r1: float, r2: float,
+                       pert: Optional[Perturbation], amplitudes,
+                       quad: QuadratureConfig, norm: bool = False):
+    """F at each amplitude of pert's direction (pert None: the one unperturbed
+    value), each with its own panel-doubling convergence check, in order.
+
+    Returns (values, pert_norm). With norm, pert_norm is perturbation_norm's
+    value, taken from the same evaluation on the coarse nodes, which is the
+    rule perturbation_norm uses; None otherwise.
+    """
+    omega = sphere_area(data.n)
+    breaks = [r1, r2] if pert is None else [r1, r2, *pert.support()]
+    r, (coarse_rule, fine_rule) = _node_array(
+        quad, [_break_segments(breaks, quad.panels), _break_segments(breaks, 2 * quad.panels)])
+    bulk, sa0, b = _functional_integrand(data, pert, amplitudes, r)
+    rows = _finite_rows(bulk)
+    coarse = omega * _rule_sums(rows, coarse_rule)
+    fine = omega * _rule_sums(rows, fine_rule)
+    term = _functional_boundary(data, r1, r2)
     values = []
     for c, f in zip(coarse + term, fine + term):
         if abs(f - c) > quad.tol * (1.0 + abs(f)):
             raise NumericsError(
                 f"quadrature did not converge: panel doubling moved the value by {f - c:.3e}")
         values.append(float(f))
-    return values
+    if not norm:
+        return values, None
+    # The coarse rule's nodes lead the array.
+    rc = slice(0, coarse_rule[-1][0].stop)
+    density = _finite_rows(_norm_density(data.n, pert, b[rc], sa0[rc], r[rc]))
+    return values, math.sqrt(omega * _rule_sums(density, coarse_rule)[0])
 
 
 def evaluate_functional(data: SphericalStaticData, annulus,
@@ -250,7 +331,7 @@ def evaluate_functional(data: SphericalStaticData, annulus,
     if pert is not None:
         _require_supported_inside(pert, r1, r2)
     amplitudes = () if pert is None else (pert.amplitude,)
-    return _functional_values(data, r1, r2, pert, amplitudes, quad)[0]
+    return _functional_values(data, r1, r2, pert, amplitudes, quad)[0][0]
 
 
 @dataclass(frozen=True)
@@ -286,14 +367,10 @@ def perturbation_norm(data: SphericalStaticData, annulus, pert: Perturbation,
     omega = sphere_area(n)
 
     def fn(r):
-        b = pert.bump(r)
-        a = pert.radial_on * b
-        c = pert.tangential_on * b
-        sa = np.sqrt(data.a_positive(r))
-        return (a * a + (n - 1) * c * c) * sa * r ** (n - 1)
+        return _norm_density(n, pert, pert.bump(r), np.sqrt(data.a_positive(r)), r)
 
-    breaks = [r1, *pert.support(), r2]
-    return math.sqrt(omega * _integral_with_breaks(fn, breaks, quad, quad.panels)[0])
+    rule = _break_segments([r1, *pert.support(), r2], quad.panels)
+    return math.sqrt(omega * _rule_integrals(fn, quad, [rule])[0][0])
 
 
 DEFAULT_EPSILONS = (1e-2, 1e-3, 2e-4, 1e-4)
@@ -307,13 +384,16 @@ def criticality_test(data: SphericalStaticData, annulus, pert: Perturbation,
     Every epsilon must be finite, in (0, 0.5] (so each bumped metric stays
     positive definite) and distinct from the others; ParameterError otherwise.
     The 2 len(epsilons) bumped functionals share one evaluation of the base
-    fields and of the bump per quadrature node set, and each is summed and
-    convergence-checked on its own, so derivatives[i] equals
+    fields and of the bump on one node array, which holds both rules of the
+    panel-doubling check; each is summed and convergence-checked on its own,
+    so derivatives[i] equals
 
         (evaluate_functional(+eps_i) - evaluate_functional(-eps_i)) / (2 eps_i)
 
     bit for bit, and a ladder whose quadrature does not converge raises the
-    NumericsError that amplitude raises alone.
+    NumericsError that amplitude raises alone. pert_norm equals
+    perturbation_norm(data, annulus, pert, quad) bit for bit: its integrand
+    comes from the same evaluation, on the coarse rule's nodes.
     """
     if len(epsilons) < 2:
         raise ParameterError("need at least two epsilon values")
@@ -327,12 +407,10 @@ def criticality_test(data: SphericalStaticData, annulus, pert: Perturbation,
     if len(set(epsilons)) != len(epsilons):
         raise ParameterError(f"epsilons must be distinct, got {epsilons}")
 
-    values = _functional_values(data, r1, r2, pert,
-                                [a for eps in epsilons for a in (+eps, -eps)], quad)
+    values, norm = _functional_values(
+        data, r1, r2, pert, [a for eps in epsilons for a in (+eps, -eps)], quad, norm=True)
     derivs = [(fp - fm) / (2.0 * eps)
               for eps, fp, fm in zip(epsilons, values[0::2], values[1::2])]
-
-    norm = perturbation_norm(data, annulus, pert, quad)
     tol = 1e-5 * norm
 
     mags = np.abs(np.asarray(derivs))
@@ -382,6 +460,12 @@ def _el_fields(data: SphericalStaticData, pert: Perturbation, r):
     return T_rad * (pert.radial_on * b) + (n - 1) * T_tan * (pert.tangential_on * b), a
 
 
+def _el_integrand(data: SphericalStaticData, pert: Perturbation, r):
+    """<T, h> dv_o at r, for the unit-amplitude direction h of pert."""
+    density, a = _el_fields(data, pert, r)
+    return density * np.sqrt(a) * r ** (data.n - 1)
+
+
 def euler_lagrange_density(data: SphericalStaticData, pert: Perturbation, r):
     """Pointwise <T, h> for the unit-amplitude direction h of pert."""
     return _el_fields(data, pert, r)[0]
@@ -392,19 +476,44 @@ def euler_lagrange_integral(data: SphericalStaticData, annulus, pert: Perturbati
     """int <T, h> dv_o: the first variation of F along pert's direction."""
     r1, r2 = _require_annulus(data, annulus)
     _require_supported_inside(pert, r1, r2)
-    n = data.n
-    omega = sphere_area(n)
-
-    def fn(r):
-        density, a = _el_fields(data, pert, r)
-        return density * np.sqrt(a) * r ** (n - 1)
-
     breaks = [r1, *pert.support(), r2]
-    coarse = _integral_with_breaks(fn, breaks, quad, quad.panels)[0]
-    fine = _integral_with_breaks(fn, breaks, quad, 2 * quad.panels)[0]
+    coarse, fine = (sums[0] for sums in _rule_integrals(
+        lambda r: _el_integrand(data, pert, r), quad,
+        [_break_segments(breaks, quad.panels), _break_segments(breaks, 2 * quad.panels)]))
     if abs(fine - coarse) > quad.tol * (1.0 + abs(fine)):
         raise NumericsError("quadrature did not converge for the variation integral")
-    return float(omega * fine)
+    return float(sphere_area(data.n) * fine)
+
+
+def _pohozaev_integrands(data: SphericalStaticData, r):
+    """The identity's two bulk integrands at r, times dv: the left side's X(R)
+    and the right side's <Hess V, Ric0>, from one jet of A and of V."""
+    n = data.n
+    a, ap, app = data.a_jet(r)
+    sa = np.sqrt(a)
+    _, vp, vpp = data.V.jet(r)
+    data.require_interior(r)
+    Rp = scalar_curvature_d1_kernel(n, a, ap, app, r)
+    hess = hessian_kernel(a, ap, vp, vpp, r)
+    ric = ricci_kernel(n, a, ap, r)
+    R = ric.trace(n)
+    t_rad = ric.radial - R / n
+    t_tan = ric.tangential - R / n
+    inner = hess.radial * t_rad + (n - 1) * hess.tangential * t_tan
+    return vp * Rp / sa * r ** (n - 1), inner * sa * r ** (n - 1)
+
+
+def _pohozaev_boundary(data: SphericalStaticData, r: float, sign: float) -> float:
+    """The boundary integral of Ric0(X, N) over the sphere at r, signed by the
+    orientation of the annulus' outward normal there."""
+    n = data.n
+    rr = data.require_interior(r)
+    a, ap, _ = data.a_jet(rr)
+    ric = ricci_kernel(n, a, ap, rr)
+    R = float(ric.trace(n))
+    t_rad = float(ric.radial) - R / n
+    x_frame = float(data.V.d1(r)) / math.sqrt(float(a))
+    return sign * sphere_area(n) * r ** (n - 1) * x_frame * t_rad
 
 
 def pohozaev_residual(data: SphericalStaticData, annulus,
@@ -416,47 +525,20 @@ def pohozaev_residual(data: SphericalStaticData, annulus,
     where Ric0 is the trace-free Ricci tensor and L_X g = 2 Hess V. Holds for
     any metric by the contracted second Bianchi identity, so the residual
     measures numerical consistency of the curvature operators, not a property
-    of the data. Both integrands come from one jet of A and of V per node set.
+    of the data. Both integrands, on the coarse and the doubled rule alike,
+    come from one jet of A and of V on one node array.
     """
     r1, r2 = _require_annulus(data, annulus)
     n = data.n
     omega = sphere_area(n)
-
-    def integrands(r):
-        # Rows: the left side's X(R) and the right side's <Hess V, Ric0>, times dv.
-        a, ap, app = data.a_jet(r)
-        sa = np.sqrt(a)
-        _, vp, vpp = data.V.jet(r)
-        data.require_interior(r)
-        Rp = scalar_curvature_d1_kernel(n, a, ap, app, r)
-        hess = hessian_kernel(a, ap, vp, vpp, r)
-        ric = ricci_kernel(n, a, ap, r)
-        R = ric.trace(n)
-        t_rad = ric.radial - R / n
-        t_tan = ric.tangential - R / n
-        inner = hess.radial * t_rad + (n - 1) * hess.tangential * t_tan
-        return vp * Rp / sa * r ** (n - 1), inner * sa * r ** (n - 1)
-
-    def sums(panels):
-        xs, ws = quad.points(r1, r2, panels)
-        return [float(_weighted_sums(ws, rows)[0]) for rows in integrands(xs)]
-
-    coarse, fine = sums(quad.panels), sums(2 * quad.panels)
+    coarse, fine = (sums.tolist() for sums in _rule_integrals(
+        lambda r: _pohozaev_integrands(data, r), quad,
+        [[(r1, r2, quad.panels)], [(r1, r2, 2 * quad.panels)]]))
     for c, f in zip(coarse, fine):
         if abs(f - c) > quad.tol * (1.0 + abs(f)):
             raise NumericsError("quadrature did not converge in the identity check")
     lhs = (n - 2) / (2.0 * n) * omega * fine[0]
-
-    def bterm(r, sign):
-        rr = data.require_interior(r)
-        a, ap, _ = data.a_jet(rr)
-        ric = ricci_kernel(n, a, ap, rr)
-        R = float(ric.trace(n))
-        t_rad = float(ric.radial) - R / n
-        x_frame = float(data.V.d1(r)) / math.sqrt(float(a))
-        return sign * omega * r ** (n - 1) * x_frame * t_rad
-
-    rhs = -omega * fine[1] + bterm(r2, +1.0) + bterm(r1, -1.0)
+    rhs = -omega * fine[1] + _pohozaev_boundary(data, r2, +1.0) + _pohozaev_boundary(data, r1, -1.0)
     return abs(lhs - rhs)
 
 

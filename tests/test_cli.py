@@ -175,3 +175,24 @@ def test_huge_mass_runs_without_runtime_warnings(n, q_over_m, capsys):
         for command in ("verify", "classify"):
             assert main([command, *args]) == 0, command
             assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("extra, message", [
+    pytest.param(["--pert-width", "1e-300"], "round onto the center", id="narrow-bump"),
+    pytest.param(["--quad-nodes", "101"], "nodes per panel", id="quad-nodes"),
+    pytest.param(["--quad-panels", "5462"], "panels x nodes", id="quad-panels"),
+])
+def test_degenerate_functional_input_is_a_usage_error(extra, message, capsys):
+    # Before: a 1e-300 bump halfwidth left no node inside the support, warned
+    # twice (overflow in the bump) and wrote "slope": NaN with exit 1; an
+    # unbounded node count asks leggauss for a nodes x nodes matrix. Values
+    # just past the quadrature caps raise before any rule is built.
+    from electrovac.cli import main
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["functional", "--n", "3", "--m", "1", "--q", "0.5",
+                     "--annulus", "3", "6", *extra])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "NaN" not in err and message in err

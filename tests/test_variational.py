@@ -25,7 +25,20 @@ from electrovac import (
     sphere_area,
     surface_gravity,
 )
-from electrovac.variational import _gauss_legendre, _weighted_sums
+from electrovac.variational import (
+    MAX_NODES,
+    MAX_PANEL_NODES,
+    _break_segments,
+    _el_integrand,
+    _functional_boundary,
+    _functional_integrand,
+    _gauss_legendre,
+    _node_array,
+    _norm_density,
+    _pohozaev_boundary,
+    _pohozaev_integrands,
+    _rule_sums,
+)
 
 from counting import counting_data
 
@@ -63,16 +76,25 @@ def test_gauss_legendre_rule_is_cached_read_only_and_unchanged():
 
 
 def test_batched_sums_are_one_dot_per_row():
-    # A batch of integrands is summed row by row with the dot radial_integral
-    # takes, not as one matrix-vector product, whose rounding differs.
+    # A batch of integrands is summed row by row and segment by segment with
+    # the dot radial_integral takes, not as one matrix-vector product, whose
+    # rounding differs, and the segments' sums are added in order.
     rng = np.random.default_rng(4)
     quad = QuadratureConfig()
     for panels in (2, 9, 16, 32):
-        xs, ws = quad.points(1.0, 4.0, panels)
+        rule = [(1.0, 1.5, panels), (1.5, 4.0, 2 * panels), (4.0, 4.25, 3)]
+        xs, (segments,) = _node_array(quad, [rule])
         rows = rng.normal(size=(8, xs.size)) * np.exp(rng.uniform(-5.0, 5.0, (8, 1)))
-        sums = _weighted_sums(ws, rows)
-        assert [float(x) for x in sums] == [float(np.dot(ws, row)) for row in rows]
-        assert radial_integral(lambda r: rows[3], 1.0, 4.0, quad, panels) == float(np.dot(ws, rows[3]))
+        sums = _rule_sums(rows, segments)
+        want = [0.0] * len(rows)
+        for (lo, hi, p), (seg, ws) in zip(rule, segments):
+            assert np.array_equal(xs[seg], quad.points(lo, hi, p)[0])
+            assert np.array_equal(ws, quad.points(lo, hi, p)[1])
+            want = [w + float(np.dot(ws, row[seg].copy())) for w, row in zip(want, rows)]
+        assert [float(x) for x in sums] == want
+        xs, ws = quad.points(1.0, 4.0, panels)
+        row = rows[3, :xs.size]
+        assert radial_integral(lambda r: row, 1.0, 4.0, quad, panels) == float(np.dot(ws, row))
 
 
 def test_flat_annulus_functional_value():
@@ -253,14 +275,112 @@ def test_criticality_rejects_bad_epsilons(epsilons, capfd):
 
 
 def test_criticality_evaluates_base_fields_once_per_node_set():
-    # Three segments (annulus edges and bump support), each at the coarse and
-    # the fine panel count: at most one array evaluation of each profile per
-    # node set, plus one of A per segment for the perturbation norm. The
-    # boundary terms evaluate scalars, which are not counted.
-    data, counts = counting_data(rn_data(RNParameters(3, 1.0, 0.5)))
-    assert criticality_test(data, ANNULUS, PERT).passed
-    calls = {name: sum(per_call.values()) for name, per_call in counts.items()}
-    assert calls["A"] <= 2 * 3 + 3
-    assert calls["V"] <= 2 * 3
-    assert calls["Emag"] <= 2 * 3
-    assert calls["Psi"] == 0
+    # Each call builds one node array holding every segment (annulus edges
+    # and bump support) of the coarse and the doubled rule, and evaluates
+    # each profile it reads exactly once, on that array; criticality_test
+    # takes its perturbation norm from the same evaluation. The boundary
+    # terms evaluate scalars, which are not counted.
+    quad = QuadratureConfig()
+    panels = (quad.panels, 2 * quad.panels)
+    bumped = [_break_segments([*ANNULUS, *PERT.support()], k) for k in panels]
+    plain = [_break_segments(ANNULUS, k) for k in panels]
+    whole = [[(*ANNULUS, k)] for k in panels]
+    calls = [
+        ("functional", lambda d: evaluate_functional(d, ANNULUS), plain, ("A", "V", "Emag")),
+        ("bumped functional", lambda d: evaluate_functional(d, ANNULUS, PERT), bumped,
+         ("A", "V", "Emag")),
+        ("criticality", lambda d: criticality_test(d, ANNULUS, PERT).passed, bumped,
+         ("A", "V", "Emag")),
+        ("first variation", lambda d: euler_lagrange_integral(d, ANNULUS, PERT), bumped,
+         ("A", "V", "Emag")),
+        ("identity", lambda d: pohozaev_residual(d, ANNULUS), whole, ("A", "V")),
+    ]
+    for name, call, rules, read in calls:
+        data, counts = counting_data(rn_data(RNParameters(3, 1.0, 0.5)))
+        assert call(data), name
+        made = {profile: sum(per_call.values()) for profile, per_call in counts.items()}
+        assert made == {profile: int(profile in read) for profile in counts}, name
+        nodes = np.concatenate([quad.points(lo, hi, k)[0] for rule in rules for lo, hi, k in rule])
+        assert len(data.A.jet_radii) == 1 and np.array_equal(data.A.jet_radii[0], nodes), name
+
+
+def test_merged_sums_equal_the_per_segment_definition():
+    # One integrand evaluation serves every segment of both rules; each result
+    # must still be built from one radial_integral per segment and panel
+    # count, added in segment order, bit for bit.
+    quad = QuadratureConfig()
+    fine = 2 * quad.panels
+
+    def integral(fn, breaks, panels):
+        return sum(radial_integral(fn, lo, hi, quad, k)
+                   for lo, hi, k in _break_segments(breaks, panels))
+
+    for p, ann, pert in drawn_variational_cases(12, seed=9):
+        r1, r2 = ann
+        breaks = [r1, r2, *pert.support()]
+        for data in (rn_data(p), perturbed_potential_data(rn_data(p), 0.01, pert.center, pert.halfwidth)):
+            n, omega = data.n, sphere_area(data.n)
+            case = (p, ann, pert.mode, data.Psi is None)
+            term = _functional_boundary(data, r1, r2)
+
+            def functional(bump, amplitudes):
+                bulk = integral(lambda r: _functional_integrand(data, bump, amplitudes, r)[0],
+                                breaks if bump else ann, fine)
+                return float(omega * bulk + term)
+
+            assert evaluate_functional(data, ann) == functional(None, ()), case
+            assert evaluate_functional(data, ann, pert) == functional(pert, (pert.amplitude,)), case
+            crit = criticality_test(data, ann, pert)
+            for eps, got in zip(crit.epsilons, crit.derivatives):
+                fp, fm = functional(pert, (eps,)), functional(pert, (-eps,))
+                assert got == (fp - fm) / (2.0 * eps), case
+            norm = integral(lambda r: _norm_density(n, pert, pert.bump(r), np.sqrt(data.A(r)), r),
+                            breaks, quad.panels)
+            assert crit.pert_norm == math.sqrt(omega * norm) == perturbation_norm(data, ann, pert), case
+            el = integral(lambda r: _el_integrand(data, pert, r), breaks, fine)
+            assert euler_lagrange_integral(data, ann, pert) == float(omega * el), case
+            lhs, rhs = (radial_integral(lambda r: _pohozaev_integrands(data, r)[i], r1, r2, quad, fine)
+                        for i in (0, 1))
+            want = abs((n - 2) / (2.0 * n) * omega * lhs
+                       - (-omega * rhs + _pohozaev_boundary(data, r2, +1.0)
+                          + _pohozaev_boundary(data, r1, -1.0)))
+            assert pohozaev_residual(data, ann) == want, case
+
+
+def test_quadrature_size_is_bounded():
+    # leggauss(k) builds a k x k matrix and each call evaluates about
+    # 3 panels x nodes points per row, so both are capped. Only values just
+    # past the caps are tried: they raise before any rule is built.
+    assert (MAX_NODES, MAX_PANEL_NODES) == (100, 2 ** 16)  # as docs/cli_schema.md states
+    QuadratureConfig(nodes=MAX_NODES)
+    QuadratureConfig(panels=MAX_PANEL_NODES // 12, nodes=12)
+    for panels, nodes in ((1, MAX_NODES + 1), (MAX_PANEL_NODES // 12 + 1, 12),
+                          (MAX_PANEL_NODES // MAX_NODES + 1, MAX_NODES)):
+        with pytest.raises(ParameterError):
+            QuadratureConfig(panels=panels, nodes=nodes)
+
+
+def test_bump_edges_must_not_round_onto_the_center():
+    # A halfwidth below half an ulp of the center leaves no radius inside the
+    # support; one edge rounding onto the center is as degenerate.
+    for center, halfwidth in ((4.5, 1e-300), (4.5, 4e-16), (4.0, 3e-16)):
+        with pytest.raises(ParameterError, match="round onto the center"):
+            Perturbation(center, halfwidth)
+    assert Perturbation(4.5, 1e-15).support()[0] < 4.5
+
+
+def test_bump_jet_keeps_its_bits_and_never_overflows():
+    # Inside the support the clipped offset changes nothing; far outside a
+    # narrow support the square of the scaled offset used to overflow.
+    rng = np.random.default_rng(11)
+    for pert in (PERT, Perturbation(1e-134, 1e-149)):
+        c, hw = pert.center, pert.halfwidth
+        r = c + hw * rng.uniform(-1.0, 1.0, 200)
+        t = (r - c) / hw
+        u = 1.0 - t * t
+        want = (u ** 3, -6.0 * t * u ** 2 / hw, (-6.0 * u ** 2 + 24.0 * t * t * u) / hw ** 2)
+        inside = np.abs(t) < 1.0
+        for got, ref in zip(pert.bump_jet(r), want):
+            assert np.array_equal(got[inside], ref[inside]) and np.all(got[~inside] == 0.0)
+        far = np.array([c - 2.0 * hw, c + 1e6, 1e300])
+        assert all(np.array_equal(part, np.zeros(3)) for part in pert.bump_jet(far))
