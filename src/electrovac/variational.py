@@ -137,8 +137,9 @@ def _finite_rows(vals) -> np.ndarray:
 
 def _rule_sums(rows, rule) -> np.ndarray:
     """Per row, one np.dot(ws, row[segment]) per segment of rule, added in
-    segment order: the sum radial_integral takes on each segment, bit for
-    bit, whatever else is in the batch or the node array."""
+    segment order. A dot on a contiguous view equals the dot on a copy, so a
+    row's sum does not depend on what else is in the batch or the node
+    array; one matrix-vector product would round differently."""
     return sum(np.array([np.dot(ws, row[seg]) for row in rows]) for seg, ws in rule)
 
 
