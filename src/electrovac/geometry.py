@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .profiles import RadialProfile
+from .profiles import RadialProfile, require_open
 
 V_ZERO_MARGIN = 1e-9
 
@@ -93,13 +93,9 @@ class SphericalStaticData:
         return (lo, hi)
 
     def require_interior(self, r):
-        r = np.asarray(r, dtype=float)
-        lo, hi = self.domain
-        if np.any(r <= lo) or np.any(r >= hi):
-            bad = r if r.ndim == 0 else r[(r <= lo) | (r >= hi)][0]
-            raise DomainError(f"radius {float(bad)} outside data domain ({lo}, {hi})")
+        r = require_open(r, self.domain, "data domain")
         for z in self.v_zeros:
-            if np.any(np.abs(r - z) < V_ZERO_MARGIN):
+            if (np.abs(r - z) < V_ZERO_MARGIN).any():
                 raise DomainError(f"radius within {V_ZERO_MARGIN} of the V-zero at r = {z}")
         return r
 
@@ -113,7 +109,7 @@ class SphericalStaticData:
 
 
 def _require_positive(a):
-    if np.any(a <= 0):
+    if np.less_equal(a, 0).any():
         raise DomainError("metric coefficient A must be positive")
     return a
 
@@ -146,7 +142,7 @@ def warped_scalar(n, A, Ap, C, Cp, Cpp):
 # Kernels on values already evaluated at r: a = A, ap = A', fp = f', fpp = f''.
 def ricci_kernel(n, a, ap, r) -> FrameTensor2:
     ric = warped_ricci(n, a, ap, r, 1.0, 0.0)
-    if not (np.all(np.isfinite(ric.radial)) and np.all(np.isfinite(ric.tangential))):
+    if not (np.isfinite(ric.radial).all() and np.isfinite(ric.tangential).all()):
         raise NumericsError("non-finite Ricci components")
     return ric
 

@@ -23,6 +23,17 @@ MODE_FINITE_DIFFERENCE = "finite-difference"
 _JET_PARTS = ("value", "first derivative", "second derivative")
 
 
+def require_open(r, domain, what: str):
+    """r as a float array; DomainError naming the first radius outside the
+    open interval domain, "radius ... outside <what> (lo, hi)"."""
+    r = np.asarray(r, dtype=float)
+    lo, hi = domain
+    if (r <= lo).any() or (r >= hi).any():
+        bad = r if r.ndim == 0 else r[(r <= lo) | (r >= hi)][0]
+        raise DomainError(f"radius {float(bad)} outside {what} ({lo}, {hi})")
+    return r
+
+
 def _fd_step(r):
     # Cube-root-of-eps step, floored so tiny radii do not starve the stencil.
     return np.maximum(_EPS ** (1.0 / 3.0) * (1.0 + np.abs(r)), 1e-6)
@@ -91,38 +102,28 @@ class RadialProfile:
         self.mode = mode
 
     def require_inside(self, r):
-        r = np.asarray(r, dtype=float)
-        lo, hi = self.domain
-        if np.any(r <= lo) or np.any(r >= hi):
-            bad = r if r.ndim == 0 else r[(r <= lo) | (r >= hi)][0]
-            raise DomainError(f"radius {float(bad)} outside open domain ({lo}, {hi})")
+        return require_open(r, self.domain, "open domain")
 
     def _check_finite(self, out, what):
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NumericsError(f"profile {what} is non-finite inside the domain")
         return out
 
     def value(self, r):
-        self.require_inside(r)
-        out = np.asarray(self._value(np.asarray(r, dtype=float)), dtype=float)
+        out = np.asarray(self._value(self.require_inside(r)), dtype=float)
         return self._check_finite(out, "value")[()]
 
     __call__ = value
 
     def d1(self, r):
-        self.require_inside(r)
-        return self._check_finite(self._raw_d1(np.asarray(r, dtype=float)),
-                                  "first derivative")[()]
+        return self._check_finite(self._raw_d1(self.require_inside(r)), "first derivative")[()]
 
     def d2(self, r):
-        self.require_inside(r)
-        return self._check_finite(self._raw_d2(np.asarray(r, dtype=float)),
-                                  "second derivative")[()]
+        return self._check_finite(self._raw_d2(self.require_inside(r)), "second derivative")[()]
 
     def jet(self, r):
         """(f, f', f'') at r, equal to (value(r), d1(r), d2(r)) bit for bit."""
-        self.require_inside(r)
-        r = np.asarray(r, dtype=float)
+        r = self.require_inside(r)
         if self._jet is not None:
             parts = self._jet(r)
         else:
@@ -148,7 +149,7 @@ class RadialProfile:
         h = _fd_step(r)
         gap = np.minimum(r - lo, hi - r) * 0.5
         h = np.where(gap < h, gap, h)
-        if np.any(h <= 0):
+        if (h <= 0).any():
             raise DomainError("radius too close to the domain edge for a difference stencil")
         return h
 

@@ -80,19 +80,15 @@ class QuadratureConfig:
             raise ParameterError("quadrature tolerance must be positive")
 
     def points(self, lo: float, hi: float, panels: Optional[int] = None):
-        panels = self.panels if panels is None else panels
-        x, w = _gauss_legendre(self.nodes)
-        edges = np.linspace(lo, hi, panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        xs = (mids[:, None] + half[:, None] * x[None, :]).ravel()
-        ws = (half[:, None] * w[None, :]).ravel()
+        """Nodes and weights of the composite rule on [lo, hi]."""
+        xs, [[(_, ws)]] = _node_array(self, [[(lo, hi, self.panels if panels is None else panels)]])
         return xs, ws
 
 
 def radial_integral(fn, lo: float, hi: float, quad: QuadratureConfig,
                     panels: Optional[int] = None) -> float:
-    return float(_rule_integrals(fn, quad, [[(lo, hi, panels)]])[0][0])
+    rule = [(lo, hi, quad.panels if panels is None else panels)]
+    return float(_rule_integrals(fn, quad, [rule])[0][0])
 
 
 def _break_segments(breaks, panels: int) -> list[tuple[float, float, int]]:
@@ -113,24 +109,43 @@ def _node_array(quad: QuadratureConfig, rules):
 
     rules lists each rule's segments as (lo, hi, panels). Returns the nodes
     and, per rule, its segments as (slice into the nodes, weights), so one
-    integrand evaluation serves the coarse and the doubled rule alike.
+    integrand evaluation serves the coarse and the doubled rule alike. All
+    panels are built in one pass, their edges equal to np.linspace(lo, hi,
+    panels + 1) bit for bit, also where linspace's step underflows to 0.
     """
-    parts, out, start = [], [], 0
+    x, w = _gauss_legendre(quad.nodes)
+    # Edge k of a segment is k / div * factor + lo, the last one hi: linspace's
+    # k * step + lo, or (k / panels) * (hi - lo) + lo where the step is 0.
+    rows, counts, his, slices, start = [], [], [], [], 0
     for rule in rules:
-        segments = []
+        slices.append([])
         for lo, hi, panels in rule:
-            xs, ws = quad.points(lo, hi, panels)
-            segments.append((slice(start, start + xs.size), ws))
-            parts.append(xs)
-            start += xs.size
-        out.append(segments)
-    return np.concatenate(parts), out
+            if panels < 1:
+                raise ParameterError("need at least 1 panel per segment")
+            lo, hi = float(lo), float(hi)
+            delta = hi - lo
+            step = delta / panels
+            rows.append((start, panels, delta, lo) if step == 0 else (start, 1, step, lo))
+            slices[-1].append(slice(start * quad.nodes, (start + panels) * quad.nodes))
+            start += panels
+            counts.append(panels)
+            his.append(hi)
+    first, div, factor, lo = np.repeat(np.array(rows), counts, axis=0).T
+    k = np.arange(start) - first
+    left = k / div * factor + lo
+    right = (k + 1.0) / div * factor + lo
+    right[np.cumsum(counts) - 1] = his
+    mids = 0.5 * (left + right)
+    half = 0.5 * (right - left)
+    ws = (half[:, None] * w[None, :]).ravel()
+    return (mids[:, None] + half[:, None] * x[None, :]).ravel(), [
+        [(seg, ws[seg]) for seg in rule] for rule in slices]
 
 
 def _finite_rows(vals) -> np.ndarray:
     """vals as rows of a 2-D float array; NumericsError unless all finite."""
     vals = np.atleast_2d(np.asarray(vals, dtype=float))
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NumericsError("non-finite integrand")
     return vals
 
@@ -182,6 +197,10 @@ class Perturbation:
             raise ParameterError(
                 f"bump halfwidth {self.halfwidth} is below the resolution of its center "
                 f"{self.center}: the support edges round onto the center")
+        # b'' reaches -6 / halfwidth ** 2 at the center: it overflows below about 1.83e-154.
+        hw2 = float(self.halfwidth) * float(self.halfwidth)
+        if not (hw2 > 0.0 and math.isfinite(6.0 / hw2)):
+            raise ParameterError(f"bump halfwidth {self.halfwidth} too small: 6/halfwidth^2 overflows")
 
     def support(self) -> tuple[float, float]:
         return (self.center - self.halfwidth, self.center + self.halfwidth)
@@ -281,14 +300,12 @@ def _norm_density(n: int, pert: Perturbation, b, sa, r):
 
 def _functional_boundary(data: SphericalStaticData, r1: float, r2: float) -> float:
     """Boundary term 2 int V H ds_o with outward normals; the perturbation
-    vanishes on a neighborhood of the boundary, so base quantities apply."""
+    vanishes on a neighborhood of the boundary, so base quantities apply.
+    V and A are read once, on both radii."""
     n = data.n
-
-    def H_of(r):
-        return (n - 1) / (r * math.sqrt(float(data.a_positive(r))))
-
-    return 2.0 * sphere_area(n) * (float(data.V(r2)) * H_of(r2) * r2 ** (n - 1)
-                                   - float(data.V(r1)) * H_of(r1) * r1 ** (n - 1))
+    rr = np.array([r1, r2])
+    vh1, vh2 = (data.V(rr) * ((n - 1) / (rr * np.sqrt(data.a_positive(rr))))).tolist()
+    return 2.0 * sphere_area(n) * (vh2 * r2 ** (n - 1) - vh1 * r1 ** (n - 1))
 
 
 def _functional_values(data: SphericalStaticData, r1: float, r2: float,
@@ -504,17 +521,18 @@ def _pohozaev_integrands(data: SphericalStaticData, r):
     return vp * Rp / sa * r ** (n - 1), inner * sa * r ** (n - 1)
 
 
-def _pohozaev_boundary(data: SphericalStaticData, r: float, sign: float) -> float:
-    """The boundary integral of Ric0(X, N) over the sphere at r, signed by the
-    orientation of the annulus' outward normal there."""
+def _pohozaev_boundary(data: SphericalStaticData, r1: float, r2: float) -> tuple[float, float]:
+    """The boundary integrals of Ric0(X, N) over the spheres at r1 and r2,
+    each signed by the orientation of the annulus' outward normal there, from
+    one jet of A and one V' on both radii, which _require_annulus checked."""
     n = data.n
-    rr = data.require_interior(r)
+    rr = np.array([r1, r2])
     a, ap, _ = data.a_jet(rr)
     ric = ricci_kernel(n, a, ap, rr)
-    R = float(ric.trace(n))
-    t_rad = float(ric.radial) - R / n
-    x_frame = float(data.V.d1(r)) / math.sqrt(float(a))
-    return sign * sphere_area(n) * r ** (n - 1) * x_frame * t_rad
+    t_rad = (ric.radial - ric.trace(n) / n).tolist()
+    x_frame = (data.V.d1(rr) / np.sqrt(a)).tolist()
+    return tuple(sign * sphere_area(n) * r ** (n - 1) * x * t
+                 for sign, r, x, t in zip((-1.0, 1.0), (r1, r2), x_frame, t_rad))
 
 
 def pohozaev_residual(data: SphericalStaticData, annulus,
@@ -539,7 +557,8 @@ def pohozaev_residual(data: SphericalStaticData, annulus,
         if abs(f - c) > quad.tol * (1.0 + abs(f)):
             raise NumericsError("quadrature did not converge in the identity check")
     lhs = (n - 2) / (2.0 * n) * omega * fine[0]
-    rhs = -omega * fine[1] + _pohozaev_boundary(data, r2, +1.0) + _pohozaev_boundary(data, r1, -1.0)
+    inner, outer = _pohozaev_boundary(data, r1, r2)
+    rhs = -omega * fine[1] + outer + inner
     return abs(lhs - rhs)
 
 

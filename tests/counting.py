@@ -12,16 +12,22 @@ PROFILES = ("A", "V", "Emag", "Psi")
 class CountingProfile(RadialProfile):
     """Delegates every evaluation to base and counts, per entry point
     (value, d1, d2, jet), the calls made on radius arrays; scalar calls are
-    not counted. ``jet_radii`` keeps the radius array of each counted jet call."""
+    not counted. ``calls`` keeps (entry point, radius array) of each counted
+    call in order, ``jet_radii`` the radius array of each counted jet call."""
 
     def __init__(self, base: RadialProfile, counts: dict):
         super().__init__(base.value, base.d1, base.d2, domain=base.domain, mode=base.mode)
         self.base, self.counts = base, counts
-        self.jet_radii = []
+        self.calls = []
+
+    @property
+    def jet_radii(self):
+        return [r for name, r in self.calls if name == "jet"]
 
     def _count(self, name, r):
         if np.ndim(r) > 0:
             self.counts[name] = self.counts.get(name, 0) + 1
+            self.calls.append((name, np.array(r, dtype=float)))
 
     def value(self, r):
         self._count("value", r)
@@ -39,8 +45,6 @@ class CountingProfile(RadialProfile):
 
     def jet(self, r):
         self._count("jet", r)
-        if np.ndim(r) > 0:
-            self.jet_radii.append(np.array(r, dtype=float))
         return self.base.jet(r)
 
 

@@ -179,6 +179,8 @@ def test_huge_mass_runs_without_runtime_warnings(n, q_over_m, capsys):
 
 @pytest.mark.parametrize("extra, message", [
     pytest.param(["--pert-width", "1e-300"], "round onto the center", id="narrow-bump"),
+    pytest.param(["--pert-center", "1e-160", "--pert-width", "1e-170"], "6/halfwidth^2",
+                 id="underflowing-bump"),
     pytest.param(["--quad-nodes", "101"], "nodes per panel", id="quad-nodes"),
     pytest.param(["--quad-panels", "5462"], "panels x nodes", id="quad-panels"),
 ])

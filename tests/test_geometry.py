@@ -177,3 +177,56 @@ def test_frame_tensor_helpers():
     t = FrameTensor2(radial=np.array([1.0, -3.0]), tangential=np.array([2.0, 0.5]))
     assert np.allclose(t.trace(3), [5.0, -2.0])
     assert t.max_abs() == 3.0
+
+
+def test_domain_finiteness_and_positivity_checks_keep_their_verdicts():
+    # Each check reduces with the array's own any/all; verdict, order and
+    # message must not depend on whether the input is a Python float, a 0-d
+    # array or an array, and a NaN radius passes the domain checks, which
+    # leave it to the finiteness check unless another radius is outside.
+    from electrovac.errors import NumericsError
+    from electrovac.geometry import _require_positive, ricci_kernel
+    from electrovac.variational import _finite_rows
+
+    nan = math.nan
+    lin = RadialProfile(lambda r: 2.0 - r, d1=lambda r: -np.ones_like(r),
+                        d2=lambda r: np.zeros_like(r), domain=(1.0, 5.0))
+    data = SphericalStaticData(n=3, lam=0.0, A=lin, V=lin, Emag=lin, v_zeros=(4.0,))
+    profile_out = "radius 5.0 outside open domain (1.0, 5.0)"
+    data_out = "radius 5.0 outside data domain (1.0, 5.0)"
+    non_finite = "profile value is non-finite inside the domain"
+    positive = "metric coefficient A must be positive"
+    cases = [
+        (lin.value, 1.5, None), (lin.value, np.asarray(1.5), None),
+        (lin.value, 5.0, (DomainError, profile_out)),
+        (lin.value, np.asarray(5.0), (DomainError, profile_out)),
+        (lin.value, np.array([1.5, nan]), (NumericsError, non_finite)),
+        (lin.jet, np.array([1.5, nan]), (NumericsError, non_finite)),
+        (lin.value, np.array([nan, 1.5, 5.0, 0.5]), (DomainError, profile_out)),
+        (data.require_interior, 1.5, None), (data.require_interior, np.asarray(1.5), None),
+        (data.require_interior, np.array([1.5, nan]), None),
+        (data.require_interior, np.array([nan, 5.0, 0.5]), (DomainError, data_out)),
+        (data.require_interior, np.asarray(5.0), (DomainError, data_out)),
+        (data.require_interior, np.array([nan, 4.0]),
+         (DomainError, "radius within 1e-09 of the V-zero at r = 4.0")),
+        (data.a_positive, 1.5, None),
+        (data.a_positive, 2.0, (DomainError, positive)),
+        (data.a_positive, np.array([1.5, 3.0]), (DomainError, positive)),
+        (_require_positive, -1.0, (DomainError, positive)),
+        (_require_positive, np.asarray(0.0), (DomainError, positive)),
+        (_require_positive, np.array([1.0, -0.0]), (DomainError, positive)),
+        (_require_positive, np.array([1.0, nan]), None),
+        (lambda a: ricci_kernel(3, a, 0.5, 2.0), 1.5, None),
+        (lambda a: ricci_kernel(3, a, 0.5, 2.0), nan, (NumericsError, "non-finite Ricci components")),
+        (lambda a: ricci_kernel(3, a, 0.5, 2.0), np.array([1.5, nan]),
+         (NumericsError, "non-finite Ricci components")),
+        (_finite_rows, 1.5, None), (_finite_rows, np.asarray(1.5), None),
+        (_finite_rows, np.array([1.5, nan]), (NumericsError, "non-finite integrand")),
+    ]
+    for check, arg, raises in cases:
+        if raises is None:
+            check(arg)
+            continue
+        with pytest.raises(raises[0]) as info:
+            check(arg)
+        assert str(info.value) == raises[1], (check, arg)

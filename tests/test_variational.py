@@ -75,6 +75,47 @@ def test_gauss_legendre_rule_is_cached_read_only_and_unchanged():
     assert xs.flags.writeable and ws.flags.writeable
 
 
+def linspace_rule(nodes, lo, hi, panels):
+    # The composite rule on one segment, its panel edges from np.linspace.
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(lo, hi, panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (mids[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
+
+
+def test_node_array_equals_the_linspace_rule_bit_for_bit():
+    # Every segment of every rule is built in one pass; each must equal the
+    # rule np.linspace gives that segment alone, over 600 decades of scale.
+    # A segment whose step underflows to 0 takes linspace's own branch,
+    # which gives other edges than k * step + lo there.
+    subnormal = [(0.0, 5e-324, 3), (1e-310, 1e-310 + 1e-323, 5)]
+    for lo, hi, p in subnormal:
+        step = (hi - lo) / p
+        assert step == 0.0
+        assert not np.array_equal(np.linspace(lo, hi, p + 1), np.append(np.arange(p) * step + lo, hi))
+    rng = np.random.default_rng(12)
+    for draw in range(60):
+        quad = QuadratureConfig(nodes=int(rng.integers(2, 21)))
+        scale = 10.0 ** rng.uniform(-300.0, 300.0)
+        rules = []
+        for _ in range(int(rng.integers(1, 4))):
+            breaks = np.sort(scale * rng.uniform(1.0, 4.0, int(rng.integers(2, 6)))).tolist()
+            rules.append([(a, b, int(rng.integers(1, 65))) for a, b in zip(breaks[:-1], breaks[1:])])
+        if draw % 6 == 0:
+            rules[-1].append(subnormal[draw % 2])
+        xs, got = _node_array(quad, rules)
+        want = [[linspace_rule(quad.nodes, *seg) for seg in rule] for rule in rules]
+        assert np.array_equal(xs, np.concatenate([x for rule in want for x, _ in rule])), draw
+        for rule_got, rule_want in zip(got, want):
+            for (seg, ws), (x_ref, w_ref) in zip(rule_got, rule_want, strict=True):
+                assert np.array_equal(xs[seg], x_ref) and np.array_equal(ws, w_ref), draw
+        for lo, hi, p in (seg for rule in rules for seg in rule):
+            one_x, [[(_, one_w)]] = _node_array(quad, [[(lo, hi, p)]])
+            pts_x, pts_w = quad.points(lo, hi, p)
+            assert np.array_equal(pts_x, one_x) and np.array_equal(pts_w, one_w), draw
+
+
 def test_batched_sums_are_one_dot_per_row():
     # A batch of integrands is summed row by row and segment by segment with
     # the dot radial_integral takes, not as one matrix-vector product, whose
@@ -276,38 +317,65 @@ def test_criticality_rejects_bad_epsilons(epsilons, capfd):
 
 def test_criticality_evaluates_base_fields_once_per_node_set():
     # Each call builds one node array holding every segment (annulus edges
-    # and bump support) of the coarse and the doubled rule, and evaluates
-    # each profile it reads exactly once, on that array; criticality_test
-    # takes its perturbation norm from the same evaluation. The boundary
-    # terms evaluate scalars, which are not counted.
+    # and bump support) of the coarse and the doubled rule, and reads each
+    # profile it needs exactly once on that array; criticality_test takes its
+    # perturbation norm from the same evaluation. The boundary terms read each
+    # of their profiles exactly once more, on [r1, r2].
     quad = QuadratureConfig()
     panels = (quad.panels, 2 * quad.panels)
     bumped = [_break_segments([*ANNULUS, *PERT.support()], k) for k in panels]
     plain = [_break_segments(ANNULUS, k) for k in panels]
     whole = [[(*ANNULUS, k)] for k in panels]
+    functional = {"A": ["jet", "value"], "V": ["value", "value"], "Emag": ["value"]}
     calls = [
-        ("functional", lambda d: evaluate_functional(d, ANNULUS), plain, ("A", "V", "Emag")),
-        ("bumped functional", lambda d: evaluate_functional(d, ANNULUS, PERT), bumped,
-         ("A", "V", "Emag")),
-        ("criticality", lambda d: criticality_test(d, ANNULUS, PERT).passed, bumped,
-         ("A", "V", "Emag")),
+        ("functional", lambda d: evaluate_functional(d, ANNULUS), plain, functional),
+        ("bumped functional", lambda d: evaluate_functional(d, ANNULUS, PERT), bumped, functional),
+        ("criticality", lambda d: criticality_test(d, ANNULUS, PERT).passed, bumped, functional),
         ("first variation", lambda d: euler_lagrange_integral(d, ANNULUS, PERT), bumped,
-         ("A", "V", "Emag")),
-        ("identity", lambda d: pohozaev_residual(d, ANNULUS), whole, ("A", "V")),
+         {"A": ["jet"], "V": ["jet"], "Emag": ["value"]}),
+        ("identity", lambda d: pohozaev_residual(d, ANNULUS), whole,
+         {"A": ["jet", "jet"], "V": ["jet", "d1"]}),
     ]
-    for name, call, rules, read in calls:
+    for name, call, rules, reads in calls:
         data, counts = counting_data(rn_data(RNParameters(3, 1.0, 0.5)))
         assert call(data), name
-        made = {profile: sum(per_call.values()) for profile, per_call in counts.items()}
-        assert made == {profile: int(profile in read) for profile in counts}, name
         nodes = np.concatenate([quad.points(lo, hi, k)[0] for rule in rules for lo, hi, k in rule])
-        assert len(data.A.jet_radii) == 1 and np.array_equal(data.A.jet_radii[0], nodes), name
+        for profile in counts:
+            made = getattr(data, profile).calls
+            assert [entry for entry, _ in made] == reads.get(profile, []), (name, profile)
+            for (_, radii), want in zip(made, (nodes, np.array(ANNULUS))):
+                assert np.array_equal(radii, want), (name, profile)
+
+
+def functional_boundary_reference(data, r1, r2):
+    # 2 int V H ds_o with H = (n - 1) / (r sqrt(A)), one scalar read per
+    # profile and radius, in the order of the formula.
+    n = data.n
+
+    def flux(r):
+        return float(data.V(r)) * ((n - 1) / (r * math.sqrt(float(data.A(r))))) * r ** (n - 1)
+
+    return 2.0 * sphere_area(n) * (flux(r2) - flux(r1))
+
+
+def pohozaev_boundary_reference(data, r, sign):
+    # sign * int Ric0(X, N) ds over the sphere at r, X = grad V: the Ricci
+    # frame components of A dr^2 + r^2 g_S written out at one scalar radius.
+    n = data.n
+    a, ap, _ = (float(part) for part in data.A.jet(r))
+    k_rad = ap / (2.0 * a * a * r)
+    k_tan = (1.0 - 1.0 / a) / (r * r)
+    ric_rad, ric_tan = (n - 1) * k_rad, k_rad + (n - 2) * k_tan
+    t_rad = ric_rad - (ric_rad + (n - 1) * ric_tan) / n
+    x_frame = float(data.V.d1(r)) / math.sqrt(a)
+    return sign * sphere_area(n) * r ** (n - 1) * x_frame * t_rad
 
 
 def test_merged_sums_equal_the_per_segment_definition():
     # One integrand evaluation serves every segment of both rules; each result
     # must still be built from one radial_integral per segment and panel
-    # count, added in segment order, bit for bit.
+    # count, added in segment order, bit for bit. The boundary terms, read on
+    # both annulus edges at once, equal the scalar formulas above bit for bit.
     quad = QuadratureConfig()
     fine = 2 * quad.panels
 
@@ -321,7 +389,11 @@ def test_merged_sums_equal_the_per_segment_definition():
         for data in (rn_data(p), perturbed_potential_data(rn_data(p), 0.01, pert.center, pert.halfwidth)):
             n, omega = data.n, sphere_area(data.n)
             case = (p, ann, pert.mode, data.Psi is None)
-            term = _functional_boundary(data, r1, r2)
+            term = functional_boundary_reference(data, r1, r2)
+            assert _functional_boundary(data, r1, r2) == term, case
+            inner = pohozaev_boundary_reference(data, r1, -1.0)
+            outer = pohozaev_boundary_reference(data, r2, +1.0)
+            assert _pohozaev_boundary(data, r1, r2) == (inner, outer), case
 
             def functional(bump, amplitudes):
                 bulk = integral(lambda r: _functional_integrand(data, bump, amplitudes, r)[0],
@@ -342,8 +414,7 @@ def test_merged_sums_equal_the_per_segment_definition():
             lhs, rhs = (radial_integral(lambda r: _pohozaev_integrands(data, r)[i], r1, r2, quad, fine)
                         for i in (0, 1))
             want = abs((n - 2) / (2.0 * n) * omega * lhs
-                       - (-omega * rhs + _pohozaev_boundary(data, r2, +1.0)
-                          + _pohozaev_boundary(data, r1, -1.0)))
+                       - (-omega * rhs + outer + inner))
             assert pohozaev_residual(data, ann) == want, case
 
 
@@ -358,6 +429,18 @@ def test_quadrature_size_is_bounded():
                           (MAX_PANEL_NODES // MAX_NODES + 1, MAX_NODES)):
         with pytest.raises(ParameterError):
             QuadratureConfig(panels=panels, nodes=nodes)
+
+
+def test_bump_second_derivative_must_not_overflow():
+    # bump_jet divides by halfwidth ** 2: at a halfwidth of 1e-170 that
+    # underflowed to 0 and b'' came out -inf with a RuntimeWarning; at 1e-154
+    # 1/halfwidth^2 is finite but b'' = -6/halfwidth^2 at the center is not.
+    for center, halfwidth in ((1e-160, 1e-170), (1e-150, 1e-154)):
+        with pytest.raises(ParameterError, match="6/halfwidth"):
+            Perturbation(center, halfwidth)
+    pert = Perturbation(1e-150, 1.9e-154)
+    b2 = pert.bump_jet(np.array([1e-150, 1e-150 + 1e-154]))[2]
+    assert b2[0] == -6.0 / 1.9e-154 ** 2 and np.all(np.isfinite(b2))
 
 
 def test_bump_edges_must_not_round_onto_the_center():
