@@ -301,7 +301,8 @@ def _norm_density(n: int, pert: Perturbation, b, sa, r):
 def _functional_boundary(data: SphericalStaticData, r1: float, r2: float) -> float:
     """Boundary term 2 int V H ds_o with outward normals; the perturbation
     vanishes on a neighborhood of the boundary, so base quantities apply.
-    V and A are read once, on both radii."""
+    V and A are read once, on both radii; r ** (n - 1) stays a Python float
+    power, which numpy's array power does not match bit for bit."""
     n = data.n
     rr = np.array([r1, r2])
     vh1, vh2 = (data.V(rr) * ((n - 1) / (rr * np.sqrt(data.a_positive(rr))))).tolist()
@@ -524,7 +525,8 @@ def _pohozaev_integrands(data: SphericalStaticData, r):
 def _pohozaev_boundary(data: SphericalStaticData, r1: float, r2: float) -> tuple[float, float]:
     """The boundary integrals of Ric0(X, N) over the spheres at r1 and r2,
     each signed by the orientation of the annulus' outward normal there, from
-    one jet of A and one V' on both radii, which _require_annulus checked."""
+    one jet of A and one V' on both radii, which _require_annulus checked;
+    each edge's product is taken in Python floats, as _functional_boundary's."""
     n = data.n
     rr = np.array([r1, r2])
     a, ap, _ = data.a_jet(rr)
