@@ -12,22 +12,29 @@ vanishes. For the charged family this reduces, with u = r^{n-2}, to
 so candidate radii come from u = (n m ± sqrt(n^2 m^2 - 4(n-1) q^2)) / 2.
 A candidate is admissible when it lies strictly above the domain edge r0 and
 V there exceeds 1e-9 (slices sitting on a horizon are rejected).
+
+The scan oracle never uses that quadratic: it brackets the sign changes of
+the boundary residual on a geometric grid and refines every bracket at once
+with numpy (Illinois false position) until |b - a| <= 4 eps |b| or the
+residual is exactly 0.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericsError, ParameterError
 from .geometry import SphericalStaticData, level_set_geometry
 from .models import RNParameters, rn_data, rn_r0
 
 ADMISSIBLE_V = 1e-9
 DOUBLE_ROOT_REL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 def boundary_residual(data: SphericalStaticData, r):
@@ -148,33 +155,49 @@ def scan_photon_spheres(data: SphericalStaticData, lo: Optional[float] = None,
                         hi: float = 1e3, samples: int = 4096) -> list[float]:
     """Oracle root finder: bracketed sign-change scan of boundary_residual.
 
-    Finds simple roots on (lo, hi); tangential (double) roots do not change
-    sign and are invisible to this scan by design.
+    Samples the residual at `samples` geometrically spaced radii on [lo, hi].
+    A sample where it is exactly 0 is a root; every sign change between
+    neighbours is a bracket [a, b]. All brackets are refined together by
+    Illinois false position: each step evaluates the residual once, as one
+    array, at the secant point of every open bracket, keeps the sign change
+    inside [a, b], and halves the residual of an end kept twice in a row. A
+    bracket closes when |b - a| <= 4 eps |b| (its midpoint is the root) or
+    the residual is exactly 0; NumericsError if any is still open after 100
+    steps. Tangential (double) roots do not change sign and are invisible to
+    this scan by design.
     """
+    if not (isinstance(samples, numbers.Integral) and samples >= 2):
+        raise ParameterError(f"samples must be an integer >= 2, got {samples!r}")
     r0 = data.domain[0]
     if lo is None:
         lo = r0 * (1.0 + 1e-6) if r0 > 0 else 0.05 * data.r_scale
-    if not (data.domain[0] <= lo < hi):
-        raise DomainError(f"scan interval [{lo}, {hi}] outside the data domain")
-    from scipy.optimize import brentq  # on first use: closed-form paths never load scipy
+    if not (data.domain[0] <= lo < hi < math.inf):
+        raise DomainError(f"scan interval [{lo}, {hi}] is not a finite interval of the data domain")
 
     rs = np.geomspace(lo, hi, samples)
     vals = np.asarray(boundary_residual(data, rs), dtype=float)
+    roots = rs[vals == 0.0].tolist()
 
-    roots: list[float] = []
-
-    def f(r):
-        return float(boundary_residual(data, r))
-
-    for i in range(samples - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(rs[i]))
-        elif a * b < 0.0:
-            roots.append(float(brentq(f, float(rs[i]), float(rs[i + 1]),
-                                      xtol=1e-14, rtol=8.9e-16, maxiter=200)))
-    if vals[-1] == 0.0:
-        roots.append(float(rs[-1]))
+    i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    a, b, fa, fb = rs[i], rs[i + 1], vals[i], vals[i + 1]
+    kept_a = kept_b = np.zeros(i.size, dtype=bool)
+    for _ in range(100):
+        open_ = np.abs(b - a) > 4.0 * _EPS * np.abs(b)
+        roots += (a + 0.5 * (b - a))[~open_].tolist()
+        a, b, fa, fb, kept_a, kept_b = (x[open_] for x in (a, b, fa, fb, kept_a, kept_b))
+        if a.size == 0:
+            break
+        c = b - fb / (fb - fa) * (b - a)
+        fc = np.asarray(boundary_residual(data, c), dtype=float)
+        # c replaces the end whose residual has its sign; an exact 0 replaces both
+        to_a = (np.sign(fc) == np.sign(fa)) | (fc == 0.0)
+        to_b = (np.sign(fc) == np.sign(fb)) | (fc == 0.0)
+        fa = np.where(to_a, fc, np.where(kept_a & to_b, 0.5 * fa, fa))
+        fb = np.where(to_b, fc, np.where(kept_b & to_a, 0.5 * fb, fb))
+        a, b = np.where(to_a, c, a), np.where(to_b, c, b)
+        kept_a, kept_b = to_b, to_a
+    else:
+        raise NumericsError(f"{a.size} photon-sphere brackets still open after 100 steps")
     # Merge near-duplicates from a root sitting on a sample point.
     merged: list[float] = []
     for r in sorted(roots):

@@ -197,8 +197,11 @@ class Perturbation:
             raise ParameterError(
                 f"bump halfwidth {self.halfwidth} is below the resolution of its center "
                 f"{self.center}: the support edges round onto the center")
-        # b'' reaches -6 / halfwidth ** 2 at the center: it overflows below about 1.83e-154.
+        # halfwidth ** 2 overflows above about 1.34e154, and b'' = -6 / halfwidth ** 2
+        # at the center overflows below about 1.83e-154.
         hw2 = float(self.halfwidth) * float(self.halfwidth)
+        if not math.isfinite(hw2):
+            raise ParameterError(f"bump halfwidth {self.halfwidth} too large: halfwidth^2 overflows")
         if not (hw2 > 0.0 and math.isfinite(6.0 / hw2)):
             raise ParameterError(f"bump halfwidth {self.halfwidth} too small: 6/halfwidth^2 overflows")
 

@@ -181,13 +181,15 @@ def test_huge_mass_runs_without_runtime_warnings(n, q_over_m, capsys):
     pytest.param(["--pert-width", "1e-300"], "round onto the center", id="narrow-bump"),
     pytest.param(["--pert-center", "1e-160", "--pert-width", "1e-170"], "6/halfwidth^2",
                  id="underflowing-bump"),
+    pytest.param(["--annulus", "1e199", "1e201"], "halfwidth^2 overflows", id="overflowing-bump"),
     pytest.param(["--quad-nodes", "101"], "nodes per panel", id="quad-nodes"),
     pytest.param(["--quad-panels", "5462"], "panels x nodes", id="quad-panels"),
 ])
 def test_degenerate_functional_input_is_a_usage_error(extra, message, capsys):
     # Before: a 1e-300 bump halfwidth left no node inside the support, warned
-    # twice (overflow in the bump) and wrote "slope": NaN with exit 1; an
-    # unbounded node count asks leggauss for a nodes x nodes matrix. Values
+    # twice (overflow in the bump) and wrote "slope": NaN with exit 1; a
+    # 2.5e200 halfwidth (the default for that annulus) ended in a RuntimeWarning;
+    # an unbounded node count asks leggauss for a nodes x nodes matrix. Values
     # just past the quadrature caps raise before any rule is built.
     from electrovac.cli import main
 

@@ -1,9 +1,10 @@
 """Package-level contracts: what importing electrovac loads and exports.
 
-scipy is imported only where the photon-sphere scan needs it, so no CLI
-command pays for it: table profiles are built with numpy and the isotropic
-inverse is solved in closed form. Each check runs in a fresh
-interpreter, because this test process has long since imported scipy.
+electrovac imports no scipy module: table profiles are built with a numpy
+spline, the isotropic inverse is solved in closed form, and the photon-sphere
+scan refines its brackets with numpy. Each check runs in a fresh interpreter,
+because this test process has long since imported scipy, the spline's test
+oracle.
 """
 
 import json
@@ -38,10 +39,10 @@ def run_fresh(body: str) -> dict:
 
 def test_cli_commands_never_load_scipy():
     got = run_fresh("""
-        import contextlib, io, os, tempfile
+        import contextlib, io, math, os, tempfile
         import numpy as np
         import electrovac, electrovac.cli
-        from electrovac import RNParameters, rn_data
+        from electrovac import RNParameters, rn_data, scan_photon_spheres
         after_import = scipy_modules()
         data = rn_data(RNParameters(3, 1.0, 0.5))
         rs = np.geomspace(2.2, 12.0, 2400)  # as in test_cli: passes at the loose tolerance
@@ -56,12 +57,19 @@ def test_cli_commands_never_load_scipy():
                          ["verify", "--profile", table, "--n", "3"]):
                 with contextlib.redirect_stdout(io.StringIO()):
                     codes.append(electrovac.cli.main(argv))
+        after_commands = scipy_modules()
+        scan = scan_photon_spheres(data)
+        # u^2 - 3 m u + 2 q^2 = 0 at n = 3; only the larger root is admissible
+        want = [(3.0 + math.sqrt(9.0 - 8.0 * 0.25)) / 2.0]
         print(json.dumps({"after_import": after_import, "codes": codes,
-                          "after_commands": scipy_modules()}))
+                          "after_commands": after_commands, "scan": scan, "want": want,
+                          "after_scan": scipy_modules()}))
     """)
     assert got["after_import"] == []
     assert got["codes"] == [0, 0, 0, 0]
     assert got["after_commands"] == []
+    assert got["scan"] == pytest.approx(got["want"], rel=1e-14)
+    assert got["after_scan"] == []
 
 
 def test_table_profile_never_loads_scipy():
@@ -90,32 +98,6 @@ def test_isotropic_inverse_never_loads_scipy():
     """)
     assert got["got"] == pytest.approx(got["want"], rel=1e-10)
     assert got["after"] == []
-
-
-# Each lazy import site, called as the first scipy user in a fresh process,
-# must still import what it needs and return the right answer.
-LAZY_SITES = {
-    "scan_photon_spheres": """
-        import math
-        from electrovac import RNParameters, rn_data, scan_photon_spheres
-        data = rn_data(RNParameters(3, 1.0, 0.5))
-        before = scipy_modules()
-        got = scan_photon_spheres(data)
-        # u^2 - 3 m u + 2 q^2 = 0 at n = 3; only the larger root is admissible
-        want = [(3.0 + math.sqrt(9.0 - 8.0 * 0.25)) / 2.0]
-    """,
-}
-
-
-@pytest.mark.parametrize("site", sorted(LAZY_SITES))
-def test_lazy_scipy_sites_work_as_first_scipy_user(site):
-    got = run_fresh(LAZY_SITES[site] + """
-        print(json.dumps({"before": before, "got": got, "want": want,
-                          "after": scipy_modules()}))
-    """)
-    assert got["before"] == []
-    assert got["got"] == pytest.approx(got["want"], rel=1e-10)
-    assert got["after"] != []
 
 
 def test_all_exports_no_submodules():

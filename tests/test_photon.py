@@ -1,11 +1,18 @@
 import math
+import warnings
 
 import numpy as np
+import pytest
 
 from electrovac import (
+    DomainError,
+    ParameterError,
+    RadialProfile,
     RNParameters,
+    SphericalStaticData,
     boundary_residual,
     classify_configuration,
+    constant_profile,
     photon_sphere_radii,
     quasilocal_check,
     rn_data,
@@ -89,18 +96,61 @@ def test_classifier_agrees_with_solver_on_seeded_sweep():
 
 
 def test_scan_matches_closed_form_roots():
+    # Every other draw is super-extremal with two simple roots,
+    # m < |q| < n m / (2 sqrt(n-1)); the rest range over all regimes.
     rng = np.random.default_rng(23)
-    for _ in range(15):
-        n = int(rng.integers(3, 6))
-        m = float(rng.uniform(0.4, 2.5))
-        q = float(rng.uniform(-1.6, 1.6)) * m
-        p = RNParameters(n, m, q)
-        data = rn_data(p)
-        found = scan_photon_spheres(data)
-        expected = [rt.r for rt in photon_sphere_radii(p).roots]
+    two_root_sets = 0
+    for k in range(80):
+        n = int(rng.integers(3, 8))
+        m = float(rng.uniform(0.1, 10.0))
+        if k % 2:
+            ratio = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, n / (2.0 * math.sqrt(n - 1)))
+        else:
+            ratio = rng.uniform(-1.8, 1.8)
+        p = RNParameters(n, m, float(ratio) * m)
+        found = scan_photon_spheres(rn_data(p))
+        expected = [rt.r for rt in photon_sphere_radii(p).roots if rt.multiplicity == 1]
+        two_root_sets += len(expected) == 2
         assert len(found) == len(expected), p
         for a, b in zip(found, expected):
-            assert np.isclose(a, b, rtol=1e-8), p
+            assert abs(a - b) <= 4e-15 * b, p
+    assert two_root_sets >= 30
+
+
+def test_scan_finds_a_root_on_a_sample_once():
+    # V = r^2 + 9, A = 1, |E| = 0, n = 3: the residual 2 r - 18 / r is exactly
+    # 0.0 at r = 3, the first sample of the lo = 3 scan and inside a bracket
+    # of the lo = 1 scan.
+    v = RadialProfile(lambda r: r * r + 9.0, d1=lambda r: 2.0 * r,
+                      d2=lambda r: 2.0 * np.ones_like(r))
+    data = SphericalStaticData(n=3, lam=0.0, A=constant_profile(1.0), V=v,
+                               Emag=constant_profile(0.0))
+    assert boundary_residual(data, 3.0) == 0.0
+    assert scan_photon_spheres(data, lo=3.0, hi=10.0) == [3.0]
+    assert scan_photon_spheres(data, lo=1.0, hi=10.0) == [3.0]
+
+
+def test_scan_without_sign_change_finds_nothing():
+    # flat space with V = 1: the residual -2/r never changes sign
+    flat = SphericalStaticData(n=3, lam=0.0, A=constant_profile(1.0),
+                               V=constant_profile(1.0), Emag=constant_profile(0.0))
+    assert scan_photon_spheres(flat) == []
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    pytest.param({"samples": 0}, ParameterError, id="no-samples"),
+    pytest.param({"samples": 1}, ParameterError, id="one-sample"),
+    pytest.param({"samples": 2.5}, ParameterError, id="fractional-samples"),
+    pytest.param({"hi": np.inf}, DomainError, id="infinite-hi"),
+    pytest.param({"hi": np.nan}, DomainError, id="nan-hi"),
+])
+def test_scan_rejects_bad_input(kwargs, error):
+    # Before: IndexError, TypeError, and a RuntimeWarning from np.geomspace.
+    data = rn_data(RNParameters(3, 1.0, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error):
+            scan_photon_spheres(data, **kwargs)
 
 
 def test_boundary_residual_zero_exactly_at_photon_sphere():

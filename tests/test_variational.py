@@ -443,6 +443,17 @@ def test_bump_second_derivative_must_not_overflow():
     assert b2[0] == -6.0 / 1.9e-154 ** 2 and np.all(np.isfinite(b2))
 
 
+def test_bump_halfwidth_square_must_not_overflow():
+    # bump_jet squares the halfwidth: above about 1.34e154 that raised a bare
+    # OverflowError from the float power.
+    for center, halfwidth in ((1e200, 1e199), (1e155, 1.35e154), (4.5, math.inf)):
+        with pytest.raises(ParameterError, match="halfwidth\\^2 overflows"):
+            Perturbation(center, halfwidth)
+    pert = Perturbation(1e155, 1.34e154)
+    jet = pert.bump_jet(np.array([1e155, 1e155 + 1e153]))
+    assert jet[2][0] == -6.0 / 1.34e154 ** 2 and np.all(np.isfinite(jet))
+
+
 def test_bump_edges_must_not_round_onto_the_center():
     # A halfwidth below half an ulp of the center leaves no radius inside the
     # support; one edge rounding onto the center is as degenerate.
