@@ -172,7 +172,8 @@ def scan_photon_spheres(data: SphericalStaticData, lo: Optional[float] = None,
     if lo is None:
         lo = r0 * (1.0 + 1e-6) if r0 > 0 else 0.05 * data.r_scale
     if not (data.domain[0] <= lo < hi < math.inf):
-        raise DomainError(f"scan interval [{lo}, {hi}] is not a finite interval of the data domain")
+        raise DomainError(
+            f"scan interval [{lo}, {hi}] is not a finite, non-empty interval of the data domain")
 
     rs = np.geomspace(lo, hi, samples)
     vals = np.asarray(boundary_residual(data, rs), dtype=float)
@@ -197,7 +198,7 @@ def scan_photon_spheres(data: SphericalStaticData, lo: Optional[float] = None,
         a, b = np.where(to_a, c, a), np.where(to_b, c, b)
         kept_a, kept_b = to_b, to_a
     else:
-        raise NumericsError(f"{a.size} photon-sphere brackets still open after 100 steps")
+        raise NumericsError("photon-sphere brackets still open after 100 refinement steps")
     # Merge near-duplicates from a root sitting on a sample point.
     merged: list[float] = []
     for r in sorted(roots):

@@ -6,6 +6,7 @@ import pytest
 
 from electrovac import (
     DomainError,
+    NumericsError,
     ParameterError,
     RadialProfile,
     RNParameters,
@@ -19,6 +20,7 @@ from electrovac import (
     rn_r0,
     scan_photon_spheres,
 )
+from electrovac import photon
 
 
 def test_schwarzschild_photon_sphere():
@@ -200,3 +202,13 @@ def test_scan_respects_domain_edge():
     data = rn_data(p)
     found = scan_photon_spheres(data)
     assert all(r > rn_r0(p) for r in found)
+
+
+def test_scan_raises_when_a_bracket_never_closes(monkeypatch):
+    # A residual that is NaN between the samples never moves a bracket end.
+    data = rn_data(RNParameters(3, 1.0, 0.5))
+    real = photon.boundary_residual
+    monkeypatch.setattr(photon, "boundary_residual",
+                        lambda d, r: real(d, r) if np.size(r) == 64 else np.full(np.shape(r), np.nan))
+    with pytest.raises(NumericsError, match="100 refinement steps"):
+        scan_photon_spheres(data, samples=64)
