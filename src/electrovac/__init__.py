@@ -73,7 +73,6 @@ from .variational import (
     Perturbation,
     QuadratureConfig,
     criticality_test,
-    euler_lagrange_density,
     euler_lagrange_integral,
     evaluate_functional,
     perturbation_norm,

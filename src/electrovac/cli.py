@@ -22,17 +22,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError, NumericsError, ParameterError
+from .errors import DomainError, ElectrovacError, ParameterError
 from .geometry import SphericalStaticData
 from .models import RNParameters, coupling_constant, rn_data, rn_horizon, rn_r0
 from .photon import classify_configuration, photon_sphere_radii, quasilocal_check
 from .profiles import tabulated_profile
-from .residuals import GridSpec, default_grid, default_tolerance, verify_all
+from .residuals import GridSpec, _default_bounds, default_tolerance, verify_all
 from .variational import (
     Perturbation,
     QuadratureConfig,
@@ -80,8 +81,6 @@ def load_table(path: str, n: int, lam: float) -> SphericalStaticData:
         raise DomainError(
             f"table must have 4 or 5 columns (r A V Emag [Psi]), got {arr.shape[1]}")
     r = arr[:, 0]
-    if np.any(np.diff(r) <= 0):
-        raise DomainError("table radii must be strictly increasing")
     if np.any(arr[:, 1] <= 0):
         raise DomainError("metric coefficient A must be positive")
     psi = tabulated_profile(r, arr[:, 4]) if arr.shape[1] == 5 else None
@@ -100,17 +99,12 @@ def _grid_for(args, data: SphericalStaticData) -> GridSpec:
     lo, hi = data.domain
     if np.isfinite(hi):
         # Bounded (tabulated) domain: stay off the spline edges.
-        glo = lo * 1.01 if lo > 0 else 0.01 * hi
-        ghi = hi * 0.99
-        base = GridSpec(lo=glo, hi=ghi, count=args.grid_count,
-                        spacing=args.grid_spacing)
+        bounds = (lo * 1.01 if lo > 0 else 0.01 * hi, hi * 0.99)
     else:
-        base = default_grid(data, count=args.grid_count)
-        if args.grid_spacing != base.spacing:
-            base = GridSpec(base.lo, base.hi, base.count, args.grid_spacing)
-    glo = args.grid_lo if args.grid_lo is not None else base.lo
-    ghi = args.grid_hi if args.grid_hi is not None else base.hi
-    return GridSpec(lo=glo, hi=ghi, count=args.grid_count, spacing=args.grid_spacing)
+        bounds = _default_bounds(data)
+    return GridSpec(lo=bounds[0] if args.grid_lo is None else args.grid_lo,
+                    hi=bounds[1] if args.grid_hi is None else args.grid_hi,
+                    count=args.grid_count, spacing=args.grid_spacing)
 
 
 def cmd_classify(args) -> tuple[dict, bool]:
@@ -287,8 +281,18 @@ def _render_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number such as -1e-05 as a value, where argparse
+    before Python 3.13 reads it as an unknown option."""
+
+    def _parse_optional(self, arg_string):
+        if re.fullmatch(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="electrovac",
         description="Static electro-vacuum data: verification and photon-sphere analysis",
     )
@@ -338,27 +342,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         doc, ok = args.fn(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, NumericsError, DegeneracyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-
-    text = json.dumps(doc, indent=2) + "\n" if args.format == "json" else _render_text(doc)
-    if args.out is not None:
-        try:
+        text = json.dumps(doc, indent=2) + "\n" if args.format == "json" else _render_text(doc)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
             with open(args.out, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-    else:
-        sys.stdout.write(text)
+    except (ElectrovacError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ParameterError) else 3
     return 0 if ok else 1
 
 

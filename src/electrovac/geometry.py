@@ -34,9 +34,6 @@ class FrameTensor2:
     def trace(self, n: int):
         return self.radial + (n - 1) * self.tangential
 
-    def max_abs(self) -> float:
-        return float(max(np.max(np.abs(self.radial)), np.max(np.abs(self.tangential))))
-
 
 @dataclass(frozen=True)
 class HypersurfaceGeometry:
@@ -126,14 +123,6 @@ def warped_sectional(n, A, Ap, C, Cp, Cpp):
     return K_rad, K_tan
 
 
-def warped_ricci(n, A, Ap, C, Cp, Cpp) -> FrameTensor2:
-    K_rad, K_tan = warped_sectional(n, A, Ap, C, Cp, Cpp)
-    return FrameTensor2(
-        radial=(n - 1) * K_rad,
-        tangential=K_rad + (n - 2) * K_tan,
-    )
-
-
 def warped_scalar(n, A, Ap, C, Cp, Cpp):
     K_rad, K_tan = warped_sectional(n, A, Ap, C, Cp, Cpp)
     return 2.0 * (n - 1) * K_rad + (n - 1) * (n - 2) * K_tan
@@ -141,7 +130,8 @@ def warped_scalar(n, A, Ap, C, Cp, Cpp):
 
 # Kernels on values already evaluated at r: a = A, ap = A', fp = f', fpp = f''.
 def ricci_kernel(n, a, ap, r) -> FrameTensor2:
-    ric = warped_ricci(n, a, ap, r, 1.0, 0.0)
+    K_rad, K_tan = warped_sectional(n, a, ap, r, 1.0, 0.0)
+    ric = FrameTensor2(radial=(n - 1) * K_rad, tangential=K_rad + (n - 2) * K_tan)
     if not (np.isfinite(ric.radial).all() and np.isfinite(ric.tangential).all()):
         raise NumericsError("non-finite Ricci components")
     return ric
@@ -155,6 +145,13 @@ def laplacian_kernel(n, a, ap, fp, fpp, r):
     """Divergence form, grouped unlike trace(hessian_kernel) on purpose: their
     agreement to rounding is a consistency check, not a tautology."""
     return fpp / a - fp * ap / (2.0 * a * a) + (n - 1) * fp / (r * a)
+
+
+def master_kernel(v, e2, hess: FrameTensor2, lap, ric: FrameTensor2) -> FrameTensor2:
+    """T = Hess V - (Lap V) g - V Ric - 2 V (E-flat x E-flat - |E|^2 g): AE1
+    says T = 0, and <T, h> is the annulus functional's first variation."""
+    return FrameTensor2(radial=hess.radial - lap - v * ric.radial,
+                        tangential=hess.tangential - lap - v * ric.tangential + 2.0 * v * e2)
 
 
 def scalar_curvature_d1_kernel(n, a, ap, app, r):

@@ -261,11 +261,6 @@ class IsotropicChart:
         s, _, ap, am = self._factors(s)
         return s * (ap * am) ** (1.0 / self.k)
 
-    def r_of_s_d1(self, s):
-        s, u, ap, am = self._factors(s)
-        d = (self.p.m ** 2 - self.p.q ** 2) / (4.0 * u * u)
-        return (1.0 - d) / (ap * am) ** ((self.k - 1.0) / self.k)
-
     def v(self, s):
         _, u, ap, am = self._factors(s)
         d = (self.p.m ** 2 - self.p.q ** 2) / (4.0 * u * u)

@@ -34,11 +34,6 @@ def require_open(r, domain, what: str):
     return r
 
 
-def _fd_step(r):
-    # Cube-root-of-eps step, floored so tiny radii do not starve the stencil.
-    return np.maximum(_EPS ** (1.0 / 3.0) * (1.0 + np.abs(r)), 1e-6)
-
-
 class RadialProfile:
     """A scalar function of r on an open interval with two derivatives.
 
@@ -144,9 +139,10 @@ class RadialProfile:
         return (self._value(r + h) - 2.0 * self._value(r) + self._value(r - h)) / (h * h)
 
     def _fd_safe_step(self, r):
-        # Shrink the stencil near the domain edges so r +/- h stays inside.
+        # A cube-root-of-eps step, floored so tiny radii do not starve the
+        # stencil, and shrunk near the domain edges so r +/- h stays inside.
         lo, hi = self.domain
-        h = _fd_step(r)
+        h = np.maximum(_EPS ** (1.0 / 3.0) * (1.0 + np.abs(r)), 1e-6)
         gap = np.minimum(r - lo, hi - r) * 0.5
         h = np.where(gap < h, gap, h)
         if (h <= 0).any():

@@ -33,7 +33,8 @@ pointwise fields per block. Each grid tag keeps a running maximum of its
 |residual| and the radius where it occurs; a later block replaces them only
 when strictly larger, so the result equals one argmax over the whole grid,
 bit for bit. Skipped points are summed over blocks. The boundary tags (TE2,
-E4, PEM4) are computed once per report, with the last block. When any block
+E4, PEM4) are computed once per report, with the last block, from one Robin
+defect. When any block
 raises, the whole grid runs again as one block: that raises the error a single
 pass meets first, or, when some blocks had no point with |V| >= 1e-9, checks
 the grid as a whole. The arithmetic is elementwise, so a report does not
@@ -42,6 +43,7 @@ depend on the block length.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -54,6 +56,7 @@ from .geometry import (
     hessian_kernel,
     laplacian_kernel,
     level_set_geometry,
+    master_kernel,
     ricci_kernel,
 )
 from .profiles import MODE_CLOSED_FORM
@@ -137,13 +140,17 @@ class GridSpec:
         return f"{self.count} {self.spacing}-spaced radii in [{self.lo:.6g}, {self.hi:.6g}]"
 
 
-def default_grid(data: SphericalStaticData, count: int = 1000) -> GridSpec:
-    """Grid hugging the data domain: from just above r0 (or half the
-    characteristic radius when the domain reaches 0) out to 100 max(1, r0)."""
+def _default_bounds(data: SphericalStaticData) -> tuple[float, float]:
+    """From just above r0 (or half the characteristic radius when the domain
+    reaches 0) out to 100 max(1, r0): default_grid's, and verify's on
+    closed-form data."""
     r0 = data.domain[0]
-    lo = 1.01 * r0 if r0 > 0 else 0.5 * data.r_scale
-    hi = 100.0 * max(1.0, r0)
-    return GridSpec(lo=lo, hi=hi, count=count, spacing="log")
+    return 1.01 * r0 if r0 > 0 else 0.5 * data.r_scale, 100.0 * max(1.0, r0)
+
+
+def default_grid(data: SphericalStaticData, count: int = 1000) -> GridSpec:
+    """Log grid hugging the data domain."""
+    return GridSpec(*_default_bounds(data), count=count, spacing="log")
 
 
 def default_tolerance(data: SphericalStaticData) -> float:
@@ -216,7 +223,6 @@ class _Fields:
     dropped at once, so no extra array stays alive."""
 
     def __init__(self, data: SphericalStaticData, rs: np.ndarray):
-        self.data = data
         self.n, self.lam = data.n, data.lam
         self.rs = rs
         self.a, self.ap = data.a_jet(rs)[:2]
@@ -235,7 +241,7 @@ class _Fields:
         self.e2 = self.e * self.e
 
 
-def _system_tags(f: _Fields, tol: float, r_boundary=None) -> dict[str, TagResult]:
+def _system_tags(f: _Fields, tol: float, robin=None) -> dict[str, TagResult]:
     n, lam, rs = f.n, f.lam, f.rs
     rhs_rad = f.ric.radial - 2.0 * lam / (n - 1) + 2.0 * f.e2 - 2.0 * f.e2 / (n - 1)
     rhs_tan = f.ric.tangential - 2.0 * lam / (n - 1) - 2.0 * f.e2 / (n - 1)
@@ -252,14 +258,13 @@ def _system_tags(f: _Fields, tol: float, r_boundary=None) -> dict[str, TagResult
     }
 
 
-def _master_tags(f: _Fields, tol: float, r_boundary=None) -> dict[str, TagResult]:
-    rad = f.hess.radial - f.lap - f.v * f.ric.radial
-    tan = f.hess.tangential - f.lap - f.v * f.ric.tangential + 2.0 * f.v * f.e2
-    ae1 = np.maximum(np.abs(rad), np.abs(tan))
+def _master_tags(f: _Fields, tol: float, robin=None) -> dict[str, TagResult]:
+    T = master_kernel(f.v, f.e2, f.hess, f.lap, f.ric)
+    ae1 = np.maximum(np.abs(T.radial), np.abs(T.tangential))
     return {"AE1": _tag_from_values("AE1", f.rs, ae1, tol)}
 
 
-def _traced_tags(f: _Fields, tol: float, r_boundary=None) -> dict[str, TagResult]:
+def _traced_tags(f: _Fields, tol: float, robin=None) -> dict[str, TagResult]:
     n, lam, rs = f.n, f.lam, f.rs
     te1 = f.lap - f.v * (f.R - 2.0 * n * lam / (n - 1) - 2.0 * f.e2 / (n - 1))
     trace_ae = f.lap - (-f.R / (n - 1) + 2.0 * f.e2) * f.v
@@ -267,18 +272,14 @@ def _traced_tags(f: _Fields, tol: float, r_boundary=None) -> dict[str, TagResult
         "TE1": _tag_from_values("TE1", rs, te1, tol),
         "TRACE_AE": _tag_from_values("TRACE_AE", rs, trace_ae, tol),
     }
-    if r_boundary is not None:
-        geo, vb = level_set_geometry(f.data, r_boundary), f.data.V(r_boundary)
-        te2 = geo.nuV - geo.H / (n - 1) * vb
-        e4 = geo.nuV - vb * geo.B_tan
-        entries["TE2"] = _tag_from_values("TE2", [r_boundary], [te2], tol)
+    if robin is not None:
+        entries["TE2"] = _tag_from_values("TE2", *robin(), tol)
         entries["E4"] = _tag_from_values(
-            "E4", [r_boundary], [e4], tol,
-            note="tangential component; round slices are umbilic")
+            "E4", *robin(), tol, note="tangential component; round slices are umbilic")
     return entries
 
 
-def _pem_tags(f: _Fields, tol: float, r_boundary=None) -> dict[str, TagResult]:
+def _pem_tags(f: _Fields, tol: float, robin=None) -> dict[str, TagResult]:
     n = f.n
     ok = np.abs(f.v) >= DEGENERATE_V
     skipped = int(np.size(ok) - np.count_nonzero(ok))
@@ -310,14 +311,12 @@ def _pem_tags(f: _Fields, tol: float, r_boundary=None) -> dict[str, TagResult]:
         "PEM3": _tag_from_values("PEM3", rs_ok, pem3, tol, note=note, skipped=skipped),
         "NPEM1": _tag_from_values("NPEM1", rs_ok, npem1, tol, note=note, skipped=skipped),
     }
-    if r_boundary is not None:
-        geo, vb = level_set_geometry(f.data, r_boundary), f.data.V(r_boundary)
-        pem4 = geo.nuV - vb * geo.B_tan
-        entries["PEM4"] = _tag_from_values("PEM4", [r_boundary], [pem4], tol)
+    if robin is not None:
+        entries["PEM4"] = _tag_from_values("PEM4", *robin(), tol)
     return entries
 
 
-def _identity_tags(f: _Fields, tol: float, r_boundary=None) -> dict[str, TagResult]:
+def _identity_tags(f: _Fields, tol: float, robin=None) -> dict[str, TagResult]:
     ne1 = f.R - 2.0 * f.e * f.e - 2.0 * f.lam
     return {
         "NE1": _tag_from_values("NE1", f.rs, ne1, tol),
@@ -325,16 +324,26 @@ def _identity_tags(f: _Fields, tol: float, r_boundary=None) -> dict[str, TagResu
     }
 
 
+def _robin_defect(data: SphericalStaticData, r_boundary: float):
+    """([r_boundary], [dV/dnu - V B_tan]): TE2, E4 and PEM4 alike, as round
+    slices are umbilic (B_tan = H/(n-1) bit for bit). The first boundary tag
+    to ask evaluates it, so a report's errors keep their single-pass order."""
+    geo = level_set_geometry(data, r_boundary)
+    return [r_boundary], [geo.nuV - data.V(r_boundary) * geo.B_tan]
+
+
 def _entries(families, data, rs, tol, r_boundary, block) -> dict[str, TagResult]:
     """Every family's tags from consecutive blocks of rs, one _Fields each.
     Each tag folds its block results in order. The boundary tags come with
     the last block only, after their family's grid tags as in a single pass."""
     entries: dict[str, TagResult] = {}
+    robin = None if r_boundary is None else functools.cache(
+        functools.partial(_robin_defect, data, r_boundary))
     for lo in range(0, rs.size, block):
         f = _Fields(data, rs[lo:lo + block])
-        r_b = r_boundary if lo + block >= rs.size else None
+        last = lo + block >= rs.size
         for family in families:
-            for tag, result in family(f, tol, r_b).items():
+            for tag, result in family(f, tol, robin if last else None).items():
                 entries[tag] = _fold(entries.get(tag), result)
     return entries
 

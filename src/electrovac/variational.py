@@ -14,8 +14,9 @@ supported in the open annulus the first variation is int <T, h> dv_o with
 
     T = -(Lap V) g + Hess V - V Ric - 2 V (E-flat x E-flat - |E|^2 g),
 
-whose frame components coincide with the master-equation residual; data
-solving the static system is therefore critical.
+whose frame components are the master-equation residual AE1: the first
+variation and AE1 take T from the same kernel, geometry.master_kernel, so
+data solving the static system is critical.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .geometry import (
     SphericalStaticData,
     hessian_kernel,
     laplacian_kernel,
+    master_kernel,
     ricci_kernel,
     scalar_curvature_d1_kernel,
     warped_scalar,
@@ -78,11 +80,6 @@ class QuadratureConfig:
                 f"panels x nodes must be at most {MAX_PANEL_NODES}, got {self.panels * self.nodes}")
         if not (self.tol > 0):
             raise ParameterError("quadrature tolerance must be positive")
-
-    def points(self, lo: float, hi: float, panels: Optional[int] = None):
-        """Nodes and weights of the composite rule on [lo, hi]."""
-        xs, [[(_, ws)]] = _node_array(self, [[(lo, hi, self.panels if panels is None else panels)]])
-        return xs, ws
 
 
 def radial_integral(fn, lo: float, hi: float, quad: QuadratureConfig,
@@ -225,12 +222,6 @@ class Perturbation:
     def bump(self, r):
         return self.bump_jet(r)[0]
 
-    def bump_d1(self, r):
-        return self.bump_jet(r)[1]
-
-    def bump_d2(self, r):
-        return self.bump_jet(r)[2]
-
     @property
     def radial_on(self) -> float:
         return 1.0 if self.mode in ("radial", "both") else 0.0
@@ -240,19 +231,28 @@ class Perturbation:
         return 1.0 if self.mode in ("tangential", "both") else 0.0
 
 
-def _require_annulus(data: SphericalStaticData, annulus) -> tuple[float, float]:
+def _require_annulus(data: SphericalStaticData, annulus,
+                     pert: Optional[Perturbation] = None) -> tuple[float, float]:
+    """r1 < r2 inside the data domain, with pert's support inside (r1, r2)."""
     r1, r2 = float(annulus[0]), float(annulus[1])
     if not r1 < r2:
         raise DomainError(f"annulus endpoints out of order: [{r1}, {r2}]")
     data.require_interior(np.array([r1, r2]))
+    if pert is not None:
+        lo, hi = pert.support()
+        if not (r1 < lo and hi < r2):
+            raise DomainError(
+                f"perturbation support [{lo}, {hi}] must lie in the open annulus ({r1}, {r2})")
     return r1, r2
 
 
-def _require_supported_inside(pert: Perturbation, r1: float, r2: float):
-    lo, hi = pert.support()
-    if not (r1 < lo and hi < r2):
-        raise DomainError(
-            f"perturbation support [{lo}, {hi}] must lie in the open annulus ({r1}, {r2})")
+def _converged(quad: QuadratureConfig, coarse, fine, what: str = "") -> list[float]:
+    """The fine rule's values, each moved by panel doubling <= quad.tol (1 + |fine|)."""
+    for c, f in zip(coarse, fine):
+        if abs(f - c) > quad.tol * (1.0 + abs(f)):
+            raise NumericsError(f"quadrature did not converge{what}: "
+                                f"panel doubling moved the value by {f - c:.3e}")
+    return [float(f) for f in fine]
 
 
 def _functional_integrand(data: SphericalStaticData, pert: Optional[Perturbation],
@@ -331,12 +331,7 @@ def _functional_values(data: SphericalStaticData, r1: float, r2: float,
     coarse = omega * _rule_sums(rows, coarse_rule)
     fine = omega * _rule_sums(rows, fine_rule)
     term = _functional_boundary(data, r1, r2)
-    values = []
-    for c, f in zip(coarse + term, fine + term):
-        if abs(f - c) > quad.tol * (1.0 + abs(f)):
-            raise NumericsError(
-                f"quadrature did not converge: panel doubling moved the value by {f - c:.3e}")
-        values.append(float(f))
+    values = _converged(quad, coarse + term, fine + term)
     if not norm:
         return values, None
     # The coarse rule's nodes lead the array.
@@ -349,9 +344,7 @@ def evaluate_functional(data: SphericalStaticData, annulus,
                         pert: Optional[Perturbation] = None,
                         quad: QuadratureConfig = QuadratureConfig()) -> float:
     """F[g] over the annulus, with panel-doubling convergence control."""
-    r1, r2 = _require_annulus(data, annulus)
-    if pert is not None:
-        _require_supported_inside(pert, r1, r2)
+    r1, r2 = _require_annulus(data, annulus, pert)
     amplitudes = () if pert is None else (pert.amplitude,)
     return _functional_values(data, r1, r2, pert, amplitudes, quad)[0][0]
 
@@ -384,7 +377,7 @@ class CriticalityResult:
 def perturbation_norm(data: SphericalStaticData, annulus, pert: Perturbation,
                       quad: QuadratureConfig = QuadratureConfig()) -> float:
     """L^2(dv_o) norm of the unit-amplitude metric direction of pert."""
-    r1, r2 = _require_annulus(data, annulus)
+    r1, r2 = _require_annulus(data, annulus, pert)
     n = data.n
     omega = sphere_area(n)
 
@@ -419,8 +412,7 @@ def criticality_test(data: SphericalStaticData, annulus, pert: Perturbation,
     """
     if len(epsilons) < 2:
         raise ParameterError("need at least two epsilon values")
-    r1, r2 = _require_annulus(data, annulus)
-    _require_supported_inside(pert, r1, r2)
+    r1, r2 = _require_annulus(data, annulus, pert)
     # Zero divides by zero, a negative epsilon has no logarithm for the slope
     # fit, and a repeated one leaves the fit rank-deficient.
     epsilons = tuple(float(e) for e in epsilons)
@@ -465,8 +457,8 @@ def criticality_test(data: SphericalStaticData, annulus, pert: Perturbation,
     )
 
 
-def _el_fields(data: SphericalStaticData, pert: Perturbation, r):
-    """<T, h> for the unit-amplitude direction h of pert, and A, at r: one
+def _el_integrand(data: SphericalStaticData, pert: Perturbation, r):
+    """<T, h> dv_o at r, for the unit-amplitude direction h of pert: one
     domain check and one jet of A and of V."""
     rs = data.require_interior(r)
     n = data.n
@@ -475,36 +467,22 @@ def _el_fields(data: SphericalStaticData, pert: Perturbation, r):
     hess = hessian_kernel(a, ap, vp, vpp, rs)
     lap = laplacian_kernel(n, a, ap, vp, vpp, rs)
     ric = ricci_kernel(n, a, ap, rs)
-    e2 = data.Emag(rs) ** 2
-    T_rad = -lap + hess.radial - v * ric.radial
-    T_tan = -lap + hess.tangential - v * ric.tangential + 2.0 * v * e2
+    T = master_kernel(v, data.Emag(rs) ** 2, hess, lap, ric)
     b = pert.bump(rs)
-    return T_rad * (pert.radial_on * b) + (n - 1) * T_tan * (pert.tangential_on * b), a
-
-
-def _el_integrand(data: SphericalStaticData, pert: Perturbation, r):
-    """<T, h> dv_o at r, for the unit-amplitude direction h of pert."""
-    density, a = _el_fields(data, pert, r)
-    return density * np.sqrt(a) * r ** (data.n - 1)
-
-
-def euler_lagrange_density(data: SphericalStaticData, pert: Perturbation, r):
-    """Pointwise <T, h> for the unit-amplitude direction h of pert."""
-    return _el_fields(data, pert, r)[0]
+    density = T.radial * (pert.radial_on * b) + (n - 1) * T.tangential * (pert.tangential_on * b)
+    return density * np.sqrt(a) * r ** (n - 1)
 
 
 def euler_lagrange_integral(data: SphericalStaticData, annulus, pert: Perturbation,
                             quad: QuadratureConfig = QuadratureConfig()) -> float:
     """int <T, h> dv_o: the first variation of F along pert's direction."""
-    r1, r2 = _require_annulus(data, annulus)
-    _require_supported_inside(pert, r1, r2)
+    r1, r2 = _require_annulus(data, annulus, pert)
     breaks = [r1, *pert.support(), r2]
-    coarse, fine = (sums[0] for sums in _rule_integrals(
+    coarse, fine = _rule_integrals(
         lambda r: _el_integrand(data, pert, r), quad,
-        [_break_segments(breaks, quad.panels), _break_segments(breaks, 2 * quad.panels)]))
-    if abs(fine - coarse) > quad.tol * (1.0 + abs(fine)):
-        raise NumericsError("quadrature did not converge for the variation integral")
-    return float(sphere_area(data.n) * fine)
+        [_break_segments(breaks, quad.panels), _break_segments(breaks, 2 * quad.panels)])
+    value, = _converged(quad, coarse, fine, " for the variation integral")
+    return sphere_area(data.n) * value
 
 
 def _pohozaev_integrands(data: SphericalStaticData, r):
@@ -558,9 +536,7 @@ def pohozaev_residual(data: SphericalStaticData, annulus,
     coarse, fine = (sums.tolist() for sums in _rule_integrals(
         lambda r: _pohozaev_integrands(data, r), quad,
         [[(r1, r2, quad.panels)], [(r1, r2, 2 * quad.panels)]]))
-    for c, f in zip(coarse, fine):
-        if abs(f - c) > quad.tol * (1.0 + abs(f)):
-            raise NumericsError("quadrature did not converge in the identity check")
+    fine = _converged(quad, coarse, fine, " in the identity check")
     lhs = (n - 2) / (2.0 * n) * omega * fine[0]
     inner, outer = _pohozaev_boundary(data, r1, r2)
     rhs = -omega * fine[1] + outer + inner

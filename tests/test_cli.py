@@ -152,6 +152,75 @@ def test_verify_grid_overrides():
     assert "200 linear-spaced radii" in doc["results"]["grid"]
 
 
+def test_explicit_grid_when_the_default_grid_is_empty(tmp_path):
+    # The default grid of a table on [5.0, 5.09] is empty, 1.01 lo > 0.99 hi,
+    # and so is that of closed-form data whose scale puts r_scale / 2 above
+    # 100; it used to be validated, and refused, even when both bounds were given.
+    table = tmp_path / "narrow.dat"
+    write_table(table, lo=5.0, hi=5.09, count=40)
+    res = run_cli("verify", "--profile", str(table), "--n", "3")
+    assert res.returncode == 3 and "bad grid interval [5.05, 5.039" in res.stderr
+    for bounds, want in ((["--grid-lo", "5.01", "--grid-hi", "5.08"], "[5.01, 5.08]"),
+                         (["--grid-lo", "5.01"], "[5.01, 5.0391]")):
+        res = run_cli("verify", "--profile", str(table), "--n", "3", *bounds)
+        assert res.returncode in (0, 1), res.stderr
+        assert want in json.loads(res.stdout)["results"]["grid"]
+    closed_form = ["verify", "--n", "3", "--m", "1000", "--q", "2000"]
+    res = run_cli(*closed_form)
+    assert res.returncode == 3 and "bad grid interval [1000.0, 100.0]" in res.stderr
+    res = run_cli(*closed_form, "--grid-lo", "300", "--grid-hi", "1e5")
+    assert res.returncode == 0, res.stderr
+    assert "[300, 100000]" in json.loads(res.stdout)["results"]["grid"]
+
+
+FLOAT_OPTIONS = [
+    ("classify", ["--m", "--q", "--tol"]),
+    ("verify", ["--m", "--q", "--tol", "--grid-lo", "--grid-hi", "--lam", "--boundary"]),
+    ("functional", ["--m", "--q", "--tol", "--annulus", "--pert-center", "--pert-width",
+                    "--quad-tol"]),
+]
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, options in FLOAT_OPTIONS for option in options])
+def test_negative_float_options_parse_in_both_forms(command, option):
+    # argparse before Python 3.13 read "-1e-05" as an unknown option, so
+    # "--q -1e-05" exited 2 with "expected one argument".
+    from electrovac.cli import build_parser
+
+    parser = build_parser()
+    dest = option[2:].replace("-", "_")
+    for text in ("-1e-05", "-1E+00", "-2.5e3", "-.5e-1", "-3.", "-0.5", "-7"):
+        if option == "--annulus":
+            # Both values of the pair; --annulus=... takes only one.
+            args = parser.parse_args([command, "--n", "3", option, "4.5", text, "--q", text])
+            assert args.annulus == [4.5, float(text)] and args.q == float(text)
+            continue
+        required = ["--annulus", "3", "6"] if command == "functional" else []
+        spaced = parser.parse_args([command, "--n", "3", *required, option, text])
+        joined = parser.parse_args([command, "--n", "3", *required, f"{option}={text}"])
+        assert spaced == joined and getattr(spaced, dest) == float(text)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("classify", []),
+    ("verify", []),
+    ("functional", ["--annulus", repr(3.0), repr(6.0)]),
+])
+def test_small_negative_charge_as_the_benchmark_passes_it(command, extra, capsys):
+    # The cold CLI benchmark passes --q repr(q); a drawn q < 0 with |q| < 1e-4
+    # prints in exponent form.
+    from electrovac.cli import main
+
+    q = -5.2e-05
+    assert repr(q) == "-5.2e-05"
+    outputs = []
+    for charge in (["--q", repr(q)], [f"--q={q!r}"]):
+        assert main([command, "--n", "3", "--m", repr(1.0), *charge, *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])["params"]["q"] == q
+
+
 def test_classify_reports_failure_when_counts_disagree():
     # super-extremal with no admissible roots still passes (counts agree at 0)
     res = run_cli("classify", "--n", "3", "--m", "0.5", "--q", "1.0")

@@ -176,7 +176,6 @@ def test_frame_tensor_helpers():
 
     t = FrameTensor2(radial=np.array([1.0, -3.0]), tangential=np.array([2.0, 0.5]))
     assert np.allclose(t.trace(3), [5.0, -2.0])
-    assert t.max_abs() == 3.0
 
 
 def test_domain_finiteness_and_positivity_checks_keep_their_verdicts():

@@ -9,6 +9,7 @@ oracle.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -105,3 +106,20 @@ def test_all_exports_no_submodules():
                if isinstance(getattr(electrovac, name), types.ModuleType)]
     assert modules == []
     assert {"rn_data", "verify_all", "RadialProfile", "ElectrovacError"} <= set(electrovac.__all__)
+
+
+def test_every_export_has_a_caller():
+    # A public name that nothing in the library, its tests or its benchmark
+    # reads is dead weight: each must appear outside __init__.py and outside
+    # the line that defines it.
+    root = SRC.parent
+    files = [p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")
+             if p.name != "__init__.py" and "out" not in p.relative_to(root).parts]
+    text = "\n".join(p.read_text() for p in files)
+    unused = []
+    for name in electrovac.__all__:
+        uses = re.findall(rf"^.*\b{name}\b.*$", text, flags=re.M)
+        defining = re.compile(rf"^\s*(def|class)\s+{name}\b|^{name}\s*[:=]")
+        if not [line for line in uses if not defining.match(line)]:
+            unused.append(name)
+    assert unused == []

@@ -66,7 +66,7 @@ def test_gauss_legendre_rule_is_cached_read_only_and_unchanged():
         with pytest.raises(ValueError):
             arr[0] = 0.0
     # The composite rule is built from the cached one bit for bit.
-    xs, ws = QuadratureConfig(panels=3, nodes=12).points(1.0, 2.5)
+    xs, [[(_, ws)]] = _node_array(QuadratureConfig(nodes=12), [[(1.0, 2.5, 3)]])
     edges = np.linspace(1.0, 2.5, 4)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -112,8 +112,8 @@ def test_node_array_equals_the_linspace_rule_bit_for_bit():
                 assert np.array_equal(xs[seg], x_ref) and np.array_equal(ws, w_ref), draw
         for lo, hi, p in (seg for rule in rules for seg in rule):
             one_x, [[(_, one_w)]] = _node_array(quad, [[(lo, hi, p)]])
-            pts_x, pts_w = quad.points(lo, hi, p)
-            assert np.array_equal(pts_x, one_x) and np.array_equal(pts_w, one_w), draw
+            x_ref, w_ref = linspace_rule(quad.nodes, lo, hi, p)
+            assert np.array_equal(one_x, x_ref) and np.array_equal(one_w, w_ref), draw
 
 
 def test_batched_sums_are_one_dot_per_row():
@@ -129,11 +129,11 @@ def test_batched_sums_are_one_dot_per_row():
         sums = _rule_sums(rows, segments)
         want = [0.0] * len(rows)
         for (lo, hi, p), (seg, ws) in zip(rule, segments):
-            assert np.array_equal(xs[seg], quad.points(lo, hi, p)[0])
-            assert np.array_equal(ws, quad.points(lo, hi, p)[1])
+            x_ref, w_ref = linspace_rule(quad.nodes, lo, hi, p)
+            assert np.array_equal(xs[seg], x_ref) and np.array_equal(ws, w_ref)
             want = [w + float(np.dot(ws, row[seg].copy())) for w, row in zip(want, rows)]
         assert [float(x) for x in sums] == want
-        xs, ws = quad.points(1.0, 4.0, panels)
+        xs, ws = linspace_rule(quad.nodes, 1.0, 4.0, panels)
         row = rows[3, :xs.size]
         assert radial_integral(lambda r: row, 1.0, 4.0, quad, panels) == float(np.dot(ws, row))
 
@@ -226,16 +226,21 @@ def test_perturbation_bump_smoothness_at_support_edge():
     for r in (3.5, 5.5):
         assert pert.bump(r) == 0.0
         assert abs(pert.bump(r + eps) - pert.bump(r - eps)) < 1e-15
-        assert abs(pert.bump_d1(r + eps)) < 1e-14
-        assert abs(pert.bump_d2(r + eps)) < 1e-6
+        _, b1, b2 = pert.bump_jet(r + eps)
+        assert abs(b1) < 1e-14
+        assert abs(b2) < 1e-6
 
 
 def test_support_must_sit_inside_annulus():
+    # perturbation_norm used to integrate the part of a bump past the annulus:
+    # for the support [5, 7] on (3, 6) it gave the value it gives on (3, 8).
     data = rn_data(RNParameters(3, 1.0, 0.5))
-    with pytest.raises(DomainError):
-        evaluate_functional(data, ANNULUS, Perturbation(5.8, 1.0))
-    with pytest.raises(DomainError):
-        criticality_test(data, ANNULUS, Perturbation(3.0, 0.5))
+    for pert in (Perturbation(5.8, 1.0), Perturbation(3.0, 0.5), Perturbation(6.0, 1.0)):
+        for call in (evaluate_functional, perturbation_norm, criticality_test,
+                     euler_lagrange_integral):
+            with pytest.raises(DomainError, match="must lie in the open annulus"):
+                call(data, ANNULUS, pert)
+    assert perturbation_norm(data, (3.0, 8.0), Perturbation(6.0, 1.0)) > 0
 
 
 def test_annulus_must_sit_inside_data_domain():
@@ -339,7 +344,8 @@ def test_criticality_evaluates_base_fields_once_per_node_set():
     for name, call, rules, reads in calls:
         data, counts = counting_data(rn_data(RNParameters(3, 1.0, 0.5)))
         assert call(data), name
-        nodes = np.concatenate([quad.points(lo, hi, k)[0] for rule in rules for lo, hi, k in rule])
+        nodes = np.concatenate([linspace_rule(quad.nodes, lo, hi, k)[0]
+                                for rule in rules for lo, hi, k in rule])
         for profile in counts:
             made = getattr(data, profile).calls
             assert [entry for entry, _ in made] == reads.get(profile, []), (name, profile)
