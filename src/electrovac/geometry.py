@@ -65,7 +65,10 @@ class SphericalStaticData:
         potential, and the electric field magnitude.
     Psi : optional electric potential with dV Psi = V E as dictionary.
     v_zeros : radii where V vanishes (domain edges for the standard family);
-        operations refuse radii within 1e-9 of any of them.
+        the pointwise operators, residual grids and boundary radii, and the
+        annulus endpoints of the variational functions refuse radii within
+        1e-9 of any of them. Quadrature nodes inside an annulus are not
+        checked: no integrand divides by V.
     r_scale : characteristic radius used when picking default grids on data
         whose domain reaches down to 0.
     """

@@ -176,8 +176,9 @@ def perturbed_potential_data(base: SphericalStaticData, amplitude: float,
                              center: float, width: float) -> SphericalStaticData:
     """Copy of base with V -> V + amplitude * exp(-((r-center)/width)^2).
 
-    Deliberately breaks the field equations while keeping smooth closed-form
-    derivatives; used to exercise failure paths.
+    Deliberately breaks the field equations while keeping smooth derivatives
+    as accurate as base's, whose mode the new V keeps; used to exercise
+    failure paths.
     """
     V = base.V
 
@@ -191,7 +192,8 @@ def perturbed_potential_data(base: SphericalStaticData, amplitude: float,
         t, g = gaussian(r)
         return f + g, f1 + g * (-2.0 * t / width), f2 + g * (4.0 * t * t - 2.0) / (width * width)
 
-    newV = RadialProfile(lambda r: V.value(r) + gaussian(r)[1], domain=V.domain, jet=jet)
+    newV = RadialProfile(lambda r: V.value(r) + gaussian(r)[1], jet=jet, domain=V.domain,
+                         mode=V.mode)
     return replace(base, V=newV)
 
 

@@ -1,10 +1,10 @@
 """Radial profiles: scalar functions of the area radius with two derivatives.
 
-A profile evaluates its value and first two derivatives at radii inside an
-open interval, one at a time or all three as a jet. Derivatives are either
-supplied in closed form or produced by central finite differences on the
-value; the ``mode`` attribute records which, so callers can pick tolerances
-accordingly.
+A profile is a value and a jet: it evaluates its value, or the value and its
+first two derivatives at once, at radii inside an open interval. The jet is
+either supplied, in closed form or from an interpolant, or built by central
+differences on the value; the ``mode`` attribute records how accurate the
+derivatives are, so callers can pick tolerances accordingly.
 """
 
 from __future__ import annotations
@@ -34,6 +34,13 @@ def require_open(r, domain, what: str):
     return r
 
 
+def _finite(out, what: str):
+    out = np.asarray(out, dtype=float)
+    if not np.isfinite(out).all():
+        raise NumericsError(f"profile {what} is non-finite inside the domain")
+    return out[()]
+
+
 class RadialProfile:
     """A scalar function of r on an open interval with two derivatives.
 
@@ -41,54 +48,41 @@ class RadialProfile:
     ----------
     value : callable
         Vectorized map r -> f(r).
-    d1, d2 : callable, optional
-        Closed-form first and second derivatives; the parts of ``jet`` stand
-        in for any not given. Both must be available for the profile to be in
-        closed-form mode; otherwise central differences on ``value`` are used
-        and ``mode`` reports "finite-difference".
+    jet : callable, optional
+        Vectorized map r -> (f, f', f''), which may share work between the
+        three, such as one table lookup or one pass over a common
+        subexpression. Its first part must equal ``value`` bit for bit.
+        Without one, the jet is central differences on ``value``: three value
+        calls per evaluation.
     domain : pair of floats
         Open interval of validity.
     mode : str, optional
         MODE_CLOSED_FORM or MODE_FINITE_DIFFERENCE. Defaults to closed-form
-        exactly when both derivatives are available, and may only be closed-form
-        then. A profile whose supplied derivatives are only as accurate as a
-        difference scheme passes MODE_FINITE_DIFFERENCE, so callers pick the
-        loose tolerance.
-    jet : callable, optional
-        Vectorized map r -> (f, f', f'') that shares work between the three,
-        such as one table lookup or one pass over a common subexpression.
-        Its parts must equal ``value`` (and ``d1``, ``d2`` when those are
-        given too) bit for bit.
+        exactly when a jet is supplied, and may only be closed-form then. A
+        profile whose supplied jet is only as accurate as a difference scheme
+        passes MODE_FINITE_DIFFERENCE, so callers pick the loose tolerance.
 
-    The jet contract: ``jet(r)`` returns ``(value(r), d1(r), d2(r))`` bit for
-    bit, scalar for a scalar radius, and raises the error that evaluating the
-    three in that order raises first. It checks the domain once and the
-    finiteness of its three outputs once. Without a ``jet`` callable it calls
-    the value and the two derivatives (or their difference stencils).
+    ``jet(r)`` checks the domain once and the finiteness of its three parts
+    once, in order, and returns a scalar part for a scalar radius; ``d1`` and
+    ``d2`` are its second and third parts.
     """
 
     def __init__(
         self,
         value: Callable,
-        d1: Optional[Callable] = None,
-        d2: Optional[Callable] = None,
+        *,
+        jet: Optional[Callable] = None,
         domain: tuple[float, float] = (0.0, np.inf),
         mode: Optional[str] = None,
-        jet: Optional[Callable] = None,
     ):
         lo, hi = float(domain[0]), float(domain[1])
         if not lo < hi:
             raise DomainError(f"empty profile domain ({lo}, {hi})")
-        if jet is not None:
-            d1 = (lambda r: jet(r)[1]) if d1 is None else d1
-            d2 = (lambda r: jet(r)[2]) if d2 is None else d2
         self._value = value
-        self._d1 = d1
-        self._d2 = d2
         self._jet = jet
         self.domain = (lo, hi)
-        # Closed-form mode needs both derivatives; the first allowed mode is the default.
-        allowed = ((MODE_CLOSED_FORM, MODE_FINITE_DIFFERENCE) if (d1 is not None and d2 is not None)
+        # Closed-form mode needs a supplied jet; the first allowed mode is the default.
+        allowed = ((MODE_CLOSED_FORM, MODE_FINITE_DIFFERENCE) if jet is not None
                    else (MODE_FINITE_DIFFERENCE,))
         if mode is None:
             mode = allowed[0]
@@ -99,46 +93,25 @@ class RadialProfile:
     def require_inside(self, r):
         return require_open(r, self.domain, "open domain")
 
-    def _check_finite(self, out, what):
-        if not np.isfinite(out).all():
-            raise NumericsError(f"profile {what} is non-finite inside the domain")
-        return out
-
     def value(self, r):
-        out = np.asarray(self._value(self.require_inside(r)), dtype=float)
-        return self._check_finite(out, "value")[()]
+        return _finite(self._value(self.require_inside(r)), "value")
 
     __call__ = value
 
     def d1(self, r):
-        return self._check_finite(self._raw_d1(self.require_inside(r)), "first derivative")[()]
+        return self.jet(r)[1]
 
     def d2(self, r):
-        return self._check_finite(self._raw_d2(self.require_inside(r)), "second derivative")[()]
+        return self.jet(r)[2]
 
     def jet(self, r):
-        """(f, f', f'') at r, equal to (value(r), d1(r), d2(r)) bit for bit."""
+        """(f, f', f'') at r; f equals value(r) bit for bit."""
         r = self.require_inside(r)
-        if self._jet is not None:
-            parts = self._jet(r)
-        else:
-            parts = (self._value(r), self._raw_d1(r), self._raw_d2(r))
-        return tuple(self._check_finite(np.asarray(out, dtype=float), what)[()]
-                     for out, what in zip(parts, _JET_PARTS))
+        parts = self._difference_jet(r) if self._jet is None else self._jet(r)
+        return tuple(_finite(out, what) for out, what in zip(parts, _JET_PARTS))
 
-    def _raw_d1(self, r):
-        if self._d1 is not None:
-            return np.asarray(self._d1(r), dtype=float)
-        h = self._fd_safe_step(r)
-        return (self._value(r + h) - self._value(r - h)) / (2.0 * h)
-
-    def _raw_d2(self, r):
-        if self._d2 is not None:
-            return np.asarray(self._d2(r), dtype=float)
-        h = self._fd_safe_step(r)
-        return (self._value(r + h) - 2.0 * self._value(r) + self._value(r - h)) / (h * h)
-
-    def _fd_safe_step(self, r):
+    def _difference_jet(self, r):
+        f = self._value(r)
         # A cube-root-of-eps step, floored so tiny radii do not starve the
         # stencil, and shrunk near the domain edges so r +/- h stays inside.
         lo, hi = self.domain
@@ -147,16 +120,19 @@ class RadialProfile:
         h = np.where(gap < h, gap, h)
         if (h <= 0).any():
             raise DomainError("radius too close to the domain edge for a difference stencil")
-        return h
+        up, down = self._value(r + h), self._value(r - h)
+        return f, (up - down) / (2.0 * h), (up - 2.0 * f + down) / (h * h)
 
 
 def constant_profile(c: float, domain=(0.0, np.inf)) -> RadialProfile:
-    return RadialProfile(
-        lambda r: np.full_like(np.asarray(r, dtype=float), float(c)),
-        d1=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        d2=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        domain=domain,
-    )
+    def value(r):
+        return np.full_like(np.asarray(r, dtype=float), float(c))
+
+    def jet(r):
+        r = np.asarray(r, dtype=float)
+        return value(r), np.zeros_like(r), np.zeros_like(r)
+
+    return RadialProfile(value, jet=jet, domain=domain)
 
 
 def _not_a_knot_slopes(x, y):
@@ -201,7 +177,7 @@ def tabulated_profile(radii, values) -> RadialProfile:
 
     The spline is the one scipy's ``CubicSpline`` builds by default: the first
     two and the last two cubic pieces join with a continuous third derivative.
-    Its own derivatives back d1/d2, but interpolation error scales like a
+    Its own derivatives make the jet, but interpolation error scales like a
     difference scheme, so the profile reports finite-difference mode and
     callers should use the loose tolerance.
     """

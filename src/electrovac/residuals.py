@@ -28,24 +28,25 @@ The equations, in orthonormal-frame components (rad/tan), with E = |E|:
 The lam terms cancel in AE1, so the system/master equivalence is exercised at
 any lam; the Psi-form equations are stated for lam = 0.
 
-A report walks the grid in consecutive blocks of _BLOCK radii, with one set of
-pointwise fields per block. Each grid tag keeps a running maximum of its
-|residual| and the radius where it occurs; a later block replaces them only
-when strictly larger, so the result equals one argmax over the whole grid,
-bit for bit. Skipped points are summed over blocks. The boundary tags (TE2,
-E4, PEM4) are computed once per report, with the last block, from one Robin
-defect. When any block
+A report first evaluates the one Robin defect behind the boundary tags (TE2,
+E4, PEM4) when it has a boundary radius, so a bad boundary radius fails before
+any grid work. It then walks the grid in consecutive blocks of _BLOCK radii,
+with one set of pointwise fields per block. Each residual family maps a block
+to its radii and one row of residuals per tag, and one reducer keeps, per
+tag, the maximum |residual|, the radius where it occurs and the skipped
+points; a later block replaces the maximum only when strictly larger, so the
+result equals one argmax over the whole grid, bit for bit. When any block
 raises, the whole grid runs again as one block: that raises the error a single
 pass meets first, or, when some blocks had no point with |V| >= 1e-9, checks
 the grid as a whole. The arithmetic is elementwise, so a report does not
-depend on the block length.
+depend on the block length. Each TagResult is built once, at the end; the
+structural tags (E3b, NE2) come from a table.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -183,7 +184,8 @@ class ResidualReport:
         return out
 
 
-def _tag_from_values(tag, rs, res, tol, note=None, skipped=0) -> TagResult:
+def _worst(tag, res) -> tuple[float, int]:
+    """(max |res|, the first index where it occurs)."""
     res = np.abs(np.asarray(res, dtype=float))
     if res.size == 0:
         raise DegeneracyError(f"no checkable grid points for {tag}")
@@ -192,29 +194,14 @@ def _tag_from_values(tag, rs, res, tol, note=None, skipped=0) -> TagResult:
     mx = float(res[i])
     if not math.isfinite(mx):
         raise NumericsError(f"non-finite residual for {tag}")
-    worst = float(np.asarray(rs, dtype=float).reshape(-1)[i]) if rs is not None else None
+    return mx, i
+
+
+def _tag_from_values(tag, rs, res, tol, note=None) -> TagResult:
+    mx, i = _worst(tag, res)
+    worst = float(np.asarray(rs, dtype=float).reshape(-1)[i])
     return TagResult(tag=tag, max_residual=mx, worst_radius=worst,
-                     passed=bool(mx <= tol), note=note, skipped=skipped)
-
-
-def _skip_note(skipped):
-    return f"{skipped} grid points with |V| < {DEGENERATE_V:g} skipped" if skipped else None
-
-
-def _fold(earlier: Optional[TagResult], later: TagResult) -> TagResult:
-    """One tag over two consecutive runs of radii: the larger max (the earlier
-    on a tie, as one argmax over both would pick), skipped points summed."""
-    if earlier is None:
-        return later
-    best = later if later.max_residual > earlier.max_residual else earlier
-    skipped = earlier.skipped + later.skipped
-    if not skipped:
-        return best
-    return replace(best, skipped=skipped, note=_skip_note(skipped))
-
-
-def _structural(tag, note) -> TagResult:
-    return TagResult(tag=tag, max_residual=0.0, worst_radius=None, passed=True, note=note)
+                     passed=bool(mx <= tol), note=note)
 
 
 class _Fields:
@@ -241,7 +228,8 @@ class _Fields:
         self.e2 = self.e * self.e
 
 
-def _system_tags(f: _Fields, tol: float, robin=None) -> dict[str, TagResult]:
+# A family maps one _Fields block to (radii, {tag: residual at those radii}).
+def _system_rows(f: _Fields):
     n, lam, rs = f.n, f.lam, f.rs
     rhs_rad = f.ric.radial - 2.0 * lam / (n - 1) + 2.0 * f.e2 - 2.0 * f.e2 / (n - 1)
     rhs_tan = f.ric.tangential - 2.0 * lam / (n - 1) - 2.0 * f.e2 / (n - 1)
@@ -249,45 +237,30 @@ def _system_tags(f: _Fields, tol: float, robin=None) -> dict[str, TagResult]:
                     np.abs(f.hess.tangential - f.v * rhs_tan))
     e2_res = f.lap - f.v * (2.0 * (n - 2) / (n - 1) * f.e2 - 2.0 * lam / (n - 1))
     e3a = (f.ep + (n - 1) * f.e / rs) / f.sa
-
-    return {
-        "E1": _tag_from_values("E1", rs, e1, tol),
-        "E2": _tag_from_values("E2", rs, e2_res, tol),
-        "E3a": _tag_from_values("E3a", rs, e3a, tol),
-        "E3b": _structural("E3b", "radial 1-form f(r) dr is closed identically"),
-    }
+    return rs, {"E1": e1, "E2": e2_res, "E3a": e3a}
 
 
-def _master_tags(f: _Fields, tol: float, robin=None) -> dict[str, TagResult]:
+def _master_rows(f: _Fields):
     T = master_kernel(f.v, f.e2, f.hess, f.lap, f.ric)
-    ae1 = np.maximum(np.abs(T.radial), np.abs(T.tangential))
-    return {"AE1": _tag_from_values("AE1", f.rs, ae1, tol)}
+    return f.rs, {"AE1": np.maximum(np.abs(T.radial), np.abs(T.tangential))}
 
 
-def _traced_tags(f: _Fields, tol: float, robin=None) -> dict[str, TagResult]:
-    n, lam, rs = f.n, f.lam, f.rs
+def _traced_rows(f: _Fields):
+    n, lam = f.n, f.lam
     te1 = f.lap - f.v * (f.R - 2.0 * n * lam / (n - 1) - 2.0 * f.e2 / (n - 1))
     trace_ae = f.lap - (-f.R / (n - 1) + 2.0 * f.e2) * f.v
-    entries = {
-        "TE1": _tag_from_values("TE1", rs, te1, tol),
-        "TRACE_AE": _tag_from_values("TRACE_AE", rs, trace_ae, tol),
-    }
-    if robin is not None:
-        entries["TE2"] = _tag_from_values("TE2", *robin(), tol)
-        entries["E4"] = _tag_from_values(
-            "E4", *robin(), tol, note="tangential component; round slices are umbilic")
-    return entries
+    return f.rs, {"TE1": te1, "TRACE_AE": trace_ae}
 
 
-def _pem_tags(f: _Fields, tol: float, robin=None) -> dict[str, TagResult]:
+def _pem_rows(f: _Fields):
+    """Only the radii with |V| >= DEGENERATE_V; the report counts the rest
+    as skipped."""
     n = f.n
     ok = np.abs(f.v) >= DEGENERATE_V
-    skipped = int(np.size(ok) - np.count_nonzero(ok))
     if not np.any(ok):
         raise DegeneracyError("V is degenerate on the whole grid")
-    ok = ok if skipped else slice(None)  # views, not masked copies, when nothing is skipped
+    ok = slice(None) if ok.all() else ok  # views, not masked copies, when nothing is skipped
     rs_ok, v, dpsi2 = f.rs[ok], f.v[ok], f.dpsi2[ok]
-    note = _skip_note(skipped)
 
     t = dpsi2 / v
     pem1_rad = f.hess.radial[ok] - (v * f.ric.radial[ok] + 2.0 * (n - 2) / (n - 1) * t)
@@ -304,76 +277,88 @@ def _pem_tags(f: _Fields, tol: float, robin=None) -> dict[str, TagResult]:
     Xp = psipp * inv - X * (ap / (2.0 * a) + vp * sa * inv)
     pem3 = Xp + (n - 1) * X / rs_ok
     npem1 = f.R[ok] - 2.0 * t / v
-
-    entries = {
-        "PEM1": _tag_from_values("PEM1", rs_ok, pem1, tol, note=note, skipped=skipped),
-        "PEM2": _tag_from_values("PEM2", rs_ok, pem2, tol, note=note, skipped=skipped),
-        "PEM3": _tag_from_values("PEM3", rs_ok, pem3, tol, note=note, skipped=skipped),
-        "NPEM1": _tag_from_values("NPEM1", rs_ok, npem1, tol, note=note, skipped=skipped),
-    }
-    if robin is not None:
-        entries["PEM4"] = _tag_from_values("PEM4", *robin(), tol)
-    return entries
+    return rs_ok, {"PEM1": pem1, "PEM2": pem2, "PEM3": pem3, "NPEM1": npem1}
 
 
-def _identity_tags(f: _Fields, tol: float, robin=None) -> dict[str, TagResult]:
-    ne1 = f.R - 2.0 * f.e * f.e - 2.0 * f.lam
-    return {
-        "NE1": _tag_from_values("NE1", f.rs, ne1, tol),
-        "NE2": _structural("NE2", "round slices are umbilic by construction"),
-    }
+def _identity_rows(f: _Fields):
+    return f.rs, {"NE1": f.R - 2.0 * f.e * f.e - 2.0 * f.lam}
 
 
-def _robin_defect(data: SphericalStaticData, r_boundary: float):
-    """([r_boundary], [dV/dnu - V B_tan]): TE2, E4 and PEM4 alike, as round
-    slices are umbilic (B_tan = H/(n-1) bit for bit). The first boundary tag
-    to ask evaluates it, so a report's errors keep their single-pass order."""
-    geo = level_set_geometry(data, r_boundary)
-    return [r_boundary], [geo.nuV - data.V(r_boundary) * geo.B_tan]
+# The tags each family reports after its grid tags: structural passes, and
+# the boundary forms of the Robin defect (tag -> note), which a report has
+# when it is given a boundary radius.
+_AFTER_ROWS = {_system_rows: ("E3b",), _traced_rows: ("TE2", "E4"), _pem_rows: ("PEM4",),
+               _identity_rows: ("NE2",)}
+_STRUCTURAL = {tag: TagResult(tag=tag, max_residual=0.0, worst_radius=None, passed=True, note=note)
+               for tag, note in (("E3b", "radial 1-form f(r) dr is closed identically"),
+                                 ("NE2", "round slices are umbilic by construction"))}
+_BOUNDARY = {"TE2": None, "E4": "tangential component; round slices are umbilic", "PEM4": None}
 
 
-def _entries(families, data, rs, tol, r_boundary, block) -> dict[str, TagResult]:
-    """Every family's tags from consecutive blocks of rs, one _Fields each.
-    Each tag folds its block results in order. The boundary tags come with
-    the last block only, after their family's grid tags as in a single pass."""
-    entries: dict[str, TagResult] = {}
-    robin = None if r_boundary is None else functools.cache(
-        functools.partial(_robin_defect, data, r_boundary))
+def _worst_rows(families, data, rs, block) -> dict[str, list]:
+    """Per grid tag, [max |residual|, its radius, skipped radii] over
+    consecutive blocks of rs, one _Fields each. A later block replaces the
+    max only when strictly larger, so ties keep the first radius, as one
+    argmax over the whole grid would."""
+    worst: dict[str, list] = {}
     for lo in range(0, rs.size, block):
         f = _Fields(data, rs[lo:lo + block])
-        last = lo + block >= rs.size
         for family in families:
-            for tag, result in family(f, tol, robin if last else None).items():
-                entries[tag] = _fold(entries.get(tag), result)
-    return entries
+            radii, rows = family(f)
+            skipped = f.rs.size - radii.size
+            for tag, res in rows.items():
+                mx, i = _worst(tag, res)
+                row = worst.setdefault(tag, [-1.0, None, 0])
+                if mx > row[0]:
+                    row[0], row[1] = mx, float(radii[i])
+                row[2] += skipped
+    return worst
 
 
 def _report(families, data, grid, tol, r_boundary=None) -> ResidualReport:
     """The tags of every family, in blocks of _BLOCK radii."""
     tol = default_tolerance(data) if tol is None else tol
+    after = [tag for family in families for tag in _AFTER_ROWS.get(family, ())]
+    extra = dict(_STRUCTURAL)
+    if r_boundary is not None:
+        defect = _robin_defect(data, r_boundary)
+        extra.update({tag: _tag_from_values(tag, [r_boundary], [defect], tol, note)
+                      for tag, note in _BOUNDARY.items() if tag in after})
     rs = grid.radii()
     try:
-        entries = _entries(families, data, rs, tol, r_boundary, _BLOCK)
+        worst = _worst_rows(families, data, rs, _BLOCK)
     except ElectrovacError:
         if rs.size <= _BLOCK:
             raise
         # The whole grid as one block raises the error a single pass meets
         # first; or, when some blocks had no point with |V| >= DEGENERATE_V,
         # it checks the grid as a whole.
-        entries = _entries(families, data, rs, tol, r_boundary, rs.size)
+        worst = _worst_rows(families, data, rs, rs.size)
+    entries = {tag: TagResult(
+        tag=tag, max_residual=mx, worst_radius=r, passed=bool(mx <= tol), skipped=skipped,
+        note=f"{skipped} grid points with |V| < {DEGENERATE_V:g} skipped" if skipped else None)
+        for tag, (mx, r, skipped) in worst.items()}
+    entries.update({tag: extra[tag] for tag in after if tag in extra})
     return ResidualReport(entries=entries, grid=grid.describe(), tolerance=tol)
+
+
+def _robin_defect(data: SphericalStaticData, r_boundary: float) -> float:
+    """dV/dnu - V B_tan at r_boundary: TE2, E4 and PEM4 alike, as round
+    slices are umbilic (B_tan = H/(n-1) bit for bit)."""
+    geo = level_set_geometry(data, r_boundary)
+    return geo.nuV - data.V(r_boundary) * geo.B_tan
 
 
 def residual_system(data: SphericalStaticData, grid: GridSpec,
                     tol: Optional[float] = None) -> ResidualReport:
     """Residuals of the first-order system E1, E2, E3a (E3b structural)."""
-    return _report((_system_tags,), data, grid, tol)
+    return _report((_system_rows,), data, grid, tol)
 
 
 def residual_master(data: SphericalStaticData, grid: GridSpec,
                     tol: Optional[float] = None) -> ResidualReport:
     """Residual of the master equation AE1 (both frame components)."""
-    return _report((_master_tags,), data, grid, tol)
+    return _report((_master_rows,), data, grid, tol)
 
 
 def residual_traced(data: SphericalStaticData, grid: GridSpec,
@@ -381,7 +366,7 @@ def residual_traced(data: SphericalStaticData, grid: GridSpec,
                     r_boundary: Optional[float] = None) -> ResidualReport:
     """Residuals of the traced equations TE1 and TRACE_AE on the grid, plus
     the boundary forms TE2/E4 at r_boundary when one is supplied."""
-    return _report((_traced_tags,), data, grid, tol, r_boundary)
+    return _report((_traced_rows,), data, grid, tol, r_boundary)
 
 
 def residual_pem(data: SphericalStaticData, grid: GridSpec,
@@ -395,20 +380,20 @@ def residual_pem(data: SphericalStaticData, grid: GridSpec,
     """
     if data.Psi is None:
         raise DomainError("data has no electric potential; PEM residuals undefined")
-    return _report((_pem_tags,), data, grid, tol, r_boundary)
+    return _report((_pem_rows,), data, grid, tol, r_boundary)
 
 
 def residual_identities(data: SphericalStaticData, grid: GridSpec,
                         tol: Optional[float] = None) -> ResidualReport:
     """Scalar curvature identity NE1 on the grid; NE2 structural."""
-    return _report((_identity_tags,), data, grid, tol)
+    return _report((_identity_rows,), data, grid, tol)
 
 
 def equivalence_property(data: SphericalStaticData, grid: GridSpec,
                          tol: Optional[float] = None) -> bool:
     """True iff the first-order system and the master equation agree on
     whether this data passes (both pass or both fail)."""
-    rep = _report((_system_tags, _master_tags), data, grid, tol)
+    rep = _report((_system_rows, _master_rows), data, grid, tol)
     master_passed = rep.entries.pop("AE1").passed
     return rep.passed == master_passed
 
@@ -418,8 +403,8 @@ def verify_all(data: SphericalStaticData, grid: GridSpec,
                r_boundary: Optional[float] = None) -> ResidualReport:
     """Every applicable residual tag in one report (PEM only when Psi given),
     all computed from one evaluation of the grid's fields per block."""
-    pem = (_pem_tags,) if data.Psi is not None else ()
-    rep = _report((_system_tags, _master_tags, _traced_tags, *pem, _identity_tags),
+    pem = (_pem_rows,) if data.Psi is not None else ()
+    rep = _report((_system_rows, _master_rows, _traced_rows, *pem, _identity_rows),
                   data, grid, tol, r_boundary)
     rep.entries = {t: rep.entries[t] for t in EQUATION_TAGS if t in rep.entries}
     return rep

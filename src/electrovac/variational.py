@@ -271,7 +271,6 @@ def _functional_integrand(data: SphericalStaticData, pert: Optional[Perturbation
     v = data.V(r)
     e2 = data.Emag(r) ** 2
     if pert is None:
-        data.require_interior(r)
         R = ricci_kernel(n, a0, ap0, r).trace(n)
         return v * (R - 6.0 * e2) * sa0 * r ** (n - 1) + 4.0 * v * e2 * sa0 * r ** (n - 1), sa0, None
     eps = np.asarray(amplitudes, dtype=float)[:, None]
@@ -458,17 +457,16 @@ def criticality_test(data: SphericalStaticData, annulus, pert: Perturbation,
 
 
 def _el_integrand(data: SphericalStaticData, pert: Perturbation, r):
-    """<T, h> dv_o at r, for the unit-amplitude direction h of pert: one
-    domain check and one jet of A and of V."""
-    rs = data.require_interior(r)
+    """<T, h> dv_o at r, for the unit-amplitude direction h of pert, from one
+    jet of A and of V."""
     n = data.n
-    a, ap, _ = data.a_jet(rs)
-    v, vp, vpp = data.V.jet(rs)
-    hess = hessian_kernel(a, ap, vp, vpp, rs)
-    lap = laplacian_kernel(n, a, ap, vp, vpp, rs)
-    ric = ricci_kernel(n, a, ap, rs)
-    T = master_kernel(v, data.Emag(rs) ** 2, hess, lap, ric)
-    b = pert.bump(rs)
+    a, ap, _ = data.a_jet(r)
+    v, vp, vpp = data.V.jet(r)
+    hess = hessian_kernel(a, ap, vp, vpp, r)
+    lap = laplacian_kernel(n, a, ap, vp, vpp, r)
+    ric = ricci_kernel(n, a, ap, r)
+    T = master_kernel(v, data.Emag(r) ** 2, hess, lap, ric)
+    b = pert.bump(r)
     density = T.radial * (pert.radial_on * b) + (n - 1) * T.tangential * (pert.tangential_on * b)
     return density * np.sqrt(a) * r ** (n - 1)
 
@@ -492,7 +490,6 @@ def _pohozaev_integrands(data: SphericalStaticData, r):
     a, ap, app = data.a_jet(r)
     sa = np.sqrt(a)
     _, vp, vpp = data.V.jet(r)
-    data.require_interior(r)
     Rp = scalar_curvature_d1_kernel(n, a, ap, app, r)
     hess = hessian_kernel(a, ap, vp, vpp, r)
     ric = ricci_kernel(n, a, ap, r)

@@ -47,7 +47,7 @@ def round_sphere_data(n, L):
     return SphericalStaticData(
         n=n,
         lam=0.0,
-        A=RadialProfile(a, a1, a2, domain=(0.0, L)),
+        A=RadialProfile(a, jet=lambda r: (a(r), a1(r), a2(r)), domain=(0.0, L)),
         V=constant_profile(1.0, domain=(0.0, L)),
         Emag=constant_profile(0.0, domain=(0.0, L)),
     )
@@ -99,7 +99,7 @@ def test_scalar_curvature_derivative_matches_difference_quotient():
 
 def test_hessian_of_r_squared_in_flat_space():
     data = flat_data(3)
-    f = RadialProfile(lambda r: r**2, d1=lambda r: 2 * r, d2=lambda r: 2 * np.ones_like(r))
+    f = RadialProfile(lambda r: r**2, jet=lambda r: (r**2, 2 * r, 2 * np.ones_like(r)))
     rs = np.linspace(0.5, 10.0, 9)
     h = hessian_radial(data, f, rs)
     assert np.allclose(h.radial, 2.0, atol=1e-14)
@@ -188,8 +188,9 @@ def test_domain_finiteness_and_positivity_checks_keep_their_verdicts():
     from electrovac.variational import _finite_rows
 
     nan = math.nan
-    lin = RadialProfile(lambda r: 2.0 - r, d1=lambda r: -np.ones_like(r),
-                        d2=lambda r: np.zeros_like(r), domain=(1.0, 5.0))
+    lin = RadialProfile(lambda r: 2.0 - r,
+                        jet=lambda r: (2.0 - r, -np.ones_like(r), np.zeros_like(r)),
+                        domain=(1.0, 5.0))
     data = SphericalStaticData(n=3, lam=0.0, A=lin, V=lin, Emag=lin, v_zeros=(4.0,))
     profile_out = "radius 5.0 outside open domain (1.0, 5.0)"
     data_out = "radius 5.0 outside data domain (1.0, 5.0)"

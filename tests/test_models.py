@@ -11,6 +11,7 @@ from electrovac import (
     IsotropicChart,
     ParameterError,
     RNParameters,
+    RadialProfile,
     coupling_constant,
     default_grid,
     euclidean_ball_residuals,
@@ -22,7 +23,9 @@ from electrovac import (
     rn_data,
     rn_horizon,
     rn_r0,
+    tabulated_profile,
 )
+from electrovac.profiles import MODE_FINITE_DIFFERENCE
 
 
 def test_parameter_validation():
@@ -117,6 +120,16 @@ def test_perturbed_potential_changes_values_keeps_derivative_consistency():
     h = 1e-6
     fd1 = (bumped.V.value(rs + h) - bumped.V.value(rs - h)) / (2 * h)
     assert np.allclose(bumped.V.d1(rs), fd1, rtol=1e-7, atol=1e-10)
+
+
+def test_perturbed_potential_keeps_the_mode_of_base_v():
+    closed = rn_data(RNParameters(3, 1.0, 0.5))
+    rs = np.geomspace(2.0, 40.0, 400)
+    table = dataclasses.replace(closed, V=tabulated_profile(rs, closed.V(rs)))
+    value_only = dataclasses.replace(closed, V=RadialProfile(closed.V.value, domain=closed.V.domain))
+    for base in (closed, table, value_only):
+        assert perturbed_potential_data(base, 1e-3, 5.0, 0.5).V.mode == base.V.mode
+    assert table.V.mode == value_only.V.mode == MODE_FINITE_DIFFERENCE
 
 
 def test_perturbed_potential_keeps_every_other_field():

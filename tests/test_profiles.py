@@ -16,7 +16,7 @@ from electrovac.profiles import MODE_CLOSED_FORM, MODE_FINITE_DIFFERENCE
 
 
 def test_closed_form_profile_reports_mode_and_values():
-    p = RadialProfile(lambda r: r**2, d1=lambda r: 2 * r, d2=lambda r: 2 * np.ones_like(r))
+    p = RadialProfile(lambda r: r**2, jet=lambda r: (r**2, 2 * r, 2 * np.ones_like(r)))
     assert p.mode == MODE_CLOSED_FORM
     assert p.value(3.0) == 9.0
     assert p(3.0) == 9.0
@@ -25,7 +25,7 @@ def test_closed_form_profile_reports_mode_and_values():
 
 
 def test_profile_vectorizes_over_radius_arrays():
-    p = RadialProfile(lambda r: np.sin(r), d1=np.cos, d2=lambda r: -np.sin(r))
+    p = RadialProfile(np.sin, jet=lambda r: (np.sin(r), np.cos(r), -np.sin(r)))
     rs = np.linspace(0.5, 4.0, 17)
     assert np.allclose(p.value(rs), np.sin(rs))
     assert np.allclose(p.d1(rs), np.cos(rs))
@@ -42,27 +42,24 @@ def test_finite_difference_fallback_accuracy():
     assert np.allclose(p.d2(rs), d2_true, rtol=1e-5, atol=1e-7)
 
 
-def test_supplying_only_d1_still_finite_difference_mode():
-    p = RadialProfile(lambda r: r**3, d1=lambda r: 3 * r**2)
-    assert p.mode == MODE_FINITE_DIFFERENCE
-
-
 def test_mode_argument_overrides_the_default_rule():
-    p = RadialProfile(lambda r: r**3, d1=lambda r: 3 * r**2, d2=lambda r: 6 * r,
-                      mode=MODE_FINITE_DIFFERENCE)
+    def cube_jet(r):
+        return r**3, 3 * r**2, 6 * r
+
+    p = RadialProfile(lambda r: r**3, jet=cube_jet, mode=MODE_FINITE_DIFFERENCE)
     assert p.mode == MODE_FINITE_DIFFERENCE
     # the supplied derivatives are still used, not a difference stencil
     assert p.d1(2.0) == 12.0
     assert p.d2(2.0) == 12.0
     with pytest.raises(ParameterError):
-        RadialProfile(lambda r: r**3, d1=lambda r: 3 * r**2, d2=lambda r: 6 * r, mode="spline")
-    # closed-form mode without both derivatives would claim the tight tolerance
+        RadialProfile(lambda r: r**3, jet=cube_jet, mode="spline")
+    # closed-form mode without a jet would claim the tight tolerance
     with pytest.raises(ParameterError):
-        RadialProfile(lambda r: r**3, d1=lambda r: 3 * r**2, mode=MODE_CLOSED_FORM)
+        RadialProfile(lambda r: r**3, mode=MODE_CLOSED_FORM)
 
 
 def test_domain_is_open_at_both_ends():
-    p = RadialProfile(lambda r: r, d1=lambda r: np.ones_like(r), d2=lambda r: np.zeros_like(r),
+    p = RadialProfile(lambda r: r, jet=lambda r: (r, np.ones_like(r), np.zeros_like(r)),
                       domain=(1.0, 2.0))
     with pytest.raises(DomainError):
         p.value(1.0)
@@ -76,6 +73,19 @@ def test_domain_is_open_at_both_ends():
 def test_empty_domain_rejected():
     with pytest.raises(DomainError):
         RadialProfile(lambda r: r, domain=(2.0, 2.0))
+
+
+def test_difference_jet_makes_three_value_calls():
+    calls = []
+
+    def value(r):
+        calls.append(np.ndim(r))
+        return np.exp(0.5 * r)
+
+    p = RadialProfile(value, domain=(0.5, 50.0))
+    f, f1, f2 = p.jet(np.linspace(1.0, 8.0, 25))
+    assert calls == [1, 1, 1]
+    assert f.shape == f1.shape == f2.shape == (25,)
 
 
 def test_fd_stencil_shrinks_near_domain_edge():
@@ -235,16 +245,13 @@ def test_jet_raises_what_the_separate_calls_raise():
         # finite except on r > 3, where the named part is infinite
         def f(which):
             return lambda r: np.where((r > 3.0) & (part == which), np.inf, r * r)
-        return RadialProfile(f("value"), f("d1"), f("d2"), domain=(1.0, 5.0))
-
-    def spiky_jet(part):
-        base = spiky(part)
-        return RadialProfile(base._value, base._d1, base._d2, domain=base.domain,
-                             jet=lambda r: (base._value(r), base._d1(r), base._d2(r)))
+        return RadialProfile(f("value"), jet=lambda r: (f("value")(r), f("d1")(r), f("d2")(r)),
+                             domain=(1.0, 5.0))
 
     data = rn_data(RNParameters(3, 1.0, 0.5))
     rs = np.linspace(2.0, 4.0, 9)
-    profiles = [spiky(p) for p in ("value", "d1", "d2")] + [spiky_jet(p) for p in ("value", "d1", "d2")]
+    profiles = [spiky(p) for p in ("value", "d1", "d2")]
+    profiles.append(RadialProfile(lambda r: r * r, domain=(1.0, 5.0)))
     profiles += [data.A, data.V, constant_profile(1.0, domain=(1.0, 5.0)),
                  tabulated_profile(np.linspace(1.0, 5.0, 12), np.linspace(1.0, 5.0, 12) ** 2)]
     seen = set()

@@ -138,8 +138,8 @@ def zero_crossing_data(slope=1e-6):
         n=3, lam=0.0,
         A=constant_profile(1.0),
         V=RadialProfile(lambda r: (r - 5.0) * slope,
-                        d1=lambda r: np.full_like(np.asarray(r, float), slope),
-                        d2=lambda r: np.zeros_like(np.asarray(r, float))),
+                        jet=lambda r: ((r - 5.0) * slope, np.full_like(np.asarray(r, float), slope),
+                                       np.zeros_like(np.asarray(r, float)))),
         Emag=constant_profile(0.0),
         Psi=constant_profile(0.0),
     )
@@ -294,6 +294,16 @@ def test_verify_all_evaluates_each_profile_once_on_the_grid():
             assert np.array_equal(np.concatenate(getattr(data, name).jet_radii), grid.radii())
 
 
+def test_bad_boundary_radius_fails_before_any_grid_work():
+    p = RNParameters(3, 1.0, 0.5)
+    for count in (1000, 2 * residuals._BLOCK + 3):
+        data, counts = counting_data(rn_data(p))
+        for call in (verify_all, residual_traced, residual_pem):
+            with pytest.raises(DomainError, match="outside data domain"):
+                call(data, default_grid(data, count=count), r_boundary=0.5)
+        assert counts == {name: {} for name in PROFILES}
+
+
 def hex_floats(doc):
     if isinstance(doc, float):
         return doc.hex()
@@ -361,7 +371,8 @@ def block_cases():
     huge_e = SphericalStaticData(
         n=3, lam=0.0, A=constant_profile(1.0), V=constant_profile(1.0),
         Emag=RadialProfile(lambda r: np.where(r < 1.01, 1e200, 0.0),
-                           d1=lambda r: np.zeros_like(r), d2=lambda r: np.zeros_like(r),
+                           jet=lambda r: (np.where(r < 1.01, 1e200, 0.0), np.zeros_like(r),
+                                          np.zeros_like(r)),
                            domain=(0.0, 8.0)),
         Psi=constant_profile(0.0))
     yield "late domain error", huge_e, linear, None, True

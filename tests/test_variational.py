@@ -251,6 +251,26 @@ def test_annulus_must_sit_inside_data_domain():
         evaluate_functional(data, (6.0, 3.0))
 
 
+def test_v_zeros_on_quadrature_nodes_change_no_value():
+    # Only the annulus endpoints meet the V-zero check: a V-zero on a node of
+    # the plain rule or of the bump-split rule changes no entry point's value.
+    data = rn_data(RNParameters(3, 1.0, 0.5))
+    quad = QuadratureConfig()
+    r1, r2 = ANNULUS
+    plain = _node_array(quad, [_break_segments([r1, r2], quad.panels)])[0]
+    split = _node_array(quad, [_break_segments([r1, *PERT.support(), r2], quad.panels)])[0]
+    z_plain, z_split = plain[plain.size // 3], split[split.size // 2]
+    assert z_plain not in split and z_split not in plain
+    marked = replace(data, v_zeros=data.v_zeros + (z_plain, z_split))
+    calls = [lambda d: evaluate_functional(d, ANNULUS, quad=quad),
+             lambda d: pohozaev_residual(d, ANNULUS, quad),
+             lambda d: euler_lagrange_integral(d, ANNULUS, PERT, quad),
+             lambda d: criticality_test(d, ANNULUS, PERT, quad),
+             lambda d: perturbation_norm(d, ANNULUS, PERT, quad)]
+    for call in calls:
+        assert call(marked) == call(data)
+
+
 def test_perturbation_norm_positive_and_mode_monotone():
     data = rn_data(RNParameters(3, 1.0, 0.5))
     n_rad = perturbation_norm(data, ANNULUS, Perturbation(4.5, 1.0, mode="radial"))
