@@ -13,8 +13,8 @@ normal, so round spheres in flat space have H = (n-1)/r > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import InitVar, dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,6 +33,9 @@ class FrameTensor2:
 
     def trace(self, n: int):
         return self.radial + (n - 1) * self.tangential
+
+    def scaled(self, f):
+        return FrameTensor2(radial=f * self.radial, tangential=f * self.tangential)
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,11 @@ class SphericalStaticData:
         checked: no integrand divides by V.
     r_scale : characteristic radius used when picking default grids on data
         whose domain reaches down to 0.
+    joint : optional r -> the unchecked jets of A, V, Emag and Psi, on one
+        domain, from shared subexpressions and each bit for bit the profile's
+        own, for residual reports. On finite radii only a numpy overflow,
+        invalid operation or division by zero may make a part non-finite.
+        Kept as ``joint_jet``, not a field: a ``replace`` copy has none.
     """
 
     n: int
@@ -81,10 +89,12 @@ class SphericalStaticData:
     Psi: Optional[RadialProfile] = None
     v_zeros: tuple[float, ...] = field(default=())
     r_scale: float = 1.0
+    joint: InitVar[Optional[Callable]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, joint):
         if int(self.n) != self.n or self.n < 3:
             raise DomainError(f"dimension must be an integer >= 3, got {self.n}")
+        object.__setattr__(self, "joint_jet", joint)
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -93,7 +103,9 @@ class SphericalStaticData:
         return (lo, hi)
 
     def require_interior(self, r):
-        r = require_open(r, self.domain, "data domain")
+        return self.require_off_v_zeros(require_open(r, self.domain, "data domain"))
+
+    def require_off_v_zeros(self, r):
         for z in self.v_zeros:
             if (np.abs(r - z) < V_ZERO_MARGIN).any():
                 raise DomainError(f"radius within {V_ZERO_MARGIN} of the V-zero at r = {z}")
@@ -114,26 +126,19 @@ def _require_positive(a):
     return a
 
 
-def warped_sectional(n, A, Ap, C, Cp, Cpp):
-    """Radial and tangential sectional curvatures of A(r)dr^2 + C(r)^2 g_S.
-
-    Returns (K_rad, K_tan): the curvature of planes containing e_0, and of
-    planes tangent to the sphere factor. Building blocks for Ricci and R of
-    any metric in this warped form, including perturbed ones.
-    """
+def warped_scalar(n, A, Ap, C, Cp, Cpp):
+    """Scalar curvature of A(r)dr^2 + C(r)^2 g_S, from the sectional curvatures
+    K_rad of planes containing e_0 and K_tan of planes tangent to the sphere
+    factor; for any metric in this warped form, including perturbed ones."""
     K_rad = -Cpp / (A * C) + Cp * Ap / (2.0 * A * A * C)
     K_tan = (1.0 - Cp * Cp / A) / (C * C)
-    return K_rad, K_tan
-
-
-def warped_scalar(n, A, Ap, C, Cp, Cpp):
-    K_rad, K_tan = warped_sectional(n, A, Ap, C, Cp, Cpp)
     return 2.0 * (n - 1) * K_rad + (n - 1) * (n - 2) * K_tan
 
 
 # Kernels on values already evaluated at r: a = A, ap = A', fp = f', fpp = f''.
 def ricci_kernel(n, a, ap, r) -> FrameTensor2:
-    K_rad, K_tan = warped_sectional(n, a, ap, r, 1.0, 0.0)
+    # warped_scalar's K_rad and K_tan at C = r, C' = 1, C'' = 0, bit for bit.
+    K_rad, K_tan = ap / (2.0 * a * a * r), (1.0 - 1.0 / a) / (r * r)
     ric = FrameTensor2(radial=(n - 1) * K_rad, tangential=K_rad + (n - 2) * K_tan)
     if not (np.isfinite(ric.radial).all() and np.isfinite(ric.tangential).all()):
         raise NumericsError("non-finite Ricci components")
@@ -150,11 +155,11 @@ def laplacian_kernel(n, a, ap, fp, fpp, r):
     return fpp / a - fp * ap / (2.0 * a * a) + (n - 1) * fp / (r * a)
 
 
-def master_kernel(v, e2, hess: FrameTensor2, lap, ric: FrameTensor2) -> FrameTensor2:
-    """T = Hess V - (Lap V) g - V Ric - 2 V (E-flat x E-flat - |E|^2 g): AE1
-    says T = 0, and <T, h> is the annulus functional's first variation."""
-    return FrameTensor2(radial=hess.radial - lap - v * ric.radial,
-                        tangential=hess.tangential - lap - v * ric.tangential + 2.0 * v * e2)
+def master_kernel(v, e2, hess: FrameTensor2, lap, vric: FrameTensor2) -> FrameTensor2:
+    """T = Hess V - (Lap V) g - V Ric - 2 V (E-flat x E-flat - |E|^2 g), vric = V Ric:
+    AE1 says T = 0, and <T, h> is the annulus functional's first variation."""
+    return FrameTensor2(radial=hess.radial - lap - vric.radial,
+                        tangential=hess.tangential - lap - vric.tangential + 2.0 * v * e2)
 
 
 def scalar_curvature_d1_kernel(n, a, ap, app, r):

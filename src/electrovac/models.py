@@ -76,10 +76,12 @@ def rn_r0(p: RNParameters) -> float:
 
 
 def rn_data(p: RNParameters) -> SphericalStaticData:
-    """Closed-form data for the charged family on (r0, oo)."""
+    """Closed-form data for the charged family on (r0, oo), with a joint jet."""
     n, m, q = p.n, p.m, p.q
     k = n - 2
     cn = coupling_constant(n)
+    ce = k * abs(q) / cn
+    cp = q / cn
 
     def powers(r):
         """(x, x^k) with x = 1/r, by multiplication: no float power to overflow."""
@@ -89,75 +91,57 @@ def rn_data(p: RNParameters) -> SphericalStaticData:
             xk = xk * x
         return x, xk
 
-    def W_terms(r):
-        """(x, u1, u2) with u1 = m x^k and u2 = (q x^k)^2, so W = 1 - 2 u1 + u2."""
-        x, xk = powers(r)
+    # Each closed form below is written once, on (x, x^k) or on the W jet;
+    # the per-profile jets and the joint jet call the same helpers.
+    def W_terms(x, xk):
+        """(u1, u2, W) with u1 = m x^k and u2 = (q x^k)^2, so W = 1 - 2 u1 + u2."""
         qx = q * xk
-        return x, m * xk, qx * qx
+        u1, u2 = m * xk, qx * qx
+        return u1, u2, 1.0 - 2.0 * u1 + u2
 
-    def W(r):
-        _, u1, u2 = W_terms(r)
-        return 1.0 - 2.0 * u1 + u2
+    def W_jet(x, xk):
+        u1, u2, w = W_terms(x, xk)
+        return w, 2.0 * k * x * (u1 - u2), 2.0 * k * x * (x * ((2 * k + 1) * u2 - (k + 1) * u1))
 
-    def W_jet(r):
-        x, u1, u2 = W_terms(r)
-        return (1.0 - 2.0 * u1 + u2,
-                2.0 * k * x * (u1 - u2),
-                2.0 * k * x * (x * ((2 * k + 1) * u2 - (k + 1) * u1)))
-
-    # Values alone need only W; the jets take one W jet each.
-    def V(r):
-        return np.sqrt(W(r))
-
-    def V_jet(r):
-        w, wp, wpp = W_jet(r)
-        sw = np.sqrt(w)
-        return sw, wp / (2.0 * sw), wpp / (2.0 * sw) - wp * wp / (4.0 * (w * sw))
-
-    def A(r):
-        return 1.0 / W(r)
-
-    def A_jet(r):
-        w, wp, wpp = W_jet(r)
+    def A_parts(w, wp, wpp):
         ww = w * w
         return 1.0 / w, -wp / ww, -wpp / ww + 2.0 * wp * wp / (ww * w)
 
-    ce = k * abs(q) / cn
-    cp = q / cn
+    def V_parts(w, wp, wpp):
+        sw = np.sqrt(w)
+        return sw, wp / (2.0 * sw), wpp / (2.0 * sw) - wp * wp / (4.0 * (w * sw))
 
     # |E| = ce x^(k+1) and Psi = cp x^k; each derivative is one more factor of x.
-    def Emag(r):
-        x, xk = powers(r)
-        return ce * xk * x
-
-    def Emag_jet(r):
-        x, xk = powers(r)
+    def Emag_parts(x, xk):
         e = ce * xk * x
         ex = e * x
         return e, -(n - 1) * ex, n * (n - 1) * ex * x
 
-    def Psi(r):
-        return cp * powers(r)[1]
-
-    def Psi_jet(r):
-        x, xk = powers(r)
+    def Psi_parts(x, xk):
         psi = cp * xk
         px = psi * x
         return psi, -k * px, k * (k + 1) * px * x
 
-    r0 = rn_r0(p)
-    dom = (r0, np.inf)
+    def joint(r):
+        xs = powers(r)
+        w = W_jet(*xs)
+        return A_parts(*w), V_parts(*w), Emag_parts(*xs), Psi_parts(*xs)
+
+    dom = (rn_r0(p), np.inf)
+
+    def profile(value, parts):
+        return RadialProfile(lambda r: value(*powers(r)), jet=lambda r: parts(*powers(r)),
+                             domain=dom)
+
+    # The values of A and V need only W; those of |E| and Psi are their jets' first parts.
+    A = profile(lambda *xs: 1.0 / W_terms(*xs)[2], lambda *xs: A_parts(*W_jet(*xs)))
+    V = profile(lambda *xs: np.sqrt(W_terms(*xs)[2]), lambda *xs: V_parts(*W_jet(*xs)))
+    Emag = profile(lambda *xs: Emag_parts(*xs)[0], Emag_parts)
+    Psi = profile(lambda *xs: Psi_parts(*xs)[0], Psi_parts)
     h = rn_horizon(p)
-    return SphericalStaticData(
-        n=n,
-        lam=0.0,
-        A=RadialProfile(A, domain=dom, jet=A_jet),
-        V=RadialProfile(V, domain=dom, jet=V_jet),
-        Emag=RadialProfile(Emag, domain=dom, jet=Emag_jet),
-        Psi=RadialProfile(Psi, domain=dom, jet=Psi_jet),
-        v_zeros=(h,) if h is not None else (),
-        r_scale=max(m, abs(q)) ** (1.0 / k),
-    )
+    return SphericalStaticData(n=n, lam=0.0, A=A, V=V, Emag=Emag, Psi=Psi,
+                               v_zeros=(h,) if h is not None else (),
+                               r_scale=max(m, abs(q)) ** (1.0 / k), joint=joint)
 
 
 def flat_data(n: int = 3) -> SphericalStaticData:
@@ -187,14 +171,21 @@ def perturbed_potential_data(base: SphericalStaticData, amplitude: float,
         t = (r - center) / width
         return t, amplitude * np.exp(-t * t)
 
-    def jet(r):
-        f, f1, f2 = V.jet(r)
+    def bumped(r, f, f1, f2):
+        """The jet (f, f1, f2) of V at r plus the bump's."""
         t, g = gaussian(r)
         return f + g, f1 + g * (-2.0 * t / width), f2 + g * (4.0 * t * t - 2.0) / (width * width)
 
-    newV = RadialProfile(lambda r: V.value(r) + gaussian(r)[1], jet=jet, domain=V.domain,
-                         mode=V.mode)
-    return replace(base, V=newV)
+    newV = RadialProfile(lambda r: V.value(r) + gaussian(r)[1], jet=lambda r: bumped(r, *V.jet(r)),
+                         domain=V.domain, mode=V.mode)
+
+    def joint(r):
+        a, v, e, psi = base.joint_jet(r)
+        return a, bumped(r, *v), e, psi
+
+    # A non-finite bump constant would make V non-finite with no floating-point error.
+    keep = base.joint_jet and all(map(math.isfinite, (amplitude, center, width)))
+    return replace(base, V=newV, joint=joint if keep else None)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,11 @@ def _finite(out, what: str):
     return out[()]
 
 
+def finite_jet(parts):
+    """The three parts (f, f', f'') of a jet, each checked finite, in order."""
+    return tuple(_finite(out, what) for out, what in zip(parts, _JET_PARTS))
+
+
 class RadialProfile:
     """A scalar function of r on an open interval with two derivatives.
 
@@ -107,11 +112,10 @@ class RadialProfile:
     def jet(self, r):
         """(f, f', f'') at r; f equals value(r) bit for bit."""
         r = self.require_inside(r)
-        parts = self._difference_jet(r) if self._jet is None else self._jet(r)
-        return tuple(_finite(out, what) for out, what in zip(parts, _JET_PARTS))
+        return finite_jet(self._difference_jet(r) if self._jet is None else self._jet(r))
 
     def _difference_jet(self, r):
-        f = self._value(r)
+        f = _finite(self._value(r), "value")
         # A cube-root-of-eps step, floored so tiny radii do not starve the
         # stencil, and shrunk near the domain edges so r +/- h stays inside.
         lo, hi = self.domain
@@ -120,7 +124,8 @@ class RadialProfile:
         h = np.where(gap < h, gap, h)
         if (h <= 0).any():
             raise DomainError("radius too close to the domain edge for a difference stencil")
-        up, down = self._value(r + h), self._value(r - h)
+        # Checked before the differences, which would turn inf - inf into a warning.
+        up, down = (_finite(self._value(r + s), "first derivative") for s in (h, -h))
         return f, (up - down) / (2.0 * h), (up - 2.0 * f + down) / (h * h)
 
 

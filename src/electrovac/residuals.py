@@ -31,7 +31,8 @@ any lam; the Psi-form equations are stated for lam = 0.
 A report first evaluates the one Robin defect behind the boundary tags (TE2,
 E4, PEM4) when it has a boundary radius, so a bad boundary radius fails before
 any grid work. It then walks the grid in consecutive blocks of _BLOCK radii,
-with one set of pointwise fields per block. Each residual family maps a block
+each built alone, with one set of pointwise fields per block from the data's
+joint jet if it has one, else from each profile's jet. Each residual family maps a block
 to its radii and one row of residuals per tag, and one reducer keeps, per
 tag, the maximum |residual|, the radius where it occurs and the skipped
 points; a later block replaces the maximum only when strictly larger, so the
@@ -54,13 +55,14 @@ import numpy as np
 from .errors import DegeneracyError, DomainError, ElectrovacError, NumericsError
 from .geometry import (
     SphericalStaticData,
+    _require_positive,
     hessian_kernel,
     laplacian_kernel,
     level_set_geometry,
     master_kernel,
     ricci_kernel,
 )
-from .profiles import MODE_CLOSED_FORM
+from .profiles import MODE_CLOSED_FORM, finite_jet
 
 DEGENERATE_V = 1e-9
 TOL_CLOSED_FORM = 1e-9
@@ -69,6 +71,8 @@ TOL_FINITE_DIFFERENCE = 1e-5
 # glibc's default 128 KB mmap threshold, so the heap reuses it while it is
 # still in cache instead of mapping and faulting in fresh pages.
 _BLOCK = 8192
+# At this count a report's whole-grid fallback took 0.34 s and 319 MB peak RSS (2-core x86-64).
+MAX_GRID_COUNT = 10 ** 6
 
 EQUATION_TAGS = {
     "E1": "Hessian equation for the potential",
@@ -125,17 +129,31 @@ class GridSpec:
     def __post_init__(self):
         if not (0 <= self.lo < self.hi and np.isfinite(self.hi)):
             raise DomainError(f"bad grid interval [{self.lo}, {self.hi}]")
-        if self.count < 2:
-            raise DomainError("grid needs at least 2 points")
+        if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
+            raise DomainError(f"grid count must be an integer, got {self.count!r}")
+        if not 2 <= self.count <= MAX_GRID_COUNT:
+            raise DomainError("grid needs at least 2 points" if self.count < 2 else
+                              f"grid count {self.count} above the limit {MAX_GRID_COUNT}")
         if self.spacing not in ("log", "linear"):
             raise DomainError(f"unknown grid spacing {self.spacing!r}")
         if self.spacing == "log" and self.lo <= 0:
             raise DomainError("log spacing needs a positive lower endpoint")
 
-    def radii(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.lo, self.hi, self.count)
-        return np.linspace(self.lo, self.hi, self.count)
+    def radii(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """Radii start to stop (all by default), bit for bit np.geomspace's or np.linspace's."""
+        count, log, lo, hi = self.count, self.spacing == "log", float(self.lo), float(self.hi)
+        stop = count if stop is None else min(stop, count)
+        y0, y1 = (np.log10(lo), np.log10(hi)) if log else (lo, hi)
+        y, step = np.arange(start, stop, dtype=float), (y1 - y0) / (count - 1)
+        # As np.linspace, which divides first when the step underflows to 0.
+        y = (y * step if step else y / (count - 1) * (y1 - y0)) + y0
+        if log:
+            y = np.power(10.0, y)
+            if start == 0:
+                y[0] = lo
+        if stop == count:
+            y[-1] = hi
+        return y
 
     def describe(self) -> str:
         return f"{self.count} {self.spacing}-spaced radii in [{self.lo:.6g}, {self.hi:.6g}]"
@@ -204,35 +222,57 @@ def _tag_from_values(tag, rs, res, tol, note=None) -> TagResult:
                      passed=bool(mx <= tol), note=note)
 
 
+def _joint_jets(joint, rs):
+    """joint(rs), checked as the profiles' jets check theirs. On finite radii only an
+    overflow, invalid operation or division by zero makes a non-finite part, so a
+    pass without one skips the checks, and a pass with one runs again, checked."""
+    if np.isfinite(rs).all():
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return iter(joint(rs))
+        except FloatingPointError:
+            pass
+    return map(finite_jet, joint(rs))
+
+
 class _Fields:
     """Pointwise quantities at one run of radii, shared by every family's
-    tags: one domain check, one jet per profile. Jet parts no tag reads are
-    dropped at once, so no extra array stays alive."""
+    tags: one domain check, and one jet per profile or one joint jet. No jet
+    part that no tag reads is kept once the block's last jet is drawn."""
 
     def __init__(self, data: SphericalStaticData, rs: np.ndarray):
         self.n, self.lam = data.n, data.lam
         self.rs = rs
-        self.a, self.ap = data.a_jet(rs)[:2]
+        # The jets of A, V, Emag and Psi, each checked (and computed) when drawn.
+        if data.joint_jet is None:
+            jets = (prof.jet(rs) for prof in (data.A, data.V, data.Emag, data.Psi))
+        else:
+            jets = _joint_jets(data.joint_jet, data.A.require_inside(rs))
+        self.a, self.ap, _ = next(jets)
+        _require_positive(self.a)
         self.sa = np.sqrt(self.a)
-        self.v, self.vp, vpp = data.V.jet(rs)
-        self.e, self.ep = data.Emag.jet(rs)[:2]
-        # After the profiles' own checks, so their errors come first.
-        data.require_interior(rs)
+        self.v, self.vp, vpp = next(jets)
+        self.e, self.ep, _ = next(jets)
+        # After the jets' checks, so their errors come first; those kept rs in the domain.
+        data.require_off_v_zeros(rs)
         self.ric = ricci_kernel(self.n, self.a, self.ap, rs)
+        self.vric = self.ric.scaled(self.v)
         self.hess = hessian_kernel(self.a, self.ap, self.vp, vpp, rs)
         self.lap = laplacian_kernel(self.n, self.a, self.ap, self.vp, vpp, rs)
         self.R = self.ric.trace(self.n)
         if data.Psi is not None:
-            self.psip, self.psipp = data.Psi.jet(rs)[1:]
+            self.psip, self.psipp = next(jets)[1:]
             self.dpsi2 = self.psip * self.psip / self.a
         self.e2 = self.e * self.e
+        self.two_e2 = 2.0 * self.e2
+        self.two_e2_n = self.two_e2 / (self.n - 1)
 
 
 # A family maps one _Fields block to (radii, {tag: residual at those radii}).
 def _system_rows(f: _Fields):
     n, lam, rs = f.n, f.lam, f.rs
-    rhs_rad = f.ric.radial - 2.0 * lam / (n - 1) + 2.0 * f.e2 - 2.0 * f.e2 / (n - 1)
-    rhs_tan = f.ric.tangential - 2.0 * lam / (n - 1) - 2.0 * f.e2 / (n - 1)
+    rhs_rad = f.ric.radial - 2.0 * lam / (n - 1) + f.two_e2 - f.two_e2_n
+    rhs_tan = f.ric.tangential - 2.0 * lam / (n - 1) - f.two_e2_n
     e1 = np.maximum(np.abs(f.hess.radial - f.v * rhs_rad),
                     np.abs(f.hess.tangential - f.v * rhs_tan))
     e2_res = f.lap - f.v * (2.0 * (n - 2) / (n - 1) * f.e2 - 2.0 * lam / (n - 1))
@@ -241,14 +281,14 @@ def _system_rows(f: _Fields):
 
 
 def _master_rows(f: _Fields):
-    T = master_kernel(f.v, f.e2, f.hess, f.lap, f.ric)
+    T = master_kernel(f.v, f.e2, f.hess, f.lap, f.vric)
     return f.rs, {"AE1": np.maximum(np.abs(T.radial), np.abs(T.tangential))}
 
 
 def _traced_rows(f: _Fields):
     n, lam = f.n, f.lam
-    te1 = f.lap - f.v * (f.R - 2.0 * n * lam / (n - 1) - 2.0 * f.e2 / (n - 1))
-    trace_ae = f.lap - (-f.R / (n - 1) + 2.0 * f.e2) * f.v
+    te1 = f.lap - f.v * (f.R - 2.0 * n * lam / (n - 1) - f.two_e2_n)
+    trace_ae = f.lap - (-f.R / (n - 1) + f.two_e2) * f.v
     return f.rs, {"TE1": te1, "TRACE_AE": trace_ae}
 
 
@@ -263,8 +303,8 @@ def _pem_rows(f: _Fields):
     rs_ok, v, dpsi2 = f.rs[ok], f.v[ok], f.dpsi2[ok]
 
     t = dpsi2 / v
-    pem1_rad = f.hess.radial[ok] - (v * f.ric.radial[ok] + 2.0 * (n - 2) / (n - 1) * t)
-    pem1_tan = f.hess.tangential[ok] - (v * f.ric.tangential[ok] - 2.0 / (n - 1) * t)
+    pem1_rad = f.hess.radial[ok] - (f.vric.radial[ok] + 2.0 * (n - 2) / (n - 1) * t)
+    pem1_tan = f.hess.tangential[ok] - (f.vric.tangential[ok] - 2.0 / (n - 1) * t)
     pem1 = np.maximum(np.abs(pem1_rad), np.abs(pem1_tan))
     pem2 = f.lap[ok] - 2.0 * (n - 2) / (n - 1) * t
 
@@ -295,14 +335,14 @@ _STRUCTURAL = {tag: TagResult(tag=tag, max_residual=0.0, worst_radius=None, pass
 _BOUNDARY = {"TE2": None, "E4": "tangential component; round slices are umbilic", "PEM4": None}
 
 
-def _worst_rows(families, data, rs, block) -> dict[str, list]:
+def _worst_rows(families, data, grid, block) -> dict[str, list]:
     """Per grid tag, [max |residual|, its radius, skipped radii] over
-    consecutive blocks of rs, one _Fields each. A later block replaces the
-    max only when strictly larger, so ties keep the first radius, as one
-    argmax over the whole grid would."""
+    consecutive blocks of the grid's radii, one _Fields each. A later block
+    replaces the max only when strictly larger, so ties keep the first
+    radius, as one argmax over the whole grid would."""
     worst: dict[str, list] = {}
-    for lo in range(0, rs.size, block):
-        f = _Fields(data, rs[lo:lo + block])
+    for start in range(0, grid.count, block):
+        f = _Fields(data, grid.radii(start, start + block))
         for family in families:
             radii, rows = family(f)
             skipped = f.rs.size - radii.size
@@ -324,16 +364,15 @@ def _report(families, data, grid, tol, r_boundary=None) -> ResidualReport:
         defect = _robin_defect(data, r_boundary)
         extra.update({tag: _tag_from_values(tag, [r_boundary], [defect], tol, note)
                       for tag, note in _BOUNDARY.items() if tag in after})
-    rs = grid.radii()
     try:
-        worst = _worst_rows(families, data, rs, _BLOCK)
+        worst = _worst_rows(families, data, grid, _BLOCK)
     except ElectrovacError:
-        if rs.size <= _BLOCK:
+        if grid.count <= _BLOCK:
             raise
         # The whole grid as one block raises the error a single pass meets
         # first; or, when some blocks had no point with |V| >= DEGENERATE_V,
         # it checks the grid as a whole.
-        worst = _worst_rows(families, data, rs, rs.size)
+        worst = _worst_rows(families, data, grid, grid.count)
     entries = {tag: TagResult(
         tag=tag, max_residual=mx, worst_radius=r, passed=bool(mx <= tol), skipped=skipped,
         note=f"{skipped} grid points with |V| < {DEGENERATE_V:g} skipped" if skipped else None)

@@ -465,7 +465,7 @@ def _el_integrand(data: SphericalStaticData, pert: Perturbation, r):
     hess = hessian_kernel(a, ap, vp, vpp, r)
     lap = laplacian_kernel(n, a, ap, vp, vpp, r)
     ric = ricci_kernel(n, a, ap, r)
-    T = master_kernel(v, data.Emag(r) ** 2, hess, lap, ric)
+    T = master_kernel(v, data.Emag(r) ** 2, hess, lap, ric.scaled(v))
     b = pert.bump(r)
     density = T.radial * (pert.radial_on * b) + (n - 1) * T.tangential * (pert.tangential_on * b)
     return density * np.sqrt(a) * r ** (n - 1)

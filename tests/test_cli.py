@@ -173,6 +173,20 @@ def test_explicit_grid_when_the_default_grid_is_empty(tmp_path):
     assert "[300, 100000]" in json.loads(res.stdout)["results"]["grid"]
 
 
+@pytest.mark.parametrize("count, message", [
+    ("10000000000", "grid count 10000000000 above the limit 1000000"),
+    ("1000001", "grid count 1000001 above the limit 1000000"),
+    ("1", "grid needs at least 2 points"),
+])
+def test_grid_count_out_of_range_is_a_domain_error(count, message, capsys):
+    # 1e10 radii ended in a numpy memory-error traceback.
+    from electrovac.cli import main
+
+    code = main(["verify", "--n", "3", "--m", "1", "--q", "0.5", "--grid-count", count])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and message in err and "Traceback" not in err
+
+
 FLOAT_OPTIONS = [
     ("classify", ["--m", "--q", "--tol"]),
     ("verify", ["--m", "--q", "--tol", "--grid-lo", "--grid-hi", "--lam", "--boundary"]),

@@ -145,6 +145,55 @@ def test_perturbed_potential_keeps_every_other_field():
     assert default_grid(bumped).lo == 0.75
 
 
+def joint_jet_cases():
+    """(kind, parameters, data, radii): plain and bumped rn_data, n from 3 to 7 in every
+    regime, m from 1e-3 to 1e3; 500 log-spaced radii from just above the
+    domain's lower end over four decades, and single radii."""
+    rng = np.random.default_rng(47)
+    for i in range(30):
+        n = 3 + i % 5
+        m = float(10.0 ** rng.uniform(-3.0, 3.0))
+        sign = float(rng.choice([-1.0, 1.0]))
+        q = m * sign * (float(rng.uniform(0.0, 0.95)), 1.0, float(rng.uniform(1.05, 2.0)))[i % 3]
+        p = RNParameters(n, m, q)
+        base = rn_data(p)
+        lo = 1.01 * base.domain[0] if base.domain[0] > 0 else 0.01 * base.r_scale
+        rs = np.geomspace(lo, 1e4 * lo, 500)
+        bumped = perturbed_potential_data(base, 1e-3, 10.0 * lo, lo)
+        for kind, data in (("plain", base), ("bumped", bumped)):
+            for r in (rs, rs[7], float(rs[-1])):
+                yield kind, p, data, r
+
+
+def test_joint_jet_equals_the_profile_jets_bit_for_bit():
+    seen = set()
+    for kind, p, data, r in joint_jet_cases():
+        seen.add((kind, p.regime))
+        joint = data.joint_jet(r)
+        assert len(joint) == 4
+        for name, parts in zip(("A", "V", "Emag", "Psi"), joint):
+            want = getattr(data, name).jet(r)
+            assert len(parts) == 3
+            for k, (got, w) in enumerate(zip(parts, want)):
+                got = np.asarray(got, dtype=float)
+                assert got.shape == np.shape(w) and got.tobytes() == np.asarray(w).tobytes(), (
+                    kind, p, name, k)
+    assert len(seen) == 6
+
+
+def test_a_copy_that_swaps_a_profile_has_no_joint_jet():
+    data = rn_data(RNParameters(4, 1.5, 0.7))
+    assert data.joint_jet is not None
+    assert perturbed_potential_data(data, 1e-3, 5.0, 0.5).joint_jet is not None
+    for name in ("A", "V", "Emag", "Psi"):
+        copy = dataclasses.replace(data, **{name: RadialProfile(getattr(data, name).value)})
+        assert copy.joint_jet is None, name
+        assert perturbed_potential_data(copy, 1e-3, 5.0, 0.5).joint_jet is None, name
+    # Data built without one has none, and neither does a bump of it.
+    assert flat_data().joint_jet is None
+    assert perturbed_potential_data(flat_data(), 1e-3, 5.0, 0.5).joint_jet is None
+
+
 # ----------------------------------------------------------------------------
 # isotropic chart
 

@@ -252,6 +252,9 @@ def test_jet_raises_what_the_separate_calls_raise():
     rs = np.linspace(2.0, 4.0, 9)
     profiles = [spiky(p) for p in ("value", "d1", "d2")]
     profiles.append(RadialProfile(lambda r: r * r, domain=(1.0, 5.0)))
+    # A difference jet whose values are infinite on r > 3: it raises on the
+    # values, before inf - inf in the differences could warn.
+    profiles.append(RadialProfile(lambda r: np.where(r > 3.0, np.inf, r * r), domain=(1.0, 5.0)))
     profiles += [data.A, data.V, constant_profile(1.0, domain=(1.0, 5.0)),
                  tabulated_profile(np.linspace(1.0, 5.0, 12), np.linspace(1.0, 5.0, 12) ** 2)]
     seen = set()

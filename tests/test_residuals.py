@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -201,6 +202,36 @@ def test_grid_spec_validation_and_spacing():
     assert np.allclose(log, [1.0, 2.0, 4.0])
 
 
+def test_grid_count_is_an_integer_from_two_to_the_limit():
+    # 2.5 used to reach numpy as a bare TypeError, and 1e10 radii a memory error.
+    for count in (2.5, 2.0, True, "10", None, 1, 0, -3, residuals.MAX_GRID_COUNT + 1, 10 ** 10):
+        with pytest.raises(DomainError):
+            GridSpec(3.0, 10.0, count=count)
+    for count in (2, np.int64(7), residuals.MAX_GRID_COUNT):
+        assert GridSpec(3.0, 10.0, count=count).count == count
+    assert residuals.MAX_GRID_COUNT == 10 ** 6
+
+
+def test_block_radii_equal_slices_of_the_numpy_grids():
+    # Endpoints from 1e-300 to 1e300, counts up to 2e5, both spacings: every
+    # block a report builds, and the whole grid, bit for bit as numpy builds it.
+    rng = np.random.default_rng(53)
+    for i in range(300):
+        spacing = ("log", "linear")[i % 2]
+        e_lo = rng.uniform(-300.0, 299.0)
+        lo = 0.0 if spacing == "linear" and i % 10 == 1 else 10.0 ** e_lo
+        hi = 10.0 ** min(rng.uniform(e_lo + 1e-9, e_lo + 40.0), 300.0)
+        count = int(10.0 ** rng.uniform(np.log10(2.0), np.log10(2e5)))
+        grid = GridSpec(lo, hi, count=count, spacing=spacing)
+        want = (np.geomspace if spacing == "log" else np.linspace)(lo, hi, count)
+        assert grid.radii().tobytes() == want.tobytes(), (lo, hi, count, spacing)
+        for block in (residuals._BLOCK, int(rng.integers(1, count + 1))):
+            for start in range(0, count, block)[:40]:
+                got = grid.radii(start, start + block)
+                assert got.tobytes() == want[start:start + block].tobytes(), (
+                    lo, hi, count, spacing, block, start)
+
+
 def test_default_grid_endpoints():
     sub = rn_data(RNParameters(3, 1.0, 0.5))
     g = default_grid(sub)
@@ -292,6 +323,70 @@ def test_verify_all_evaluates_each_profile_once_on_the_grid():
         assert counts == {name: {"jet": blocks} for name in PROFILES}
         for name in PROFILES:
             assert np.array_equal(np.concatenate(getattr(data, name).jet_radii), grid.radii())
+
+
+def test_verify_all_evaluates_the_joint_jet_once_per_block():
+    # rn_data's joint jet, and a bumped copy's, stand in for every profile's
+    # jet: one call per block on the grid's radii, no array call to a profile.
+    p = RNParameters(3, 1.0, 0.5)
+    r_boundary = photon_sphere_radii(p).roots[0].r
+    base = rn_data(p)
+    bumped = perturbed_potential_data(base, 1e-3, 5.0, 0.5)
+    for data in (base, bumped):
+        for count in (1000, 2 * residuals._BLOCK + 3):
+            calls = []
+
+            def joint(r, inner=data.joint_jet):
+                calls.append(np.array(r))
+                return inner(r)
+
+            counted, counts = counting_data(data)
+            counted = dataclasses.replace(counted, joint=joint)
+            grid = default_grid(counted, count=count)
+            rep = verify_all(counted, grid, r_boundary=r_boundary)
+            assert rep.passed == (data is base) and "PEM4" in rep.entries
+            assert len(calls) == -(-count // residuals._BLOCK)
+            assert np.array_equal(np.concatenate(calls), grid.radii())
+            assert counts == {name: {} for name in PROFILES}
+
+
+def test_joint_and_profile_jets_give_the_same_reports():
+    # The same reports, bit for bit, and the same errors, from the joint jet
+    # and from a copy without one. At both tiny scales the first non-finite
+    # jet part on the default grid is A'', which no tag reads: both paths
+    # check it, and raise.
+    cases = []
+    for p in seeded_parameter_sets(3, seed=59) + [RNParameters(6, 1e3, 2e3)]:
+        base = rn_data(p)
+        grid = default_grid(base, count=3000) if p.m < 100 else GridSpec(
+            0.6 * base.r_scale, 60.0 * base.r_scale, count=3000)
+        roots = photon_sphere_radii(p).roots
+        r_b = roots[-1].r if roots else 2.0 * base.r_scale
+        cases.append((base, grid, r_b))
+        cases.append((perturbed_potential_data(base, 1e-3, 3.0 * grid.lo, grid.lo), grid, r_b))
+    for p in (RNParameters(3, 1e-300, 1e-301), RNParameters(3, 1e-301, 1e-300)):
+        data = rn_data(p)
+        cases.append((data, default_grid(data, count=3000), None))
+    # W^2 overflows in A's jet on these radii, though every jet part is finite:
+    # the joint jet's pass raises, and its checked rerun gives the report.
+    cases.append((rn_data(RNParameters(3, 1.0, 6e78)), GridSpec(21.0, 22.5, count=300), None))
+    # A NaN bump makes V NaN with no floating-point error to flag it: no joint jet.
+    nan_bump = perturbed_potential_data(rn_data(RNParameters(3, 1.0, 0.5)), np.nan, 5.0, 0.5)
+    assert nan_bump.joint_jet is None
+    cases.append((nan_bump, GridSpec(2.0, 20.0, count=500), None))
+    data = rn_data(RNParameters(3, 1.0, 0.5))
+    cases.append((data, GridSpec(1.0, 20.0, count=500), None))
+    seen = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for data, grid, r_b in cases:
+            copy = dataclasses.replace(data)
+            assert copy.joint_jet is None
+            got = every_report(data, grid, r_b)
+            assert got == every_report(copy, grid, r_b)
+            seen.update(out[1] for out in got if isinstance(out, tuple))
+    assert seen == {"profile second derivative is non-finite inside the domain",
+                    "profile value is non-finite inside the domain",
+                    "radius 1.0 outside open domain (1.8660254037844386, inf)"}
 
 
 def test_bad_boundary_radius_fails_before_any_grid_work():
