@@ -1,4 +1,4 @@
-"""float.hex sweep of the residual and variational entry points.
+"""float.hex sweep of the residual, variational, geometry and photon entry points.
 
 Prints one JSON line per (parameter set, call): the call's result with every
 float written as float.hex, so equal output means equal bits, or the type and
@@ -10,8 +10,9 @@ message of the ElectrovacError it raised. Run it in two checkouts and diff:
 
 The sets are seeded: closed-form data plain and with a bump in V, the same
 data as cubic tables and as value-only profiles (difference jets), n from 3
-to 7 in every regime, and a few sets that end in errors. pytest does not
-collect this file. Floating-point warnings are silenced: only results and
+to 7 in every regime, and a few sets that end in errors. The pointwise
+readers run on 64 radii of each grid, on one scalar radius, and at each
+closed-form photon-sphere radius. pytest does not collect this file. Floating-point warnings are silenced: only results and
 errors are compared.
 """
 
@@ -29,21 +30,32 @@ from electrovac import (
     RadialProfile,
     RNParameters,
     SphericalStaticData,
+    boundary_residual,
+    contracted_gauss_residual,
     criticality_test,
     default_grid,
     equivalence_property,
     euler_lagrange_integral,
     evaluate_functional,
+    grad_norm,
+    hessian_radial,
+    horizon_gradient_limit,
+    laplacian_radial,
+    level_set_geometry,
     perturbation_norm,
     perturbed_potential_data,
     photon_sphere_radii,
     pohozaev_residual,
+    quasilocal_check,
     residual_identities,
     residual_master,
     residual_pem,
     residual_system,
     residual_traced,
+    ricci_radial,
     rn_data,
+    scalar_curvature_d1,
+    scan_photon_spheres,
     tabulated_profile,
     verify_all,
 )
@@ -51,6 +63,7 @@ from electrovac import (
 PROFILES = ("A", "V", "Emag", "Psi")
 COUNTS = (300, 2000, 20_000)
 MODES = ("radial", "tangential", "both")
+GEOMETRY_FIELDS = ("r", "H", "B_tan", "R_S", "nuV", "ric_nn")
 
 
 def hex_floats(doc):
@@ -70,6 +83,10 @@ def plain(out):
         return out.to_dict()
     if dataclasses.is_dataclass(out):
         return {f.name: plain(getattr(out, f.name)) for f in dataclasses.fields(out)}
+    if isinstance(out, dict):
+        return {k: plain(v) for k, v in out.items()}
+    if isinstance(out, np.ndarray):
+        return plain(out.tolist())
     if isinstance(out, (list, tuple)):
         return [plain(v) for v in out]
     if isinstance(out, (bool, np.bool_)):
@@ -101,8 +118,9 @@ def parameters(rng, i):
 
 
 def drawn_sets(count, seed):
-    """(label, data, grid, r_boundary, annulus, perturbation) per set; the
-    kind cycles through plain, bumped, table and value-only data."""
+    """(label, data, grid, r_boundary, annulus, perturbation, photon-sphere
+    radii) per set; the kind cycles through plain, bumped, table and
+    value-only data."""
     rng = np.random.default_rng(seed)
     for i in range(count):
         p = parameters(rng, i)
@@ -110,8 +128,8 @@ def drawn_sets(count, seed):
         # default_grid's lower end, up two decades: its upper end, 100, can lie below that.
         lo = default_grid(base, count=2).lo if base.domain[0] > 0 else 0.5 * base.r_scale
         grid = GridSpec(lo, 100.0 * lo, count=COUNTS[i % len(COUNTS)])
-        roots = photon_sphere_radii(p).roots
-        r_b = roots[-1].r if roots else 2.0 * base.r_scale
+        roots = [root.r for root in photon_sphere_radii(p).roots]
+        r_b = roots[-1] if roots else 2.0 * base.r_scale
         kind = ("plain", "bumped", "table", "value-only")[i % 4]
         if kind == "bumped":
             c = grid.lo * (grid.hi / grid.lo) ** float(rng.uniform(0.25, 0.75))
@@ -132,7 +150,7 @@ def drawn_sets(count, seed):
         r1 = grid.lo * 1.5
         annulus = (r1, 2.0 * r1)
         pert = Perturbation(center=1.5 * r1, halfwidth=0.25 * r1, mode=MODES[i % 3])
-        yield f"{i} {kind} {p}", data, grid, r_b, annulus, pert
+        yield f"{i} {kind} {p}", data, grid, r_b, annulus, pert, roots
 
 
 def edge_sets():
@@ -142,13 +160,48 @@ def edge_sets():
               RNParameters(3, 1e-150, 1e-100)):
         data = rn_data(p)
         grid = default_grid(data, count=2000)
-        yield f"scale {p}", data, grid, 2.0 * grid.lo, (1.5 * grid.lo, 3.0 * grid.lo), None
-    data = rn_data(RNParameters(3, 1.0, 0.5))
-    yield "grid below the horizon", data, GridSpec(1.0, 20.0, count=500), None, (1.0, 3.0), None
-    yield "boundary outside the domain", data, default_grid(data, 500), 0.5, (2.0, 3.0), None
+        roots = [root.r for root in photon_sphere_radii(p).roots]
+        yield (f"scale {p}", data, grid, 2.0 * grid.lo, (1.5 * grid.lo, 3.0 * grid.lo), None,
+               roots)
+    p = RNParameters(3, 1.0, 0.5)
+    data, roots = rn_data(p), [root.r for root in photon_sphere_radii(p).roots]
+    yield ("grid below the horizon", data, GridSpec(1.0, 20.0, count=500), None, (1.0, 3.0),
+           None, roots)
+    yield ("boundary outside the domain", data, default_grid(data, 500), 0.5, (2.0, 3.0), None,
+           [0.5, *roots])
 
 
-def calls(data, grid, r_b, annulus, pert):
+def geometry(geo):
+    return {name: getattr(geo, name) for name in GEOMETRY_FIELDS}
+
+
+def pointwise_calls(data, grid, r_b, roots):
+    """The geometry and photon readers on 64 of the grid's radii, at r_b (or
+    the grid's middle radius) and at each photon-sphere radius."""
+    rs = grid.radii()[:: max(1, grid.count // 64)]
+    r = grid.radii()[grid.count // 2] if r_b is None else r_b
+    out = {
+        "level_set_geometry array": lambda: geometry(level_set_geometry(data, rs)),
+        "level_set_geometry scalar": lambda: geometry(level_set_geometry(data, r)),
+        "boundary_residual array": lambda: boundary_residual(data, rs),
+        "contracted_gauss_residual": lambda: contracted_gauss_residual(data, rs),
+        "ricci_radial": lambda: ricci_radial(data, rs),
+        "scalar_curvature_d1": lambda: scalar_curvature_d1(data, rs),
+        "hessian_radial": lambda: hessian_radial(data, data.V, rs),
+        "laplacian_radial": lambda: laplacian_radial(data, data.V, rs),
+        "grad_norm": lambda: grad_norm(data, data.V, rs),
+        "scan_photon_spheres": lambda: scan_photon_spheres(data),
+        "scan_photon_spheres grid": lambda: scan_photon_spheres(data, grid.lo, grid.hi, 512),
+    }
+    for i, root in enumerate(roots):
+        out[f"boundary_residual root {i}"] = lambda root=root: boundary_residual(data, root)
+        out[f"quasilocal_check root {i}"] = lambda root=root: quasilocal_check(data, root)
+    if data.v_zeros:
+        out["horizon_gradient_limit"] = lambda: horizon_gradient_limit(data, data.v_zeros[0])
+    return out
+
+
+def calls(data, grid, r_b, annulus, pert, roots):
     out = {
         "verify_all": lambda: verify_all(data, grid, r_boundary=r_b),
         "residual_system": lambda: residual_system(data, grid),
@@ -166,7 +219,7 @@ def calls(data, grid, r_b, annulus, pert):
             "euler_lagrange_integral": lambda: euler_lagrange_integral(data, annulus, pert),
         })
     out["pohozaev_residual"] = lambda: pohozaev_residual(data, annulus)
-    return out
+    return out | pointwise_calls(data, grid, r_b, roots)
 
 
 def main(argv=None):
