@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .profiles import RadialProfile, require_open
+from .profiles import RadialProfile, finite_jet, require_open
 
 V_ZERO_MARGIN = 1e-9
 
@@ -44,16 +44,20 @@ class HypersurfaceGeometry:
 
     B_tan is the (repeated) tangential eigenvalue of the second fundamental
     form; round slices are umbilic, so B_tan = H/(n-1) holds exactly by
-    construction. R_S is the intrinsic scalar curvature of the slice and
-    nuV the normal derivative of the potential.
+    construction. R_S is the intrinsic scalar curvature of the slice, V and
+    nuV the potential and its normal derivative, and ric_nn and R the
+    ambient Ricci curvature of the normal and scalar curvature, all from one
+    read of the jets of A and V.
     """
 
     r: np.ndarray | float
     H: np.ndarray | float
     B_tan: np.ndarray | float
     R_S: np.ndarray | float
+    V: np.ndarray | float
     nuV: np.ndarray | float
     ric_nn: np.ndarray | float
+    R: np.ndarray | float
 
 
 @dataclass(frozen=True)
@@ -76,9 +80,10 @@ class SphericalStaticData:
         whose domain reaches down to 0.
     joint : optional r -> the unchecked jets of A, V, Emag and Psi, on one
         domain, from shared subexpressions and each bit for bit the profile's
-        own, for residual reports. On finite radii only a numpy overflow,
-        invalid operation or division by zero may make a part non-finite.
-        Kept as ``joint_jet``, not a field: a ``replace`` copy has none.
+        own, which ``jets`` reads when asked for two or more jets. On finite
+        radii only a numpy overflow, invalid operation or division by zero
+        may make a part non-finite. Kept as ``joint_jet``, not a field: a
+        ``replace`` copy has none.
     """
 
     n: int
@@ -114,16 +119,44 @@ class SphericalStaticData:
     def a_positive(self, r):
         return _require_positive(self.A(r))
 
-    def a_jet(self, r):
-        """(A, A', A'') at r from one jet of A; DomainError unless A > 0."""
-        a, ap, app = self.A.jet(r)
-        return _require_positive(a), ap, app
+    def jets(self, r, count: int) -> list:
+        """The jets (f, f', f'') at r of the first count of A, V, Emag and Psi.
+
+        Each jet is checked as the profile's own ``jet`` checks it, in that
+        order, and A > 0 right after A's jet. One jet, or data without a
+        joint jet, comes from the profiles. Two or more from joint data take
+        one domain check (A's) and one joint pass. A pass that meets no
+        numpy overflow, invalid operation or division by zero on finite
+        radii has only finite parts and skips their checks; one that does
+        runs again with numpy's warnings off, and the jets asked for are
+        checked in order, so the first non-finite part raises NumericsError.
+        """
+        if count > 1 and self.joint_jet is not None:
+            jets = _joint_jets(self.joint_jet, self.A.require_inside(r))
+        else:
+            jets = (prof.jet(r) for prof in (self.A, self.V, self.Emag, self.Psi))
+        a = next(jets)
+        _require_positive(a[0])
+        return [a] + [next(jets) for _ in range(count - 1)]
 
 
 def _require_positive(a):
     if np.less_equal(a, 0).any():
         raise DomainError("metric coefficient A must be positive")
     return a
+
+
+def _joint_jets(joint, r):
+    """joint(r) as an iterator of jets, checked when drawn unless a pass
+    under raised numpy floating-point errors shows them finite."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if np.isfinite(r).all():
+                return iter(joint(r))
+    except FloatingPointError:
+        pass
+    with np.errstate(all="ignore"):
+        return map(finite_jet, joint(r))
 
 
 def warped_scalar(n, A, Ap, C, Cp, Cpp):
@@ -172,7 +205,7 @@ def scalar_curvature_d1_kernel(n, a, ap, app, r):
 def ricci_radial(data: SphericalStaticData, r) -> FrameTensor2:
     """Ricci tensor of g in frame components at radius r."""
     r = data.require_interior(r)
-    a, ap, _ = data.a_jet(r)
+    (a, ap, _), = data.jets(r, 1)
     return ricci_kernel(data.n, a, ap, r)
 
 
@@ -184,13 +217,13 @@ def scalar_curvature(data: SphericalStaticData, r):
 def scalar_curvature_d1(data: SphericalStaticData, r):
     """Radial derivative dR/dr, in closed form from A, A', A''."""
     r = data.require_interior(r)
-    return scalar_curvature_d1_kernel(data.n, *data.a_jet(r), r)
+    return scalar_curvature_d1_kernel(data.n, *data.jets(r, 1)[0], r)
 
 
 def hessian_radial(data: SphericalStaticData, f: RadialProfile, r) -> FrameTensor2:
     """Hessian of a radial function f in frame components."""
     r = data.require_interior(r)
-    a, ap, _ = data.a_jet(r)
+    (a, ap, _), = data.jets(r, 1)
     _, fp, fpp = f.jet(r)
     return hessian_kernel(a, ap, fp, fpp, r)
 
@@ -198,7 +231,7 @@ def hessian_radial(data: SphericalStaticData, f: RadialProfile, r) -> FrameTenso
 def laplacian_radial(data: SphericalStaticData, f: RadialProfile, r):
     """Laplace-Beltrami of a radial function, via the divergence form."""
     r = data.require_interior(r)
-    a, ap, _ = data.a_jet(r)
+    (a, ap, _), = data.jets(r, 1)
     _, fp, fpp = f.jet(r)
     return laplacian_kernel(data.n, a, ap, fp, fpp, r)
 
@@ -214,17 +247,12 @@ def level_set_geometry(data: SphericalStaticData, r) -> HypersurfaceGeometry:
     """Geometry of the coordinate sphere at r, normal toward increasing r."""
     r = data.require_interior(r)
     n = data.n
-    a, ap, _ = data.a_jet(r)
+    (a, ap, _), (v, vp, _) = data.jets(r, 2)
     sa = np.sqrt(a)
     H = (n - 1) / (r * sa)
-    return HypersurfaceGeometry(
-        r=r[()],
-        H=H,
-        B_tan=H / (n - 1),
-        R_S=(n - 1) * (n - 2) / (r * r),
-        nuV=data.V.d1(r) / sa,
-        ric_nn=ricci_kernel(n, a, ap, r).radial,
-    )
+    ric = ricci_kernel(n, a, ap, r)
+    return HypersurfaceGeometry(r=r[()], H=H, B_tan=H / (n - 1), R_S=(n - 1) * (n - 2) / (r * r),
+                                V=v, nuV=vp / sa, ric_nn=ric.radial, R=ric.trace(n))
 
 
 def contracted_gauss_residual(data: SphericalStaticData, r):
@@ -235,8 +263,7 @@ def contracted_gauss_residual(data: SphericalStaticData, r):
     """
     n = data.n
     geo = level_set_geometry(data, r)
-    R = scalar_curvature(data, r)
-    return np.abs(R - 2.0 * geo.ric_nn - geo.R_S + ((n - 2) / (n - 1)) * geo.H * geo.H)
+    return np.abs(geo.R - 2.0 * geo.ric_nn - geo.R_S + ((n - 2) / (n - 1)) * geo.H * geo.H)
 
 
 def richardson_limit(samples, ratio=10.0):

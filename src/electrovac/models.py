@@ -162,8 +162,12 @@ def perturbed_potential_data(base: SphericalStaticData, amplitude: float,
 
     Deliberately breaks the field equations while keeping smooth derivatives
     as accurate as base's, whose mode the new V keeps; used to exercise
-    failure paths.
+    failure paths. ParameterError unless amplitude and center are finite and
+    width is finite and positive.
     """
+    if not (all(map(math.isfinite, (amplitude, center, width))) and width > 0):
+        raise ParameterError("bump amplitude and center must be finite and its width "
+                             f"finite and positive, got {amplitude}, {center}, {width}")
     V = base.V
 
     def gaussian(r):
@@ -183,9 +187,7 @@ def perturbed_potential_data(base: SphericalStaticData, amplitude: float,
         a, v, e, psi = base.joint_jet(r)
         return a, bumped(r, *v), e, psi
 
-    # A non-finite bump constant would make V non-finite with no floating-point error.
-    keep = base.joint_jet and all(map(math.isfinite, (amplitude, center, width)))
-    return replace(base, V=newV, joint=joint if keep else None)
+    return replace(base, V=newV, joint=joint if base.joint_jet else None)
 
 
 # ---------------------------------------------------------------------------

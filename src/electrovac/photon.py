@@ -43,7 +43,7 @@ def boundary_residual(data: SphericalStaticData, r):
     Well defined at small V too: no division by the potential occurs.
     """
     geo = level_set_geometry(data, r)
-    return (data.n - 1) * geo.nuV - data.V(geo.r) * geo.H
+    return (data.n - 1) * geo.nuV - geo.V * geo.H
 
 
 @dataclass(frozen=True)
@@ -247,7 +247,7 @@ def quasilocal_check(data: SphericalStaticData, r: float,
     q1 = abs(rs_intr - n / (n - 1) * h2 - 2.0 * e2)
     ric = abs(float(geo.ric_nn) + h2 / (n - 1))
 
-    v = float(data.V(r))
+    v = float(geo.V)
     degenerate = abs(v) < ADMISSIBLE_V
     q2 = None if degenerate else abs(float(geo.nuV) - geo.H / (n - 1) * v)
 

@@ -31,17 +31,17 @@ any lam; the Psi-form equations are stated for lam = 0.
 A report first evaluates the one Robin defect behind the boundary tags (TE2,
 E4, PEM4) when it has a boundary radius, so a bad boundary radius fails before
 any grid work. It then walks the grid in consecutive blocks of _BLOCK radii,
-each built alone, with one set of pointwise fields per block from the data's
-joint jet if it has one, else from each profile's jet. Each residual family maps a block
-to its radii and one row of residuals per tag, and one reducer keeps, per
-tag, the maximum |residual|, the radius where it occurs and the skipped
-points; a later block replaces the maximum only when strictly larger, so the
-result equals one argmax over the whole grid, bit for bit. When any block
-raises, the whole grid runs again as one block: that raises the error a single
-pass meets first, or, when some blocks had no point with |V| >= 1e-9, checks
-the grid as a whole. The arithmetic is elementwise, so a report does not
-depend on the block length. Each TagResult is built once, at the end; the
-structural tags (E3b, NE2) come from a table.
+each built alone, with one set of pointwise fields per block from one read of
+SphericalStaticData.jets, one joint pass when the data has a joint jet. Each
+residual family maps a block to its radii and one row of residuals per tag,
+and one reducer keeps, per tag, the maximum |residual|, the radius where it
+occurs and the skipped points; a later block replaces the maximum only when
+strictly larger, so the result equals one argmax over the whole grid, bit for
+bit. When any block raises, the whole grid runs again as one block: that
+raises the error a single pass meets first, or, when some blocks had no point
+with |V| >= 1e-9, checks the grid as a whole. The arithmetic is elementwise,
+so a report does not depend on the block length. Each TagResult is built
+once, at the end; the structural tags (E3b, NE2) come from a table.
 """
 
 from __future__ import annotations
@@ -55,14 +55,13 @@ import numpy as np
 from .errors import DegeneracyError, DomainError, ElectrovacError, NumericsError
 from .geometry import (
     SphericalStaticData,
-    _require_positive,
     hessian_kernel,
     laplacian_kernel,
     level_set_geometry,
     master_kernel,
     ricci_kernel,
 )
-from .profiles import MODE_CLOSED_FORM, finite_jet
+from .profiles import MODE_CLOSED_FORM
 
 DEGENERATE_V = 1e-9
 TOL_CLOSED_FORM = 1e-9
@@ -222,37 +221,16 @@ def _tag_from_values(tag, rs, res, tol, note=None) -> TagResult:
                      passed=bool(mx <= tol), note=note)
 
 
-def _joint_jets(joint, rs):
-    """joint(rs), checked as the profiles' jets check theirs. On finite radii only an
-    overflow, invalid operation or division by zero makes a non-finite part, so a
-    pass without one skips the checks, and a pass with one runs again, checked."""
-    if np.isfinite(rs).all():
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                return iter(joint(rs))
-        except FloatingPointError:
-            pass
-    return map(finite_jet, joint(rs))
-
-
 class _Fields:
     """Pointwise quantities at one run of radii, shared by every family's
-    tags: one domain check, and one jet per profile or one joint jet. No jet
-    part that no tag reads is kept once the block's last jet is drawn."""
+    tags, from one read of the data's jets (SphericalStaticData.jets)."""
 
     def __init__(self, data: SphericalStaticData, rs: np.ndarray):
         self.n, self.lam = data.n, data.lam
         self.rs = rs
-        # The jets of A, V, Emag and Psi, each checked (and computed) when drawn.
-        if data.joint_jet is None:
-            jets = (prof.jet(rs) for prof in (data.A, data.V, data.Emag, data.Psi))
-        else:
-            jets = _joint_jets(data.joint_jet, data.A.require_inside(rs))
-        self.a, self.ap, _ = next(jets)
-        _require_positive(self.a)
+        (self.a, self.ap, _), (self.v, self.vp, vpp), (self.e, self.ep, _), *psi = data.jets(
+            rs, 3 if data.Psi is None else 4)
         self.sa = np.sqrt(self.a)
-        self.v, self.vp, vpp = next(jets)
-        self.e, self.ep, _ = next(jets)
         # After the jets' checks, so their errors come first; those kept rs in the domain.
         data.require_off_v_zeros(rs)
         self.ric = ricci_kernel(self.n, self.a, self.ap, rs)
@@ -260,8 +238,8 @@ class _Fields:
         self.hess = hessian_kernel(self.a, self.ap, self.vp, vpp, rs)
         self.lap = laplacian_kernel(self.n, self.a, self.ap, self.vp, vpp, rs)
         self.R = self.ric.trace(self.n)
-        if data.Psi is not None:
-            self.psip, self.psipp = next(jets)[1:]
+        if psi:
+            (_, self.psip, self.psipp), = psi
             self.dpsi2 = self.psip * self.psip / self.a
         self.e2 = self.e * self.e
         self.two_e2 = 2.0 * self.e2
@@ -385,7 +363,7 @@ def _robin_defect(data: SphericalStaticData, r_boundary: float) -> float:
     """dV/dnu - V B_tan at r_boundary: TE2, E4 and PEM4 alike, as round
     slices are umbilic (B_tan = H/(n-1) bit for bit)."""
     geo = level_set_geometry(data, r_boundary)
-    return geo.nuV - data.V(r_boundary) * geo.B_tan
+    return geo.nuV - geo.V * geo.B_tan
 
 
 def residual_system(data: SphericalStaticData, grid: GridSpec,

@@ -33,6 +33,7 @@ from .geometry import (
     SphericalStaticData,
     hessian_kernel,
     laplacian_kernel,
+    level_set_geometry,
     master_kernel,
     ricci_kernel,
     scalar_curvature_d1_kernel,
@@ -257,22 +258,22 @@ def _converged(quad: QuadratureConfig, coarse, fine, what: str = "") -> list[flo
 
 def _functional_integrand(data: SphericalStaticData, pert: Optional[Perturbation],
                           amplitudes, r):
-    """F's bulk integrand at r, one row per amplitude of pert's direction (one
-    row when pert is None), with sqrt(A) and pert's bump b at r (b None when
-    pert is None), from which _norm_density follows.
+    """F's bulk integrand at r: with pert None, its one unperturbed row;
+    else one row per amplitude of pert's direction and, last, the density
+    |h|^2 dv_o of its unit-amplitude direction h.
 
     The base fields and the bump are evaluated once for all rows; each row's
     arithmetic is the single-amplitude expression, elementwise, so a row is
     bit-identical to the integrand of that amplitude alone, at any radii.
     """
     n = data.n
-    a0, ap0, _ = data.a_jet(r)
+    (a0, ap0, _), = data.jets(r, 1)
     sa0 = np.sqrt(a0)
     v = data.V(r)
     e2 = data.Emag(r) ** 2
     if pert is None:
         R = ricci_kernel(n, a0, ap0, r).trace(n)
-        return v * (R - 6.0 * e2) * sa0 * r ** (n - 1) + 4.0 * v * e2 * sa0 * r ** (n - 1), sa0, None
+        return v * (R - 6.0 * e2) * sa0 * r ** (n - 1) + 4.0 * v * e2 * sa0 * r ** (n - 1)
     eps = np.asarray(amplitudes, dtype=float)[:, None]
     b, b1, b2 = pert.bump_jet(r)
     ba, ba1 = pert.radial_on * b, pert.radial_on * b1
@@ -288,8 +289,9 @@ def _functional_integrand(data: SphericalStaticData, pert: Optional[Perturbation
     Cpp = 2.0 * sp + r * spp
     R = warped_scalar(n, A, Ap, C, Cp, Cpp)
     e2p = e2 * pa
-    return (v * (R - 6.0 * e2p) * sa0 * r ** (n - 1)
-            + 4.0 * v * e2p * np.sqrt(A) * C ** (n - 1)), sa0, b
+    bulk = (v * (R - 6.0 * e2p) * sa0 * r ** (n - 1)
+            + 4.0 * v * e2p * np.sqrt(A) * C ** (n - 1))
+    return np.vstack([bulk, _norm_density(n, pert, b, sa0, r)])
 
 
 def _norm_density(n: int, pert: Perturbation, b, sa, r):
@@ -312,31 +314,23 @@ def _functional_boundary(data: SphericalStaticData, r1: float, r2: float) -> flo
 
 
 def _functional_values(data: SphericalStaticData, r1: float, r2: float,
-                       pert: Optional[Perturbation], amplitudes,
-                       quad: QuadratureConfig, norm: bool = False):
+                       pert: Optional[Perturbation], amplitudes, quad: QuadratureConfig):
     """F at each amplitude of pert's direction (pert None: the one unperturbed
     value), each with its own panel-doubling convergence check, in order.
 
-    Returns (values, pert_norm). With norm, pert_norm is perturbation_norm's
-    value, taken from the same evaluation on the coarse nodes, which is the
-    rule perturbation_norm uses; None otherwise.
+    Returns (values, pert_norm): pert_norm is perturbation_norm's value, from
+    the integrand's last row on the coarse rule, which is the rule
+    perturbation_norm uses; None when pert is None.
     """
     omega = sphere_area(data.n)
     breaks = [r1, r2] if pert is None else [r1, r2, *pert.support()]
-    r, (coarse_rule, fine_rule) = _node_array(
-        quad, [_break_segments(breaks, quad.panels), _break_segments(breaks, 2 * quad.panels)])
-    bulk, sa0, b = _functional_integrand(data, pert, amplitudes, r)
-    rows = _finite_rows(bulk)
-    coarse = omega * _rule_sums(rows, coarse_rule)
-    fine = omega * _rule_sums(rows, fine_rule)
+    coarse, fine = _rule_integrals(
+        lambda r: _functional_integrand(data, pert, amplitudes, r), quad,
+        [_break_segments(breaks, quad.panels), _break_segments(breaks, 2 * quad.panels)])
     term = _functional_boundary(data, r1, r2)
-    values = _converged(quad, coarse + term, fine + term)
-    if not norm:
-        return values, None
-    # The coarse rule's nodes lead the array.
-    rc = slice(0, coarse_rule[-1][0].stop)
-    density = _finite_rows(_norm_density(data.n, pert, b[rc], sa0[rc], r[rc]))
-    return values, math.sqrt(omega * _rule_sums(density, coarse_rule)[0])
+    count = 1 if pert is None else len(amplitudes)
+    values = _converged(quad, omega * coarse[:count] + term, omega * fine[:count] + term)
+    return values, None if pert is None else math.sqrt(omega * coarse[-1])
 
 
 def evaluate_functional(data: SphericalStaticData, annulus,
@@ -377,14 +371,12 @@ def perturbation_norm(data: SphericalStaticData, annulus, pert: Perturbation,
                       quad: QuadratureConfig = QuadratureConfig()) -> float:
     """L^2(dv_o) norm of the unit-amplitude metric direction of pert."""
     r1, r2 = _require_annulus(data, annulus, pert)
-    n = data.n
-    omega = sphere_area(n)
 
     def fn(r):
-        return _norm_density(n, pert, pert.bump(r), np.sqrt(data.a_positive(r)), r)
+        return _norm_density(data.n, pert, pert.bump(r), np.sqrt(data.a_positive(r)), r)
 
     rule = _break_segments([r1, *pert.support(), r2], quad.panels)
-    return math.sqrt(omega * _rule_integrals(fn, quad, [rule])[0][0])
+    return math.sqrt(sphere_area(data.n) * _rule_integrals(fn, quad, [rule])[0][0])
 
 
 DEFAULT_EPSILONS = (1e-2, 1e-3, 2e-4, 1e-4)
@@ -421,7 +413,7 @@ def criticality_test(data: SphericalStaticData, annulus, pert: Perturbation,
         raise ParameterError(f"epsilons must be distinct, got {epsilons}")
 
     values, norm = _functional_values(
-        data, r1, r2, pert, [a for eps in epsilons for a in (+eps, -eps)], quad, norm=True)
+        data, r1, r2, pert, [a for eps in epsilons for a in (+eps, -eps)], quad)
     derivs = [(fp - fm) / (2.0 * eps)
               for eps, fp, fm in zip(epsilons, values[0::2], values[1::2])]
     tol = 1e-5 * norm
@@ -458,10 +450,9 @@ def criticality_test(data: SphericalStaticData, annulus, pert: Perturbation,
 
 def _el_integrand(data: SphericalStaticData, pert: Perturbation, r):
     """<T, h> dv_o at r, for the unit-amplitude direction h of pert, from one
-    jet of A and of V."""
+    read of the jets of A and V."""
     n = data.n
-    a, ap, _ = data.a_jet(r)
-    v, vp, vpp = data.V.jet(r)
+    (a, ap, _), (v, vp, vpp) = data.jets(r, 2)
     hess = hessian_kernel(a, ap, vp, vpp, r)
     lap = laplacian_kernel(n, a, ap, vp, vpp, r)
     ric = ricci_kernel(n, a, ap, r)
@@ -485,11 +476,10 @@ def euler_lagrange_integral(data: SphericalStaticData, annulus, pert: Perturbati
 
 def _pohozaev_integrands(data: SphericalStaticData, r):
     """The identity's two bulk integrands at r, times dv: the left side's X(R)
-    and the right side's <Hess V, Ric0>, from one jet of A and of V."""
+    and the right side's <Hess V, Ric0>, from one read of the jets of A and V."""
     n = data.n
-    a, ap, app = data.a_jet(r)
+    (a, ap, app), (_, vp, vpp) = data.jets(r, 2)
     sa = np.sqrt(a)
-    _, vp, vpp = data.V.jet(r)
     Rp = scalar_curvature_d1_kernel(n, a, ap, app, r)
     hess = hessian_kernel(a, ap, vp, vpp, r)
     ric = ricci_kernel(n, a, ap, r)
@@ -503,16 +493,13 @@ def _pohozaev_integrands(data: SphericalStaticData, r):
 def _pohozaev_boundary(data: SphericalStaticData, r1: float, r2: float) -> tuple[float, float]:
     """The boundary integrals of Ric0(X, N) over the spheres at r1 and r2,
     each signed by the orientation of the annulus' outward normal there, from
-    one jet of A and one V' on both radii, which _require_annulus checked;
-    each edge's product is taken in Python floats, as _functional_boundary's."""
+    the geometry of both spheres at once; each edge's product is taken in
+    Python floats, as _functional_boundary's."""
     n = data.n
-    rr = np.array([r1, r2])
-    a, ap, _ = data.a_jet(rr)
-    ric = ricci_kernel(n, a, ap, rr)
-    t_rad = (ric.radial - ric.trace(n) / n).tolist()
-    x_frame = (data.V.d1(rr) / np.sqrt(a)).tolist()
+    geo = level_set_geometry(data, np.array([r1, r2]))
+    t_rad = (geo.ric_nn - geo.R / n).tolist()
     return tuple(sign * sphere_area(n) * r ** (n - 1) * x * t
-                 for sign, r, x, t in zip((-1.0, 1.0), (r1, r2), x_frame, t_rad))
+                 for sign, r, x, t in zip((-1.0, 1.0), (r1, r2), geo.nuV.tolist(), t_rad))
 
 
 def pohozaev_residual(data: SphericalStaticData, annulus,
@@ -525,7 +512,7 @@ def pohozaev_residual(data: SphericalStaticData, annulus,
     any metric by the contracted second Bianchi identity, so the residual
     measures numerical consistency of the curvature operators, not a property
     of the data. Both integrands, on the coarse and the doubled rule alike,
-    come from one jet of A and of V on one node array.
+    come from one read of the jets of A and V on one node array.
     """
     r1, r2 = _require_annulus(data, annulus)
     n = data.n

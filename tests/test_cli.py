@@ -260,6 +260,21 @@ def test_huge_mass_runs_without_runtime_warnings(n, q_over_m, capsys):
             assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["verify", "--n", "3", "--m", "1e-300", "--q", "1e-301"],
+                 "profile second derivative is non-finite inside the domain", id="verify"),
+    pytest.param(["functional", "--n", "3", "--m", "1e-150", "--q", "1e-100",
+                  "--annulus", "1e-100", "2e-100"], "non-finite integrand", id="functional"),
+])
+def test_tiny_scale_domain_errors_print_only_the_error_line(args, message):
+    # Jet parts and integrands overflow at these scales. The numpy warnings
+    # they raised used to reach stderr before the error line, and under
+    # -W error::RuntimeWarning ended the command in a traceback.
+    for env_extra in (None, {"PYTHONWARNINGS": "error::RuntimeWarning"}):
+        res = run_cli(*args, env_extra=env_extra)
+        assert (res.returncode, res.stdout, res.stderr) == (3, "", f"error: {message}\n"), env_extra
+
+
 @pytest.mark.parametrize("extra, message", [
     pytest.param(["--pert-width", "1e-300"], "round onto the center", id="narrow-bump"),
     pytest.param(["--pert-center", "1e-160", "--pert-width", "1e-170"], "6/halfwidth^2",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from electrovac import (
     horizon_gradient_limit,
     laplacian_radial,
     level_set_geometry,
+    perturbed_potential_data,
     ricci_radial,
     richardson_limit,
     rn_data,
@@ -23,7 +25,11 @@ from electrovac import (
     scalar_curvature,
     scalar_curvature_d1,
     surface_gravity,
+    tabulated_profile,
 )
+from electrovac.variational import Perturbation, _el_integrand, _pohozaev_integrands
+
+from counting import counting_data
 
 
 def round_sphere_data(n, L):
@@ -230,3 +236,91 @@ def test_domain_finiteness_and_positivity_checks_keep_their_verdicts():
         with pytest.raises(raises[0]) as info:
             check(arg)
         assert str(info.value) == raises[1], (check, arg)
+
+
+def reader_cases():
+    """(data, radii) on closed-form data in each regime, a bumped copy, a
+    cubic table and value-only profiles, each with an array and a scalar."""
+    for p in (RNParameters(3, 1.0, 0.5), RNParameters(4, 1.0, 1.0), RNParameters(5, 0.7, 0.9)):
+        base = rn_data(p)
+        lo = max(base.domain[0], 0.1 * base.r_scale) * 1.5
+        rs = np.geomspace(lo, 40.0 * lo, 97)
+        knots = np.geomspace(lo / 1.2, 50.0 * lo, 300)
+        table = SphericalStaticData(n=p.n, lam=0.0, v_zeros=base.v_zeros, **{
+            name: tabulated_profile(knots, getattr(base, name)(knots))
+            for name in ("A", "V", "Emag", "Psi")})
+        value_only = SphericalStaticData(n=p.n, lam=0.0, v_zeros=base.v_zeros, **{
+            name: RadialProfile(getattr(base, name).value, domain=getattr(base, name).domain)
+            for name in ("A", "V", "Emag", "Psi")})
+        for data in (base, perturbed_potential_data(base, 1e-3, 3.0 * lo, lo), table, value_only):
+            yield data, rs
+            yield data, float(rs[40])
+
+
+def same_bits(got, want):
+    return np.shape(got) == np.shape(want) and (
+        np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes())
+
+
+def test_sphere_geometry_carries_v_and_the_scalar_curvature_bit_for_bit():
+    for data, r in reader_cases():
+        geo = level_set_geometry(data, r)
+        assert same_bits(geo.V, data.V(r)), (data, r)
+        assert same_bits(geo.R, scalar_curvature(data, r)), (data, r)
+
+
+def test_joint_and_profile_jets_read_the_same_bits():
+    # jets(r, count) from the joint pass and from the profiles of a copy
+    # without one: the same parts, at every count.
+    for data, r in reader_cases():
+        copy = dataclasses.replace(data)
+        assert copy.joint_jet is None
+        for count in (1, 2, 3, 4):
+            got, want = data.jets(r, count), copy.jets(r, count)
+            assert len(got) == len(want) == count
+            for jet, other in zip(got, want):
+                assert all(same_bits(a, b) for a, b in zip(jet, other)), (data, r, count)
+
+
+def two_jet_readers():
+    pert = Perturbation(center=4.5, halfwidth=1.0)
+    return {
+        "level_set_geometry": lambda d, r: level_set_geometry(d, r),
+        "_el_integrand": lambda d, r: _el_integrand(d, pert, r),
+        "_pohozaev_integrands": lambda d, r: _pohozaev_integrands(d, r),
+    }
+
+
+def test_two_jet_readers_make_one_joint_pass_on_rn_data():
+    # On rn_data the jets of A and V come from one joint pass on the radii,
+    # with no jet call to any profile; _el_integrand also reads |E|'s value.
+    rs = np.linspace(3.0, 6.0, 50)
+    for name, read in two_jet_readers().items():
+        base = rn_data(RNParameters(3, 1.0, 0.5))
+        calls = []
+
+        def joint(r, inner=base.joint_jet):
+            calls.append(np.array(r))
+            return inner(r)
+
+        data, counts = counting_data(base)
+        data = dataclasses.replace(data, joint=joint)
+        read(data, rs)
+        assert len(calls) == 1 and np.array_equal(calls[0], rs), name
+        want = {"A": {}, "V": {}, "Emag": {"value": 1} if name == "_el_integrand" else {}, "Psi": {}}
+        assert counts == want, name
+
+
+def test_a_replace_copy_reads_its_profiles():
+    # A dataclasses.replace copy has no joint jet: each reader takes one jet
+    # of A and one of V from the profiles.
+    rs = np.linspace(3.0, 6.0, 50)
+    for name, read in two_jet_readers().items():
+        data, counts = counting_data(rn_data(RNParameters(3, 1.0, 0.5)))
+        assert data.joint_jet is None
+        read(data, rs)
+        want = {"A": {"jet": 1}, "V": {"jet": 1},
+                "Emag": {"value": 1} if name == "_el_integrand" else {}, "Psi": {}}
+        assert counts == want, name
+        for profile in ("A", "V"):
+            assert np.array_equal(getattr(data, profile).jet_radii[0], rs), (name, profile)

@@ -346,3 +346,14 @@ def test_ball_example_sample_geometry():
 def test_ball_example_rejects_zero_direction():
     with pytest.raises(ParameterError):
         BallStaticExample.default(v=(0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("amplitude, center, width", [
+    (np.nan, 5.0, 0.5), (np.inf, 5.0, 0.5), (1e-3, np.nan, 0.5), (1e-3, -np.inf, 0.5),
+    (1e-3, 5.0, 0.0), (1e-3, 5.0, -0.5), (1e-3, 5.0, np.inf), (1e-3, 5.0, np.nan),
+])
+def test_perturbed_potential_rejects_bad_bump_constants(amplitude, center, width):
+    # Such a bump used to be accepted and fail only when evaluated, as a
+    # non-finite profile value or a division warning.
+    with pytest.raises(ParameterError, match="finite"):
+        perturbed_potential_data(rn_data(RNParameters(3, 1.0, 0.5)), amplitude, center, width)

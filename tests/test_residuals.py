@@ -12,6 +12,7 @@ from electrovac import (
     ElectrovacError,
     EQUATION_TAGS,
     GridSpec,
+    ParameterError,
     RNParameters,
     RadialProfile,
     SphericalStaticData,
@@ -327,7 +328,8 @@ def test_verify_all_evaluates_each_profile_once_on_the_grid():
 
 def test_verify_all_evaluates_the_joint_jet_once_per_block():
     # rn_data's joint jet, and a bumped copy's, stand in for every profile's
-    # jet: one call per block on the grid's radii, no array call to a profile.
+    # jet: one call on the boundary radius for the Robin defect, then one per
+    # block on the grid's radii, and no array call to a profile.
     p = RNParameters(3, 1.0, 0.5)
     r_boundary = photon_sphere_radii(p).roots[0].r
     base = rn_data(p)
@@ -345,8 +347,9 @@ def test_verify_all_evaluates_the_joint_jet_once_per_block():
             grid = default_grid(counted, count=count)
             rep = verify_all(counted, grid, r_boundary=r_boundary)
             assert rep.passed == (data is base) and "PEM4" in rep.entries
-            assert len(calls) == -(-count // residuals._BLOCK)
-            assert np.array_equal(np.concatenate(calls), grid.radii())
+            assert len(calls) == 1 + -(-count // residuals._BLOCK)
+            assert calls[0] == r_boundary
+            assert np.array_equal(np.concatenate(calls[1:]), grid.radii())
             assert counts == {name: {} for name in PROFILES}
 
 
@@ -370,10 +373,9 @@ def test_joint_and_profile_jets_give_the_same_reports():
     # W^2 overflows in A's jet on these radii, though every jet part is finite:
     # the joint jet's pass raises, and its checked rerun gives the report.
     cases.append((rn_data(RNParameters(3, 1.0, 6e78)), GridSpec(21.0, 22.5, count=300), None))
-    # A NaN bump makes V NaN with no floating-point error to flag it: no joint jet.
-    nan_bump = perturbed_potential_data(rn_data(RNParameters(3, 1.0, 0.5)), np.nan, 5.0, 0.5)
-    assert nan_bump.joint_jet is None
-    cases.append((nan_bump, GridSpec(2.0, 20.0, count=500), None))
+    # A NaN bump would make V NaN with no floating-point error to flag it.
+    with pytest.raises(ParameterError, match="finite"):
+        perturbed_potential_data(rn_data(RNParameters(3, 1.0, 0.5)), np.nan, 5.0, 0.5)
     data = rn_data(RNParameters(3, 1.0, 0.5))
     cases.append((data, GridSpec(1.0, 20.0, count=500), None))
     seen = set()
@@ -385,7 +387,6 @@ def test_joint_and_profile_jets_give_the_same_reports():
             assert got == every_report(copy, grid, r_b)
             seen.update(out[1] for out in got if isinstance(out, tuple))
     assert seen == {"profile second derivative is non-finite inside the domain",
-                    "profile value is non-finite inside the domain",
                     "radius 1.0 outside open domain (1.8660254037844386, inf)"}
 
 

@@ -359,7 +359,7 @@ def test_criticality_evaluates_base_fields_once_per_node_set():
         ("first variation", lambda d: euler_lagrange_integral(d, ANNULUS, PERT), bumped,
          {"A": ["jet"], "V": ["jet"], "Emag": ["value"]}),
         ("identity", lambda d: pohozaev_residual(d, ANNULUS), whole,
-         {"A": ["jet", "jet"], "V": ["jet", "d1"]}),
+         {"A": ["jet", "jet"], "V": ["jet", "jet"]}),
     ]
     for name, call, rules, reads in calls:
         data, counts = counting_data(rn_data(RNParameters(3, 1.0, 0.5)))
@@ -422,8 +422,10 @@ def test_merged_sums_equal_the_per_segment_definition():
             assert _pohozaev_boundary(data, r1, r2) == (inner, outer), case
 
             def functional(bump, amplitudes):
-                bulk = integral(lambda r: _functional_integrand(data, bump, amplitudes, r)[0],
-                                breaks if bump else ann, fine)
+                def bulk_row(r):
+                    return np.atleast_2d(_functional_integrand(data, bump, amplitudes, r))[0]
+
+                bulk = integral(bulk_row, breaks if bump else ann, fine)
                 return float(omega * bulk + term)
 
             assert evaluate_functional(data, ann) == functional(None, ()), case
