@@ -344,12 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # The library checks its fields and integrands for non-finite values and
-        # raises NumericsError (exit 3), so numpy's floating-point warnings would
-        # only repeat that on stderr. Set once here: an np.errstate per library
-        # call cost a few percent of the variational calls.
-        with np.errstate(all="ignore"):
-            doc, ok = args.fn(args)
+        doc, ok = args.fn(args)
         text = json.dumps(doc, indent=2) + "\n" if args.format == "json" else _render_text(doc)
         if args.out is None:
             sys.stdout.write(text)

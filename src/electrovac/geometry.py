@@ -251,8 +251,16 @@ def level_set_geometry(data: SphericalStaticData, r) -> HypersurfaceGeometry:
     sa = np.sqrt(a)
     H = (n - 1) / (r * sa)
     ric = ricci_kernel(n, a, ap, r)
-    return HypersurfaceGeometry(r=r[()], H=H, B_tan=H / (n - 1), R_S=(n - 1) * (n - 2) / (r * r),
-                                V=v, nuV=vp / sa, ric_nn=ric.radial, R=ric.trace(n))
+    return HypersurfaceGeometry(
+        r=r[()],
+        H=H,
+        B_tan=H / (n - 1),
+        R_S=(n - 1) * (n - 2) / (r * r),
+        V=v,
+        nuV=vp / sa,
+        ric_nn=ric.radial,
+        R=ric.trace(n),
+    )
 
 
 def contracted_gauss_residual(data: SphericalStaticData, r):

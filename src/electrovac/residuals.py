@@ -228,9 +228,11 @@ class _Fields:
     def __init__(self, data: SphericalStaticData, rs: np.ndarray):
         self.n, self.lam = data.n, data.lam
         self.rs = rs
-        (self.a, self.ap, _), (self.v, self.vp, vpp), (self.e, self.ep, _), *psi = data.jets(
-            rs, 3 if data.Psi is None else 4)
+        jets = data.jets(rs, 3 if data.Psi is None else 4)
+        self.a, self.ap, _ = jets[0]
         self.sa = np.sqrt(self.a)
+        self.v, self.vp, vpp = jets[1]
+        self.e, self.ep, _ = jets[2]
         # After the jets' checks, so their errors come first; those kept rs in the domain.
         data.require_off_v_zeros(rs)
         self.ric = ricci_kernel(self.n, self.a, self.ap, rs)
@@ -238,8 +240,8 @@ class _Fields:
         self.hess = hessian_kernel(self.a, self.ap, self.vp, vpp, rs)
         self.lap = laplacian_kernel(self.n, self.a, self.ap, self.vp, vpp, rs)
         self.R = self.ric.trace(self.n)
-        if psi:
-            (_, self.psip, self.psipp), = psi
+        if data.Psi is not None:
+            self.psip, self.psipp = jets[3][1:]
             self.dpsi2 = self.psip * self.psip / self.a
         self.e2 = self.e * self.e
         self.two_e2 = 2.0 * self.e2

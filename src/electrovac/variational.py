@@ -157,10 +157,20 @@ def _rule_sums(rows, rule) -> np.ndarray:
 
 
 def _rule_integrals(fn, quad: QuadratureConfig, rules) -> list[np.ndarray]:
-    """Each rule's per-row sums of fn, evaluated once on one node array."""
+    """Each rule's per-row sums of fn, evaluated once on one node array.
+
+    fn runs with numpy's floating-point warnings off: _finite_rows reports a
+    non-finite integrand as NumericsError. The rows are then finite, so a
+    sum is non-finite only where it overflows, which raises NumericsError
+    too."""
     xs, rules = _node_array(quad, rules)
-    rows = _finite_rows(fn(xs))
-    return [_rule_sums(rows, rule) for rule in rules]
+    with np.errstate(all="ignore"):
+        rows = _finite_rows(fn(xs))
+    try:
+        with np.errstate(over="raise"):
+            return [_rule_sums(rows, rule) for rule in rules]
+    except FloatingPointError:
+        raise NumericsError("non-finite integral") from None
 
 
 @dataclass(frozen=True)
@@ -257,10 +267,10 @@ def _converged(quad: QuadratureConfig, coarse, fine, what: str = "") -> list[flo
 
 
 def _functional_integrand(data: SphericalStaticData, pert: Optional[Perturbation],
-                          amplitudes, r):
+                          amplitudes, r, norm: bool = False):
     """F's bulk integrand at r: with pert None, its one unperturbed row;
-    else one row per amplitude of pert's direction and, last, the density
-    |h|^2 dv_o of its unit-amplitude direction h.
+    else one row per amplitude of pert's direction and, last with norm, the
+    density |h|^2 dv_o of its unit-amplitude direction h.
 
     The base fields and the bump are evaluated once for all rows; each row's
     arithmetic is the single-amplitude expression, elementwise, so a row is
@@ -291,7 +301,7 @@ def _functional_integrand(data: SphericalStaticData, pert: Optional[Perturbation
     e2p = e2 * pa
     bulk = (v * (R - 6.0 * e2p) * sa0 * r ** (n - 1)
             + 4.0 * v * e2p * np.sqrt(A) * C ** (n - 1))
-    return np.vstack([bulk, _norm_density(n, pert, b, sa0, r)])
+    return np.vstack([bulk, _norm_density(n, pert, b, sa0, r)]) if norm else bulk
 
 
 def _norm_density(n: int, pert: Perturbation, b, sa, r):
@@ -314,23 +324,25 @@ def _functional_boundary(data: SphericalStaticData, r1: float, r2: float) -> flo
 
 
 def _functional_values(data: SphericalStaticData, r1: float, r2: float,
-                       pert: Optional[Perturbation], amplitudes, quad: QuadratureConfig):
+                       pert: Optional[Perturbation], amplitudes,
+                       quad: QuadratureConfig, norm: bool = False):
     """F at each amplitude of pert's direction (pert None: the one unperturbed
     value), each with its own panel-doubling convergence check, in order.
 
-    Returns (values, pert_norm): pert_norm is perturbation_norm's value, from
-    the integrand's last row on the coarse rule, which is the rule
-    perturbation_norm uses; None when pert is None.
+    Returns (values, pert_norm). With norm, pert_norm is perturbation_norm's
+    value, from the integrand's last row on the coarse rule, which is the
+    rule perturbation_norm uses; None otherwise.
     """
     omega = sphere_area(data.n)
     breaks = [r1, r2] if pert is None else [r1, r2, *pert.support()]
     coarse, fine = _rule_integrals(
-        lambda r: _functional_integrand(data, pert, amplitudes, r), quad,
+        lambda r: _functional_integrand(data, pert, amplitudes, r, norm), quad,
         [_break_segments(breaks, quad.panels), _break_segments(breaks, 2 * quad.panels)])
+    pert_norm = math.sqrt(omega * coarse[-1]) if norm else None
+    if norm:
+        coarse, fine = coarse[:-1], fine[:-1]
     term = _functional_boundary(data, r1, r2)
-    count = 1 if pert is None else len(amplitudes)
-    values = _converged(quad, omega * coarse[:count] + term, omega * fine[:count] + term)
-    return values, None if pert is None else math.sqrt(omega * coarse[-1])
+    return _converged(quad, omega * coarse + term, omega * fine + term), pert_norm
 
 
 def evaluate_functional(data: SphericalStaticData, annulus,
@@ -413,7 +425,7 @@ def criticality_test(data: SphericalStaticData, annulus, pert: Perturbation,
         raise ParameterError(f"epsilons must be distinct, got {epsilons}")
 
     values, norm = _functional_values(
-        data, r1, r2, pert, [a for eps in epsilons for a in (+eps, -eps)], quad)
+        data, r1, r2, pert, [a for eps in epsilons for a in (+eps, -eps)], quad, norm=True)
     derivs = [(fp - fm) / (2.0 * eps)
               for eps, fp, fm in zip(epsilons, values[0::2], values[1::2])]
     tol = 1e-5 * norm

@@ -12,6 +12,7 @@ from electrovac import (
     ElectrovacError,
     EQUATION_TAGS,
     GridSpec,
+    NumericsError,
     ParameterError,
     RNParameters,
     RadialProfile,
@@ -351,6 +352,15 @@ def test_verify_all_evaluates_the_joint_jet_once_per_block():
             assert calls[0] == r_boundary
             assert np.array_equal(np.concatenate(calls[1:]), grid.radii())
             assert counts == {name: {} for name in PROFILES}
+
+
+def test_tiny_scale_reports_raise_without_warnings():
+    # The joint pass overflows at these scales; its checked rerun raises the
+    # jet check's error with no RuntimeWarning before it.
+    for p in (RNParameters(3, 1e-300, 1e-301), RNParameters(3, 1e-301, 1e-300)):
+        data = rn_data(p)
+        with pytest.raises(NumericsError, match="profile second derivative is non-finite"):
+            verify_all(data, default_grid(data))
 
 
 def test_joint_and_profile_jets_give_the_same_reports():

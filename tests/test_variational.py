@@ -322,6 +322,44 @@ def test_criticality_ladder_raises_the_per_amplitude_convergence_error():
     assert "panel doubling moved the value" in str(ladder.value)
 
 
+def test_only_the_criticality_test_reads_the_norm_density():
+    # At n = 4 near r = 4.55e102 the norm density (a^2 + 3c^2) sqrt(A) r^3
+    # overflows while F's bulk integrand, of order r, does not. The ladder
+    # checks the density with its amplitudes' rows, so before their
+    # panel-doubling check, which the coarse rule fails.
+    data = rn_data(RNParameters(4, 1.0, 0.5))
+    annulus = (3.6e102, 5.5e102)
+    pert = Perturbation(center=4.55e102, halfwidth=5e101, mode="both")
+    coarse = QuadratureConfig(panels=2, nodes=2, tol=1e-14)
+    assert math.isfinite(evaluate_functional(data, annulus, pert))
+    with pytest.raises(NumericsError, match="panel doubling moved the value"):
+        evaluate_functional(data, annulus, pert, coarse)
+    for quad in (QuadratureConfig(), coarse):
+        with pytest.raises(NumericsError, match="non-finite integrand"):
+            criticality_test(data, annulus, pert, quad)
+
+
+def test_an_overflowing_quadrature_sum_is_a_numerics_error():
+    # The norm density is finite near r = 4e93 at n = 4, but its sum over the
+    # rule overflows: perturbation_norm returned inf, and criticality_test a
+    # pass with an infinite tolerance.
+    data = rn_data(RNParameters(4, 1.0, 0.5))
+    annulus = (1.2e93, 7e93)
+    pert = Perturbation(center=4.1e93, halfwidth=1.45e93, mode="both")
+    assert math.isfinite(evaluate_functional(data, annulus, pert))
+    for call in (perturbation_norm, criticality_test):
+        with pytest.raises(NumericsError, match="non-finite integral"):
+            call(data, annulus, pert)
+
+
+def test_tiny_scale_integrands_raise_without_warnings():
+    # The identity's integrands overflow in numpy multiplies at this scale;
+    # the error is the integrand check's, with no RuntimeWarning before it.
+    data = rn_data(RNParameters(3, 1e-150, 1e-100))
+    with pytest.raises(NumericsError, match="non-finite integrand"):
+        pohozaev_residual(data, (1e-100, 2e-100))
+
+
 @pytest.mark.parametrize("epsilons", [
     pytest.param((1e-2, 0.0), id="zero"),
     pytest.param((1e-2, -1e-3), id="negative"),
