@@ -1,4 +1,4 @@
-"""float.hex sweep of the residual, variational, geometry and photon entry points.
+"""float.hex sweep of the residual, variational, geometry, photon and chart entry points.
 
 Prints one JSON line per (parameter set, call): the call's result with every
 float written as float.hex, so equal output means equal bits, or the type and
@@ -12,20 +12,33 @@ The sets are seeded: closed-form data plain and with a bump in V, the same
 data as cubic tables and as value-only profiles (difference jets), n from 3
 to 7 in every regime, and a few sets that end in errors. The pointwise
 readers run on 64 radii of each grid, on one scalar radius, and at each
-closed-form photon-sphere radius. pytest does not collect this file. Floating-point warnings are silenced: only results and
+closed-form photon-sphere radius; the isotropic chart of each set's
+parameters at its branch start and at seeded radii above it. pytest does not
+collect this file. Floating-point warnings are silenced: only results and
 errors are compared.
+
+With --cli it instead runs a fixed list of command lines through
+electrovac.cli.main in process and prints, per line, the exit code, stdout
+and the last stderr line; table files go to a temporary directory whose
+name is printed as <tmp>.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import os
 import sys
+import tempfile
 
 import numpy as np
 
+from electrovac import cli
 from electrovac import (
     ElectrovacError,
     GridSpec,
+    IsotropicChart,
     Perturbation,
     RadialProfile,
     RNParameters,
@@ -40,10 +53,12 @@ from electrovac import (
     grad_norm,
     hessian_radial,
     horizon_gradient_limit,
+    isotropic_map,
     laplacian_radial,
     level_set_geometry,
     perturbation_norm,
     perturbed_potential_data,
+    phi_identity_residual,
     photon_sphere_radii,
     pohozaev_residual,
     quasilocal_check,
@@ -118,8 +133,8 @@ def parameters(rng, i):
 
 
 def drawn_sets(count, seed):
-    """(label, data, grid, r_boundary, annulus, perturbation, photon-sphere
-    radii) per set; the kind cycles through plain, bumped, table and
+    """(label, parameters, data, grid, r_boundary, annulus, perturbation,
+    photon-sphere radii) per set; the kind cycles through plain, bumped, table and
     value-only data."""
     rng = np.random.default_rng(seed)
     for i in range(count):
@@ -150,7 +165,7 @@ def drawn_sets(count, seed):
         r1 = grid.lo * 1.5
         annulus = (r1, 2.0 * r1)
         pert = Perturbation(center=1.5 * r1, halfwidth=0.25 * r1, mode=MODES[i % 3])
-        yield f"{i} {kind} {p}", data, grid, r_b, annulus, pert, roots
+        yield f"{i} {kind} {p}", p, data, grid, r_b, annulus, pert, roots
 
 
 def edge_sets():
@@ -161,13 +176,13 @@ def edge_sets():
         data = rn_data(p)
         grid = default_grid(data, count=2000)
         roots = [root.r for root in photon_sphere_radii(p).roots]
-        yield (f"scale {p}", data, grid, 2.0 * grid.lo, (1.5 * grid.lo, 3.0 * grid.lo), None,
+        yield (f"scale {p}", p, data, grid, 2.0 * grid.lo, (1.5 * grid.lo, 3.0 * grid.lo), None,
                roots)
     p = RNParameters(3, 1.0, 0.5)
     data, roots = rn_data(p), [root.r for root in photon_sphere_radii(p).roots]
-    yield ("grid below the horizon", data, GridSpec(1.0, 20.0, count=500), None, (1.0, 3.0),
+    yield ("grid below the horizon", p, data, GridSpec(1.0, 20.0, count=500), None, (1.0, 3.0),
            None, roots)
-    yield ("boundary outside the domain", data, default_grid(data, 500), 0.5, (2.0, 3.0), None,
+    yield ("boundary outside the domain", p, data, default_grid(data, 500), 0.5, (2.0, 3.0), None,
            [0.5, *roots])
 
 
@@ -222,14 +237,132 @@ def calls(data, grid, r_b, annulus, pert, roots):
     return out | pointwise_calls(data, grid, r_b, roots)
 
 
+def chart_calls(p, rng):
+    """isotropic_map, phi_identity_residual and r_of_s at the branch start and
+    at five seeded radii above it, and r_of_s on those five at once."""
+    chart = IsotropicChart(p)
+    start = chart.s_branch
+    scale = max(start, p.m ** (1.0 / chart.k))
+    radii = [start, *(start + scale * 10.0 ** rng.uniform(-6.0, 2.0, 5))]
+    out = {}
+    for i, s in enumerate(radii):
+        out[f"isotropic_map s{i}"] = lambda s=s: isotropic_map(p, s)
+        out[f"phi_identity_residual s{i}"] = lambda s=s: phi_identity_residual(p, s)
+        out[f"r_of_s s{i}"] = lambda s=s: chart.r_of_s(s)
+    out["r_of_s array"] = lambda: chart.r_of_s(np.array(radii[1:]))
+    return out
+
+
+def write_table(path, columns=5, lo=2.2, hi=12.0, count=2400):
+    """The (3, 1, 0.5) closed form sampled as a table with columns r A V Emag [Psi]."""
+    data = rn_data(RNParameters(3, 1.0, 0.5))
+    rs = np.geomspace(lo, hi, count)
+    names = PROFILES[: columns - 1]
+    np.savetxt(path, np.column_stack([rs, *(getattr(data, name)(rs) for name in names)]))
+
+
+def cli_cases(tmp):
+    """(environment, argv) per command line: every command and format, tables
+    of 4 and 5 columns and one too narrow for its default grid, and the
+    usage (exit 2) and domain (exit 3) errors."""
+    write_table(f"{tmp}/t5.dat")
+    write_table(f"{tmp}/t4.dat", columns=4)
+    write_table(f"{tmp}/t3.dat", columns=3)
+    write_table(f"{tmp}/narrow.dat", lo=5.0, hi=5.09, count=40)
+    sub = ["--n", "3", "--m", "1", "--q", "0.5"]
+    annulus = ["--annulus", "3", "6"]
+    table = ["verify", "--n", "3", "--profile", f"{tmp}/t5.dat"]
+    narrow = ["verify", "--n", "3", "--profile", f"{tmp}/narrow.dat"]
+    cases = [
+        ["classify", *sub],
+        ["classify", "--n", "3", "--m", "1", "--q", "1.05", "--format", "text"],
+        ["classify", "--n", "4", "--m", "1", "--q=-0.5"],
+        ["classify", "--n", "3", "--m", "0.5", "--q", "1.0", "--format", "text"],
+        ["classify", *sub, "--out", f"{tmp}/report.json"],
+        ["classify", "--n", "2", "--m", "1"],
+        ["classify", "--n", "3"],
+        ["verify", "--n", "3", "--m", "1", "--q", "0", "--boundary", "3.0"],
+        ["verify", "--n", "4", *sub[2:], "--format", "text"],
+        ["verify", *sub, "--lam=-0.0"],
+        ["verify", *sub, "--lam", "0.1"],
+        ["verify", *sub, "--grid-lo", "2.5", "--grid-hi", "40", "--grid-count", "200",
+         "--grid-spacing", "linear"],
+        ["verify", *sub, "--grid-count", "1"],
+        ["verify", "--n", "3", "--m", "1000", "--q", "2000"],
+        ["verify", "--n", "3", "--m", "1000", "--q", "2000", "--grid-lo", "300",
+         "--grid-hi", "1e5"],
+        ["verify", "--n", "3", "--m", "1e-300", "--q", "1e-301"],
+        table,
+        [*table, "--format", "text"],
+        [*table, "--boundary", "5.0", "--lam=-0.0"],
+        [*table, "--grid-count", "300", "--grid-spacing", "linear"],
+        [*table, "--m", "1"],
+        ["verify", "--n", "3", "--profile", f"{tmp}/t4.dat"],
+        ["verify", "--n", "3", "--profile", f"{tmp}/t3.dat"],
+        ["verify", "--n", "3", "--profile", f"{tmp}/missing.dat"],
+        narrow,
+        [*narrow, "--grid-lo", "5.01", "--grid-hi", "5.08"],
+        [*narrow, "--grid-lo", "5.01"],
+        ["functional", *sub, *annulus],
+        ["functional", *sub, *annulus, "--format", "text"],
+        ["functional", *sub, *annulus, "--pert-mode", "radial", "--pert-center", "4",
+         "--pert-width", "0.5"],
+        ["functional", *sub, *annulus, "--quad-panels", "8", "--quad-nodes", "10",
+         "--quad-tol", "1e-8"],
+        ["functional", *sub, "--annulus", "6", "3"],
+        ["functional", *sub, *annulus, "--quad-nodes", "101"],
+        ["functional", "--n", "4", "--m", "1", "--q", "0.5", "--annulus", "1.2e93", "7e93"],
+        ["functional", *sub, *annulus, "--tol", "1e-3"],
+        [],
+        ["bogus"],
+    ]
+    out = [({}, argv) for argv in cases]
+    for value in ("1e-3", "0", "nan", "inf", "-1", "abc"):
+        for argv in (["classify", *sub], ["verify", *sub], table):
+            out += [({}, [*argv, "--tol", value]), ({"ELECTROVAC_TOL": value}, argv)]
+    out.append(({"ELECTROVAC_TOL": "nan"}, ["functional", *sub, *annulus]))
+    return out
+
+
+def run_cli(env, argv):
+    """Exit code, stdout and the last stderr line of cli.main(argv) under env."""
+    saved = {name: os.environ.get(name) for name in env}
+    stdout, stderr = io.StringIO(), io.StringIO()
+    os.environ.update(env)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name)
+            else:
+                os.environ[name] = value
+    return code, stdout.getvalue(), (stderr.getvalue().splitlines() or [""])[-1]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sets", type=int, default=40, help="drawn parameter sets")
     parser.add_argument("--seed", type=int, default=13)
+    parser.add_argument("--cli", action="store_true", help="sweep the command lines instead")
     args = parser.parse_args(argv)
+    if args.cli:
+        with tempfile.TemporaryDirectory() as tmp:
+            for env, cli_argv in cli_cases(tmp):
+                code, out, err = run_cli(env, cli_argv)
+                if os.path.exists(f"{tmp}/report.json"):
+                    out += open(f"{tmp}/report.json").read()
+                    os.remove(f"{tmp}/report.json")
+                line = {"env": env, "argv": cli_argv, "exit": code, "stdout": out, "stderr": err}
+                sys.stdout.write(json.dumps(line).replace(tmp, "<tmp>") + "\n")
+        return
+    chart_rng = np.random.default_rng(args.seed + 1)
     with np.errstate(all="ignore"):
-        for label, *case in [*drawn_sets(args.sets, args.seed), *edge_sets()]:
-            for name, fn in calls(*case).items():
+        for label, p, *case in [*drawn_sets(args.sets, args.seed), *edge_sets()]:
+            for name, fn in (calls(*case) | chart_calls(p, chart_rng)).items():
                 line = {"set": label, "call": name, "out": outcome(fn)}
                 sys.stdout.write(json.dumps(line) + "\n")
 
