@@ -12,9 +12,10 @@ coupling constant, lam) are echoed under params. Identical invocations
 produce byte-identical output. Exit codes: 0 pass, 1 verification failed,
 2 usage error, 3 I/O or domain error.
 
-The identity tolerance defaults to 1e-9 for closed-form data and 1e-5 for
-tabulated data; the ELECTROVAC_TOL environment variable overrides the
-default, and --tol overrides both.
+classify and verify check their identities to a tolerance that defaults
+to 1e-9 for closed-form data and 1e-5 for tabulated data; the
+ELECTROVAC_TOL environment variable overrides the default, and --tol
+overrides both. It must be finite and >= 0.
 """
 
 from __future__ import annotations
@@ -54,15 +55,17 @@ def _conventions(n: int, lam: float) -> dict:
 
 
 def _resolve_tol(args, data: SphericalStaticData) -> float:
-    if getattr(args, "tol", None) is not None:
-        return float(args.tol)
-    env = os.environ.get("ELECTROVAC_TOL")
-    if env is not None:
+    tol, env = args.tol, os.environ.get("ELECTROVAC_TOL")
+    if tol is None and env is None:
+        return default_tolerance(data)
+    if tol is None:
         try:
-            return float(env)
+            tol = float(env)
         except ValueError as exc:
             raise ParameterError(f"ELECTROVAC_TOL is not a number: {env!r}") from exc
-    return default_tolerance(data)
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"identity tolerance must be finite and >= 0, got {tol}")
+    return tol
 
 
 def _params_from_args(args) -> RNParameters:
@@ -96,18 +99,15 @@ def load_table(path: str, n: int, lam: float) -> SphericalStaticData:
 
 
 def _grid_for(args, data: SphericalStaticData) -> GridSpec:
-    lo, hi = data.domain
-    if np.isfinite(hi):
-        # Bounded (tabulated) domain: stay off the spline edges.
-        bounds = (lo * 1.01 if lo > 0 else 0.01 * hi, hi * 0.99)
-    else:
-        bounds = _default_bounds(data)
-    return GridSpec(lo=bounds[0] if args.grid_lo is None else args.grid_lo,
-                    hi=bounds[1] if args.grid_hi is None else args.grid_hi,
+    # The bounds go unvalidated, so explicit ones rescue an empty default.
+    lo, hi = _default_bounds(data)
+    return GridSpec(lo=lo if args.grid_lo is None else args.grid_lo,
+                    hi=hi if args.grid_hi is None else args.grid_hi,
                     count=args.grid_count, spacing=args.grid_spacing)
 
 
-def cmd_classify(args) -> tuple[dict, bool]:
+# Each command returns (params, results, tolerances, ok); main builds the report.
+def cmd_classify(args) -> tuple[dict, dict, dict, bool]:
     p = _params_from_args(args)
     data = rn_data(p)
     tol = _resolve_tol(args, data)
@@ -148,18 +148,12 @@ def cmd_classify(args) -> tuple[dict, bool]:
             {"u": rej.u, "r": rej.r, "reason": rej.reason} for rej in result.rejected
         ],
     }
-    doc = {
-        "command": "classify",
-        "params": {"n": p.n, "m": p.m, "q": p.q, "lam": p.lam,
-                   "conventions": _conventions(p.n, p.lam)},
-        "results": results,
-        "tolerances": {"identity": tol},
-        "verdict": "pass" if ok else "fail",
-    }
-    return doc, ok
+    params = {"n": p.n, "m": p.m, "q": p.q, "lam": p.lam,
+              "conventions": _conventions(p.n, p.lam)}
+    return params, results, {"identity": tol}, ok
 
 
-def cmd_verify(args) -> tuple[dict, bool]:
+def cmd_verify(args) -> tuple[dict, dict, dict, bool]:
     if args.profile is not None:
         if args.m is not None:
             raise ParameterError("give either --profile or --m/--q, not both")
@@ -176,19 +170,12 @@ def cmd_verify(args) -> tuple[dict, bool]:
     tol = _resolve_tol(args, data)
     grid = _grid_for(args, data)
     report = verify_all(data, grid, tol=tol, r_boundary=args.boundary)
-    ok = report.passed
-
-    doc = {
-        "command": "verify",
-        "params": params | ({"boundary": args.boundary} if args.boundary is not None else {}),
-        "results": report.to_dict(),
-        "tolerances": {"identity": tol},
-        "verdict": "pass" if ok else "fail",
-    }
-    return doc, ok
+    if args.boundary is not None:
+        params["boundary"] = args.boundary
+    return params, report.to_dict(), {"identity": tol}, report.passed
 
 
-def cmd_functional(args) -> tuple[dict, bool]:
+def cmd_functional(args) -> tuple[dict, dict, dict, bool]:
     p = _params_from_args(args)
     data = rn_data(p)
     r1, r2 = args.annulus
@@ -217,23 +204,18 @@ def cmd_functional(args) -> tuple[dict, bool]:
         "pohozaev_residual": poho,
         "pohozaev_ok": poho_ok,
     }
-    doc = {
-        "command": "functional",
-        "params": {
-            "n": p.n, "m": p.m, "q": p.q, "lam": p.lam,
-            "annulus": [r1, r2],
-            "perturbation": {"center": center, "halfwidth": width, "mode": args.pert_mode},
-            "conventions": _conventions(p.n, p.lam),
-        },
-        "results": results,
-        "tolerances": {
-            "criticality": crit.tol,
-            "pohozaev": POHOZAEV_TOL,
-            "quadrature": quad.tol,
-        },
-        "verdict": "pass" if ok else "fail",
+    params = {
+        "n": p.n, "m": p.m, "q": p.q, "lam": p.lam,
+        "annulus": [r1, r2],
+        "perturbation": {"center": center, "halfwidth": width, "mode": args.pert_mode},
+        "conventions": _conventions(p.n, p.lam),
     }
-    return doc, ok
+    tolerances = {
+        "criticality": crit.tol,
+        "pohozaev": POHOZAEV_TOL,
+        "quadrature": quad.tol,
+    }
+    return params, results, tolerances, ok
 
 
 def _render_text(doc: dict) -> str:
@@ -298,26 +280,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, grids=False):
+    def common(sp, tol=True):
         sp.add_argument("--n", type=int, required=True, help="spatial dimension, >= 3")
         sp.add_argument("--m", type=float, default=None, help="mass parameter")
         sp.add_argument("--q", type=float, default=0.0, help="charge parameter")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="identity tolerance (default: per-data; env ELECTROVAC_TOL)")
+        if tol:
+            sp.add_argument("--tol", type=float, default=None,
+                            help="identity tolerance (default: per-data; env ELECTROVAC_TOL)")
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--out", default=None, help="write the report here instead of stdout")
-        if grids:
-            sp.add_argument("--grid-count", type=int, default=1000)
-            sp.add_argument("--grid-lo", type=float, default=None)
-            sp.add_argument("--grid-hi", type=float, default=None)
-            sp.add_argument("--grid-spacing", choices=("log", "linear"), default="log")
 
     sp = sub.add_parser("classify", help="regime and photon-sphere analysis")
     common(sp)
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("verify", help="residuals of the defining equations")
-    common(sp, grids=True)
+    common(sp)
+    sp.add_argument("--grid-count", type=int, default=GridSpec.count)
+    sp.add_argument("--grid-lo", type=float, default=None)
+    sp.add_argument("--grid-hi", type=float, default=None)
+    sp.add_argument("--grid-spacing", choices=("log", "linear"), default=GridSpec.spacing)
     sp.add_argument("--profile", default=None,
                     help="table file with columns r A V Emag [Psi]")
     sp.add_argument("--lam", type=float, default=0.0)
@@ -326,16 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("functional", help="annulus functional and criticality")
-    common(sp)
+    common(sp, tol=False)
     sp.add_argument("--annulus", type=float, nargs=2, required=True,
                     metavar=("R1", "R2"))
     sp.add_argument("--pert-center", type=float, default=None)
     sp.add_argument("--pert-width", type=float, default=None)
     sp.add_argument("--pert-mode", choices=("radial", "tangential", "both"),
                     default="both")
-    sp.add_argument("--quad-panels", type=int, default=16)
-    sp.add_argument("--quad-nodes", type=int, default=12)
-    sp.add_argument("--quad-tol", type=float, default=1e-9)
+    sp.add_argument("--quad-panels", type=int, default=QuadratureConfig.panels)
+    sp.add_argument("--quad-nodes", type=int, default=QuadratureConfig.nodes)
+    sp.add_argument("--quad-tol", type=float, default=QuadratureConfig.tol)
     sp.set_defaults(fn=cmd_functional)
 
     return parser
@@ -344,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc, ok = args.fn(args)
+        params, results, tolerances, ok = args.fn(args)
+        doc = {"command": args.command, "params": params, "results": results,
+               "tolerances": tolerances, "verdict": "pass" if ok else "fail"}
         text = json.dumps(doc, indent=2) + "\n" if args.format == "json" else _render_text(doc)
         if args.out is None:
             sys.stdout.write(text)

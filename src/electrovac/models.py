@@ -248,48 +248,34 @@ class IsotropicChart:
         am = 1.0 + (self.p.m - self.p.q) / (2.0 * u)
         return s, u, ap, am
 
-    def phi(self, s):
-        _, _, ap, am = self._factors(s)
-        return (ap * am) ** (1.0 / self.k)
-
     def r_of_s(self, s):
         s, _, ap, am = self._factors(s)
         return s * (ap * am) ** (1.0 / self.k)
 
-    def v(self, s):
-        _, u, ap, am = self._factors(s)
-        d = (self.p.m ** 2 - self.p.q ** 2) / (4.0 * u * u)
-        return (1.0 - d) / (ap * am)
-
-    def psi(self, s):
-        _, u, ap, am = self._factors(s)
-        return self.p.q / (self.cn * u * ap * am)
-
-    def emag(self, s):
-        s, u, ap, am = self._factors(s)
-        m, q, k = self.p.m, self.p.q, self.k
-        if q == 0.0:
-            return np.zeros_like(s)[()]
-        phi = (ap * am) ** (1.0 / k)
-        # d(phi)/ds via logarithmic derivative of the two factors
-        dap = -k * (m + q) / (2.0 * u * s)
-        dam = -k * (m - q) / (2.0 * u * s)
-        dphi = phi * (dap / ap + dam / am) / k
-        d = (m * m - q * q) / (4.0 * u * u)
-        rprime = phi + s * dphi
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coef = (k / self.cn) * q * (1.0 - d) / (s ** (self.p.n - 1) * phi ** (2 * self.p.n - 3) * rprime)
-            val = np.abs(coef) * phi
-        # r'(s) = 0 at a closed branch start; the chart expression degenerates
-        # there, so fall back to the area-radius form at that single point.
-        direct = k * abs(q) / (self.cn * (s * phi) ** (self.p.n - 1))
-        return np.where(rprime > 0.0, val, direct)[()]
-
     def point(self, s: float) -> IsotropicPoint:
-        return IsotropicPoint(
-            s=float(s), r=float(self.r_of_s(s)), phi=float(self.phi(s)),
-            V=float(self.v(s)), Emag=float(self.emag(s)), Psi=float(self.psi(s)),
-        )
+        """All chart values at s from one domain check."""
+        s, u, ap, am = self._factors(s)
+        n, m, q, k = self.p.n, self.p.m, self.p.q, self.k
+        phi = (ap * am) ** (1.0 / k)
+        v = (1.0 - (m ** 2 - q ** 2) / (4.0 * u * u)) / (ap * am)
+        psi = q / (self.cn * u * ap * am)
+        emag = 0.0
+        if q != 0.0:
+            # d(phi)/ds via logarithmic derivative of the two factors
+            dap = -k * (m + q) / (2.0 * u * s)
+            dam = -k * (m - q) / (2.0 * u * s)
+            dphi = phi * (dap / ap + dam / am) / k
+            d = (m * m - q * q) / (4.0 * u * u)
+            rprime = phi + s * dphi
+            with np.errstate(divide="ignore", invalid="ignore"):
+                coef = (k / self.cn) * q * (1.0 - d) / (s ** (n - 1) * phi ** (2 * n - 3) * rprime)
+                val = np.abs(coef) * phi
+            # r'(s) = 0 at a closed branch start; the chart expression degenerates
+            # there, so fall back to the area-radius form at that single point.
+            direct = k * abs(q) / (self.cn * (s * phi) ** (n - 1))
+            emag = np.where(rprime > 0.0, val, direct)[()]
+        return IsotropicPoint(s=float(s), r=float(s * phi), phi=float(phi), V=float(v),
+                              Emag=float(emag), Psi=float(psi))
 
 
 def isotropic_map(p: RNParameters, s: float) -> IsotropicPoint:
@@ -344,10 +330,11 @@ def isotropic_inverse(p: RNParameters, r: float) -> float:
 def phi_identity_residual(p: RNParameters, s: float) -> float:
     """Defect of phi = (((V+1)^2 - c_n^2 Psi^2)/4)^{-1/(n-2)} at s."""
     chart = IsotropicChart(p)
-    v = chart.v(s)
-    psi = chart.psi(s)
+    pt = chart.point(s)
+    # numpy scalars, as the chart computes them: 0 ** (negative) is inf, not an error.
+    v, psi = np.float64(pt.V), np.float64(pt.Psi)
     rhs = (((v + 1.0) ** 2 - (chart.cn * psi) ** 2) / 4.0) ** (-1.0 / chart.k)
-    return float(abs(chart.phi(s) - rhs))
+    return float(abs(pt.phi - rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -159,14 +159,17 @@ class GridSpec:
 
 
 def _default_bounds(data: SphericalStaticData) -> tuple[float, float]:
-    """From just above r0 (or half the characteristic radius when the domain
-    reaches 0) out to 100 max(1, r0): default_grid's, and verify's on
-    closed-form data."""
-    r0 = data.domain[0]
+    """default_grid's bounds, unvalidated. On a bounded (tabulated) domain
+    [lo, hi], [1.01 lo, 0.99 hi] (0.01 hi for lo = 0), off the spline edges;
+    otherwise from just above r0 (or half the characteristic radius when the
+    domain reaches 0) out to 100 max(1, r0)."""
+    r0, hi = data.domain
+    if np.isfinite(hi):
+        return 1.01 * r0 if r0 > 0 else 0.01 * hi, 0.99 * hi
     return 1.01 * r0 if r0 > 0 else 0.5 * data.r_scale, 100.0 * max(1.0, r0)
 
 
-def default_grid(data: SphericalStaticData, count: int = 1000) -> GridSpec:
+def default_grid(data: SphericalStaticData, count: int = GridSpec.count) -> GridSpec:
     """Log grid hugging the data domain."""
     return GridSpec(*_default_bounds(data), count=count, spacing="log")
 

@@ -462,13 +462,13 @@ def criticality_test(data: SphericalStaticData, annulus, pert: Perturbation,
 
 def _el_integrand(data: SphericalStaticData, pert: Perturbation, r):
     """<T, h> dv_o at r, for the unit-amplitude direction h of pert, from one
-    read of the jets of A and V."""
+    read of the jets of A, V and |E|."""
     n = data.n
-    (a, ap, _), (v, vp, vpp) = data.jets(r, 2)
+    (a, ap, _), (v, vp, vpp), (e, _, _) = data.jets(r, 3)
     hess = hessian_kernel(a, ap, vp, vpp, r)
     lap = laplacian_kernel(n, a, ap, vp, vpp, r)
     ric = ricci_kernel(n, a, ap, r)
-    T = master_kernel(v, data.Emag(r) ** 2, hess, lap, ric.scaled(v))
+    T = master_kernel(v, e ** 2, hess, lap, ric.scaled(v))
     b = pert.bump(r)
     density = T.radial * (pert.radial_on * b) + (n - 1) * T.tangential * (pert.tangential_on * b)
     return density * np.sqrt(a) * r ** (n - 1)

@@ -353,9 +353,11 @@ def main(argv=None):
         with tempfile.TemporaryDirectory() as tmp:
             for env, cli_argv in cli_cases(tmp):
                 code, out, err = run_cli(env, cli_argv)
-                if os.path.exists(f"{tmp}/report.json"):
-                    out += open(f"{tmp}/report.json").read()
-                    os.remove(f"{tmp}/report.json")
+                report = os.path.join(tmp, "report.json")
+                if os.path.exists(report):
+                    with open(report) as fh:
+                        out += fh.read()
+                    os.remove(report)
                 line = {"env": env, "argv": cli_argv, "exit": code, "stdout": out, "stderr": err}
                 sys.stdout.write(json.dumps(line).replace(tmp, "<tmp>") + "\n")
         return

@@ -127,6 +127,56 @@ def test_tolerance_flag_beats_environment():
     assert json.loads(res.stdout)["results"]["tolerance"] == 1e-3
 
 
+def test_identity_tolerance_must_be_finite_and_non_negative(capsys, monkeypatch):
+    # nan failed every tag and wrote "tolerance": NaN, not strict JSON; inf
+    # passed every residual; -1 failed every tag. 0 demands exact zeros, as
+    # the flat-ball report's own tolerance does, and still gives a report.
+    from electrovac.cli import main
+
+    sub = ["--n", "3", "--m", "1", "--q", "0.5"]
+    for command in (["classify", *sub], ["verify", *sub]):
+        for value in ("nan", "inf", "-1"):
+            for argv, env in (([*command, "--tol", value], None), (command, value)):
+                if env is None:
+                    monkeypatch.delenv("ELECTROVAC_TOL", raising=False)
+                else:
+                    monkeypatch.setenv("ELECTROVAC_TOL", env)
+                assert main(argv) == 2, (argv, env)
+                out, err = capsys.readouterr()
+                assert out == "" and err.count("\n") == 1 and err.startswith("error: "), (argv, env)
+    monkeypatch.delenv("ELECTROVAC_TOL", raising=False)
+    assert main(["verify", *sub, "--tol", "0"]) in (0, 1)
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["tolerances"] == {"identity": 0.0} and doc["results"]["tolerance"] == 0.0
+
+
+def test_functional_has_no_identity_tolerance(capsys):
+    # functional parsed --tol but never read it: its verdict rests on the
+    # criticality, divergence-identity and quadrature tolerances.
+    from electrovac.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["functional", "--n", "3", "--m", "1", "--q", "0.5", "--annulus", "3", "6",
+              "--tol", "1e-3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --tol 1e-3" in err
+
+
+def test_default_grid_is_the_grid_verify_uses_on_a_table(tmp_path, capsys):
+    # default_grid on a table ran past its end, to 100 max(1, lo); verify
+    # --profile stayed off the spline edges with a rule of its own.
+    from electrovac import default_grid
+    from electrovac.cli import load_table, main
+
+    table = tmp_path / "family.dat"
+    write_table(table)
+    assert main(["verify", "--profile", str(table), "--n", "3"]) == 0
+    grid = default_grid(load_table(str(table), n=3, lam=0.0))
+    assert json.loads(capsys.readouterr().out)["results"]["grid"] == grid.describe()
+    assert (grid.lo, grid.hi) == (2.2 * 1.01, 12.0 * 0.99)
+
+
 def test_out_flag_writes_file(tmp_path):
     out = tmp_path / "report.json"
     res = run_cli("classify", "--n", "3", "--m", "1.0", "--q", "0.5", "--out", str(out))
@@ -190,8 +240,7 @@ def test_grid_count_out_of_range_is_a_domain_error(count, message, capsys):
 FLOAT_OPTIONS = [
     ("classify", ["--m", "--q", "--tol"]),
     ("verify", ["--m", "--q", "--tol", "--grid-lo", "--grid-hi", "--lam", "--boundary"]),
-    ("functional", ["--m", "--q", "--tol", "--annulus", "--pert-center", "--pert-width",
-                    "--quad-tol"]),
+    ("functional", ["--m", "--q", "--annulus", "--pert-center", "--pert-width", "--quad-tol"]),
 ]
 
 

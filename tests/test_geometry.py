@@ -292,8 +292,8 @@ def two_jet_readers():
 
 
 def test_two_jet_readers_make_one_joint_pass_on_rn_data():
-    # On rn_data the jets of A and V come from one joint pass on the radii,
-    # with no jet call to any profile; _el_integrand also reads |E|'s value.
+    # On rn_data the jets of A and V (and of |E| for _el_integrand) come
+    # from one joint pass on the radii, with no call to any profile.
     rs = np.linspace(3.0, 6.0, 50)
     for name, read in two_jet_readers().items():
         base = rn_data(RNParameters(3, 1.0, 0.5))
@@ -307,20 +307,19 @@ def test_two_jet_readers_make_one_joint_pass_on_rn_data():
         data = dataclasses.replace(data, joint=joint)
         read(data, rs)
         assert len(calls) == 1 and np.array_equal(calls[0], rs), name
-        want = {"A": {}, "V": {}, "Emag": {"value": 1} if name == "_el_integrand" else {}, "Psi": {}}
-        assert counts == want, name
+        assert counts == {"A": {}, "V": {}, "Emag": {}, "Psi": {}}, name
 
 
 def test_a_replace_copy_reads_its_profiles():
     # A dataclasses.replace copy has no joint jet: each reader takes one jet
-    # of A and one of V from the profiles.
+    # of A and one of V from the profiles, and _el_integrand one of |E|.
     rs = np.linspace(3.0, 6.0, 50)
     for name, read in two_jet_readers().items():
         data, counts = counting_data(rn_data(RNParameters(3, 1.0, 0.5)))
         assert data.joint_jet is None
         read(data, rs)
         want = {"A": {"jet": 1}, "V": {"jet": 1},
-                "Emag": {"value": 1} if name == "_el_integrand" else {}, "Psi": {}}
+                "Emag": {"jet": 1} if name == "_el_integrand" else {}, "Psi": {}}
         assert counts == want, name
         for profile in ("A", "V"):
             assert np.array_equal(getattr(data, profile).jet_radii[0], rs), (name, profile)

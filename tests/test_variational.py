@@ -395,7 +395,7 @@ def test_criticality_evaluates_base_fields_once_per_node_set():
         ("bumped functional", lambda d: evaluate_functional(d, ANNULUS, PERT), bumped, functional),
         ("criticality", lambda d: criticality_test(d, ANNULUS, PERT).passed, bumped, functional),
         ("first variation", lambda d: euler_lagrange_integral(d, ANNULUS, PERT), bumped,
-         {"A": ["jet"], "V": ["jet"], "Emag": ["value"]}),
+         {"A": ["jet"], "V": ["jet"], "Emag": ["jet"]}),
         ("identity", lambda d: pohozaev_residual(d, ANNULUS), whole,
          {"A": ["jet", "jet"], "V": ["jet", "jet"]}),
     ]
