@@ -18,9 +18,9 @@ collect this file. Floating-point warnings are silenced: only results and
 errors are compared.
 
 With --cli it instead runs a fixed list of command lines through
-electrovac.cli.main in process and prints, per line, the exit code, stdout
-and the last stderr line; table files go to a temporary directory whose
-name is printed as <tmp>.
+electrovac.cli.main in process and prints, per line, the exit code (or the
+type name of an exception that escapes main), stdout and the last stderr
+line; table files go to a temporary directory whose name is printed as <tmp>.
 """
 
 import argparse
@@ -44,6 +44,7 @@ from electrovac import (
     RNParameters,
     SphericalStaticData,
     boundary_residual,
+    constant_profile,
     contracted_gauss_residual,
     criticality_test,
     default_grid,
@@ -184,6 +185,33 @@ def edge_sets():
            None, roots)
     yield ("boundary outside the domain", p, data, default_grid(data, 500), 0.5, (2.0, 3.0), None,
            [0.5, *roots])
+    # Grids of three blocks: past a table's upper end, through a late
+    # non-finite residual (|E| = 1e200 past r = 90), and through a block
+    # where every |V| < 1e-9.
+    rs = np.geomspace(2.0, 40.0, 400)
+    table = SphericalStaticData(n=3, lam=0.0, v_zeros=data.v_zeros, **{
+        name: tabulated_profile(rs, getattr(data, name)(rs)) for name in PROFILES})
+    yield ("grid past the table's end", p, table, GridSpec(2.1, 45.0, count=20_000), 5.0,
+           (3.0, 6.0), None, roots)
+    linear = GridSpec(1.0, 100.0, count=20_000, spacing="linear")
+    step = jet_profile(lambda r: np.where(r > 90.0, 1e200, 0.0), lambda r: 0.0 * r)
+    yield ("late non-finite residual", p, flat_metric_data(constant_profile(1.0), step), linear,
+           None, (1.5, 3.0), None, [])
+    # |V| < 1e-9 on (35, 85), which holds the second block of 8192 radii whole.
+    line = jet_profile(lambda r: (r - 60.0) * 4e-11, lambda r: 4e-11 + 0.0 * r)
+    yield ("V degenerate on a whole block", p, flat_metric_data(line, constant_profile(0.0)),
+           linear, None, (1.5, 3.0), None, [])
+
+
+def jet_profile(f, d1):
+    """The profile f with first derivative d1 and second derivative 0."""
+    return RadialProfile(f, jet=lambda r: (f(r), d1(r), 0.0 * r))
+
+
+def flat_metric_data(v, emag):
+    """A = 1 and Psi = 0 in three dimensions, with the profiles V and |E|."""
+    return SphericalStaticData(n=3, lam=0.0, A=constant_profile(1.0), V=v, Emag=emag,
+                               Psi=constant_profile(0.0))
 
 
 def geometry(geo):
@@ -263,8 +291,9 @@ def write_table(path, columns=5, lo=2.2, hi=12.0, count=2400):
 
 def cli_cases(tmp):
     """(environment, argv) per command line: every command and format, tables
-    of 4 and 5 columns and one too narrow for its default grid, and the
-    usage (exit 2) and domain (exit 3) errors."""
+    of 4 and 5 columns, one too narrow for its default grid and one whose
+    grid passes its end, and the usage (exit 2) and domain (exit 3) errors,
+    overflowing parameters among them."""
     write_table(f"{tmp}/t5.dat")
     write_table(f"{tmp}/t4.dat", columns=4)
     write_table(f"{tmp}/t3.dat", columns=3)
@@ -281,6 +310,12 @@ def cli_cases(tmp):
         ["classify", *sub, "--out", f"{tmp}/report.json"],
         ["classify", "--n", "2", "--m", "1"],
         ["classify", "--n", "3"],
+        ["classify", "--n", "3", "--m", "5e153", "--q", "0"],
+        ["classify", "--n", "7", "--m", "1.3e154", "--q", "1e150"],
+        ["classify", "--n", "5", "--m=4.677351245980863e-256", "--q=7.325555962603106e+153"],
+        ["classify", "--n", "3", "--m", "4e153", "--q", "0"],
+        ["verify", "--n", "7", "--m", "1.3e154", "--q", "1e150"],
+        ["functional", "--n", "7", "--m", "1.3e154", "--q", "1e150", "--annulus", "1e31", "2e31"],
         ["verify", "--n", "3", "--m", "1", "--q", "0", "--boundary", "3.0"],
         ["verify", "--n", "4", *sub[2:], "--format", "text"],
         ["verify", *sub, "--lam=-0.0"],
@@ -297,6 +332,8 @@ def cli_cases(tmp):
         [*table, "--boundary", "5.0", "--lam=-0.0"],
         [*table, "--grid-count", "300", "--grid-spacing", "linear"],
         [*table, "--m", "1"],
+        [*table, "--grid-hi", "20"],
+        [*table, "--grid-hi", "20", "--grid-count", "20000"],
         ["verify", "--n", "3", "--profile", f"{tmp}/t4.dat"],
         ["verify", "--n", "3", "--profile", f"{tmp}/t3.dat"],
         ["verify", "--n", "3", "--profile", f"{tmp}/missing.dat"],
@@ -325,7 +362,9 @@ def cli_cases(tmp):
 
 
 def run_cli(env, argv):
-    """Exit code, stdout and the last stderr line of cli.main(argv) under env."""
+    """Exit code, stdout and the last stderr line of cli.main(argv) under env;
+    an exception that escapes cli.main stands in for the exit code by its
+    type name."""
     saved = {name: os.environ.get(name) for name in env}
     stdout, stderr = io.StringIO(), io.StringIO()
     os.environ.update(env)
@@ -334,6 +373,8 @@ def run_cli(env, argv):
             code = cli.main(argv)
     except SystemExit as exc:
         code = exc.code
+    except Exception as exc:  # a traceback at the command line
+        code = type(exc).__name__
     finally:
         for name, value in saved.items():
             if value is None:
