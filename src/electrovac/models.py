@@ -45,10 +45,14 @@ class RNParameters:
             raise ParameterError(f"mass must be positive and finite, got {self.m}")
         if not math.isfinite(self.q):
             raise ParameterError(f"charge must be finite, got {self.q}")
-        # rn_horizon and the closed forms square both; an overflow there empties the domain.
-        for name, value in (("mass", self.m), ("charge", self.q)):
-            if not math.isfinite(value * value):
-                raise ParameterError(f"{name} squared overflows a float, got {value}")
+        # The two terms of the photon-sphere discriminant (n m)^2 - 4(n-1) q^2;
+        # with n >= 3 they bound m^2 and q^2, which rn_horizon and the closed forms take.
+        nm = self.n * self.m
+        for name, term, value in (("mass", nm * nm, self.m),
+                                  ("charge", 4.0 * (self.n - 1) * self.q * self.q, self.q)):
+            if not math.isfinite(term):
+                raise ParameterError(f"{name} too large: its term of the photon-sphere "
+                                     f"discriminant overflows a float, got {value}")
         if self.lam != 0.0:
             raise ParameterError("this family is constructed with lam = 0")
 

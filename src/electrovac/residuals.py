@@ -37,11 +37,16 @@ residual family maps a block to its radii and one row of residuals per tag,
 and one reducer keeps, per tag, the maximum |residual|, the radius where it
 occurs and the skipped points; a later block replaces the maximum only when
 strictly larger, so the result equals one argmax over the whole grid, bit for
-bit. When any block raises, the whole grid runs again as one block: that
-raises the error a single pass meets first, or, when some blocks had no point
-with |V| >= 1e-9, checks the grid as a whole. The arithmetic is elementwise,
-so a report does not depend on the block length. Each TagResult is built
-once, at the end; the structural tags (E3b, NE2) come from a table.
+bit. The arithmetic is elementwise, so a report does not depend on the block
+length, and its memory does not grow with the grid.
+
+A failing report makes the same one pass. An end of the grid outside the
+data domain raises that DomainError before any block. Otherwise the first
+block that raises ends the report, so when two errors of different kinds sit
+in different blocks, the earlier block's error is raised. A tag left with no
+checked radius, |V| < 1e-9 on the whole grid, raises DegeneracyError after
+the last block. Each TagResult is built once, at the end; the structural tags
+(E3b, NE2) come from a table.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError, ElectrovacError, NumericsError
+from .errors import DegeneracyError, DomainError, NumericsError
 from .geometry import (
     SphericalStaticData,
     hessian_kernel,
@@ -70,7 +75,7 @@ TOL_FINITE_DIFFERENCE = 1e-5
 # glibc's default 128 KB mmap threshold, so the heap reuses it while it is
 # still in cache instead of mapping and faulting in fresh pages.
 _BLOCK = 8192
-# At this count a report's whole-grid fallback took 0.34 s and 319 MB peak RSS (2-core x86-64).
+# At this count a passing verify_all on rn_data took 0.23 s (2-core x86-64); memory is per block.
 MAX_GRID_COUNT = 10 ** 6
 
 EQUATION_TAGS = {
@@ -205,10 +210,8 @@ class ResidualReport:
 
 
 def _worst(tag, res) -> tuple[float, int]:
-    """(max |res|, the first index where it occurs)."""
+    """(max |res|, the first index where it occurs) of a non-empty res."""
     res = np.abs(np.asarray(res, dtype=float))
-    if res.size == 0:
-        raise DegeneracyError(f"no checkable grid points for {tag}")
     # argmax stops at the first NaN, and the max is inf if any entry is.
     i = int(np.argmax(res))
     mx = float(res[i])
@@ -276,12 +279,10 @@ def _traced_rows(f: _Fields):
 
 
 def _pem_rows(f: _Fields):
-    """Only the radii with |V| >= DEGENERATE_V; the report counts the rest
-    as skipped."""
+    """Only the radii with |V| >= DEGENERATE_V, possibly none; the report
+    counts the rest as skipped."""
     n = f.n
     ok = np.abs(f.v) >= DEGENERATE_V
-    if not np.any(ok):
-        raise DegeneracyError("V is degenerate on the whole grid")
     ok = slice(None) if ok.all() else ok  # views, not masked copies, when nothing is skipped
     rs_ok, v, dpsi2 = f.rs[ok], f.v[ok], f.dpsi2[ok]
 
@@ -318,23 +319,35 @@ _STRUCTURAL = {tag: TagResult(tag=tag, max_residual=0.0, worst_radius=None, pass
 _BOUNDARY = {"TE2": None, "E4": "tangential component; round slices are umbilic", "PEM4": None}
 
 
-def _worst_rows(families, data, grid, block) -> dict[str, list]:
+def _worst_rows(families, data, grid) -> dict[str, list]:
     """Per grid tag, [max |residual|, its radius, skipped radii] over
-    consecutive blocks of the grid's radii, one _Fields each. A later block
+    consecutive blocks of _BLOCK radii, one _Fields each. A later block
     replaces the max only when strictly larger, so ties keep the first
-    radius, as one argmax over the whole grid would."""
+    radius, as one argmax over the whole grid would.
+
+    Errors: an end of the grid outside the data domain raises that
+    profile's DomainError before any block (the grid is monotone, so only
+    an end can leave it); otherwise the first block that raises ends the
+    pass with its error; a tag left with no checked radius (every
+    |V| < DEGENERATE_V) raises DegeneracyError after the last block."""
+    lo, hi = data.domain
+    if not lo < grid.lo < grid.hi < hi:
+        data.jets(np.array([grid.lo, grid.hi]), 3)
     worst: dict[str, list] = {}
-    for start in range(0, grid.count, block):
-        f = _Fields(data, grid.radii(start, start + block))
+    for start in range(0, grid.count, _BLOCK):
+        f = _Fields(data, grid.radii(start, start + _BLOCK))
         for family in families:
             radii, rows = family(f)
             skipped = f.rs.size - radii.size
             for tag, res in rows.items():
-                mx, i = _worst(tag, res)
                 row = worst.setdefault(tag, [-1.0, None, 0])
-                if mx > row[0]:
-                    row[0], row[1] = mx, float(radii[i])
                 row[2] += skipped
+                if radii.size:
+                    mx, i = _worst(tag, res)
+                    if mx > row[0]:
+                        row[0], row[1] = mx, float(radii[i])
+    if any(r is None for _, r, _ in worst.values()):
+        raise DegeneracyError("V is degenerate on the whole grid")
     return worst
 
 
@@ -347,19 +360,10 @@ def _report(families, data, grid, tol, r_boundary=None) -> ResidualReport:
         defect = _robin_defect(data, r_boundary)
         extra.update({tag: _tag_from_values(tag, [r_boundary], [defect], tol, note)
                       for tag, note in _BOUNDARY.items() if tag in after})
-    try:
-        worst = _worst_rows(families, data, grid, _BLOCK)
-    except ElectrovacError:
-        if grid.count <= _BLOCK:
-            raise
-        # The whole grid as one block raises the error a single pass meets
-        # first; or, when some blocks had no point with |V| >= DEGENERATE_V,
-        # it checks the grid as a whole.
-        worst = _worst_rows(families, data, grid, grid.count)
     entries = {tag: TagResult(
         tag=tag, max_residual=mx, worst_radius=r, passed=bool(mx <= tol), skipped=skipped,
         note=f"{skipped} grid points with |V| < {DEGENERATE_V:g} skipped" if skipped else None)
-        for tag, (mx, r, skipped) in worst.items()}
+        for tag, (mx, r, skipped) in _worst_rows(families, data, grid).items()}
     entries.update({tag: extra[tag] for tag in after if tag in extra})
     return ResidualReport(entries=entries, grid=grid.describe(), tolerance=tol)
 

@@ -78,11 +78,22 @@ def test_exit_code_two_on_bad_parameters():
     assert run_cli("verify", "--n", "3", "--m", "1.0", "--lam", "0.1").returncode == 2
     assert run_cli("functional", "--n", "3", "--m", "1.0", "--q", "0.5",
                    "--annulus", "6.0", "3.0").returncode == 2
-    # a mass or charge whose square overflows is a usage error, not an empty domain
-    for m, q, name in (("1e300", "0", "mass"), ("1e160", "0", "mass"), ("1.0", "1e200", "charge")):
-        res = run_cli("verify", "--n", "3", "--m", m, "--q", q)
-        assert res.returncode == 2
+    # a mass or charge whose square overflows is a usage error, not an empty domain;
+    # so is one whose term of the photon-sphere discriminant (n m)^2 - 4(n-1) q^2
+    # overflows, which ended classify in an OverflowError or "discriminant": -Infinity
+    for command, n, m, q, name in (
+            ("verify", "3", "1e300", "0", "mass"), ("verify", "3", "1e160", "0", "mass"),
+            ("verify", "3", "1.0", "1e200", "charge"), ("classify", "3", "5e153", "0", "mass"),
+            ("classify", "7", "1.3e154", "1e150", "mass"),
+            ("classify", "5", "4.677351245980863e-256", "7.325555962603106e+153", "charge")):
+        res = run_cli(command, "--n", n, f"--m={m}", f"--q={q}")
+        assert res.returncode == 2, (command, n, m, q)
         assert name in res.stderr and "Traceback" not in res.stderr
+    # just inside the bound the quadratic is finite and raises no warning
+    res = run_cli("classify", "--n", "3", "--m", "4e153", "--q", "0",
+                  env_extra={"PYTHONWARNINGS": "error"})
+    assert res.returncode == 0
+    assert 1e308 < json.loads(res.stdout)["results"]["discriminant"] < np.inf
 
 
 def test_exit_code_three_on_missing_table():

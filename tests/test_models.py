@@ -46,6 +46,12 @@ def test_parameter_validation():
         RNParameters(3, 1e160, 0.0)
     with pytest.raises(ParameterError, match="charge"):
         RNParameters(3, 1.0, -1e160)
+    # so would a term of the photon-sphere discriminant (n m)^2 - 4(n-1) q^2
+    for n, m, q, name in ((3, 5e153, 0.0, "mass"), (7, 1.3e154, 1e150, "mass"),
+                          (5, 4.677351245980863e-256, 7.325555962603106e+153, "charge")):
+        with pytest.raises(ParameterError, match=name):
+            RNParameters(n, m, q)
+    assert RNParameters(3, 4e153, 0.0).m == 4e153
     assert RNParameters(3, 1e150, 1e150).regime == "extremal"
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -526,6 +527,73 @@ def test_fully_skipped_blocks_count_toward_the_total(monkeypatch):
         for tag in ("PEM1", "PEM2", "PEM3", "NPEM1"):
             assert rep.entries[tag].skipped == want
             assert rep.entries[tag].note == f"{want} grid points with |V| < 1e-09 skipped"
+
+
+def step_field_data(e, at=60.0, domain=(0.0, np.inf)):
+    # Flat, V = 1 and |E| = e past r = at: E1's residual is non-finite there when e = 1e200.
+    step = RadialProfile(lambda r: np.where(r > at, e, 0.0),
+                         jet=lambda r: (np.where(r > at, e, 0.0), 0.0 * r, 0.0 * r),
+                         domain=domain)
+    return SphericalStaticData(n=3, lam=0.0, A=constant_profile(1.0), V=constant_profile(1.0),
+                               Emag=step, Psi=constant_profile(0.0))
+
+
+def test_a_failing_block_ends_the_report():
+    # Radius 60 lies in the third of four blocks: the report reads each
+    # profile on the first three, once each and in order, and raises. A grid
+    # with |V| < 1e-9 throughout reads every block once and raises at the
+    # end. Neither reads the whole grid again.
+    grid = GridSpec(1.0, 100.0, count=4 * residuals._BLOCK, spacing="linear")
+    assert 2 * residuals._BLOCK < np.searchsorted(grid.radii(), 60.0) < 3 * residuals._BLOCK
+    for base, error, blocks in ((step_field_data(1e200), NumericsError, 3),
+                                (zero_crossing_data(0.0), DegeneracyError, 4)):
+        data, counts = counting_data(base)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
+            verify_all(data, grid)
+        assert counts == {name: {"jet": blocks} for name in PROFILES}
+        for name in PROFILES:
+            assert np.array_equal(np.concatenate(getattr(data, name).jet_radii),
+                                  grid.radii(0, blocks * residuals._BLOCK))
+
+
+def traced_peak(call):
+    """(call's result or the ElectrovacError it raised, tracemalloc's peak in bytes)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    except ElectrovacError as exc:
+        return exc, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_failing_report_holds_no_more_memory_than_a_passing_one():
+    # Whole-grid arrays at 1e6 radii would hold 8 MB each.
+    grid = GridSpec(1.0, 100.0, count=10 ** 6, spacing="linear")
+    with np.errstate(over="ignore", invalid="ignore"):
+        (passing, passing_peak), (failing, failing_peak) = (
+            traced_peak(lambda: verify_all(step_field_data(e, at=90.0), grid))
+            for e in (0.0, 1e200))
+    assert passing.passed and isinstance(failing, NumericsError)
+    assert failing_peak < passing_peak + 4e6, (passing_peak, failing_peak)
+
+
+def test_a_grid_past_the_domain_names_its_end_before_any_block():
+    # Only an end of a monotone grid can leave the domain. The error names
+    # that end; it comes from a read of the two ends alone, before any block.
+    # A lower end outside was named so before; an upper one was not: the
+    # first radius past 8 was.
+    data = step_field_data(0.0, domain=(0.0, 8.0))
+    low = dataclasses.replace(data, A=constant_profile(1.0, domain=(1.0, np.inf)))
+    for base, lo, message in ((data, 1.0, "radius 9.0 outside open domain (0.0, 8.0)"),
+                              (low, 0.5, "radius 0.5 outside open domain (1.0, inf)")):
+        grid = GridSpec(lo, 9.0, count=3 * residuals._BLOCK, spacing="linear")
+        counted, counts = counting_data(base)
+        with pytest.raises(DomainError) as exc:
+            verify_all(counted, grid)
+        assert str(exc.value) == message
+        reads = [r.tolist() for name in PROFILES for r in getattr(counted, name).jet_radii]
+        assert reads and all(r == [lo, 9.0] for r in reads)
 
 
 def load_benchmark_spans():
