@@ -293,7 +293,7 @@ def cli_cases(tmp):
     """(environment, argv) per command line: every command and format, tables
     of 4 and 5 columns, one too narrow for its default grid and one whose
     grid passes its end, and the usage (exit 2) and domain (exit 3) errors,
-    overflowing parameters among them."""
+    overflowing parameters and dimensions among them."""
     write_table(f"{tmp}/t5.dat")
     write_table(f"{tmp}/t4.dat", columns=4)
     write_table(f"{tmp}/t3.dat", columns=3)
@@ -314,6 +314,11 @@ def cli_cases(tmp):
         ["classify", "--n", "7", "--m", "1.3e154", "--q", "1e150"],
         ["classify", "--n", "5", "--m=4.677351245980863e-256", "--q=7.325555962603106e+153"],
         ["classify", "--n", "3", "--m", "4e153", "--q", "0"],
+        ["classify", "--n", "343", "--m", "1"],
+        ["classify", "--n", "1" + "0" * 400, "--m", "1"],
+        [*table[:2], "1" + "0" * 400, *table[3:]],
+        [*table[:2], "2", *table[3:]],
+        ["functional", "--n", "344", "--m", "1", "--annulus", "1.5", "3"],
         ["verify", "--n", "7", "--m", "1.3e154", "--q", "1e150"],
         ["functional", "--n", "7", "--m", "1.3e154", "--q", "1e150", "--annulus", "1e31", "2e31"],
         ["verify", "--n", "3", "--m", "1", "--q", "0", "--boundary", "3.0"],
