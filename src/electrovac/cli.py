@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ElectrovacError, ParameterError
-from .geometry import SphericalStaticData
+from .geometry import MAX_DIMENSION, SphericalStaticData
 from .models import RNParameters, coupling_constant, rn_data, rn_horizon, rn_r0
 from .photon import classify_configuration, photon_sphere_radii, quasilocal_check
 from .profiles import tabulated_profile
@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, tol=True):
-        sp.add_argument("--n", type=int, required=True, help="spatial dimension, >= 3")
+        sp.add_argument("--n", type=int, required=True,
+                        help=f"spatial dimension, 3 to {MAX_DIMENSION}")
         sp.add_argument("--m", type=float, default=None, help="mass parameter")
         sp.add_argument("--q", type=float, default=0.0, help="charge parameter")
         if tol:

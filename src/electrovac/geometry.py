@@ -18,10 +18,22 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, ParameterError
 from .profiles import RadialProfile, finite_jet, require_open
 
 V_ZERO_MARGIN = 1e-9
+
+# The largest n whose unit-sphere area 2 pi^(n/2) / Gamma(n/2) is a finite float.
+MAX_DIMENSION = 343
+
+
+def require_dimension(n):
+    """ParameterError unless n is an integer from 3 to MAX_DIMENSION; n is
+    compared before any float conversion, which overflows for a huge int."""
+    if n > MAX_DIMENSION:
+        raise ParameterError(f"dimension must be at most {MAX_DIMENSION}, got {n}")
+    if not n >= 3 or int(n) != n:
+        raise ParameterError(f"dimension must be an integer >= 3, got {n}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +78,8 @@ class SphericalStaticData:
 
     Fields
     ------
-    n : spatial dimension, at least 3.
+    n : spatial dimension, an integer from 3 to MAX_DIMENSION;
+        ParameterError otherwise.
     lam : cosmological constant entering the field equations.
     A, V, Emag : radial profiles of the metric coefficient, the static
         potential, and the electric field magnitude.
@@ -79,11 +92,12 @@ class SphericalStaticData:
     r_scale : characteristic radius used when picking default grids on data
         whose domain reaches down to 0.
     joint : optional r -> the unchecked jets of A, V, Emag and Psi, on one
-        domain, from shared subexpressions and each bit for bit the profile's
-        own, which ``jets`` reads when asked for two or more jets. On finite
-        radii only a numpy overflow, invalid operation or division by zero
-        may make a part non-finite. Kept as ``joint_jet``, not a field: a
-        ``replace`` copy has none.
+        domain, from shared subexpressions, which ``jets`` reads in place of
+        the profiles for every count. ``rn_data`` makes each profile's jet a
+        part of it, so the two cannot disagree. On finite radii only a numpy
+        overflow, invalid operation or division by zero may make a part
+        non-finite. Kept as ``joint_jet``, not a field: a ``replace`` copy
+        has none.
     """
 
     n: int
@@ -97,8 +111,7 @@ class SphericalStaticData:
     joint: InitVar[Optional[Callable]] = None
 
     def __post_init__(self, joint):
-        if int(self.n) != self.n or self.n < 3:
-            raise DomainError(f"dimension must be an integer >= 3, got {self.n}")
+        require_dimension(self.n)
         object.__setattr__(self, "joint_jet", joint)
 
     @property
@@ -116,22 +129,19 @@ class SphericalStaticData:
                 raise DomainError(f"radius within {V_ZERO_MARGIN} of the V-zero at r = {z}")
         return r
 
-    def a_positive(self, r):
-        return _require_positive(self.A(r))
-
     def jets(self, r, count: int) -> list:
         """The jets (f, f', f'') at r of the first count of A, V, Emag and Psi.
 
         Each jet is checked as the profile's own ``jet`` checks it, in that
-        order, and A > 0 right after A's jet. One jet, or data without a
-        joint jet, comes from the profiles. Two or more from joint data take
-        one domain check (A's) and one joint pass. A pass that meets no
-        numpy overflow, invalid operation or division by zero on finite
-        radii has only finite parts and skips their checks; one that does
-        runs again with numpy's warnings off, and the jets asked for are
-        checked in order, so the first non-finite part raises NumericsError.
+        order, and A > 0 right after A's jet. Data without a joint jet reads
+        its profiles; joint data takes one domain check (A's) and one joint
+        pass for any count. A pass that meets no numpy overflow, invalid
+        operation or division by zero on finite radii has only finite parts
+        and skips their checks; one that does runs again with numpy's
+        warnings off, and the jets asked for are checked in order, so the
+        first non-finite part raises NumericsError.
         """
-        if count > 1 and self.joint_jet is not None:
+        if self.joint_jet is not None:
             jets = _joint_jets(self.joint_jet, self.A.require_inside(r))
         else:
             jets = (prof.jet(r) for prof in (self.A, self.V, self.Emag, self.Psi))
@@ -239,7 +249,7 @@ def laplacian_radial(data: SphericalStaticData, f: RadialProfile, r):
 def grad_norm(data: SphericalStaticData, f: RadialProfile, r):
     """|grad f|_g = |f'| / sqrt(A) at radius r."""
     r = data.require_interior(r)
-    a = data.a_positive(r)
+    (a, _, _), = data.jets(r, 1)
     return np.abs(f.d1(r)) / np.sqrt(a)
 
 

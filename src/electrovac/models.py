@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .geometry import SphericalStaticData
+from .geometry import SphericalStaticData, require_dimension
 from .profiles import RadialProfile, constant_profile
 
 
@@ -39,8 +39,7 @@ class RNParameters:
     lam: float = field(default=0.0)
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 3:
-            raise ParameterError(f"dimension must be an integer >= 3, got {self.n}")
+        require_dimension(self.n)
         if not (math.isfinite(self.m) and self.m > 0):
             raise ParameterError(f"mass must be positive and finite, got {self.m}")
         if not math.isfinite(self.q):
@@ -80,68 +79,43 @@ def rn_r0(p: RNParameters) -> float:
 
 
 def rn_data(p: RNParameters) -> SphericalStaticData:
-    """Closed-form data for the charged family on (r0, oo), with a joint jet."""
+    """Closed-form data for the charged family on (r0, oo).
+
+    The closed forms are written once, in the joint jet, from x = 1/r and
+    x^k, k = n - 2. Each profile's jet is the joint's part, so a direct
+    profile read, value or derivative, runs the whole joint pass.
+    """
     n, m, q = p.n, p.m, p.q
     k = n - 2
     cn = coupling_constant(n)
     ce = k * abs(q) / cn
     cp = q / cn
 
-    def powers(r):
-        """(x, x^k) with x = 1/r, by multiplication: no float power to overflow."""
+    def joint(r):
+        # x^k by multiplication: no float power to overflow.
         x = 1.0 / r
         xk = x
         for _ in range(k - 1):
             xk = xk * x
-        return x, xk
-
-    # Each closed form below is written once, on (x, x^k) or on the W jet;
-    # the per-profile jets and the joint jet call the same helpers.
-    def W_terms(x, xk):
-        """(u1, u2, W) with u1 = m x^k and u2 = (q x^k)^2, so W = 1 - 2 u1 + u2."""
+        # W = V^2 = 1/A = 1 - 2 u1 + u2, with u1 = m x^k and u2 = (q x^k)^2.
         qx = q * xk
         u1, u2 = m * xk, qx * qx
-        return u1, u2, 1.0 - 2.0 * u1 + u2
-
-    def W_jet(x, xk):
-        u1, u2, w = W_terms(x, xk)
-        return w, 2.0 * k * x * (u1 - u2), 2.0 * k * x * (x * ((2 * k + 1) * u2 - (k + 1) * u1))
-
-    def A_parts(w, wp, wpp):
-        ww = w * w
-        return 1.0 / w, -wp / ww, -wpp / ww + 2.0 * wp * wp / (ww * w)
-
-    def V_parts(w, wp, wpp):
-        sw = np.sqrt(w)
-        return sw, wp / (2.0 * sw), wpp / (2.0 * sw) - wp * wp / (4.0 * (w * sw))
-
-    # |E| = ce x^(k+1) and Psi = cp x^k; each derivative is one more factor of x.
-    def Emag_parts(x, xk):
+        w = 1.0 - 2.0 * u1 + u2
+        wp = 2.0 * k * x * (u1 - u2)
+        wpp = 2.0 * k * x * (x * ((2 * k + 1) * u2 - (k + 1) * u1))
+        ww, sw = w * w, np.sqrt(w)
+        # |E| = ce x^(k+1) and Psi = cp x^k; each derivative is one more factor of x.
         e = ce * xk * x
         ex = e * x
-        return e, -(n - 1) * ex, n * (n - 1) * ex * x
-
-    def Psi_parts(x, xk):
         psi = cp * xk
         px = psi * x
-        return psi, -k * px, k * (k + 1) * px * x
-
-    def joint(r):
-        xs = powers(r)
-        w = W_jet(*xs)
-        return A_parts(*w), V_parts(*w), Emag_parts(*xs), Psi_parts(*xs)
+        return ((1.0 / w, -wp / ww, -wpp / ww + 2.0 * wp * wp / (ww * w)),
+                (sw, wp / (2.0 * sw), wpp / (2.0 * sw) - wp * wp / (4.0 * (w * sw))),
+                (e, -(n - 1) * ex, n * (n - 1) * ex * x),
+                (psi, -k * px, k * (k + 1) * px * x))
 
     dom = (rn_r0(p), np.inf)
-
-    def profile(value, parts):
-        return RadialProfile(lambda r: value(*powers(r)), jet=lambda r: parts(*powers(r)),
-                             domain=dom)
-
-    # The values of A and V need only W; those of |E| and Psi are their jets' first parts.
-    A = profile(lambda *xs: 1.0 / W_terms(*xs)[2], lambda *xs: A_parts(*W_jet(*xs)))
-    V = profile(lambda *xs: np.sqrt(W_terms(*xs)[2]), lambda *xs: V_parts(*W_jet(*xs)))
-    Emag = profile(lambda *xs: Emag_parts(*xs)[0], Emag_parts)
-    Psi = profile(lambda *xs: Psi_parts(*xs)[0], Psi_parts)
+    A, V, Emag, Psi = (RadialProfile(jet=lambda r, i=i: joint(r)[i], domain=dom) for i in range(4))
     h = rn_horizon(p)
     return SphericalStaticData(n=n, lam=0.0, A=A, V=V, Emag=Emag, Psi=Psi,
                                v_zeros=(h,) if h is not None else (),
@@ -174,18 +148,13 @@ def perturbed_potential_data(base: SphericalStaticData, amplitude: float,
                              f"finite and positive, got {amplitude}, {center}, {width}")
     V = base.V
 
-    def gaussian(r):
-        """(t, amplitude exp(-t^2)) with t = (r - center) / width."""
-        t = (r - center) / width
-        return t, amplitude * np.exp(-t * t)
-
     def bumped(r, f, f1, f2):
         """The jet (f, f1, f2) of V at r plus the bump's."""
-        t, g = gaussian(r)
+        t = (r - center) / width
+        g = amplitude * np.exp(-t * t)
         return f + g, f1 + g * (-2.0 * t / width), f2 + g * (4.0 * t * t - 2.0) / (width * width)
 
-    newV = RadialProfile(lambda r: V.value(r) + gaussian(r)[1], jet=lambda r: bumped(r, *V.jet(r)),
-                         domain=V.domain, mode=V.mode)
+    newV = RadialProfile(jet=lambda r: bumped(r, *V.jet(r)), domain=V.domain, mode=V.mode)
 
     def joint(r):
         a, v, e, psi = base.joint_jet(r)

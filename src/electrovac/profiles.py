@@ -1,10 +1,11 @@
 """Radial profiles: scalar functions of the area radius with two derivatives.
 
-A profile is a value and a jet: it evaluates its value, or the value and its
-first two derivatives at once, at radii inside an open interval. The jet is
-either supplied, in closed form or from an interpolant, or built by central
-differences on the value; the ``mode`` attribute records how accurate the
-derivatives are, so callers can pick tolerances accordingly.
+A profile evaluates its value, or its jet (the value and its first two
+derivatives at once), at radii inside an open interval. A profile defined by
+a jet, in closed form or from an interpolant, takes its value from the jet;
+one defined by a value builds its jet by central differences. The ``mode``
+attribute records how accurate the derivatives are, so callers can pick
+tolerances accordingly.
 """
 
 from __future__ import annotations
@@ -51,14 +52,16 @@ class RadialProfile:
 
     Parameters
     ----------
-    value : callable
-        Vectorized map r -> f(r).
+    value : callable, optional
+        Vectorized map r -> f(r). Without one, ``value(r)`` is the jet's
+        first part, computed with numpy's warnings off and checked alone, so
+        a non-finite derivative never makes a value read warn or raise.
     jet : callable, optional
         Vectorized map r -> (f, f', f''), which may share work between the
         three, such as one table lookup or one pass over a common
-        subexpression. Its first part must equal ``value`` bit for bit.
-        Without one, the jet is central differences on ``value``: three value
-        calls per evaluation.
+        subexpression. Without one, the jet is central differences on
+        ``value``: three value calls per evaluation. ParameterError when
+        neither is given.
     domain : pair of floats
         Open interval of validity.
     mode : str, optional
@@ -67,14 +70,16 @@ class RadialProfile:
         profile whose supplied jet is only as accurate as a difference scheme
         passes MODE_FINITE_DIFFERENCE, so callers pick the loose tolerance.
 
-    ``jet(r)`` checks the domain once and the finiteness of its three parts
-    once, in order, and returns a scalar part for a scalar radius; ``d1`` and
-    ``d2`` are its second and third parts.
+    ``jet(r)`` checks the domain once, computes the three parts with numpy's
+    warnings off and checks their finiteness once, in order, so a part that
+    overflows raises NumericsError without a RuntimeWarning. It returns a
+    scalar part for a scalar radius; ``d1`` and ``d2`` are its second and
+    third parts.
     """
 
     def __init__(
         self,
-        value: Callable,
+        value: Optional[Callable] = None,
         *,
         jet: Optional[Callable] = None,
         domain: tuple[float, float] = (0.0, np.inf),
@@ -83,6 +88,8 @@ class RadialProfile:
         lo, hi = float(domain[0]), float(domain[1])
         if not lo < hi:
             raise DomainError(f"empty profile domain ({lo}, {hi})")
+        if value is None and jet is None:
+            raise ParameterError("a profile needs a value or a jet")
         self._value = value
         self._jet = jet
         self.domain = (lo, hi)
@@ -99,7 +106,11 @@ class RadialProfile:
         return require_open(r, self.domain, "open domain")
 
     def value(self, r):
-        return _finite(self._value(self.require_inside(r)), "value")
+        r = self.require_inside(r)
+        if self._value is None:
+            with np.errstate(all="ignore"):
+                return _finite(self._jet(r)[0], "value")
+        return _finite(self._value(r), "value")
 
     __call__ = value
 
@@ -110,9 +121,11 @@ class RadialProfile:
         return self.jet(r)[2]
 
     def jet(self, r):
-        """(f, f', f'') at r; f equals value(r) bit for bit."""
+        """(f, f', f'') at r."""
         r = self.require_inside(r)
-        return finite_jet(self._difference_jet(r) if self._jet is None else self._jet(r))
+        with np.errstate(all="ignore"):
+            parts = self._difference_jet(r) if self._jet is None else self._jet(r)
+        return finite_jet(parts)
 
     def _difference_jet(self, r):
         f = _finite(self._value(r), "value")
@@ -130,14 +143,11 @@ class RadialProfile:
 
 
 def constant_profile(c: float, domain=(0.0, np.inf)) -> RadialProfile:
-    def value(r):
-        return np.full_like(np.asarray(r, dtype=float), float(c))
-
     def jet(r):
         r = np.asarray(r, dtype=float)
-        return value(r), np.zeros_like(r), np.zeros_like(r)
+        return np.full_like(r, float(c)), np.zeros_like(r), np.zeros_like(r)
 
-    return RadialProfile(value, jet=jet, domain=domain)
+    return RadialProfile(jet=jet, domain=domain)
 
 
 def _not_a_knot_slopes(x, y):
@@ -200,24 +210,16 @@ def tabulated_profile(radii, values) -> RadialProfile:
     t = (s[:-1] + s[1:] - 2.0 * slope) / dx
     c3, c2, c1, c0 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], values[:-1]
 
-    def locate(r):
+    def jet(r):
         # RadialProfile admits only radii inside the open table interval,
         # so the piece index lies in [0, radii.size - 2]; a knot takes its right piece.
         i = np.searchsorted(radii, r, side="right") - 1
-        return i, r - radii[i]
-
-    def jet(r):
-        i, h = locate(r)
+        h = r - radii[i]
         a3, a2, a1 = c3[i], c2[i], c1[i]
         return (((a3 * h + a2) * h + a1) * h + c0[i],
                 (3.0 * a3 * h + 2.0 * a2) * h + a1,
                 6.0 * a3 * h + 2.0 * a2)
 
-    def value(r):
-        i, h = locate(r)
-        return ((c3[i] * h + c2[i]) * h + c1[i]) * h + c0[i]
-
     # Spline derivatives are exact derivatives of the interpolant; keep them,
     # but report finite-difference mode: accuracy is set by the table.
-    return RadialProfile(value, domain=(radii[0], radii[-1]),
-                         mode=MODE_FINITE_DIFFERENCE, jet=jet)
+    return RadialProfile(jet=jet, domain=(radii[0], radii[-1]), mode=MODE_FINITE_DIFFERENCE)

@@ -277,10 +277,9 @@ def _functional_integrand(data: SphericalStaticData, pert: Optional[Perturbation
     bit-identical to the integrand of that amplitude alone, at any radii.
     """
     n = data.n
-    (a0, ap0, _), = data.jets(r, 1)
+    (a0, ap0, _), (v, _, _), (e, _, _) = data.jets(r, 3)
     sa0 = np.sqrt(a0)
-    v = data.V(r)
-    e2 = data.Emag(r) ** 2
+    e2 = e ** 2
     if pert is None:
         R = ricci_kernel(n, a0, ap0, r).trace(n)
         return v * (R - 6.0 * e2) * sa0 * r ** (n - 1) + 4.0 * v * e2 * sa0 * r ** (n - 1)
@@ -315,11 +314,12 @@ def _norm_density(n: int, pert: Perturbation, b, sa, r):
 def _functional_boundary(data: SphericalStaticData, r1: float, r2: float) -> float:
     """Boundary term 2 int V H ds_o with outward normals; the perturbation
     vanishes on a neighborhood of the boundary, so base quantities apply.
-    V and A are read once, on both radii; r ** (n - 1) stays a Python float
+    A and V are read once, on both radii; r ** (n - 1) stays a Python float
     power, which numpy's array power does not match bit for bit."""
     n = data.n
     rr = np.array([r1, r2])
-    vh1, vh2 = (data.V(rr) * ((n - 1) / (rr * np.sqrt(data.a_positive(rr))))).tolist()
+    (a, _, _), (v, _, _) = data.jets(rr, 2)
+    vh1, vh2 = (v * ((n - 1) / (rr * np.sqrt(a)))).tolist()
     return 2.0 * sphere_area(n) * (vh2 * r2 ** (n - 1) - vh1 * r1 ** (n - 1))
 
 
@@ -385,7 +385,8 @@ def perturbation_norm(data: SphericalStaticData, annulus, pert: Perturbation,
     r1, r2 = _require_annulus(data, annulus, pert)
 
     def fn(r):
-        return _norm_density(data.n, pert, pert.bump(r), np.sqrt(data.a_positive(r)), r)
+        (a, _, _), = data.jets(r, 1)
+        return _norm_density(data.n, pert, pert.bump(r), np.sqrt(a), r)
 
     rule = _break_segments([r1, *pert.support(), r2], quad.panels)
     return math.sqrt(sphere_area(data.n) * _rule_integrals(fn, quad, [rule])[0][0])

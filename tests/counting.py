@@ -55,3 +55,16 @@ def counting_data(data):
     copy = dataclasses.replace(data, **{
         name: CountingProfile(getattr(data, name), counts[name]) for name in counts})
     return copy, counts
+
+
+def counting_joint_data(data):
+    """Copy of data as counting_data's, with data's joint jet kept and the
+    radius array of each joint call recorded; returns (copy, counts, radii)."""
+    radii = []
+
+    def joint(r, inner=data.joint_jet):
+        radii.append(np.array(r, dtype=float))
+        return inner(r)
+
+    copy, counts = counting_data(data)
+    return dataclasses.replace(copy, joint=joint), counts, radii

@@ -339,6 +339,32 @@ def test_extreme_scale_numerics_errors_print_only_the_error_line(args, message):
         assert (res.returncode, res.stdout, res.stderr) == (3, "", f"error: {message}\n"), env_extra
 
 
+def test_dimension_bound_exits_two_with_one_error_line(tmp_path, capsys):
+    # n = 343 is the largest dimension whose unit-sphere area is a finite
+    # float. Before, n = 344 and a 401-digit n ended in an OverflowError
+    # traceback, a 309-digit n blamed the mass, and a table with n = 2 exited 3.
+    from electrovac.cli import main
+
+    table = tmp_path / "t.dat"
+    write_table(table, count=40)
+    huge = "1" + "0" * 400
+    cases = [
+        (["functional", "--n", "344", "--m", "1", "--annulus", "1.5", "3"], "at most 343"),
+        (["classify", "--n", huge, "--m", "1"], "at most 343"),
+        (["classify", "--n", "1" + "0" * 308, "--m", "1"], "at most 343"),
+        (["verify", "--profile", str(table), "--n", huge], "at most 343"),
+        (["verify", "--profile", str(table), "--n", "2"], "integer >= 3"),
+    ]
+    for argv, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), argv[:2]
+        assert err.startswith("error: dimension must be") and err.count("\n") == 1, argv[:2]
+        assert message in err, argv[:2]
+
+
 @pytest.mark.parametrize("extra, message", [
     pytest.param(["--pert-width", "1e-300"], "round onto the center", id="narrow-bump"),
     pytest.param(["--pert-center", "1e-160", "--pert-width", "1e-170"], "6/halfwidth^2",

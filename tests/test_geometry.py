@@ -215,9 +215,6 @@ def test_domain_finiteness_and_positivity_checks_keep_their_verdicts():
         (data.require_interior, np.asarray(5.0), (DomainError, data_out)),
         (data.require_interior, np.array([nan, 4.0]),
          (DomainError, "radius within 1e-09 of the V-zero at r = 4.0")),
-        (data.a_positive, 1.5, None),
-        (data.a_positive, 2.0, (DomainError, positive)),
-        (data.a_positive, np.array([1.5, 3.0]), (DomainError, positive)),
         (_require_positive, -1.0, (DomainError, positive)),
         (_require_positive, np.asarray(0.0), (DomainError, positive)),
         (_require_positive, np.array([1.0, -0.0]), (DomainError, positive)),

@@ -12,6 +12,8 @@ from electrovac import (
     ParameterError,
     RNParameters,
     RadialProfile,
+    SphericalStaticData,
+    constant_profile,
     coupling_constant,
     default_grid,
     euclidean_ball_residuals,
@@ -23,6 +25,7 @@ from electrovac import (
     rn_data,
     rn_horizon,
     rn_r0,
+    sphere_area,
     tabulated_profile,
 )
 from electrovac.profiles import MODE_FINITE_DIFFERENCE
@@ -53,6 +56,29 @@ def test_parameter_validation():
             RNParameters(n, m, q)
     assert RNParameters(3, 4e153, 0.0).m == 4e153
     assert RNParameters(3, 1e150, 1e150).regime == "extremal"
+
+
+def test_dimension_is_bounded_before_any_float_conversion():
+    # 343 is the largest n whose unit-sphere area 2 pi^(n/2) / Gamma(n/2) is a
+    # finite float. Past it, a huge n overflowed on its first float
+    # conversion, and n = 10**150 with m = 1e-300 passed every check and left
+    # each joint read with n - 3 multiplications to make.
+    with pytest.raises(ParameterError, match="dimension must be at most 343"):
+        RNParameters(10 ** 150, 1e-300, 0.0)
+    for n in (344, 10 ** 308, 10 ** 400):
+        with pytest.raises(ParameterError, match="dimension must be at most 343"):
+            RNParameters(n, 1.0, 0.0)
+    assert RNParameters(343, 1.0, 0.0).n == 343
+    assert math.isfinite(sphere_area(343))
+    with pytest.raises(OverflowError):
+        sphere_area(344)
+    # SphericalStaticData takes the same bound, as a usage error.
+    one = constant_profile(1.0)
+    for n, message in ((2, "integer >= 3"), (3.5, "integer >= 3"), (math.nan, "integer >= 3"),
+                       (344, "at most 343"), (10 ** 400, "at most 343")):
+        with pytest.raises(ParameterError, match=message):
+            SphericalStaticData(n=n, lam=0.0, A=one, V=one, Emag=one)
+    assert SphericalStaticData(n=343, lam=0.0, A=one, V=one, Emag=one).n == 343
 
 
 def test_regime_labels():

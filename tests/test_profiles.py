@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,28 @@ def test_profile_vectorizes_over_radius_arrays():
     assert np.allclose(p.value(rs), np.sin(rs))
     assert np.allclose(p.d1(rs), np.cos(rs))
     assert p.value(rs).shape == rs.shape
+
+
+def test_a_jet_only_profile_takes_its_value_from_its_jet():
+    # The value is the jet's first part, computed with numpy's warnings off
+    # and checked alone: a derivative that overflows (exp(1e3 r) past
+    # r = 0.71) neither warns nor raises on a value read, and the jet read
+    # raises NumericsError with no RuntimeWarning before it.
+    p = RadialProfile(jet=lambda r: (r * r, np.exp(1e3 * r), 2.0 * np.ones_like(r)),
+                      domain=(0.0, 2.0))
+    assert p.mode == MODE_CLOSED_FORM
+    rs = np.array([0.5, 1.0, 1.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(p.value(rs), rs * rs) and p(1.5) == 2.25
+        for read in (p.jet, p.d1, p.d2):
+            with pytest.raises(NumericsError, match="profile first derivative is non-finite"):
+                read(rs)
+        assert p.d1(0.5) == np.exp(500.0)
+    with pytest.raises(DomainError):
+        p.value(2.0)
+    with pytest.raises(ParameterError, match="a value or a jet"):
+        RadialProfile(domain=(0.0, 1.0))
 
 
 def test_finite_difference_fallback_accuracy():

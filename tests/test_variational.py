@@ -18,6 +18,7 @@ from electrovac import (
     horizon_gradient_limit,
     perturbation_norm,
     perturbed_potential_data,
+    photon_sphere_radii,
     pohozaev_residual,
     radial_integral,
     rn_data,
@@ -40,7 +41,7 @@ from electrovac.variational import (
     _rule_sums,
 )
 
-from counting import counting_data
+from counting import PROFILES, counting_data, counting_joint_data
 
 ANNULUS = (3.0, 6.0)
 PERT = Perturbation(center=4.5, halfwidth=1.0, mode="both")
@@ -389,7 +390,7 @@ def test_criticality_evaluates_base_fields_once_per_node_set():
     bumped = [_break_segments([*ANNULUS, *PERT.support()], k) for k in panels]
     plain = [_break_segments(ANNULUS, k) for k in panels]
     whole = [[(*ANNULUS, k)] for k in panels]
-    functional = {"A": ["jet", "value"], "V": ["value", "value"], "Emag": ["value"]}
+    functional = {"A": ["jet", "jet"], "V": ["jet", "jet"], "Emag": ["jet"]}
     calls = [
         ("functional", lambda d: evaluate_functional(d, ANNULUS), plain, functional),
         ("bumped functional", lambda d: evaluate_functional(d, ANNULUS, PERT), bumped, functional),
@@ -409,6 +410,47 @@ def test_criticality_evaluates_base_fields_once_per_node_set():
             assert [entry for entry, _ in made] == reads.get(profile, []), (name, profile)
             for (_, radii), want in zip(made, (nodes, np.array(ANNULUS))):
                 assert np.array_equal(radii, want), (name, profile)
+
+
+def test_library_calls_on_rn_data_run_the_joint_once_per_radius_array():
+    # On rn_data every field these calls read comes from data.jets: one
+    # joint pass per radius array they read, in order, and no direct read of
+    # any profile. grad_norm differentiates a profile of other data.
+    from electrovac import default_grid, grad_norm, level_set_geometry, verify_all
+
+    p = RNParameters(3, 1.0, 0.5)
+    r_boundary = photon_sphere_radii(p).roots[0].r
+    grid = default_grid(rn_data(p))
+    quad = QuadratureConfig()
+    panels = (quad.panels, 2 * quad.panels)
+
+    def nodes(*rules):
+        return _node_array(quad, rules)[0]
+
+    plain = nodes(*(_break_segments(ANNULUS, k) for k in panels))
+    bumped = nodes(*(_break_segments([*ANNULUS, *PERT.support()], k) for k in panels))
+    coarse = nodes(_break_segments([*ANNULUS, *PERT.support()], quad.panels))
+    whole = nodes(*([(*ANNULUS, k)] for k in panels))
+    edges, rs = np.array(ANNULUS), np.linspace(3.0, 6.0, 50)
+    other = rn_data(RNParameters(4, 1.0, 0.2)).V
+    calls = [
+        ("verify_all", lambda d: verify_all(d, grid, r_boundary=r_boundary),
+         [r_boundary, grid.radii()]),
+        ("functional", lambda d: evaluate_functional(d, ANNULUS), [plain, edges]),
+        ("criticality", lambda d: criticality_test(d, ANNULUS, PERT), [bumped, edges]),
+        ("norm", lambda d: perturbation_norm(d, ANNULUS, PERT), [coarse]),
+        ("first variation", lambda d: euler_lagrange_integral(d, ANNULUS, PERT), [bumped]),
+        ("identity", lambda d: pohozaev_residual(d, ANNULUS), [whole, edges]),
+        ("sphere geometry", lambda d: level_set_geometry(d, rs), [rs]),
+        ("gradient norm", lambda d: grad_norm(d, other, rs), [rs]),
+    ]
+    for name, call, want in calls:
+        data, counts, radii = counting_joint_data(rn_data(p))
+        call(data)
+        assert len(radii) == len(want), name
+        for got, expected in zip(radii, want):
+            assert np.array_equal(got, expected), name
+        assert counts == {profile: {} for profile in PROFILES}, name
 
 
 def functional_boundary_reference(data, r1, r2):
