@@ -31,7 +31,8 @@ def coupling_constant(n: int) -> float:
 
 @dataclass(frozen=True)
 class RNParameters:
-    """Mass/charge parameters of the charged static family. lam is fixed 0."""
+    """Mass/charge parameters of the charged static family. n is an integer
+    from 3 to MAX_DIMENSION; lam is fixed 0."""
 
     n: int
     m: float

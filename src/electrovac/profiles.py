@@ -137,8 +137,7 @@ class RadialProfile:
         h = np.where(gap < h, gap, h)
         if (h <= 0).any():
             raise DomainError("radius too close to the domain edge for a difference stencil")
-        # Checked before the differences, which would turn inf - inf into a warning.
-        up, down = (_finite(self._value(r + s), "first derivative") for s in (h, -h))
+        up, down = (self._value(r + s) for s in (h, -h))
         return f, (up - down) / (2.0 * h), (up - 2.0 * f + down) / (h * h)
 
 
