@@ -292,12 +292,16 @@ def write_table(path, columns=5, lo=2.2, hi=12.0, count=2400):
 def cli_cases(tmp):
     """(environment, argv) per command line: every command and format, tables
     of 4 and 5 columns, one too narrow for its default grid and one whose
-    grid passes its end, and the usage (exit 2) and domain (exit 3) errors,
-    overflowing parameters and dimensions among them."""
+    grid passes its end, one whose |E| overflows when squared, the help
+    texts, and the usage (exit 2) and domain (exit 3) errors, overflowing
+    parameters and dimensions among them."""
     write_table(f"{tmp}/t5.dat")
     write_table(f"{tmp}/t4.dat", columns=4)
     write_table(f"{tmp}/t3.dat", columns=3)
     write_table(f"{tmp}/narrow.dat", lo=5.0, hi=5.09, count=40)
+    rs = np.linspace(1.0, 2.0, 50)
+    np.savetxt(f"{tmp}/huge_e.dat", np.column_stack([rs, np.ones(50), np.ones(50),
+                                                     np.full(50, 1e200)]))
     sub = ["--n", "3", "--m", "1", "--q", "0.5"]
     annulus = ["--annulus", "3", "6"]
     table = ["verify", "--n", "3", "--profile", f"{tmp}/t5.dat"]
@@ -343,6 +347,7 @@ def cli_cases(tmp):
         ["verify", "--n", "3", "--profile", f"{tmp}/t3.dat"],
         ["verify", "--n", "3", "--profile", f"{tmp}/missing.dat"],
         narrow,
+        ["verify", "--n", "3", "--profile", f"{tmp}/huge_e.dat"],
         [*narrow, "--grid-lo", "5.01", "--grid-hi", "5.08"],
         [*narrow, "--grid-lo", "5.01"],
         ["functional", *sub, *annulus],
@@ -357,6 +362,10 @@ def cli_cases(tmp):
         ["functional", *sub, *annulus, "--tol", "1e-3"],
         [],
         ["bogus"],
+        ["--help"],
+        ["classify", "--help"],
+        ["verify", "--help"],
+        ["functional", "--help"],
     ]
     out = [({}, argv) for argv in cases]
     for value in ("1e-3", "0", "nan", "inf", "-1", "abc"):
