@@ -16,37 +16,33 @@ classify and verify check their identities to a tolerance that defaults
 to 1e-9 for closed-form data and 1e-5 for tabulated data; the
 ELECTROVAC_TOL environment variable overrides the default, and --tol
 overrides both. It must be finite and >= 0.
+
+The parser is built from the standard library alone, so --help and usage
+errors load no numpy; each command imports only the modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+from .errors import MAX_DIMENSION, DomainError, ElectrovacError, ParameterError
 
-from .errors import DomainError, ElectrovacError, ParameterError
-from .geometry import MAX_DIMENSION, SphericalStaticData
-from .models import RNParameters, coupling_constant, rn_data, rn_horizon, rn_r0
-from .photon import classify_configuration, photon_sphere_radii, quasilocal_check
-from .profiles import tabulated_profile
-from .residuals import GridSpec, _default_bounds, default_tolerance, verify_all
-from .variational import (
-    Perturbation,
-    QuadratureConfig,
-    criticality_test,
-    evaluate_functional,
-    pohozaev_residual,
-)
+if TYPE_CHECKING:
+    from .geometry import SphericalStaticData
+    from .models import RNParameters
 
 POHOZAEV_TOL = 1e-7
 
 
 def _conventions(n: int, lam: float) -> dict:
+    from .models import coupling_constant
+
     return {
         "normal_orientation": "toward increasing r",
         "coupling_constant": coupling_constant(n),
@@ -55,6 +51,8 @@ def _conventions(n: int, lam: float) -> dict:
 
 
 def _resolve_tol(args, data: SphericalStaticData) -> float:
+    from .residuals import default_tolerance
+
     tol, env = args.tol, os.environ.get("ELECTROVAC_TOL")
     if tol is None and env is None:
         return default_tolerance(data)
@@ -63,12 +61,14 @@ def _resolve_tol(args, data: SphericalStaticData) -> float:
             tol = float(env)
         except ValueError as exc:
             raise ParameterError(f"ELECTROVAC_TOL is not a number: {env!r}") from exc
-    if not (np.isfinite(tol) and tol >= 0):
+    if not (math.isfinite(tol) and tol >= 0):
         raise ParameterError(f"identity tolerance must be finite and >= 0, got {tol}")
     return tol
 
 
 def _params_from_args(args) -> RNParameters:
+    from .models import RNParameters
+
     if args.m is None:
         raise ParameterError("--m is required unless --profile is given")
     return RNParameters(n=args.n, m=args.m, q=args.q)
@@ -76,6 +76,11 @@ def _params_from_args(args) -> RNParameters:
 
 def load_table(path: str, n: int, lam: float) -> SphericalStaticData:
     """Whitespace-separated columns r A V Emag [Psi]; '#' starts a comment."""
+    import numpy as np
+
+    from .geometry import SphericalStaticData
+    from .profiles import tabulated_profile
+
     try:
         arr = np.loadtxt(path, comments="#", ndmin=2)
     except ValueError as exc:
@@ -98,16 +103,16 @@ def load_table(path: str, n: int, lam: float) -> SphericalStaticData:
     )
 
 
-def _grid_for(args, data: SphericalStaticData) -> GridSpec:
-    # The bounds go unvalidated, so explicit ones rescue an empty default.
-    lo, hi = _default_bounds(data)
-    return GridSpec(lo=lo if args.grid_lo is None else args.grid_lo,
-                    hi=hi if args.grid_hi is None else args.grid_hi,
-                    count=args.grid_count, spacing=args.grid_spacing)
+def _given(**options) -> dict:
+    """The options given on the command line; the library supplies the rest."""
+    return {name: value for name, value in options.items() if value is not None}
 
 
 # Each command returns (params, results, tolerances, ok); main builds the report.
 def cmd_classify(args) -> tuple[dict, dict, dict, bool]:
+    from .models import rn_data, rn_horizon, rn_r0
+    from .photon import classify_configuration, photon_sphere_radii, quasilocal_check
+
     p = _params_from_args(args)
     data = rn_data(p)
     tol = _resolve_tol(args, data)
@@ -154,6 +159,9 @@ def cmd_classify(args) -> tuple[dict, dict, dict, bool]:
 
 
 def cmd_verify(args) -> tuple[dict, dict, dict, bool]:
+    from .models import rn_data
+    from .residuals import GridSpec, _default_bounds, verify_all
+
     if args.profile is not None:
         if args.m is not None:
             raise ParameterError("give either --profile or --m/--q, not both")
@@ -168,7 +176,11 @@ def cmd_verify(args) -> tuple[dict, dict, dict, bool]:
     params["conventions"] = _conventions(args.n, args.lam)
 
     tol = _resolve_tol(args, data)
-    grid = _grid_for(args, data)
+    # The bounds go unvalidated, so explicit ones rescue an empty default.
+    lo, hi = _default_bounds(data)
+    grid = GridSpec(lo=lo if args.grid_lo is None else args.grid_lo,
+                    hi=hi if args.grid_hi is None else args.grid_hi,
+                    **_given(count=args.grid_count, spacing=args.grid_spacing))
     report = verify_all(data, grid, tol=tol, r_boundary=args.boundary)
     if args.boundary is not None:
         params["boundary"] = args.boundary
@@ -176,14 +188,23 @@ def cmd_verify(args) -> tuple[dict, dict, dict, bool]:
 
 
 def cmd_functional(args) -> tuple[dict, dict, dict, bool]:
+    from .models import rn_data
+    from .variational import (
+        Perturbation,
+        QuadratureConfig,
+        criticality_test,
+        evaluate_functional,
+        pohozaev_residual,
+    )
+
     p = _params_from_args(args)
     data = rn_data(p)
     r1, r2 = args.annulus
     center = args.pert_center if args.pert_center is not None else 0.5 * (r1 + r2)
     width = args.pert_width if args.pert_width is not None else 0.25 * (r2 - r1)
     pert = Perturbation(center=center, halfwidth=width, mode=args.pert_mode)
-    quad = QuadratureConfig(panels=args.quad_panels, nodes=args.quad_nodes,
-                            tol=args.quad_tol)
+    quad = QuadratureConfig(**_given(panels=args.quad_panels, nodes=args.quad_nodes,
+                                     tol=args.quad_tol))
 
     value = evaluate_functional(data, (r1, r2), None, quad)
     crit = criticality_test(data, (r1, r2), pert, quad)
@@ -297,10 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="residuals of the defining equations")
     common(sp)
-    sp.add_argument("--grid-count", type=int, default=GridSpec.count)
+    sp.add_argument("--grid-count", type=int, default=None)
     sp.add_argument("--grid-lo", type=float, default=None)
     sp.add_argument("--grid-hi", type=float, default=None)
-    sp.add_argument("--grid-spacing", choices=("log", "linear"), default=GridSpec.spacing)
+    sp.add_argument("--grid-spacing", choices=("log", "linear"), default=None)
     sp.add_argument("--profile", default=None,
                     help="table file with columns r A V Emag [Psi]")
     sp.add_argument("--lam", type=float, default=0.0)
@@ -316,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pert-width", type=float, default=None)
     sp.add_argument("--pert-mode", choices=("radial", "tangential", "both"),
                     default="both")
-    sp.add_argument("--quad-panels", type=int, default=QuadratureConfig.panels)
-    sp.add_argument("--quad-nodes", type=int, default=QuadratureConfig.nodes)
-    sp.add_argument("--quad-tol", type=float, default=QuadratureConfig.tol)
+    sp.add_argument("--quad-panels", type=int, default=None)
+    sp.add_argument("--quad-nodes", type=int, default=None)
+    sp.add_argument("--quad-tol", type=float, default=None)
     sp.set_defaults(fn=cmd_functional)
 
     return parser

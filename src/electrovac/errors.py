@@ -19,3 +19,16 @@ class ParameterError(ElectrovacError):
 
 class DegeneracyError(ElectrovacError):
     """An operation required V != 0 but the potential is degenerate."""
+
+
+# The largest n whose unit-sphere area 2 pi^(n/2) / Gamma(n/2) is a finite float.
+MAX_DIMENSION = 343
+
+
+def require_dimension(n):
+    """ParameterError unless n is an integer from 3 to MAX_DIMENSION; n is
+    compared before any float conversion, which overflows for a huge int."""
+    if n > MAX_DIMENSION:
+        raise ParameterError(f"dimension must be at most {MAX_DIMENSION}, got {n}")
+    if not n >= 3 or int(n) != n:
+        raise ParameterError(f"dimension must be an integer >= 3, got {n}")

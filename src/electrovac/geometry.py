@@ -18,22 +18,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NumericsError, ParameterError
+from .errors import DomainError, NumericsError, require_dimension
 from .profiles import RadialProfile, finite_jet, require_open
 
 V_ZERO_MARGIN = 1e-9
-
-# The largest n whose unit-sphere area 2 pi^(n/2) / Gamma(n/2) is a finite float.
-MAX_DIMENSION = 343
-
-
-def require_dimension(n):
-    """ParameterError unless n is an integer from 3 to MAX_DIMENSION; n is
-    compared before any float conversion, which overflows for a huge int."""
-    if n > MAX_DIMENSION:
-        raise ParameterError(f"dimension must be at most {MAX_DIMENSION}, got {n}")
-    if not n >= 3 or int(n) != n:
-        raise ParameterError(f"dimension must be an integer >= 3, got {n}")
 
 
 @dataclass(frozen=True)

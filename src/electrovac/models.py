@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
-from .geometry import SphericalStaticData, require_dimension
+from .errors import DomainError, ParameterError, require_dimension
+from .geometry import SphericalStaticData
 from .profiles import RadialProfile, constant_profile
 
 

@@ -335,17 +335,21 @@ def _worst_rows(families, data, grid) -> dict[str, list]:
         data.jets(np.array([grid.lo, grid.hi]), 3)
     worst: dict[str, list] = {}
     for start in range(0, grid.count, _BLOCK):
-        f = _Fields(data, grid.radii(start, start + _BLOCK))
-        for family in families:
-            radii, rows = family(f)
-            skipped = f.rs.size - radii.size
-            for tag, res in rows.items():
-                row = worst.setdefault(tag, [-1.0, None, 0])
-                row[2] += skipped
-                if radii.size:
-                    mx, i = _worst(tag, res)
-                    if mx > row[0]:
-                        row[0], row[1] = mx, float(radii[i])
+        # The jets run with numpy's warnings off and check their own parts;
+        # past them, an overflow leaves a non-finite field, which the Ricci
+        # check or _worst raises as NumericsError, so no warning precedes it.
+        with np.errstate(all="ignore"):
+            f = _Fields(data, grid.radii(start, start + _BLOCK))
+            for family in families:
+                radii, rows = family(f)
+                skipped = f.rs.size - radii.size
+                for tag, res in rows.items():
+                    row = worst.setdefault(tag, [-1.0, None, 0])
+                    row[2] += skipped
+                    if radii.size:
+                        mx, i = _worst(tag, res)
+                        if mx > row[0]:
+                            row[0], row[1] = mx, float(radii[i])
     if any(r is None for _, r, _ in worst.values()):
         raise DegeneracyError("V is degenerate on the whole grid")
     return worst

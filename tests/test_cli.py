@@ -388,3 +388,25 @@ def test_degenerate_functional_input_is_a_usage_error(extra, message, capsys):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == "" and "NaN" not in err and message in err
+
+
+def test_overflowing_field_squares_end_in_one_error_line(tmp_path):
+    # |E|^2 overflows on this table. The residual pass warned "overflow
+    # encountered in multiply" and "invalid value encountered in subtract"
+    # before the error line, and under -W error ended in a traceback.
+    from electrovac import NumericsError, default_grid, verify_all
+    from electrovac.cli import load_table
+
+    table = tmp_path / "huge_e.dat"
+    rs = np.linspace(1.0, 2.0, 50)
+    np.savetxt(table, np.column_stack([rs, np.ones(50), np.ones(50), np.full(50, 1e200)]))
+    args = ["verify", "--n", "3", "--profile", str(table)]
+    for env_extra in (None, {"PYTHONWARNINGS": "error"}):
+        res = run_cli(*args, env_extra=env_extra)
+        assert (res.returncode, res.stdout, res.stderr) == (
+            3, "", "error: non-finite residual for E1\n"), env_extra
+    data = load_table(str(table), n=3, lam=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="non-finite residual for E1"):
+            verify_all(data, default_grid(data))

@@ -2,9 +2,10 @@
 
 electrovac imports no scipy module: table profiles are built with a numpy
 spline, the isotropic inverse is solved in closed form, and the photon-sphere
-scan refines its brackets with numpy. Each check runs in a fresh interpreter,
-because this test process has long since imported scipy, the spline's test
-oracle.
+scan refines its brackets with numpy. Importing the package and its CLI loads
+no numpy either, and each command loads only the modules it runs. Each check
+runs in a fresh interpreter, because this test process has long since
+imported scipy, the spline's test oracle, and every electrovac module.
 """
 
 import json
@@ -16,6 +17,7 @@ import textwrap
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import electrovac
@@ -123,3 +125,139 @@ def test_every_export_has_a_caller():
         if not [line for line in uses if not defining.match(line)]:
             unused.append(name)
     assert unused == []
+
+
+# Each public name by the submodule that defines it.
+EXPORTS = {
+    "errors": ["DegeneracyError", "DomainError", "ElectrovacError", "NumericsError",
+               "ParameterError"],
+    "geometry": ["FrameTensor2", "HypersurfaceGeometry", "SphericalStaticData",
+                 "contracted_gauss_residual", "grad_norm", "hessian_radial",
+                 "horizon_gradient_limit", "laplacian_radial", "level_set_geometry",
+                 "ricci_radial", "richardson_limit", "scalar_curvature", "scalar_curvature_d1"],
+    "models": ["BallStaticExample", "IsotropicChart", "IsotropicPoint", "RNParameters",
+               "coupling_constant", "euclidean_ball_residuals", "flat_data", "isotropic_inverse",
+               "isotropic_map", "perturbed_potential_data", "phi_identity_residual", "rn_data",
+               "rn_horizon", "rn_r0"],
+    "photon": ["Classification", "PhotonRoot", "PhotonSphereResult", "QuasilocalReport",
+               "RejectedRoot", "boundary_residual", "classify_configuration",
+               "photon_sphere_radii", "quasilocal_check", "scan_photon_spheres"],
+    "profiles": ["RadialProfile", "constant_profile", "tabulated_profile"],
+    "residuals": ["EQUATION_TAGS", "GridSpec", "ResidualReport", "TagResult", "default_grid",
+                  "default_tolerance", "equivalence_property", "residual_identities",
+                  "residual_master", "residual_pem", "residual_system", "residual_traced",
+                  "verify_all"],
+    "variational": ["CriticalityResult", "Perturbation", "QuadratureConfig", "criticality_test",
+                    "euler_lagrange_integral", "evaluate_functional", "perturbation_norm",
+                    "pohozaev_residual", "radial_integral", "sphere_area", "surface_gravity"],
+}
+
+LOADED = """
+def loaded(argv):
+    import contextlib, io
+    import electrovac, electrovac.cli
+    code = None
+    if argv is not None:
+        sink = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = electrovac.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"code": code, "numpy": "numpy" in sys.modules,
+            "electrovac": sorted(m for m in sys.modules if m.split(".")[0] == "electrovac")}
+"""
+PARSER_ONLY = ["electrovac", "electrovac.cli", "electrovac.errors"]
+SUB = ["--n", "3", "--m", "1", "--q", "0.5"]
+
+
+def loaded_after(argv):
+    """Exit code, whether numpy is loaded, and the electrovac modules loaded
+    after a fresh interpreter imports electrovac and its CLI and, unless argv
+    is None, runs argv through main."""
+    return run_fresh(LOADED + f"print(json.dumps(loaded({argv!r})))")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (None, None), (["--help"], 0), (["classify", "--help"], 0), (["verify", "--help"], 0),
+    (["functional", "--help"], 0), (["bogus"], 2),
+], ids=["import", "help", "classify-help", "verify-help", "functional-help", "bogus"])
+def test_import_help_and_usage_errors_load_no_numpy(argv, code):
+    assert loaded_after(argv) == {"code": code, "numpy": False, "electrovac": PARSER_ONLY}
+
+
+def _modules(*names):
+    return sorted(PARSER_ONLY + [f"electrovac.{name}" for name in names])
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["classify", *SUB], _modules("geometry", "models", "photon", "profiles", "residuals")),
+    (["verify", *SUB], _modules("geometry", "models", "profiles", "residuals")),
+    (["verify", "--n", "3", "--profile", "TABLE"],
+     _modules("geometry", "models", "profiles", "residuals")),
+    (["functional", *SUB, "--annulus", "3", "6"],
+     _modules("geometry", "models", "profiles", "variational")),
+], ids=["classify", "verify", "verify-profile", "functional"])
+def test_each_command_loads_only_the_modules_it_runs(argv, modules, tmp_path):
+    # classify needs no variational module, verify neither variational nor
+    # photon, and functional neither residuals nor photon.
+    table = tmp_path / "family.dat"
+    data = electrovac.rn_data(electrovac.RNParameters(3, 1.0, 0.5))
+    rs = np.geomspace(2.2, 12.0, 400)
+    np.savetxt(table, np.column_stack([rs, data.A(rs), data.V(rs), data.Emag(rs)]))
+    argv = [str(table) if arg == "TABLE" else arg for arg in argv]
+    got = loaded_after(argv)
+    assert got["code"] in (0, 1) and got["numpy"]
+    assert got["electrovac"] == modules
+
+
+def test_all_is_the_public_table_and_a_star_import_binds_each_name():
+    got = run_fresh("""
+        import electrovac
+        names = list(electrovac.__all__)
+        ns = {}
+        exec("from electrovac import *", ns)
+        print(json.dumps({"all": names, "bound": sorted(n for n in ns if n != "__builtins__")}))
+    """)
+    want = sorted(name for names in EXPORTS.values() for name in names)
+    assert len(want) == 69
+    assert got == {"all": want, "bound": want}
+
+
+def test_each_name_is_its_modules_object():
+    got = run_fresh(f"""
+        import importlib
+        import electrovac
+        exports = {EXPORTS!r}
+        print(json.dumps([[module, name] for module, names in exports.items() for name in names
+                          if getattr(electrovac, name) is not getattr(
+                              importlib.import_module("electrovac." + module), name)]))
+    """)
+    assert got == []
+
+
+def test_an_unknown_attribute_raises_attribute_error_naming_it():
+    got = run_fresh("""
+        import electrovac
+        try:
+            electrovac.no_such_name
+        except AttributeError as exc:
+            print(json.dumps(str(exc)))
+    """)
+    assert got == "module 'electrovac' has no attribute 'no_such_name'"
+
+
+def test_library_defaults_reach_the_reports_unrestated():
+    # The CLI writes no grid or quadrature default: an option not given is
+    # not passed, and GridSpec and QuadratureConfig supply it.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                                    os.environ.get("PYTHONPATH")])))
+    reports = {}
+    for command, extra in (("verify", []), ("functional", ["--annulus", "3", "6"])):
+        res = subprocess.run([sys.executable, "-m", "electrovac.cli", command, *SUB, *extra],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        reports[command] = json.loads(res.stdout)
+    grid = reports["verify"]["results"]["grid"]
+    assert grid.startswith(f"{electrovac.GridSpec.count} {electrovac.GridSpec.spacing}-spaced radii")
+    assert reports["functional"]["tolerances"]["quadrature"] == electrovac.QuadratureConfig.tol
