@@ -335,9 +335,10 @@ def _worst_rows(families, data, grid) -> dict[str, list]:
         data.jets(np.array([grid.lo, grid.hi]), 3)
     worst: dict[str, list] = {}
     for start in range(0, grid.count, _BLOCK):
-        # The jets run with numpy's warnings off and check their own parts;
-        # past them, an overflow leaves a non-finite field, which the Ricci
-        # check or _worst raises as NumericsError, so no warning precedes it.
+        # The jets already run with numpy's warnings off and check their own
+        # parts. The arithmetic past them may still overflow; a non-finite
+        # result reaches the Ricci check or _worst, which raise NumericsError,
+        # so a warning would only precede that error line.
         with np.errstate(all="ignore"):
             f = _Fields(data, grid.radii(start, start + _BLOCK))
             for family in families:
