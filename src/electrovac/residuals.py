@@ -336,9 +336,10 @@ def _worst_rows(families, data, grid) -> dict[str, list]:
     worst: dict[str, list] = {}
     for start in range(0, grid.count, _BLOCK):
         # The jets already run with numpy's warnings off and check their own
-        # parts. The arithmetic past them may still overflow; a non-finite
-        # result reaches the Ricci check or _worst, which raise NumericsError,
-        # so a warning would only precede that error line.
+        # parts. Past them, an overflow that ends non-finite reaches the Ricci
+        # check or _worst, which raise NumericsError, so a warning would only
+        # precede that error line. One that ends finite passes silently: at
+        # m = 3e153, r*r overflows in ricci_kernel and (1 - 1/A)/inf reads 0.
         with np.errstate(all="ignore"):
             f = _Fields(data, grid.radii(start, start + _BLOCK))
             for family in families:

@@ -113,11 +113,14 @@ def test_all_exports_no_submodules():
 def test_every_export_has_a_caller():
     # A public name that nothing in the library, its tests or its benchmark
     # reads is dead weight: each must appear outside __init__.py and outside
-    # the line that defines it.
+    # the line that defines it. The EXPORTS table below lists every name, so
+    # it is no caller.
     root = SRC.parent
     files = [p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")
              if p.name != "__init__.py" and "out" not in p.relative_to(root).parts]
     text = "\n".join(p.read_text() for p in files)
+    text, tables = re.subn(r"^EXPORTS = \{$.*?^\}$", "", text, flags=re.M | re.S)
+    assert tables == 1
     unused = []
     for name in electrovac.__all__:
         uses = re.findall(rf"^.*\b{name}\b.*$", text, flags=re.M)
