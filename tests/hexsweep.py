@@ -13,7 +13,8 @@ data as cubic tables and as value-only profiles (difference jets), n from 3
 to 7 in every regime, and a few sets that end in errors. The pointwise
 readers run on 64 radii of each grid, on one scalar radius, and at each
 closed-form photon-sphere radius; the isotropic chart of each set's
-parameters at its branch start and at seeded radii above it. pytest does not
+parameters at its branch start and at seeded radii above it; last, the
+flat-ball report of the default BallStaticExample. pytest does not
 collect this file. Floating-point warnings are silenced: only results and
 errors are compared.
 
@@ -36,6 +37,7 @@ import numpy as np
 
 from electrovac import cli
 from electrovac import (
+    BallStaticExample,
     ElectrovacError,
     GridSpec,
     IsotropicChart,
@@ -49,6 +51,7 @@ from electrovac import (
     criticality_test,
     default_grid,
     equivalence_property,
+    euclidean_ball_residuals,
     euler_lagrange_integral,
     evaluate_functional,
     grad_norm,
@@ -293,8 +296,8 @@ def cli_cases(tmp):
     """(environment, argv) per command line: every command and format, tables
     of 4 and 5 columns, one too narrow for its default grid and one whose
     grid passes its end, one whose |E| overflows when squared, the help
-    texts, and the usage (exit 2) and domain (exit 3) errors, overflowing
-    parameters and dimensions among them."""
+    texts, NaN and huge boundary radii, and the usage (exit 2) and domain
+    (exit 3) errors, overflowing parameters and dimensions among them."""
     write_table(f"{tmp}/t5.dat")
     write_table(f"{tmp}/t4.dat", columns=4)
     write_table(f"{tmp}/t3.dat", columns=3)
@@ -326,6 +329,8 @@ def cli_cases(tmp):
         ["verify", "--n", "7", "--m", "1.3e154", "--q", "1e150"],
         ["functional", "--n", "7", "--m", "1.3e154", "--q", "1e150", "--annulus", "1e31", "2e31"],
         ["verify", "--n", "3", "--m", "1", "--q", "0", "--boundary", "3.0"],
+        ["verify", *sub, "--boundary", "nan"],
+        ["verify", *sub, "--boundary", "1e308"],
         ["verify", "--n", "4", *sub[2:], "--format", "text"],
         ["verify", *sub, "--lam=-0.0"],
         ["verify", *sub, "--lam", "0.1"],
@@ -422,6 +427,9 @@ def main(argv=None):
             for name, fn in (calls(*case) | chart_calls(p, chart_rng)).items():
                 line = {"set": label, "call": name, "out": outcome(fn)}
                 sys.stdout.write(json.dumps(line) + "\n")
+        line = {"set": "flat ball", "call": "euclidean_ball_residuals",
+                "out": outcome(lambda: euclidean_ball_residuals(BallStaticExample.default()))}
+        sys.stdout.write(json.dumps(line) + "\n")
 
 
 if __name__ == "__main__":
