@@ -11,20 +11,20 @@ _EXPORTS = {
     "errors": ("DegeneracyError", "DomainError", "ElectrovacError", "NumericsError",
                "ParameterError"),
     "geometry": ("FrameTensor2", "HypersurfaceGeometry", "SphericalStaticData",
-                 "contracted_gauss_residual", "grad_norm", "hessian_radial",
-                 "horizon_gradient_limit", "laplacian_radial", "level_set_geometry",
-                 "ricci_radial", "richardson_limit", "scalar_curvature",
+                 "contracted_gauss_residual", "default_tolerance", "grad_norm",
+                 "hessian_radial", "horizon_gradient_limit", "laplacian_radial",
+                 "level_set_geometry", "ricci_radial", "richardson_limit", "scalar_curvature",
                  "scalar_curvature_d1"),
     "models": ("BallStaticExample", "IsotropicChart", "IsotropicPoint", "RNParameters",
-               "coupling_constant", "euclidean_ball_residuals", "flat_data",
-               "isotropic_inverse", "isotropic_map", "perturbed_potential_data",
-               "phi_identity_residual", "rn_data", "rn_horizon", "rn_r0"),
+               "coupling_constant", "flat_data", "isotropic_inverse", "isotropic_map",
+               "perturbed_potential_data", "phi_identity_residual", "rn_data", "rn_horizon",
+               "rn_r0"),
     "photon": ("Classification", "PhotonRoot", "PhotonSphereResult", "QuasilocalReport",
                "RejectedRoot", "boundary_residual", "classify_configuration",
                "photon_sphere_radii", "quasilocal_check", "scan_photon_spheres"),
     "profiles": ("RadialProfile", "constant_profile", "tabulated_profile"),
     "residuals": ("EQUATION_TAGS", "GridSpec", "ResidualReport", "TagResult",
-                  "default_grid", "default_tolerance", "equivalence_property",
+                  "default_grid", "equivalence_property", "euclidean_ball_residuals",
                   "residual_identities", "residual_master", "residual_pem",
                   "residual_system", "residual_traced", "verify_all"),
     "variational": ("CriticalityResult", "Perturbation", "QuadratureConfig",

@@ -51,7 +51,7 @@ def _conventions(n: int, lam: float) -> dict:
 
 
 def _resolve_tol(args, data: SphericalStaticData) -> float:
-    from .residuals import default_tolerance
+    from .geometry import default_tolerance
 
     tol, env = args.tol, os.environ.get("ELECTROVAC_TOL")
     if tol is None and env is None:

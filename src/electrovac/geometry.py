@@ -19,9 +19,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NumericsError, require_dimension
-from .profiles import RadialProfile, finite_jet, require_open
+from .profiles import MODE_CLOSED_FORM, RadialProfile, finite_jet, require_open
 
 V_ZERO_MARGIN = 1e-9
+# |V| below this counts as zero: a photon sphere there is rejected, a slice
+# check is degenerate, and a residual grid point is skipped.
+DEGENERATE_V = 1e-9
+# Identity tolerances by the accuracy of a data set's derivatives (default_tolerance).
+TOL_CLOSED_FORM = 1e-9
+TOL_FINITE_DIFFERENCE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -138,6 +144,14 @@ class SphericalStaticData:
         return [a] + [next(jets) for _ in range(count - 1)]
 
 
+def default_tolerance(data: SphericalStaticData) -> float:
+    """TOL_CLOSED_FORM when every profile of data has closed-form
+    derivatives, TOL_FINITE_DIFFERENCE otherwise."""
+    profs = (data.A, data.V, data.Emag, data.Psi)
+    closed = all(p is None or p.mode == MODE_CLOSED_FORM for p in profs)
+    return TOL_CLOSED_FORM if closed else TOL_FINITE_DIFFERENCE
+
+
 def _require_positive(a):
     if np.less_equal(a, 0).any():
         raise DomainError("metric coefficient A must be positive")
@@ -145,16 +159,15 @@ def _require_positive(a):
 
 
 def _joint_jets(joint, r):
-    """joint(r) as an iterator of jets, checked when drawn unless a pass
-    under raised numpy floating-point errors shows them finite."""
+    """joint(r) at radii inside its domain (so finite) as an iterator of jets,
+    checked when drawn unless a pass under raised numpy floating-point errors
+    shows them finite."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            if np.isfinite(r).all():
-                return iter(joint(r))
+            return iter(joint(r))
     except FloatingPointError:
-        pass
-    with np.errstate(all="ignore"):
-        return map(finite_jet, joint(r))
+        with np.errstate(all="ignore"):
+            return map(finite_jet, joint(r))
 
 
 def warped_scalar(n, A, Ap, C, Cp, Cpp):
@@ -200,11 +213,16 @@ def scalar_curvature_d1_kernel(n, a, ap, app, r):
     return (n - 1) * term1 + (n - 1) * (n - 2) * term2
 
 
+# ricci_radial, scalar_curvature_d1 and level_set_geometry run their kernels
+# with numpy's warnings off, as a residual block does: an overflow that ends
+# non-finite raises NumericsError in ricci_kernel, and one that ends finite
+# passes silently (at r = 1e200, r*r overflows and K_tan = x/inf reads 0).
 def ricci_radial(data: SphericalStaticData, r) -> FrameTensor2:
     """Ricci tensor of g in frame components at radius r."""
     r = data.require_interior(r)
     (a, ap, _), = data.jets(r, 1)
-    return ricci_kernel(data.n, a, ap, r)
+    with np.errstate(all="ignore"):
+        return ricci_kernel(data.n, a, ap, r)
 
 
 def scalar_curvature(data: SphericalStaticData, r):
@@ -215,7 +233,8 @@ def scalar_curvature(data: SphericalStaticData, r):
 def scalar_curvature_d1(data: SphericalStaticData, r):
     """Radial derivative dR/dr, in closed form from A, A', A''."""
     r = data.require_interior(r)
-    return scalar_curvature_d1_kernel(data.n, *data.jets(r, 1)[0], r)
+    with np.errstate(all="ignore"):
+        return scalar_curvature_d1_kernel(data.n, *data.jets(r, 1)[0], r)
 
 
 def hessian_radial(data: SphericalStaticData, f: RadialProfile, r) -> FrameTensor2:
@@ -246,19 +265,20 @@ def level_set_geometry(data: SphericalStaticData, r) -> HypersurfaceGeometry:
     r = data.require_interior(r)
     n = data.n
     (a, ap, _), (v, vp, _) = data.jets(r, 2)
-    sa = np.sqrt(a)
-    H = (n - 1) / (r * sa)
-    ric = ricci_kernel(n, a, ap, r)
-    return HypersurfaceGeometry(
-        r=r[()],
-        H=H,
-        B_tan=H / (n - 1),
-        R_S=(n - 1) * (n - 2) / (r * r),
-        V=v,
-        nuV=vp / sa,
-        ric_nn=ric.radial,
-        R=ric.trace(n),
-    )
+    with np.errstate(all="ignore"):
+        sa = np.sqrt(a)
+        H = (n - 1) / (r * sa)
+        ric = ricci_kernel(n, a, ap, r)
+        return HypersurfaceGeometry(
+            r=r[()],
+            H=H,
+            B_tan=H / (n - 1),
+            R_S=(n - 1) * (n - 2) / (r * r),
+            V=v,
+            nuV=vp / sa,
+            ric_nn=ric.radial,
+            R=ric.trace(n),
+        )
 
 
 def contracted_gauss_residual(data: SphericalStaticData, r):

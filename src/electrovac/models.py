@@ -323,6 +323,7 @@ class BallStaticExample:
     Sigma = {x . v = 0} meets the ball in a unit disk of area pi. Sample
     points are deterministic: a Halton sequence filtered to the open ball for
     the interior, a golden-angle spiral for the boundary sphere.
+    residuals.euclidean_ball_residuals checks it.
     """
 
     v: tuple[float, float, float]
@@ -337,57 +338,6 @@ class BallStaticExample:
         interior = _halton_ball(n_interior)
         boundary = _sphere_spiral(n_boundary)
         return cls(v=tuple(map(float, vv)), interior=interior, boundary=boundary)
-
-
-def euclidean_ball_residuals(example: BallStaticExample):
-    """Verify the flat-ball data pointwise, in closed form.
-
-    V is linear, so grad V is the constant vector v, Hess V vanishes
-    identically, the flat metric has Ric = 0, and with E = 0 the master
-    equation's right side vanishes: the interior residuals are exact zeros,
-    not small numbers. On the unit sphere the outward normal is x, H = 2 and
-    n = 3 give H/(n-1) = 1, so the Robin defect dV/dnu - V H/(n-1) is an
-    exact floating-point cancellation at every sample. The slice {x . v = 0}
-    meets the ball in a unit disk whose area pi is reported analytically.
-    """
-    from .residuals import ResidualReport, TagResult, _tag_from_values
-
-    v = np.asarray(example.v, dtype=float)
-    pts_in = example.interior
-    pts_bd = example.boundary
-    n_dim = 3
-    tol = 0.0  # exact-arithmetic-friendly checks: demand literal zero
-
-    vals_in = pts_in @ v
-    hess = np.zeros_like(vals_in)          # second derivatives of a linear map
-    lap = np.zeros_like(vals_in)
-    ric = np.zeros_like(vals_in)           # flat metric
-    # Master equation residual: Hess V - (Lap V) g - V Ric - 2V(0 - 0) = 0.
-    master = hess - lap - vals_in * ric
-
-    vals_bd = pts_bd @ v
-    dnu = pts_bd @ v                        # grad V = v, nu = x on the sphere
-    H_over = 2.0 / (n_dim - 1)
-    robin = dnu - vals_bd * H_over
-
-    radii_in = np.sqrt(np.sum(pts_in * pts_in, axis=1))
-    radii_bd = np.sqrt(np.sum(pts_bd * pts_bd, axis=1))
-    entries = {
-        "BALL_HESS": _tag_from_values("BALL_HESS", radii_in, hess, tol,
-                                      note="Hessian of a linear potential"),
-        "BALL_LAP": _tag_from_values("BALL_LAP", radii_in, lap, tol,
-                                     note="Laplacian of a linear potential"),
-        "BALL_RIC": _tag_from_values("BALL_RIC", radii_in, ric, tol,
-                                     note="flat metric"),
-        "BALL_AE1": _tag_from_values("BALL_AE1", radii_in, master, tol,
-                                     note="master equation with E = 0"),
-        "BALL_ROBIN": _tag_from_values("BALL_ROBIN", radii_bd, robin, tol,
-                                       note="dV/dnu - V H/(n-1) on the unit sphere"),
-    }
-    grid = (f"{pts_in.shape[0]} quasi-random interior points, "
-            f"{pts_bd.shape[0]} spiral boundary points")
-    return ResidualReport(entries=entries, grid=grid, tolerance=tol,
-                          extras={"sigma_area": math.pi})
 
 
 def _halton_1d(count, base, skip=20):

@@ -10,8 +10,9 @@ vanishes. For the charged family this reduces, with u = r^{n-2}, to
     u^2 - n m u + (n-1) q^2 = 0,
 
 so candidate radii come from u = (n m ± sqrt(n^2 m^2 - 4(n-1) q^2)) / 2.
-A candidate is admissible when it lies strictly above the domain edge r0 and
-V there exceeds 1e-9 (slices sitting on a horizon are rejected).
+A candidate is admissible when it lies more than V_ZERO_MARGIN above the
+domain edge r0 and V there exceeds DEGENERATE_V, both 1e-9 (slices sitting on
+a horizon are rejected).
 
 The scan oracle never uses that quadratic: it brackets the sign changes of
 the boundary residual on a geometric grid and refines every bracket at once
@@ -29,10 +30,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NumericsError, ParameterError
-from .geometry import SphericalStaticData, level_set_geometry
+from .geometry import (DEGENERATE_V, TOL_CLOSED_FORM, V_ZERO_MARGIN, SphericalStaticData,
+                       level_set_geometry)
 from .models import RNParameters, rn_data, rn_r0
 
-ADMISSIBLE_V = 1e-9
 DOUBLE_ROOT_REL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
@@ -99,12 +100,12 @@ def photon_sphere_radii(p: RNParameters) -> PhotonSphereResult:
             rejected.append(RejectedRoot(reason="negative root in u", u=u))
             continue
         r = u ** (1.0 / k)
-        if r <= r0 + 1e-9:
+        if r <= r0 + V_ZERO_MARGIN:
             rejected.append(RejectedRoot(
                 reason=f"radius not above the domain edge r0 = {r0:.12g}", u=u, r=r))
             continue
         v = float(data.V(r))
-        if v <= ADMISSIBLE_V:
+        if v <= DEGENERATE_V:
             rejected.append(RejectedRoot(
                 reason=f"V(r) = {v:.3e} at or below the degeneracy threshold", u=u, r=r))
             continue
@@ -216,7 +217,7 @@ class QuasilocalReport:
       ric  Ric(nu, nu) = -H^2/(n-1)
 
     extremality compares H^2 with (n-2)/(n-1) R_S: larger means sub-extremal.
-    When |V(r)| < 1e-9 the Q2 residual is undefined; the report flags the
+    When |V(r)| < DEGENERATE_V the Q2 residual is undefined; the report flags the
     degeneracy and still carries Q1 and the Ricci check.
     """
 
@@ -237,7 +238,7 @@ class QuasilocalReport:
 
 
 def quasilocal_check(data: SphericalStaticData, r: float,
-                     tol: float = 1e-9) -> QuasilocalReport:
+                     tol: float = TOL_CLOSED_FORM) -> QuasilocalReport:
     """Evaluate the quasi-local photon-sphere conditions on the slice at r."""
     geo = level_set_geometry(data, r)
     n = data.n
@@ -248,7 +249,7 @@ def quasilocal_check(data: SphericalStaticData, r: float,
     ric = abs(float(geo.ric_nn) + h2 / (n - 1))
 
     v = float(geo.V)
-    degenerate = abs(v) < ADMISSIBLE_V
+    degenerate = abs(v) < DEGENERATE_V
     q2 = None if degenerate else abs(float(geo.nuV) - geo.H / (n - 1) * v)
 
     threshold = (n - 2) / (n - 1) * rs_intr

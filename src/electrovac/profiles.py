@@ -25,12 +25,13 @@ _JET_PARTS = ("value", "first derivative", "second derivative")
 
 
 def require_open(r, domain, what: str):
-    """r as a float array; DomainError naming the first radius outside the
-    open interval domain, "radius ... outside <what> (lo, hi)"."""
+    """r as a float array; DomainError naming the first radius not strictly
+    inside the open interval domain, NaN included, "radius ... outside <what> (lo, hi)"."""
     r = np.asarray(r, dtype=float)
     lo, hi = domain
-    if (r <= lo).any() or (r >= hi).any():
-        bad = r if r.ndim == 0 else r[(r <= lo) | (r >= hi)][0]
+    inside = (r > lo) & (r < hi)
+    if not inside.all():
+        bad = r if r.ndim == 0 else r[~inside][0]
         raise DomainError(f"radius {float(bad)} outside {what} ({lo}, {hi})")
     return r
 

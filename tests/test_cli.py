@@ -410,3 +410,37 @@ def test_overflowing_field_squares_end_in_one_error_line(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(NumericsError, match="non-finite residual for E1"):
             verify_all(data, default_grid(data))
+
+
+def test_readers_at_huge_radii_run_without_warnings():
+    # At r = 1e200 and 1e308, r*r overflows in ricci_kernel and in R_S, and
+    # both end finite (x/inf = 0). The readers warned "overflow encountered
+    # in multiply" each time, and under -W error ended in a traceback.
+    from electrovac import (RNParameters, boundary_residual, contracted_gauss_residual,
+                            level_set_geometry, quasilocal_check, ricci_radial, rn_data,
+                            scalar_curvature_d1)
+
+    res = run_cli("verify", "--n", "3", "--m", "1", "--q", "0.5", "--boundary", "1e308",
+                  env_extra={"PYTHONWARNINGS": "error"})
+    assert (res.returncode, res.stderr) == (0, "")
+    assert json.loads(res.stdout)["params"]["boundary"] == 1e308
+    data = rn_data(RNParameters(3, 1.0, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for reader in (level_set_geometry, ricci_radial, scalar_curvature_d1, boundary_residual,
+                       quasilocal_check, contracted_gauss_residual):
+            reader(data, 1e200)
+    assert ricci_radial(data, 1e200).tangential == 0.0
+
+
+def test_a_nan_radius_is_outside_the_domain():
+    # Both domain comparisons are False at NaN, so a NaN radius passed the
+    # domain check and failed later as "profile value is non-finite".
+    from electrovac import DomainError, RNParameters, rn_data
+
+    res = run_cli("verify", "--n", "3", "--m", "1", "--q", "0.5", "--boundary", "nan")
+    assert (res.returncode, res.stdout, res.stderr) == (
+        3, "", "error: radius nan outside data domain (1.8660254037844386, inf)\n")
+    data = rn_data(RNParameters(3, 1.0, 0.5))
+    with pytest.raises(DomainError, match="radius nan outside open domain"):
+        data.jets(np.array([3.0, np.nan]), 1)

@@ -187,8 +187,8 @@ def test_frame_tensor_helpers():
 def test_domain_finiteness_and_positivity_checks_keep_their_verdicts():
     # Each check reduces with the array's own any/all; verdict, order and
     # message must not depend on whether the input is a Python float, a 0-d
-    # array or an array, and a NaN radius passes the domain checks, which
-    # leave it to the finiteness check unless another radius is outside.
+    # array or an array, and a NaN radius fails the domain checks, which
+    # name the first radius not strictly inside.
     from electrovac.errors import NumericsError
     from electrovac.geometry import _require_positive, ricci_kernel
     from electrovac.variational import _finite_rows
@@ -200,20 +200,22 @@ def test_domain_finiteness_and_positivity_checks_keep_their_verdicts():
     data = SphericalStaticData(n=3, lam=0.0, A=lin, V=lin, Emag=lin, v_zeros=(4.0,))
     profile_out = "radius 5.0 outside open domain (1.0, 5.0)"
     data_out = "radius 5.0 outside data domain (1.0, 5.0)"
-    non_finite = "profile value is non-finite inside the domain"
+    profile_nan = "radius nan outside open domain (1.0, 5.0)"
+    data_nan = "radius nan outside data domain (1.0, 5.0)"
     positive = "metric coefficient A must be positive"
     cases = [
         (lin.value, 1.5, None), (lin.value, np.asarray(1.5), None),
         (lin.value, 5.0, (DomainError, profile_out)),
         (lin.value, np.asarray(5.0), (DomainError, profile_out)),
-        (lin.value, np.array([1.5, nan]), (NumericsError, non_finite)),
-        (lin.jet, np.array([1.5, nan]), (NumericsError, non_finite)),
-        (lin.value, np.array([nan, 1.5, 5.0, 0.5]), (DomainError, profile_out)),
+        (lin.value, np.array([1.5, nan]), (DomainError, profile_nan)),
+        (lin.jet, np.array([1.5, nan]), (DomainError, profile_nan)),
+        (lin.value, np.array([nan, 1.5, 5.0, 0.5]), (DomainError, profile_nan)),
         (data.require_interior, 1.5, None), (data.require_interior, np.asarray(1.5), None),
-        (data.require_interior, np.array([1.5, nan]), None),
-        (data.require_interior, np.array([nan, 5.0, 0.5]), (DomainError, data_out)),
+        (data.require_interior, np.array([1.5, nan]), (DomainError, data_nan)),
+        (data.require_interior, np.array([nan, 5.0, 0.5]), (DomainError, data_nan)),
         (data.require_interior, np.asarray(5.0), (DomainError, data_out)),
-        (data.require_interior, np.array([nan, 4.0]),
+        (data.require_interior, np.array([nan, 4.0]), (DomainError, data_nan)),
+        (data.require_interior, np.array([1.5, 4.0]),
          (DomainError, "radius within 1e-09 of the V-zero at r = 4.0")),
         (_require_positive, -1.0, (DomainError, positive)),
         (_require_positive, np.asarray(0.0), (DomainError, positive)),

@@ -39,7 +39,7 @@ from electrovac import (
     verify_all,
 )
 from electrovac import residuals
-from electrovac.residuals import TOL_CLOSED_FORM, TOL_FINITE_DIFFERENCE
+from electrovac.geometry import TOL_CLOSED_FORM, TOL_FINITE_DIFFERENCE
 
 from counting import PROFILES, counting_data
 
