@@ -179,13 +179,18 @@ def warped_scalar(n, A, Ap, C, Cp, Cpp):
     return 2.0 * (n - 1) * K_rad + (n - 1) * (n - 2) * K_tan
 
 
+def _require_finite(what: str, *parts):
+    for part in parts:
+        if not np.isfinite(part).all():
+            raise NumericsError(f"non-finite {what}")
+
+
 # Kernels on values already evaluated at r: a = A, ap = A', fp = f', fpp = f''.
 def ricci_kernel(n, a, ap, r) -> FrameTensor2:
     # warped_scalar's K_rad and K_tan at C = r, C' = 1, C'' = 0, bit for bit.
     K_rad, K_tan = ap / (2.0 * a * a * r), (1.0 - 1.0 / a) / (r * r)
     ric = FrameTensor2(radial=(n - 1) * K_rad, tangential=K_rad + (n - 2) * K_tan)
-    if not (np.isfinite(ric.radial).all() and np.isfinite(ric.tangential).all()):
-        raise NumericsError("non-finite Ricci components")
+    _require_finite("Ricci components", ric.radial, ric.tangential)
     return ric
 
 
@@ -213,10 +218,30 @@ def scalar_curvature_d1_kernel(n, a, ap, app, r):
     return (n - 1) * term1 + (n - 1) * (n - 2) * term2
 
 
+def level_set_kernel(n, a, ap, v, vp, r) -> HypersurfaceGeometry:
+    """The coordinate sphere's geometry from A, A', V and V' already read at
+    the radius array r, with numpy's warnings off as level_set_geometry's."""
+    with np.errstate(all="ignore"):
+        sa = np.sqrt(a)
+        H = (n - 1) / (r * sa)
+        ric = ricci_kernel(n, a, ap, r)
+        return HypersurfaceGeometry(
+            r=r[()],
+            H=H,
+            B_tan=H / (n - 1),
+            R_S=(n - 1) * (n - 2) / (r * r),
+            V=v,
+            nuV=vp / sa,
+            ric_nn=ric.radial,
+            R=ric.trace(n),
+        )
+
+
 # ricci_radial, scalar_curvature_d1 and level_set_geometry run their kernels
 # with numpy's warnings off, as a residual block does: an overflow that ends
-# non-finite raises NumericsError in ricci_kernel, and one that ends finite
-# passes silently (at r = 1e200, r*r overflows and K_tan = x/inf reads 0).
+# non-finite raises NumericsError (in ricci_kernel, or in scalar_curvature_d1
+# itself), and one that ends finite passes silently (at r = 1e200, r*r
+# overflows and K_tan = x/inf reads 0).
 def ricci_radial(data: SphericalStaticData, r) -> FrameTensor2:
     """Ricci tensor of g in frame components at radius r."""
     r = data.require_interior(r)
@@ -234,7 +259,9 @@ def scalar_curvature_d1(data: SphericalStaticData, r):
     """Radial derivative dR/dr, in closed form from A, A', A''."""
     r = data.require_interior(r)
     with np.errstate(all="ignore"):
-        return scalar_curvature_d1_kernel(data.n, *data.jets(r, 1)[0], r)
+        dR = scalar_curvature_d1_kernel(data.n, *data.jets(r, 1)[0], r)
+    _require_finite("scalar curvature derivative", dR)
+    return dR
 
 
 def hessian_radial(data: SphericalStaticData, f: RadialProfile, r) -> FrameTensor2:
@@ -263,22 +290,8 @@ def grad_norm(data: SphericalStaticData, f: RadialProfile, r):
 def level_set_geometry(data: SphericalStaticData, r) -> HypersurfaceGeometry:
     """Geometry of the coordinate sphere at r, normal toward increasing r."""
     r = data.require_interior(r)
-    n = data.n
     (a, ap, _), (v, vp, _) = data.jets(r, 2)
-    with np.errstate(all="ignore"):
-        sa = np.sqrt(a)
-        H = (n - 1) / (r * sa)
-        ric = ricci_kernel(n, a, ap, r)
-        return HypersurfaceGeometry(
-            r=r[()],
-            H=H,
-            B_tan=H / (n - 1),
-            R_S=(n - 1) * (n - 2) / (r * r),
-            V=v,
-            nuV=vp / sa,
-            ric_nn=ric.radial,
-            R=ric.trace(n),
-        )
+    return level_set_kernel(data.n, a, ap, v, vp, r)
 
 
 def contracted_gauss_residual(data: SphericalStaticData, r):

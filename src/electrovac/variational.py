@@ -17,12 +17,22 @@ supported in the open annulus the first variation is int <T, h> dv_o with
 whose frame components are the master-equation residual AE1: the first
 variation and AE1 take T from the same kernel, geometry.master_kernel, so
 data solving the static system is critical.
+
+The calls on one data set share their reads. A quadrature's node array is
+built once per rule and kept read-only, the annulus edges are one read-only
+[r1, r2] array, and the jets of A, V and |E| on each of these arrays are read
+once per data object across calls: the last few (data, radius array) pairs
+keep their jets, and a call that needs fewer profiles takes a prefix. So the
+four calls of one set read the data on three radius arrays, not seven. This
+assumes a data set's profiles are pure functions of r, as verify_all does
+within a report; a read that raises keeps nothing.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,7 +43,7 @@ from .geometry import (
     SphericalStaticData,
     hessian_kernel,
     laplacian_kernel,
-    level_set_geometry,
+    level_set_kernel,
     master_kernel,
     ricci_kernel,
     scalar_curvature_d1_kernel,
@@ -85,6 +95,10 @@ class QuadratureConfig:
 
 def radial_integral(fn, lo: float, hi: float, quad: QuadratureConfig,
                     panels: Optional[int] = None) -> float:
+    """int_lo^hi fn(r) dr on quad's composite rule, or on `panels` panels.
+
+    fn receives the rule's nodes as one read-only array, shared with every
+    other integral on the same rule; it must not write to it."""
     rule = [(lo, hi, quad.panels if panels is None else panels)]
     return float(_rule_integrals(fn, quad, [rule])[0][0])
 
@@ -110,7 +124,15 @@ def _node_array(quad: QuadratureConfig, rules):
     integrand evaluation serves the coarse and the doubled rule alike. All
     panels are built in one pass, their edges equal to np.linspace(lo, hi,
     panels + 1) bit for bit, also where linspace's step underflows to 0.
+    The arrays are read-only and built once per quad and rules, so calls on
+    the same rules get the same node array and share its field reads.
     """
+    return _rule_nodes(quad, tuple(tuple((float(lo), float(hi), panels) for lo, hi, panels in rule)
+                                   for rule in rules))
+
+
+@functools.lru_cache(maxsize=4)
+def _rule_nodes(quad: QuadratureConfig, rules):
     x, w = _gauss_legendre(quad.nodes)
     # Edge k of a segment is k / div * factor + lo, the last one hi: linspace's
     # k * step + lo, or (k / panels) * (hi - lo) + lo where the step is 0.
@@ -120,7 +142,6 @@ def _node_array(quad: QuadratureConfig, rules):
         for lo, hi, panels in rule:
             if panels < 1:
                 raise ParameterError("need at least 1 panel per segment")
-            lo, hi = float(lo), float(hi)
             delta = hi - lo
             step = delta / panels
             rows.append((start, panels, delta, lo) if step == 0 else (start, 1, step, lo))
@@ -136,8 +157,40 @@ def _node_array(quad: QuadratureConfig, rules):
     mids = 0.5 * (left + right)
     half = 0.5 * (right - left)
     ws = (half[:, None] * w[None, :]).ravel()
-    return (mids[:, None] + half[:, None] * x[None, :]).ravel(), [
-        [(seg, ws[seg]) for seg in rule] for rule in slices]
+    xs = (mids[:, None] + half[:, None] * x[None, :]).ravel()
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, tuple(tuple((seg, ws[seg]) for seg in rule) for rule in slices)
+
+
+@functools.lru_cache(maxsize=4)
+def _annulus_edges(r1: float, r2: float) -> np.ndarray:
+    """[r1, r2] as one read-only array, the same object for the same edges."""
+    edges = np.array([r1, r2])
+    edges.flags.writeable = False
+    return edges
+
+
+# (id(data), id(r)) -> (data, r, count, jets), least recently used first. An
+# entry pins data and r, so neither id is reused while it is kept. The jets'
+# arrays are shared by every call that takes them, and only read.
+_FIELDS: dict = {}
+_FIELD_ENTRIES = 3
+_FIELDS_LOCK = threading.Lock()
+
+
+def _jets(data: SphericalStaticData, r, count: int) -> list:
+    """data.jets(r, count), read once per data object and radius array: a
+    call whose kept read covers count profiles takes its prefix."""
+    key = (id(data), id(r))
+    with _FIELDS_LOCK:
+        entry = _FIELDS.pop(key, None)
+    if entry is None or entry[2] < count:
+        entry = (data, r, count, data.jets(r, count))
+    with _FIELDS_LOCK:
+        _FIELDS[key] = entry
+        if len(_FIELDS) > _FIELD_ENTRIES:
+            del _FIELDS[next(iter(_FIELDS))]
+    return entry[3][:count]
 
 
 def _finite_rows(vals) -> np.ndarray:
@@ -248,7 +301,7 @@ def _require_annulus(data: SphericalStaticData, annulus,
     r1, r2 = float(annulus[0]), float(annulus[1])
     if not r1 < r2:
         raise DomainError(f"annulus endpoints out of order: [{r1}, {r2}]")
-    data.require_interior(np.array([r1, r2]))
+    data.require_interior(_annulus_edges(r1, r2))
     if pert is not None:
         lo, hi = pert.support()
         if not (r1 < lo and hi < r2):
@@ -277,7 +330,7 @@ def _functional_integrand(data: SphericalStaticData, pert: Optional[Perturbation
     bit-identical to the integrand of that amplitude alone, at any radii.
     """
     n = data.n
-    (a0, ap0, _), (v, _, _), (e, _, _) = data.jets(r, 3)
+    (a0, ap0, _), (v, _, _), (e, _, _) = _jets(data, r, 3)
     sa0 = np.sqrt(a0)
     e2 = e ** 2
     if pert is None:
@@ -317,8 +370,8 @@ def _functional_boundary(data: SphericalStaticData, r1: float, r2: float) -> flo
     A and V are read once, on both radii; r ** (n - 1) stays a Python float
     power, which numpy's array power does not match bit for bit."""
     n = data.n
-    rr = np.array([r1, r2])
-    (a, _, _), (v, _, _) = data.jets(rr, 2)
+    rr = _annulus_edges(r1, r2)
+    (a, _, _), (v, _, _) = _jets(data, rr, 2)
     vh1, vh2 = (v * ((n - 1) / (rr * np.sqrt(a)))).tolist()
     return 2.0 * sphere_area(n) * (vh2 * r2 ** (n - 1) - vh1 * r1 ** (n - 1))
 
@@ -385,7 +438,7 @@ def perturbation_norm(data: SphericalStaticData, annulus, pert: Perturbation,
     r1, r2 = _require_annulus(data, annulus, pert)
 
     def fn(r):
-        (a, _, _), = data.jets(r, 1)
+        (a, _, _), = _jets(data, r, 1)
         return _norm_density(data.n, pert, pert.bump(r), np.sqrt(a), r)
 
     rule = _break_segments([r1, *pert.support(), r2], quad.panels)
@@ -465,7 +518,7 @@ def _el_integrand(data: SphericalStaticData, pert: Perturbation, r):
     """<T, h> dv_o at r, for the unit-amplitude direction h of pert, from one
     read of the jets of A, V and |E|."""
     n = data.n
-    (a, ap, _), (v, vp, vpp), (e, _, _) = data.jets(r, 3)
+    (a, ap, _), (v, vp, vpp), (e, _, _) = _jets(data, r, 3)
     hess = hessian_kernel(a, ap, vp, vpp, r)
     lap = laplacian_kernel(n, a, ap, vp, vpp, r)
     ric = ricci_kernel(n, a, ap, r)
@@ -491,7 +544,7 @@ def _pohozaev_integrands(data: SphericalStaticData, r):
     """The identity's two bulk integrands at r, times dv: the left side's X(R)
     and the right side's <Hess V, Ric0>, from one read of the jets of A and V."""
     n = data.n
-    (a, ap, app), (_, vp, vpp) = data.jets(r, 2)
+    (a, ap, app), (_, vp, vpp) = _jets(data, r, 2)
     sa = np.sqrt(a)
     Rp = scalar_curvature_d1_kernel(n, a, ap, app, r)
     hess = hessian_kernel(a, ap, vp, vpp, r)
@@ -506,10 +559,12 @@ def _pohozaev_integrands(data: SphericalStaticData, r):
 def _pohozaev_boundary(data: SphericalStaticData, r1: float, r2: float) -> tuple[float, float]:
     """The boundary integrals of Ric0(X, N) over the spheres at r1 and r2,
     each signed by the orientation of the annulus' outward normal there, from
-    the geometry of both spheres at once; each edge's product is taken in
-    Python floats, as _functional_boundary's."""
+    the geometry of both spheres at once, from the jets _functional_boundary
+    reads; each edge's product is taken in Python floats, as there."""
     n = data.n
-    geo = level_set_geometry(data, np.array([r1, r2]))
+    rr = _annulus_edges(r1, r2)
+    (a, ap, _), (v, vp, _) = _jets(data, rr, 2)
+    geo = level_set_kernel(n, a, ap, v, vp, rr)
     t_rad = (geo.ric_nn - geo.R / n).tolist()
     return tuple(sign * sphere_area(n) * r ** (n - 1) * x * t
                  for sign, r, x, t in zip((-1.0, 1.0), (r1, r2), geo.nuV.tolist(), t_rad))

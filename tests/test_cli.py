@@ -76,8 +76,12 @@ def test_exit_code_two_on_bad_parameters():
     assert run_cli("verify", "--n", "2", "--m", "1.0").returncode == 2
     assert run_cli("verify", "--n", "3", "--m", "-1.0").returncode == 2
     assert run_cli("verify", "--n", "3", "--m", "1.0", "--lam", "0.1").returncode == 2
-    assert run_cli("functional", "--n", "3", "--m", "1.0", "--q", "0.5",
-                   "--annulus", "6.0", "3.0").returncode == 2
+    # a reversed or empty annulus is named as such, not as the default bump
+    # derived from it
+    for annulus in (("6.0", "3.0"), ("3.0", "3.0")):
+        res = run_cli("functional", "--n", "3", "--m", "1.0", "--q", "0.5", "--annulus", *annulus)
+        assert res.returncode == 2, annulus
+        assert "annulus endpoints out of order" in res.stderr and "bump" not in res.stderr
     # a mass or charge whose square overflows is a usage error, not an empty domain;
     # so is one whose term of the photon-sphere discriminant (n m)^2 - 4(n-1) q^2
     # overflows, which ended classify in an OverflowError or "discriminant": -Infinity

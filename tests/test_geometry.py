@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from electrovac import (
     DomainError,
+    NumericsError,
     RadialProfile,
     RNParameters,
     SphericalStaticData,
@@ -103,6 +105,22 @@ def test_scalar_curvature_derivative_matches_difference_quotient():
     assert np.allclose(scalar_curvature_d1(data, rs), fd, atol=1e-6)
 
 
+def test_an_overflowing_scalar_curvature_derivative_is_a_numerics_error():
+    # With A = 1e103 and A' = 1e160, A'^2 / A^3 is inf / inf in dR/dr: the
+    # reader raises, as ricci_radial does on a non-finite component, with no
+    # warning, while the Ricci components themselves are finite here.
+    big = RadialProfile(jet=lambda r: tuple(np.full_like(r, c) for c in (1e103, 1e160, 0.0)),
+                        domain=(0.0, np.inf))
+    data = SphericalStaticData(n=3, lam=0.0, A=big, V=constant_profile(1.0),
+                               Emag=constant_profile(0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(ricci_radial(data, 2.0).radial)
+        for r in (2.0, np.array([2.0, 3.0])):
+            with pytest.raises(NumericsError, match="non-finite scalar curvature derivative"):
+                scalar_curvature_d1(data, r)
+
+
 def test_hessian_of_r_squared_in_flat_space():
     data = flat_data(3)
     f = RadialProfile(lambda r: r**2, jet=lambda r: (r**2, 2 * r, 2 * np.ones_like(r)))
@@ -189,7 +207,6 @@ def test_domain_finiteness_and_positivity_checks_keep_their_verdicts():
     # message must not depend on whether the input is a Python float, a 0-d
     # array or an array, and a NaN radius fails the domain checks, which
     # name the first radius not strictly inside.
-    from electrovac.errors import NumericsError
     from electrovac.geometry import _require_positive, ricci_kernel
     from electrovac.variational import _finite_rows
 

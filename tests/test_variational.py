@@ -10,6 +10,7 @@ from electrovac import (
     ParameterError,
     Perturbation,
     QuadratureConfig,
+    RadialProfile,
     RNParameters,
     criticality_test,
     euler_lagrange_integral,
@@ -66,14 +67,15 @@ def test_gauss_legendre_rule_is_cached_read_only_and_unchanged():
     for arr in (x, w):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    # The composite rule is built from the cached one bit for bit.
+    # The composite rule is built from the cached one bit for bit, and is
+    # cached read-only itself.
     xs, [[(_, ws)]] = _node_array(QuadratureConfig(nodes=12), [[(1.0, 2.5, 3)]])
     edges = np.linspace(1.0, 2.5, 4)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     assert np.array_equal(xs, (mids[:, None] + half[:, None] * ref_x[None, :]).ravel())
     assert np.array_equal(ws, (half[:, None] * ref_w[None, :]).ravel())
-    assert xs.flags.writeable and ws.flags.writeable
+    assert not xs.flags.writeable and not ws.flags.writeable
 
 
 def linspace_rule(nodes, lo, hi, panels):
@@ -451,6 +453,127 @@ def test_library_calls_on_rn_data_run_the_joint_once_per_radius_array():
         for got, expected in zip(radii, want):
             assert np.array_equal(got, expected), name
         assert counts == {profile: {} for profile in PROFILES}, name
+
+
+def set_calls(annulus, pert):
+    # The four calls of one variational set, by name.
+    return {
+        "functional": lambda d: evaluate_functional(d, annulus),
+        "identity": lambda d: pohozaev_residual(d, annulus),
+        "criticality": lambda d: criticality_test(d, annulus, pert),
+        "first variation": lambda d: euler_lagrange_integral(d, annulus, pert),
+    }
+
+
+@pytest.mark.parametrize("order, passes", [
+    (("functional", "identity", "criticality", "first variation"), ("plain", "edges", "bumped")),
+    (("criticality", "first variation", "functional", "identity"), ("bumped", "edges", "plain")),
+])
+def test_one_set_reads_each_radius_array_once_across_its_calls(order, passes):
+    # The calls of one set on one data object share the node array of each
+    # rule (the plain functional's rules equal the identity's) and the
+    # annulus edges, and read the fields once on each: three joint passes
+    # for the four calls, whichever rule comes first.
+    quad = QuadratureConfig()
+    panels = (quad.panels, 2 * quad.panels)
+    plain = _node_array(quad, [_break_segments(ANNULUS, k) for k in panels])[0]
+    bumped = _node_array(quad, [_break_segments([*ANNULUS, *PERT.support()], k)
+                                for k in panels])[0]
+    assert _node_array(quad, [[(*ANNULUS, k)] for k in panels])[0] is plain
+    arrays = {"plain": plain, "bumped": bumped, "edges": np.array(ANNULUS)}
+    data, counts, radii = counting_joint_data(rn_data(RNParameters(3, 1.0, 0.5)))
+    calls = set_calls(ANNULUS, PERT)
+    for name in order:
+        calls[name](data)
+    assert len(radii) == 3, order
+    for got, want in zip(radii, passes):
+        assert np.array_equal(got, arrays[want]), (order, want)
+    assert counts == {profile: {} for profile in PROFILES}
+
+
+def test_shared_reads_give_each_call_its_fresh_result_bit_for_bit():
+    # Every call on a data object that earlier calls have read returns (or
+    # raises) what the same call returns on a fresh copy, on joint data, on
+    # profile data and on value-only profiles, whose difference jets fail
+    # some quadrature checks.
+    def outcome(call, data):
+        try:
+            return repr(call(data))
+        except NumericsError as exc:
+            return repr(exc)
+
+    def value_only(data):
+        return replace(data, **{name: RadialProfile(getattr(data, name).value,
+                                                    domain=getattr(data, name).domain)
+                                for name in ("A", "V", "Emag")})
+
+    for p, ann, pert in drawn_variational_cases(6, seed=21):
+        calls = dict(set_calls(ann, pert),
+                     norm=lambda d: perturbation_norm(d, ann, pert))
+        for build in (rn_data, lambda p: replace(rn_data(p)),
+                      lambda p: value_only(rn_data(p))):
+            shared = build(p)
+            for name, call in [*calls.items(), *reversed(calls.items())]:
+                assert outcome(call, shared) == outcome(call, build(p)), (p, name)
+
+
+def test_a_read_that_raises_keeps_nothing_and_raises_again():
+    # |E| is non-finite inside the annulus: the functional fails on its read
+    # of |E| each time it is called, and the identity, which reads only A
+    # and V on the same nodes, still runs and matches the fresh value.
+    base = rn_data(RNParameters(3, 1.0, 0.5))
+    bad_e = RadialProfile(jet=lambda r: (np.where(r > 4.0, np.nan, 0.1) + 0 * r,) * 3,
+                          domain=base.Emag.domain)
+    data, counts = counting_data(replace(base, Emag=bad_e))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NumericsError) as info:
+            evaluate_functional(data, ANNULUS)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] and "non-finite" in errors[0]
+    assert counts["Emag"] == {"jet": 2} and counts["A"] == {"jet": 2}
+    assert pohozaev_residual(data, ANNULUS) == pohozaev_residual(base, ANNULUS)
+    assert counts["A"] == {"jet": 4}
+
+
+def test_threads_sharing_the_read_cache_get_the_single_thread_results():
+    # The read cache is shared by every thread. Eight threads on four sets,
+    # half on one data object per set that they share and half on fresh
+    # objects, switching often, must each get what one thread alone gets.
+    import sys
+    import threading
+
+    cases = list(drawn_variational_cases(4, seed=5))
+    shared = [rn_data(p) for p, _, _ in cases]
+
+    def results(data, ann, pert):
+        return [repr(call(data)) for call in set_calls(ann, pert).values()]
+
+    want = [results(rn_data(p), ann, pert) for p, ann, pert in cases]
+    wrong = []
+
+    def work(i):
+        p, ann, pert = cases[i % 4]
+        try:
+            for _ in range(20):
+                data = shared[i % 4] if i < 4 else rn_data(p)
+                if results(data, ann, pert) != want[i % 4]:
+                    wrong.append(i)
+        except Exception as exc:  # a thread's exception would otherwise be lost
+            wrong.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def functional_boundary_reference(data, r1, r2):
