@@ -21,7 +21,7 @@ data solving the static system is critical.
 The calls on one data set share their reads. A quadrature's node array is
 built once per rule and kept read-only, the annulus edges are one read-only
 [r1, r2] array, and the jets of A, V and |E| on each of these arrays are read
-once per data object across calls: the last few (data, radius array) pairs
+once per data object across calls: the last three (data, radius array) pairs
 keep their jets, and a call that needs fewer profiles takes a prefix. So the
 four calls of one set read the data on three radius arrays, not seven. This
 assumes a data set's profiles are pure functions of r, as verify_all does
