@@ -222,7 +222,8 @@ def cmd_functional(args) -> tuple[dict, dict, dict, bool]:
             {"epsilon": e, "derivative": d}
             for e, d in zip(crit.epsilons, crit.derivatives)
         ],
-        "slope": crit.slope,
+        # An all-zero ladder has no log-log slope: null, not JSON-invalid NaN.
+        "slope": crit.slope if math.isfinite(crit.slope) else None,
         "refined_derivative": crit.refined,
         "pert_norm": crit.pert_norm,
         "critical": crit.passed,
@@ -280,7 +281,8 @@ def _render_text(doc: dict) -> str:
         lines.append(f"value: {results['value']!r}")
         for row in results["derivative_table"]:
             lines.append(f"  eps = {row['epsilon']:g}: dF = {row['derivative']:.6e}")
-        lines.append(f"slope: {results['slope']:.3f}")
+        slope = results["slope"]
+        lines.append("slope: undefined" if slope is None else f"slope: {slope:.3f}")
         lines.append(f"refined derivative: {results['refined_derivative']:.6e} "
                      f"(tol {doc['tolerances']['criticality']:.3e})")
         lines.append(f"divergence identity residual: {results['pohozaev_residual']:.3e}")

@@ -26,6 +26,12 @@ keep their jets, and a call that needs fewer profiles takes a prefix. So the
 four calls of one set read the data on three radius arrays, not seven. This
 assumes a data set's profiles are pure functions of r, as verify_all does
 within a report; a read that raises keeps nothing.
+
+The criticality ladder's rows, one per amplitude, differ only on the bump's
+support: off it b = b' = b'' = 0 and each row equals the first amplitude's,
+bit for bit. The first row is evaluated on every node and the others only on
+the support, so the ladder's work and scratch scale with the bump, not with
+the annulus.
 """
 
 from __future__ import annotations
@@ -328,32 +334,49 @@ def _functional_integrand(data: SphericalStaticData, pert: Optional[Perturbation
     The base fields and the bump are evaluated once for all rows; each row's
     arithmetic is the single-amplitude expression, elementwise, so a row is
     bit-identical to the integrand of that amplitude alone, at any radii.
+
+    Where b = b' = b'' = 0, A, C, C' and |E|^2 keep their base values, and
+    the terms that carry eps are zeros whose signs leave R's bits unchanged,
+    so every amplitude's row equals the first one's there, bit for bit. The
+    first row is evaluated on every node, the others only on the nodes where
+    the bump's jet is nonzero.
     """
     n = data.n
     (a0, ap0, _), (v, _, _), (e, _, _) = _jets(data, r, 3)
     sa0 = np.sqrt(a0)
     e2 = e ** 2
+    rn = r ** (n - 1)
     if pert is None:
         R = ricci_kernel(n, a0, ap0, r).trace(n)
-        return v * (R - 6.0 * e2) * sa0 * r ** (n - 1) + 4.0 * v * e2 * sa0 * r ** (n - 1)
+        return v * (R - 6.0 * e2) * sa0 * rn + 4.0 * v * e2 * sa0 * rn
     eps = np.asarray(amplitudes, dtype=float)[:, None]
     b, b1, b2 = pert.bump_jet(r)
-    ba, ba1 = pert.radial_on * b, pert.radial_on * b1
-    bc, bc1, bc2 = pert.tangential_on * b, pert.tangential_on * b1, pert.tangential_on * b2
-    pa = 1.0 + eps * ba
-    A = a0 * pa
-    Ap = ap0 * pa + a0 * eps * ba1
-    s = np.sqrt(1.0 + eps * bc)
-    sp = eps * bc1 / (2.0 * s)
-    spp = eps * bc2 / (2.0 * s) - (eps * bc1) ** 2 / (4.0 * s ** 3)
-    C = r * s
-    Cp = s + r * sp
-    Cpp = 2.0 * sp + r * spp
-    R = warped_scalar(n, A, Ap, C, Cp, Cpp)
-    e2p = e2 * pa
-    bulk = (v * (R - 6.0 * e2p) * sa0 * r ** (n - 1)
-            + 4.0 * v * e2p * np.sqrt(A) * C ** (n - 1))
-    return np.vstack([bulk, _norm_density(n, pert, b, sa0, r)]) if norm else bulk
+    fields = (a0, ap0, sa0, v, e2, r, rn, pert.radial_on * b, pert.radial_on * b1,
+              pert.tangential_on * b, pert.tangential_on * b1, pert.tangential_on * b2)
+
+    def bulk(eps, a0, ap0, sa0, v, e2, r, rn, ba, ba1, bc, bc1, bc2):
+        pa = 1.0 + eps * ba
+        A = a0 * pa
+        Ap = ap0 * pa + a0 * eps * ba1
+        s = np.sqrt(1.0 + eps * bc)
+        sp = eps * bc1 / (2.0 * s)
+        spp = eps * bc2 / (2.0 * s) - (eps * bc1) ** 2 / (4.0 * s ** 3)
+        C = r * s
+        Cp = s + r * sp
+        Cpp = 2.0 * sp + r * spp
+        R = warped_scalar(n, A, Ap, C, Cp, Cpp)
+        e2p = e2 * pa
+        return (v * (R - 6.0 * e2p) * sa0 * rn
+                + 4.0 * v * e2p * np.sqrt(A) * C ** (n - 1))
+
+    rows = np.empty((len(eps) + norm, len(r)))
+    rows[:len(eps)] = bulk(eps[:1], *fields)
+    if len(eps) > 1:
+        at = np.flatnonzero((b != 0) | (b1 != 0) | (b2 != 0))
+        rows[1:len(eps), at] = bulk(eps[1:], *(f[at] for f in fields))
+    if norm:
+        rows[-1] = _norm_density(n, pert, b, sa0, r)
+    return rows
 
 
 def _norm_density(n: int, pert: Perturbation, b, sa, r):
@@ -463,7 +486,9 @@ def criticality_test(data: SphericalStaticData, annulus, pert: Perturbation,
         (evaluate_functional(+eps_i) - evaluate_functional(-eps_i)) / (2 eps_i)
 
     bit for bit, and a ladder whose quadrature does not converge raises the
-    NumericsError that amplitude raises alone. pert_norm equals
+    NumericsError that amplitude raises alone. The amplitudes' integrands
+    differ only on the bump's support, where each is evaluated on its own;
+    off it they share the first amplitude's values. pert_norm equals
     perturbation_norm(data, annulus, pert, quad) bit for bit: its integrand
     comes from the same evaluation, on the coarse rule's nodes.
     """

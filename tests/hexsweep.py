@@ -13,8 +13,10 @@ data as cubic tables and as value-only profiles (difference jets), n from 3
 to 7 in every regime, and a few sets that end in errors. The pointwise
 readers run on 64 radii of each grid, on one scalar radius, and at each
 closed-form photon-sphere radius; the isotropic chart of each set's
-parameters at its branch start and at seeded radii above it; last, the
-flat-ball report of the default BallStaticExample. pytest does not
+parameters at its branch start and at seeded radii above it; then the
+variational calls on criticality ladders at the bump's extremes (narrow,
+filling the annulus, at its edge, on a 64-panel rule); last, the flat-ball
+report of the default BallStaticExample. pytest does not
 collect this file. Floating-point warnings are silenced: only results and
 errors are compared.
 
@@ -42,6 +44,7 @@ from electrovac import (
     GridSpec,
     IsotropicChart,
     Perturbation,
+    QuadratureConfig,
     RadialProfile,
     RNParameters,
     SphericalStaticData,
@@ -206,6 +209,39 @@ def edge_sets():
            linear, None, (1.5, 3.0), None, [])
 
 
+def ladder_sets():
+    """(label, data, annulus, perturbation, quadrature) per criticality ladder
+    at the bump's extremes: a narrow bump, one filling the annulus, one
+    whose support ends next to an annulus edge, one whose support meets it
+    (which raises) and the default bump on a 64-panel rule, the modes
+    cycling, on plain and V-bumped data."""
+    quad, fine = QuadratureConfig(), QuadratureConfig(panels=64)
+    r1, r2 = annulus = (3.0, 6.0)
+    width = r2 - r1
+    bumps = {
+        "narrow": (r1 + 0.37 * width, 1e-3 * width, quad),
+        "filling": (0.5 * (r1 + r2), 0.499 * width, quad),
+        "next to r2": (r2 - 0.2 * width * (1.0 + 1e-12), 0.2 * width, quad),
+        "meeting r1": (r1 + 0.25, 0.25, quad),
+        "64 panels": (0.5 * (r1 + r2), 0.25 * width, fine),
+    }
+    for p in (RNParameters(3, 1.0, 0.5), RNParameters(5, 2.0, 1.0)):
+        base = rn_data(p)
+        for kind, data in (("plain", base), ("bumped", perturbed_potential_data(base, 1e-3, 4.0, 0.4))):
+            for i, (name, (center, halfwidth, q)) in enumerate(bumps.items()):
+                pert = Perturbation(center=center, halfwidth=halfwidth, mode=MODES[i % 3])
+                yield f"ladder {name} {kind} {p} {pert.mode}", data, annulus, pert, q
+
+
+def ladder_calls(data, annulus, pert, quad):
+    return {
+        "evaluate_functional": lambda: evaluate_functional(data, annulus, pert, quad),
+        "perturbation_norm": lambda: perturbation_norm(data, annulus, pert, quad),
+        "criticality_test": lambda: criticality_test(data, annulus, pert, quad),
+        "euler_lagrange_integral": lambda: euler_lagrange_integral(data, annulus, pert, quad),
+    }
+
+
 def jet_profile(f, d1):
     """The profile f with first derivative d1 and second derivative 0."""
     return RadialProfile(f, jet=lambda r: (f(r), d1(r), 0.0 * r))
@@ -365,6 +401,8 @@ def cli_cases(tmp):
         ["functional", *sub, *annulus, "--quad-nodes", "101"],
         ["functional", "--n", "4", "--m", "1", "--q", "0.5", "--annulus", "1.2e93", "7e93"],
         ["functional", *sub, *annulus, "--tol", "1e-3"],
+        ["functional", "--n", "4", "--m", "0.004753092365147026", "--q=-0.0020097349238832247",
+         "--annulus", "0.14833040148834498", "1483304014.8834498", "--pert-mode", "radial"],
         [],
         ["bogus"],
         ["--help"],
@@ -427,6 +465,9 @@ def main(argv=None):
             for name, fn in (calls(*case) | chart_calls(p, chart_rng)).items():
                 line = {"set": label, "call": name, "out": outcome(fn)}
                 sys.stdout.write(json.dumps(line) + "\n")
+        for label, *case in ladder_sets():
+            for name, fn in ladder_calls(*case).items():
+                sys.stdout.write(json.dumps({"set": label, "call": name, "out": outcome(fn)}) + "\n")
         line = {"set": "flat ball", "call": "euclidean_ball_residuals",
                 "out": outcome(lambda: euclidean_ball_residuals(BallStaticExample.default()))}
         sys.stdout.write(json.dumps(line) + "\n")

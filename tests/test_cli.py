@@ -178,6 +178,29 @@ def test_functional_has_no_identity_tolerance(capsys):
     assert out == "" and "unrecognized arguments: --tol 1e-3" in err
 
 
+def test_an_all_zero_ladder_writes_a_null_slope(capsys):
+    # Every rung of this ladder is exactly 0, so there is no log-log slope:
+    # the report wrote NaN, which is not JSON, and the text "slope: nan".
+    from electrovac.cli import main
+
+    argv = ["functional", "--n", "4", "--m", "0.004753092365147026",
+            "--q=-0.0020097349238832247",
+            "--annulus", "0.14833040148834498", "1483304014.8834498", "--pert-mode", "radial"]
+
+    def no_constant(name):
+        raise AssertionError(f"{name} in the JSON report")
+
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+    results = doc["results"]
+    assert [row["derivative"] for row in results["derivative_table"]] == [0.0] * 4
+    assert results["slope"] is None and results["critical"] is False
+    assert doc["verdict"] == "fail"
+    assert main([*argv, "--format", "text"]) == 1
+    text = capsys.readouterr().out
+    assert "slope: undefined\n" in text and "verdict: fail\n" in text
+
+
 def test_default_grid_is_the_grid_verify_uses_on_a_table(tmp_path, capsys):
     # default_grid on a table ran past its end, to 100 max(1, lo); verify
     # --profile stayed off the spline edges with a rule of its own.

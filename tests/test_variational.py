@@ -12,6 +12,8 @@ from electrovac import (
     QuadratureConfig,
     RadialProfile,
     RNParameters,
+    SphericalStaticData,
+    constant_profile,
     criticality_test,
     euler_lagrange_integral,
     evaluate_functional,
@@ -27,7 +29,9 @@ from electrovac import (
     sphere_area,
     surface_gravity,
 )
+from electrovac.geometry import warped_scalar
 from electrovac.variational import (
+    DEFAULT_EPSILONS,
     MAX_NODES,
     MAX_PANEL_NODES,
     _break_segments,
@@ -309,6 +313,102 @@ def test_criticality_derivatives_equal_the_per_amplitude_definition():
                 fp = evaluate_functional(data, ann, replace(pert, amplitude=+eps))
                 fm = evaluate_functional(data, ann, replace(pert, amplitude=-eps))
                 assert got == (fp - fm) / (2.0 * eps), (p, ann, pert.mode, eps)
+
+
+def ladder_rows_reference(data, pert, amplitudes, r):
+    """_functional_integrand(data, pert, amplitudes, r, norm=True) as one
+    expression on every node for every amplitude."""
+    n = data.n
+    (a0, ap0, _), (v, _, _), (e, _, _) = data.jets(r, 3)
+    sa0 = np.sqrt(a0)
+    e2 = e ** 2
+    eps = np.asarray(amplitudes, dtype=float)[:, None]
+    b, b1, b2 = pert.bump_jet(r)
+    ba, ba1 = pert.radial_on * b, pert.radial_on * b1
+    bc, bc1, bc2 = pert.tangential_on * b, pert.tangential_on * b1, pert.tangential_on * b2
+    pa = 1.0 + eps * ba
+    A = a0 * pa
+    Ap = ap0 * pa + a0 * eps * ba1
+    s = np.sqrt(1.0 + eps * bc)
+    sp = eps * bc1 / (2.0 * s)
+    spp = eps * bc2 / (2.0 * s) - (eps * bc1) ** 2 / (4.0 * s ** 3)
+    C = r * s
+    Cp = s + r * sp
+    Cpp = 2.0 * sp + r * spp
+    R = warped_scalar(n, A, Ap, C, Cp, Cpp)
+    e2p = e2 * pa
+    bulk = (v * (R - 6.0 * e2p) * sa0 * r ** (n - 1)
+            + 4.0 * v * e2p * np.sqrt(A) * C ** (n - 1))
+    return np.vstack([bulk, _norm_density(n, pert, b, sa0, r)])
+
+
+def ladder_nodes(annulus, pert, quad):
+    """The node array of criticality_test's coarse and doubled rules."""
+    breaks = [*annulus, *pert.support()]
+    return _node_array(quad, [_break_segments(breaks, k) for k in (quad.panels, 2 * quad.panels)])[0]
+
+
+LADDER_AMPLITUDES = [a for eps in DEFAULT_EPSILONS for a in (+eps, -eps)]
+
+
+def signed_zero_data(n):
+    """Flat data whose A' is -0.0 and whose V is -1: the signs of the zeros
+    that carry eps outside the support meet those of the base fields."""
+    return SphericalStaticData(
+        n=n, lam=0.0, A=RadialProfile(jet=lambda r: (1.0 + 0.0 * r, -0.0 * r, 0.0 * r)),
+        V=constant_profile(-1.0), Emag=constant_profile(0.0), Psi=constant_profile(0.0))
+
+
+def test_ladder_rows_equal_the_all_nodes_expression():
+    # Rows past the first are evaluated only where the bump's jet is nonzero;
+    # every row must still equal the expression evaluated on every node.
+    rng = np.random.default_rng(22)
+    for i in range(30):
+        n = 3 + i % 5
+        m = float(rng.uniform(0.3, 3.0))
+        p = RNParameters(n, m, m * float(rng.uniform(-1.8, 1.8)))
+        base = max(rn_horizon(p) or 0.0, max(p.m, abs(p.q)) ** (1.0 / (n - 2)))
+        r1 = base * float(rng.uniform(1.3, 2.0))
+        r2 = r1 * float(rng.uniform(1.5, 3.0))
+        width = r2 - r1
+        kind = ("narrow", "off-centre", "near-full")[(i // 5) % 3]
+        if kind == "narrow":
+            halfwidth = 1e-3 * width
+            center = r1 + float(rng.uniform(0.1, 0.9)) * width
+        elif kind == "off-centre":
+            halfwidth = float(rng.uniform(0.05, 0.2)) * width
+            center = r1 + halfwidth + float(rng.uniform(0.01, 0.3)) * width
+        else:
+            halfwidth, center = 0.499 * width, 0.5 * (r1 + r2)
+        pert = Perturbation(center, halfwidth, mode=("radial", "tangential", "both")[i % 3])
+        quad = QuadratureConfig(panels=64) if i % 2 else QuadratureConfig()
+        r = ladder_nodes((r1, r2), pert, quad)
+        lo, hi = pert.support()
+        assert ((r <= lo) | (r >= hi)).any() and ((lo < r) & (r < hi)).any()
+        for data in (rn_data(p), perturbed_potential_data(rn_data(p), 0.01, center, halfwidth),
+                     flat_data(n), signed_zero_data(n)):
+            with np.errstate(all="ignore"):
+                got = _functional_integrand(data, pert, LADDER_AMPLITUDES, r, norm=True)
+                want = ladder_rows_reference(data, pert, LADDER_AMPLITUDES, r)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (p, kind, pert, quad)
+
+
+def test_an_overflow_outside_the_support_raises_the_integrand_error():
+    # |E|^2 overflows past r = 5.5, outside the bump's support [4, 5]: the
+    # rows there come from the first amplitude's evaluation and still hold
+    # the non-finite values the ladder reports.
+    step = RadialProfile(jet=lambda r: (np.where(r > 5.5, 1e200, 0.0), 0.0 * r, 0.0 * r))
+    data = SphericalStaticData(n=3, lam=0.0, A=constant_profile(1.0), V=constant_profile(1.0),
+                               Emag=step, Psi=constant_profile(0.0))
+    pert = Perturbation(center=4.5, halfwidth=0.5)
+    r = ladder_nodes(ANNULUS, pert, QuadratureConfig())
+    with np.errstate(all="ignore"):
+        got = _functional_integrand(data, pert, LADDER_AMPLITUDES, r, norm=True)
+        want = ladder_rows_reference(data, pert, LADDER_AMPLITUDES, r)
+    assert got.tobytes() == want.tobytes()
+    assert not np.isfinite(got[:-1, r > 5.5]).any() and np.isfinite(got[:, r < 5.5]).all()
+    with pytest.raises(NumericsError, match="non-finite integrand"):
+        criticality_test(data, ANNULUS, pert)
 
 
 def test_criticality_ladder_raises_the_per_amplitude_convergence_error():
