@@ -370,9 +370,13 @@ def _functional_integrand(data: SphericalStaticData, pert: Optional[Perturbation
                 + 4.0 * v * e2p * np.sqrt(A) * C ** (n - 1))
 
     rows = np.empty((len(eps) + norm, len(r)))
-    rows[:len(eps)] = bulk(eps[:1], *fields)
+    # A float amplitude keeps the first row's arithmetic 1-D, where a
+    # (1, 1) array would broadcast it.
+    rows[:len(eps)] = bulk(float(eps[0, 0]), *fields)
     if len(eps) > 1:
-        at = np.flatnonzero((b != 0) | (b1 != 0) | (b2 != 0))
+        # b' and b'' vanish where b does: b = u^3 with u >= 2^-53 on the open
+        # support, so b is positive there, and every part is 0 off it.
+        at = np.flatnonzero(b)
         rows[1:len(eps), at] = bulk(eps[1:], *(f[at] for f in fields))
     if norm:
         rows[-1] = _norm_density(n, pert, b, sa0, r)
