@@ -222,7 +222,8 @@ def cmd_functional(args) -> tuple[dict, dict, dict, bool]:
             {"epsilon": e, "derivative": d}
             for e, d in zip(crit.epsilons, crit.derivatives)
         ],
-        # An all-zero ladder has no log-log slope: null, not JSON-invalid NaN.
+        # With fewer than two nonzero rungs there is no log-log slope: null,
+        # where NaN would not be JSON.
         "slope": crit.slope if math.isfinite(crit.slope) else None,
         "refined_derivative": crit.refined,
         "pert_norm": crit.pert_norm,

@@ -371,6 +371,7 @@ def _worst_rows(families, data, grid) -> dict[str, list]:
         # check or _worst, which raise NumericsError, so a warning would only
         # precede that error line. One that ends finite passes silently: at
         # m = 3e153, r*r overflows in ricci_kernel and (1 - 1/A)/inf reads 0.
+        #
         # The last block's fields stay bound until the next block's replace
         # them: freed first, they leave free memory at the top of the heap,
         # which glibc returns to the kernel, and the next block faults it back

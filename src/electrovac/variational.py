@@ -30,8 +30,8 @@ within a report; a read that raises keeps nothing.
 The criticality ladder's rows, one per amplitude, differ only on the bump's
 support: off it b = b' = b'' = 0 and each row equals the first amplitude's,
 bit for bit. The first row is evaluated on every node and the others only on
-the support, so the ladder's work and scratch scale with the bump, not with
-the annulus.
+the support, so the work and scratch of the other rows scale with the bump,
+not with the annulus.
 """
 
 from __future__ import annotations
