@@ -51,7 +51,7 @@ def _conventions(n: int, lam: float) -> dict:
 
 
 def _resolve_tol(args, data: SphericalStaticData) -> float:
-    from .geometry import default_tolerance
+    from .geometry import default_tolerance, require_tolerance
 
     tol, env = args.tol, os.environ.get("ELECTROVAC_TOL")
     if tol is None and env is None:
@@ -61,9 +61,7 @@ def _resolve_tol(args, data: SphericalStaticData) -> float:
             tol = float(env)
         except ValueError as exc:
             raise ParameterError(f"ELECTROVAC_TOL is not a number: {env!r}") from exc
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ParameterError(f"identity tolerance must be finite and >= 0, got {tol}")
-    return tol
+    return require_tolerance(tol)
 
 
 def _params_from_args(args) -> RNParameters:

@@ -13,12 +13,13 @@ normal, so round spheres in flat space have H = (n-1)/r > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NumericsError, require_dimension
+from .errors import DomainError, NumericsError, ParameterError, require_dimension
 from .profiles import MODE_CLOSED_FORM, RadialProfile, finite_jet, require_open
 
 V_ZERO_MARGIN = 1e-9
@@ -150,6 +151,13 @@ def default_tolerance(data: SphericalStaticData) -> float:
     profs = (data.A, data.V, data.Emag, data.Psi)
     closed = all(p is None or p.mode == MODE_CLOSED_FORM for p in profs)
     return TOL_CLOSED_FORM if closed else TOL_FINITE_DIFFERENCE
+
+
+def require_tolerance(tol):
+    """tol, unchanged; ParameterError unless it is finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"identity tolerance must be finite and >= 0, got {tol}")
+    return tol
 
 
 def _require_positive(a):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, NumericsError, ParameterError
 from .geometry import (DEGENERATE_V, TOL_CLOSED_FORM, V_ZERO_MARGIN, SphericalStaticData,
-                       level_set_geometry)
+                       level_set_geometry, require_tolerance)
 from .models import RNParameters, rn_data, rn_r0
 
 DOUBLE_ROOT_REL = 1e-12
@@ -240,6 +240,7 @@ class QuasilocalReport:
 def quasilocal_check(data: SphericalStaticData, r: float,
                      tol: float = TOL_CLOSED_FORM) -> QuasilocalReport:
     """Evaluate the quasi-local photon-sphere conditions on the slice at r."""
+    require_tolerance(tol)
     geo = level_set_geometry(data, r)
     n = data.n
     h2 = float(geo.H) ** 2

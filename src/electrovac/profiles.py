@@ -1,22 +1,19 @@
 """Radial profiles: scalar functions of the area radius with two derivatives.
 
-A profile evaluates its value, or its jet (the value and its first two
-derivatives at once), at radii inside an open interval. A profile defined by
-a jet, in closed form or from an interpolant, takes its value from the jet;
-one defined by a value builds its jet by central differences. The ``mode``
-attribute records how accurate the derivatives are, so callers can pick
-tolerances accordingly.
+A profile is its jet: a map from radii inside an open interval to the value
+and its first two derivatives at once, in closed form or from an
+interpolant. Its value is the jet's first part. The ``mode`` attribute
+records how accurate the derivatives are, so callers can pick tolerances
+accordingly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, NumericsError, ParameterError
-
-_EPS = float(np.finfo(float).eps)
 
 MODE_CLOSED_FORM = "closed-form"
 MODE_FINITE_DIFFERENCE = "finite-difference"
@@ -53,54 +50,36 @@ class RadialProfile:
 
     Parameters
     ----------
-    value : callable, optional
-        Vectorized map r -> f(r). Without one, ``value(r)`` is the jet's
-        first part, computed with numpy's warnings off and checked alone, so
-        a non-finite derivative never makes a value read warn or raise.
-    jet : callable, optional
+    jet : callable
         Vectorized map r -> (f, f', f''), which may share work between the
         three, such as one table lookup or one pass over a common
-        subexpression. Without one, the jet is central differences on
-        ``value``: three value calls per evaluation. ParameterError when
-        neither is given.
+        subexpression.
     domain : pair of floats
         Open interval of validity.
-    mode : str, optional
-        MODE_CLOSED_FORM or MODE_FINITE_DIFFERENCE. Defaults to closed-form
-        exactly when a jet is supplied, and may only be closed-form then. A
-        profile whose supplied jet is only as accurate as a difference scheme
-        passes MODE_FINITE_DIFFERENCE, so callers pick the loose tolerance.
+    mode : str
+        MODE_CLOSED_FORM (the default) or MODE_FINITE_DIFFERENCE. A profile
+        whose jet is only as accurate as a difference scheme, such as a table
+        spline, passes MODE_FINITE_DIFFERENCE, so callers pick the loose
+        tolerance.
 
     ``jet(r)`` checks the domain once, computes the three parts with numpy's
     warnings off and checks their finiteness once, in order, so a part that
     overflows raises NumericsError without a RuntimeWarning. It returns a
     scalar part for a scalar radius; ``d1`` and ``d2`` are its second and
-    third parts.
+    third parts. ``value(r)`` is the jet's first part, checked alone, so a
+    non-finite derivative never makes a value read warn or raise.
     """
 
-    def __init__(
-        self,
-        value: Optional[Callable] = None,
-        *,
-        jet: Optional[Callable] = None,
-        domain: tuple[float, float] = (0.0, np.inf),
-        mode: Optional[str] = None,
-    ):
+    def __init__(self, jet: Callable, *, domain: tuple[float, float] = (0.0, np.inf),
+                 mode: str = MODE_CLOSED_FORM):
         lo, hi = float(domain[0]), float(domain[1])
         if not lo < hi:
             raise DomainError(f"empty profile domain ({lo}, {hi})")
-        if value is None and jet is None:
-            raise ParameterError("a profile needs a value or a jet")
-        self._value = value
+        modes = (MODE_CLOSED_FORM, MODE_FINITE_DIFFERENCE)
+        if mode not in modes:
+            raise ParameterError(f"profile mode {mode!r} is not one of {modes}")
         self._jet = jet
         self.domain = (lo, hi)
-        # Closed-form mode needs a supplied jet; the first allowed mode is the default.
-        allowed = ((MODE_CLOSED_FORM, MODE_FINITE_DIFFERENCE) if jet is not None
-                   else (MODE_FINITE_DIFFERENCE,))
-        if mode is None:
-            mode = allowed[0]
-        elif mode not in allowed:
-            raise ParameterError(f"profile mode {mode!r} is not one of {allowed}")
         self.mode = mode
 
     def require_inside(self, r):
@@ -108,10 +87,8 @@ class RadialProfile:
 
     def value(self, r):
         r = self.require_inside(r)
-        if self._value is None:
-            with np.errstate(all="ignore"):
-                return _finite(self._jet(r)[0], "value")
-        return _finite(self._value(r), "value")
+        with np.errstate(all="ignore"):
+            return _finite(self._jet(r)[0], "value")
 
     __call__ = value
 
@@ -125,26 +102,11 @@ class RadialProfile:
         """(f, f', f'') at r."""
         r = self.require_inside(r)
         with np.errstate(all="ignore"):
-            parts = self._difference_jet(r) if self._jet is None else self._jet(r)
-        return finite_jet(parts)
-
-    def _difference_jet(self, r):
-        f = _finite(self._value(r), "value")
-        # A cube-root-of-eps step, floored so tiny radii do not starve the
-        # stencil, and shrunk near the domain edges so r +/- h stays inside.
-        lo, hi = self.domain
-        h = np.maximum(_EPS ** (1.0 / 3.0) * (1.0 + np.abs(r)), 1e-6)
-        gap = np.minimum(r - lo, hi - r) * 0.5
-        h = np.where(gap < h, gap, h)
-        if (h <= 0).any():
-            raise DomainError("radius too close to the domain edge for a difference stencil")
-        up, down = (self._value(r + s) for s in (h, -h))
-        return f, (up - down) / (2.0 * h), (up - 2.0 * f + down) / (h * h)
+            return finite_jet(self._jet(r))
 
 
 def constant_profile(c: float, domain=(0.0, np.inf)) -> RadialProfile:
     def jet(r):
-        r = np.asarray(r, dtype=float)
         return np.full_like(r, float(c)), np.zeros_like(r), np.zeros_like(r)
 
     return RadialProfile(jet=jet, domain=domain)

@@ -69,6 +69,7 @@ from .geometry import (
     laplacian_kernel,
     level_set_geometry,
     master_kernel,
+    require_tolerance,
     ricci_kernel,
 )
 
@@ -396,7 +397,7 @@ def _worst_rows(families, data, grid) -> dict[str, list]:
 
 def _report(families, data, grid, tol, r_boundary=None) -> ResidualReport:
     """The tags of every family, in blocks of _BLOCK radii."""
-    tol = default_tolerance(data) if tol is None else tol
+    tol = default_tolerance(data) if tol is None else require_tolerance(tol)
     after = [tag for family in families for tag in _AFTER_ROWS.get(family, ())]
     extra = dict(_STRUCTURAL)
     if r_boundary is not None:

@@ -86,6 +86,10 @@ class QuadratureConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
+        for name in ("panels", "nodes"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ParameterError(f"quadrature {name} must be an integer, got {count!r}")
         if self.panels < 1 or self.nodes < 2:
             raise ParameterError("need at least 1 panel and 2 nodes")
         # leggauss builds a nodes x nodes companion matrix, and every call
@@ -95,8 +99,8 @@ class QuadratureConfig:
         if self.panels * self.nodes > MAX_PANEL_NODES:
             raise ParameterError(
                 f"panels x nodes must be at most {MAX_PANEL_NODES}, got {self.panels * self.nodes}")
-        if not (self.tol > 0):
-            raise ParameterError("quadrature tolerance must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ParameterError(f"quadrature tolerance must be finite and positive, got {self.tol}")
 
 
 def radial_integral(fn, lo: float, hi: float, quad: QuadratureConfig,

@@ -16,7 +16,7 @@ class CountingProfile(RadialProfile):
     call in order, ``jet_radii`` the radius array of each counted jet call."""
 
     def __init__(self, base: RadialProfile, counts: dict):
-        super().__init__(base.value, jet=base.jet, domain=base.domain, mode=base.mode)
+        super().__init__(base.jet, domain=base.domain, mode=base.mode)
         self.base, self.counts = base, counts
         self.calls = []
 

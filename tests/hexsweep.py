@@ -9,8 +9,8 @@ message of the ElectrovacError it raised. Run it in two checkouts and diff:
     diff a.jsonl b.jsonl
 
 The sets are seeded: closed-form data plain and with a bump in V, the same
-data as cubic tables and as value-only profiles (difference jets), n from 3
-to 7 in every regime, and a few sets that end in errors. The pointwise
+data as cubic tables, n from 3 to 7 in every regime, and a few sets that end
+in errors. The pointwise
 readers run on 64 radii of each grid, on one scalar radius, and at each
 closed-form photon-sphere radius; the isotropic chart of each set's
 parameters at its branch start and at seeded radii above it; then the
@@ -141,18 +141,22 @@ def parameters(rng, i):
 
 def drawn_sets(count, seed):
     """(label, parameters, data, grid, r_boundary, annulus, perturbation,
-    photon-sphere radii) per set; the kind cycles through plain, bumped, table and
-    value-only data."""
+    photon-sphere radii) per set; the kind cycles through plain, bumped and
+    table data and an empty slot, which yields only (label, parameters), so
+    every set keeps its index and its seeded draws."""
     rng = np.random.default_rng(seed)
     for i in range(count):
         p = parameters(rng, i)
+        kind = ("plain", "bumped", "table", None)[i % 4]
+        if kind is None:
+            yield f"{i} empty", p
+            continue
         base = rn_data(p)
         # default_grid's lower end, up two decades: its upper end, 100, can lie below that.
         lo = default_grid(base, count=2).lo if base.domain[0] > 0 else 0.5 * base.r_scale
         grid = GridSpec(lo, 100.0 * lo, count=COUNTS[i % len(COUNTS)])
         roots = [root.r for root in photon_sphere_radii(p).roots]
         r_b = roots[-1] if roots else 2.0 * base.r_scale
-        kind = ("plain", "bumped", "table", "value-only")[i % 4]
         if kind == "bumped":
             c = grid.lo * (grid.hi / grid.lo) ** float(rng.uniform(0.25, 0.75))
             data = perturbed_potential_data(base, 1e-3, c, 0.1 * c)
@@ -162,11 +166,6 @@ def drawn_sets(count, seed):
                 n=p.n, lam=0.0, v_zeros=base.v_zeros, r_scale=base.r_scale,
                 **{name: tabulated_profile(rs, getattr(base, name)(rs)) for name in PROFILES})
             grid = GridSpec(rs[1], rs[-2], count=grid.count)
-        elif kind == "value-only":
-            data = SphericalStaticData(
-                n=p.n, lam=0.0, v_zeros=base.v_zeros, r_scale=base.r_scale,
-                **{name: RadialProfile(getattr(base, name).value, domain=getattr(base, name).domain)
-                   for name in PROFILES})
         else:
             data = base
         r1 = grid.lo * 1.5
@@ -244,7 +243,7 @@ def ladder_calls(data, annulus, pert, quad):
 
 def jet_profile(f, d1):
     """The profile f with first derivative d1 and second derivative 0."""
-    return RadialProfile(f, jet=lambda r: (f(r), d1(r), 0.0 * r))
+    return RadialProfile(lambda r: (f(r), d1(r), 0.0 * r))
 
 
 def flat_metric_data(v, emag):
@@ -462,7 +461,10 @@ def main(argv=None):
     chart_rng = np.random.default_rng(args.seed + 1)
     with np.errstate(all="ignore"):
         for label, p, *case in [*drawn_sets(args.sets, args.seed), *edge_sets()]:
-            for name, fn in (calls(*case) | chart_calls(p, chart_rng)).items():
+            charts = chart_calls(p, chart_rng)  # drawn for an empty slot too
+            if not case:
+                continue
+            for name, fn in (calls(*case) | charts).items():
                 line = {"set": label, "call": name, "out": outcome(fn)}
                 sys.stdout.write(json.dumps(line) + "\n")
         for label, *case in ladder_sets():

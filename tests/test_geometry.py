@@ -55,7 +55,7 @@ def round_sphere_data(n, L):
     return SphericalStaticData(
         n=n,
         lam=0.0,
-        A=RadialProfile(a, jet=lambda r: (a(r), a1(r), a2(r)), domain=(0.0, L)),
+        A=RadialProfile(lambda r: (a(r), a1(r), a2(r)), domain=(0.0, L)),
         V=constant_profile(1.0, domain=(0.0, L)),
         Emag=constant_profile(0.0, domain=(0.0, L)),
     )
@@ -83,10 +83,17 @@ def test_round_sphere_curvature_exact():
 def test_curvature_closed_form_matches_finite_difference():
     p = RNParameters(3, 1.0, 0.7)
     closed = rn_data(p)
-    # same metric, derivatives by central differences only
+
+    def difference_jet(r):
+        # same metric, derivatives by central differences on a step of
+        # eps^(1/3) (1 + r)
+        h = np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + r)
+        f, up, down = (closed.A(r + s) for s in (0.0, h, -h))
+        return f, (up - down) / (2.0 * h), (up - 2.0 * f + down) / (h * h)
+
     fd = SphericalStaticData(
         n=3, lam=0.0,
-        A=RadialProfile(lambda r: np.asarray(closed.A(r)), domain=closed.A.domain),
+        A=RadialProfile(difference_jet, domain=closed.A.domain),
         V=closed.V, Emag=closed.Emag, v_zeros=closed.v_zeros,
     )
     rs = np.geomspace(2.1, 40.0, 30)
@@ -123,7 +130,7 @@ def test_an_overflowing_scalar_curvature_derivative_is_a_numerics_error():
 
 def test_hessian_of_r_squared_in_flat_space():
     data = flat_data(3)
-    f = RadialProfile(lambda r: r**2, jet=lambda r: (r**2, 2 * r, 2 * np.ones_like(r)))
+    f = RadialProfile(lambda r: (r**2, 2 * r, 2 * np.ones_like(r)))
     rs = np.linspace(0.5, 10.0, 9)
     h = hessian_radial(data, f, rs)
     assert np.allclose(h.radial, 2.0, atol=1e-14)
@@ -211,8 +218,7 @@ def test_domain_finiteness_and_positivity_checks_keep_their_verdicts():
     from electrovac.variational import _finite_rows
 
     nan = math.nan
-    lin = RadialProfile(lambda r: 2.0 - r,
-                        jet=lambda r: (2.0 - r, -np.ones_like(r), np.zeros_like(r)),
+    lin = RadialProfile(lambda r: (2.0 - r, -np.ones_like(r), np.zeros_like(r)),
                         domain=(1.0, 5.0))
     data = SphericalStaticData(n=3, lam=0.0, A=lin, V=lin, Emag=lin, v_zeros=(4.0,))
     profile_out = "radius 5.0 outside open domain (1.0, 5.0)"
@@ -256,7 +262,8 @@ def test_domain_finiteness_and_positivity_checks_keep_their_verdicts():
 
 def reader_cases():
     """(data, radii) on closed-form data in each regime, a bumped copy, a
-    cubic table and value-only profiles, each with an array and a scalar."""
+    cubic table and the closed-form profiles' jets without the joint pass,
+    each with an array and a scalar."""
     for p in (RNParameters(3, 1.0, 0.5), RNParameters(4, 1.0, 1.0), RNParameters(5, 0.7, 0.9)):
         base = rn_data(p)
         lo = max(base.domain[0], 0.1 * base.r_scale) * 1.5
@@ -265,10 +272,10 @@ def reader_cases():
         table = SphericalStaticData(n=p.n, lam=0.0, v_zeros=base.v_zeros, **{
             name: tabulated_profile(knots, getattr(base, name)(knots))
             for name in ("A", "V", "Emag", "Psi")})
-        value_only = SphericalStaticData(n=p.n, lam=0.0, v_zeros=base.v_zeros, **{
-            name: RadialProfile(getattr(base, name).value, domain=getattr(base, name).domain)
+        separate = SphericalStaticData(n=p.n, lam=0.0, v_zeros=base.v_zeros, **{
+            name: RadialProfile(getattr(base, name).jet, domain=getattr(base, name).domain)
             for name in ("A", "V", "Emag", "Psi")})
-        for data in (base, perturbed_potential_data(base, 1e-3, 3.0 * lo, lo), table, value_only):
+        for data in (base, perturbed_potential_data(base, 1e-3, 3.0 * lo, lo), table, separate):
             yield data, rs
             yield data, float(rs[40])
 

@@ -158,10 +158,11 @@ def test_perturbed_potential_keeps_the_mode_of_base_v():
     closed = rn_data(RNParameters(3, 1.0, 0.5))
     rs = np.geomspace(2.0, 40.0, 400)
     table = dataclasses.replace(closed, V=tabulated_profile(rs, closed.V(rs)))
-    value_only = dataclasses.replace(closed, V=RadialProfile(closed.V.value, domain=closed.V.domain))
-    for base in (closed, table, value_only):
+    loose = dataclasses.replace(closed, V=RadialProfile(closed.V.jet, domain=closed.V.domain,
+                                                        mode=MODE_FINITE_DIFFERENCE))
+    for base in (closed, table, loose):
         assert perturbed_potential_data(base, 1e-3, 5.0, 0.5).V.mode == base.V.mode
-    assert table.V.mode == value_only.V.mode == MODE_FINITE_DIFFERENCE
+    assert table.V.mode == loose.V.mode == MODE_FINITE_DIFFERENCE
 
 
 def test_perturbed_potential_keeps_every_other_field():
@@ -218,7 +219,7 @@ def test_a_copy_that_swaps_a_profile_has_no_joint_jet():
     assert data.joint_jet is not None
     assert perturbed_potential_data(data, 1e-3, 5.0, 0.5).joint_jet is not None
     for name in ("A", "V", "Emag", "Psi"):
-        copy = dataclasses.replace(data, **{name: RadialProfile(getattr(data, name).value)})
+        copy = dataclasses.replace(data, **{name: RadialProfile(getattr(data, name).jet)})
         assert copy.joint_jet is None, name
         assert perturbed_potential_data(copy, 1e-3, 5.0, 0.5).joint_jet is None, name
     # Data built without one has none, and neither does a bump of it.

@@ -123,8 +123,7 @@ def test_scan_finds_a_root_on_a_sample_once():
     # V = r^2 + 9, A = 1, |E| = 0, n = 3: the residual 2 r - 18 / r is exactly
     # 0.0 at r = 3, the first sample of the lo = 3 scan and inside a bracket
     # of the lo = 1 scan.
-    v = RadialProfile(lambda r: r * r + 9.0,
-                      jet=lambda r: (r * r + 9.0, 2.0 * r, 2.0 * np.ones_like(r)))
+    v = RadialProfile(lambda r: (r * r + 9.0, 2.0 * r, 2.0 * np.ones_like(r)))
     data = SphericalStaticData(n=3, lam=0.0, A=constant_profile(1.0), V=v,
                                Emag=constant_profile(0.0))
     assert boundary_residual(data, 3.0) == 0.0

@@ -18,7 +18,7 @@ from electrovac.profiles import MODE_CLOSED_FORM, MODE_FINITE_DIFFERENCE
 
 
 def test_closed_form_profile_reports_mode_and_values():
-    p = RadialProfile(lambda r: r**2, jet=lambda r: (r**2, 2 * r, 2 * np.ones_like(r)))
+    p = RadialProfile(lambda r: (r**2, 2 * r, 2 * np.ones_like(r)))
     assert p.mode == MODE_CLOSED_FORM
     assert p.value(3.0) == 9.0
     assert p(3.0) == 9.0
@@ -27,7 +27,7 @@ def test_closed_form_profile_reports_mode_and_values():
 
 
 def test_profile_vectorizes_over_radius_arrays():
-    p = RadialProfile(np.sin, jet=lambda r: (np.sin(r), np.cos(r), -np.sin(r)))
+    p = RadialProfile(lambda r: (np.sin(r), np.cos(r), -np.sin(r)))
     rs = np.linspace(0.5, 4.0, 17)
     assert np.allclose(p.value(rs), np.sin(rs))
     assert np.allclose(p.d1(rs), np.cos(rs))
@@ -52,39 +52,23 @@ def test_a_jet_only_profile_takes_its_value_from_its_jet():
         assert p.d1(0.5) == np.exp(500.0)
     with pytest.raises(DomainError):
         p.value(2.0)
-    with pytest.raises(ParameterError, match="a value or a jet"):
-        RadialProfile(domain=(0.0, 1.0))
-
-
-def test_finite_difference_fallback_accuracy():
-    p = RadialProfile(lambda r: np.exp(0.5 * r))
-    assert p.mode == MODE_FINITE_DIFFERENCE
-    rs = np.linspace(1.0, 8.0, 25)
-    d1_true = 0.5 * np.exp(0.5 * rs)
-    d2_true = 0.25 * np.exp(0.5 * rs)
-    assert np.allclose(p.d1(rs), d1_true, rtol=1e-8, atol=1e-10)
-    assert np.allclose(p.d2(rs), d2_true, rtol=1e-5, atol=1e-7)
 
 
 def test_mode_argument_overrides_the_default_rule():
     def cube_jet(r):
         return r**3, 3 * r**2, 6 * r
 
-    p = RadialProfile(lambda r: r**3, jet=cube_jet, mode=MODE_FINITE_DIFFERENCE)
+    p = RadialProfile(cube_jet, mode=MODE_FINITE_DIFFERENCE)
     assert p.mode == MODE_FINITE_DIFFERENCE
-    # the supplied derivatives are still used, not a difference stencil
+    # the mode only labels the supplied derivatives
     assert p.d1(2.0) == 12.0
     assert p.d2(2.0) == 12.0
     with pytest.raises(ParameterError):
-        RadialProfile(lambda r: r**3, jet=cube_jet, mode="spline")
-    # closed-form mode without a jet would claim the tight tolerance
-    with pytest.raises(ParameterError):
-        RadialProfile(lambda r: r**3, mode=MODE_CLOSED_FORM)
+        RadialProfile(cube_jet, mode="spline")
 
 
 def test_domain_is_open_at_both_ends():
-    p = RadialProfile(lambda r: r, jet=lambda r: (r, np.ones_like(r), np.zeros_like(r)),
-                      domain=(1.0, 2.0))
+    p = RadialProfile(lambda r: (r, np.ones_like(r), np.zeros_like(r)), domain=(1.0, 2.0))
     with pytest.raises(DomainError):
         p.value(1.0)
     with pytest.raises(DomainError):
@@ -96,30 +80,11 @@ def test_domain_is_open_at_both_ends():
 
 def test_empty_domain_rejected():
     with pytest.raises(DomainError):
-        RadialProfile(lambda r: r, domain=(2.0, 2.0))
-
-
-def test_difference_jet_makes_three_value_calls():
-    calls = []
-
-    def value(r):
-        calls.append(np.ndim(r))
-        return np.exp(0.5 * r)
-
-    p = RadialProfile(value, domain=(0.5, 50.0))
-    f, f1, f2 = p.jet(np.linspace(1.0, 8.0, 25))
-    assert calls == [1, 1, 1]
-    assert f.shape == f1.shape == f2.shape == (25,)
-
-
-def test_fd_stencil_shrinks_near_domain_edge():
-    p = RadialProfile(lambda r: r**2, domain=(1.0, 3.0))
-    # close to the edge, but the shrunken stencil must stay inside
-    assert np.isclose(p.d1(1.0 + 1e-4), 2.0 * (1.0 + 1e-4), rtol=1e-5)
+        RadialProfile(lambda r: (r, np.ones_like(r), np.zeros_like(r)), domain=(2.0, 2.0))
 
 
 def test_non_finite_value_raises():
-    p = RadialProfile(lambda r: np.where(r > 2.0, np.inf, r))
+    p = RadialProfile(lambda r: (np.where(r > 2.0, np.inf, r), np.ones_like(r), np.zeros_like(r)))
     with pytest.raises(NumericsError):
         p.value(3.0)
 
@@ -237,7 +202,6 @@ def jet_cases():
     yield "constant_profile", constant_profile(-2.5), 0.1
     rs = np.geomspace(1.1, 40.0, 300)
     yield "tabulated_profile", tabulated_profile(rs, np.sin(rs) / rs), 1.1
-    yield "finite-difference", RadialProfile(lambda r: np.exp(-r) * r, domain=(0.5, 50.0)), 0.5
 
 
 def bits(x):
@@ -269,16 +233,11 @@ def test_jet_raises_what_the_separate_calls_raise():
         # finite except on r > 3, where the named part is infinite
         def f(which):
             return lambda r: np.where((r > 3.0) & (part == which), np.inf, r * r)
-        return RadialProfile(f("value"), jet=lambda r: (f("value")(r), f("d1")(r), f("d2")(r)),
-                             domain=(1.0, 5.0))
+        return RadialProfile(lambda r: (f("value")(r), f("d1")(r), f("d2")(r)), domain=(1.0, 5.0))
 
     data = rn_data(RNParameters(3, 1.0, 0.5))
     rs = np.linspace(2.0, 4.0, 9)
     profiles = [spiky(p) for p in ("value", "d1", "d2")]
-    profiles.append(RadialProfile(lambda r: r * r, domain=(1.0, 5.0)))
-    # A difference jet whose values are infinite on r > 3: it raises on the
-    # values, before inf - inf in the differences could warn.
-    profiles.append(RadialProfile(lambda r: np.where(r > 3.0, np.inf, r * r), domain=(1.0, 5.0)))
     profiles += [data.A, data.V, constant_profile(1.0, domain=(1.0, 5.0)),
                  tabulated_profile(np.linspace(1.0, 5.0, 12), np.linspace(1.0, 5.0, 12) ** 2)]
     seen = set()

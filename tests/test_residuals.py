@@ -1,7 +1,9 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from electrovac import (
     laplacian_radial,
     perturbed_potential_data,
     photon_sphere_radii,
+    quasilocal_check,
     residual_identities,
     residual_master,
     residual_pem,
@@ -40,6 +43,7 @@ from electrovac import (
 )
 from electrovac import residuals
 from electrovac.geometry import TOL_CLOSED_FORM, TOL_FINITE_DIFFERENCE
+from electrovac.profiles import MODE_FINITE_DIFFERENCE
 
 from counting import PROFILES, counting_data
 
@@ -141,9 +145,7 @@ def zero_crossing_data(slope=1e-6):
     return SphericalStaticData(
         n=3, lam=0.0,
         A=constant_profile(1.0),
-        V=RadialProfile(lambda r: (r - 5.0) * slope,
-                        jet=lambda r: ((r - 5.0) * slope, np.full_like(np.asarray(r, float), slope),
-                                       np.zeros_like(np.asarray(r, float)))),
+        V=RadialProfile(lambda r: ((r - 5.0) * slope, np.full_like(r, slope), np.zeros_like(r))),
         Emag=constant_profile(0.0),
         Psi=constant_profile(0.0),
     )
@@ -249,12 +251,29 @@ def test_default_grid_endpoints():
 def test_default_tolerance_tracks_profile_mode():
     closed = rn_data(RNParameters(3, 1.0, 0.5))
     assert default_tolerance(closed) == TOL_CLOSED_FORM
-    fd = SphericalStaticData(
-        n=3, lam=0.0,
-        A=RadialProfile(lambda r: np.asarray(closed.A(r)), domain=closed.A.domain),
-        V=closed.V, Emag=closed.Emag, v_zeros=closed.v_zeros,
-    )
-    assert default_tolerance(fd) == TOL_FINITE_DIFFERENCE
+    rs = np.geomspace(2.0, 40.0, 400)
+    table_a = dataclasses.replace(closed, A=tabulated_profile(rs, closed.A(rs)))
+    assert default_tolerance(table_a) == TOL_FINITE_DIFFERENCE
+
+
+def test_library_tolerances_must_be_finite_and_non_negative():
+    # NaN failed every tag and wrote "tolerance": NaN, which is not strict
+    # JSON; -1 failed every tag and inf passed every one. The reports and the
+    # slice check share the CLI's rule, message and all.
+    data = rn_data(RNParameters(3, 1.0, 0.5))
+    grid = default_grid(data, count=50)
+    calls = (lambda tol: verify_all(data, grid, tol=tol),
+             lambda tol: residual_system(data, grid, tol=tol),
+             lambda tol: equivalence_property(data, grid, tol=tol),
+             lambda tol: quasilocal_check(data, 3.0, tol))
+    for tol in (math.nan, -1.0, -math.inf, math.inf):
+        for call in calls:
+            with pytest.raises(ParameterError) as info:
+                call(tol)
+            assert str(info.value) == f"identity tolerance must be finite and >= 0, got {tol}"
+    for tol in (0, 0.0, 1e-9):
+        assert verify_all(data, grid, tol=tol).tolerance == tol
+        assert quasilocal_check(data, 3.0, tol).tol == tol
 
 
 def test_report_serialization_order_and_shape():
@@ -465,10 +484,9 @@ def block_cases():
     base = rn_data(RNParameters(3, 1.0, 0.5))
     rs = np.geomspace(2.0, 40.0, 400)
     yield "table", table_data(base, rs), GridSpec(2.1, 39.0, count=count), 5.0, True
-    fd = SphericalStaticData(
-        n=3, lam=0.0, A=RadialProfile(lambda r: np.asarray(base.A(r)), domain=base.A.domain),
-        V=base.V, Emag=base.Emag, Psi=base.Psi, v_zeros=base.v_zeros)
-    yield "finite difference", fd, default_grid(fd, count=count), 3.0, False
+    loose = dataclasses.replace(base, A=RadialProfile(base.A.jet, domain=base.A.domain,
+                                                      mode=MODE_FINITE_DIFFERENCE))
+    yield "loose mode", loose, default_grid(loose, count=count), 3.0, False
     linear = GridSpec(1.0, 9.0, count=count, spacing="linear")
     # |V| < 1e-9 within 0.1 of r = 5: about 250 radii, so whole blocks of 7 are skipped.
     yield "V zero", zero_crossing_data(1e-8), linear, 3.0, True
@@ -477,9 +495,8 @@ def block_cases():
     # first block, the single pass the end of the Emag domain at r = 8 first.
     huge_e = SphericalStaticData(
         n=3, lam=0.0, A=constant_profile(1.0), V=constant_profile(1.0),
-        Emag=RadialProfile(lambda r: np.where(r < 1.01, 1e200, 0.0),
-                           jet=lambda r: (np.where(r < 1.01, 1e200, 0.0), np.zeros_like(r),
-                                          np.zeros_like(r)),
+        Emag=RadialProfile(lambda r: (np.where(r < 1.01, 1e200, 0.0), np.zeros_like(r),
+                                      np.zeros_like(r)),
                            domain=(0.0, 8.0)),
         Psi=constant_profile(0.0))
     yield "late domain error", huge_e, linear, None, True
@@ -531,9 +548,7 @@ def test_fully_skipped_blocks_count_toward_the_total(monkeypatch):
 
 def step_field_data(e, at=60.0, domain=(0.0, np.inf)):
     # Flat, V = 1 and |E| = e past r = at: E1's residual is non-finite there when e = 1e200.
-    step = RadialProfile(lambda r: np.where(r > at, e, 0.0),
-                         jet=lambda r: (np.where(r > at, e, 0.0), 0.0 * r, 0.0 * r),
-                         domain=domain)
+    step = RadialProfile(lambda r: (np.where(r > at, e, 0.0), 0.0 * r, 0.0 * r), domain=domain)
     return SphericalStaticData(n=3, lam=0.0, A=constant_profile(1.0), V=constant_profile(1.0),
                                Emag=step, Psi=constant_profile(0.0))
 
@@ -554,6 +569,24 @@ def test_a_failing_block_ends_the_report():
         for name in PROFILES:
             assert np.array_equal(np.concatenate(getattr(data, name).jet_radii),
                                   grid.radii(0, blocks * residuals._BLOCK))
+
+
+def test_a_blocks_fields_stay_alive_while_the_next_block_is_built(monkeypatch):
+    # _worst_rows keeps the last block's fields bound until the next block's
+    # replace them: freed first, the heap top they leave is trimmed by glibc
+    # and faulted back in by the next block.
+    alive, previous = [], []
+
+    class Recorded(residuals._Fields):
+        def __init__(self, data, rs):
+            alive.append(bool(previous) and previous[-1]() is not None)
+            super().__init__(data, rs)
+            previous.append(weakref.ref(self))
+
+    monkeypatch.setattr(residuals, "_Fields", Recorded)
+    data = rn_data(RNParameters(3, 1.0, 0.5))
+    verify_all(data, GridSpec(2.5, 40.0, count=3 * residuals._BLOCK))
+    assert alive == [False, True, True]
 
 
 def traced_peak(call):

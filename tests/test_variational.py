@@ -28,6 +28,7 @@ from electrovac import (
     rn_horizon,
     sphere_area,
     surface_gravity,
+    tabulated_profile,
 )
 from electrovac.geometry import warped_scalar
 from electrovac.variational import (
@@ -594,24 +595,24 @@ def test_one_set_reads_each_radius_array_once_across_its_calls(order, passes):
 def test_shared_reads_give_each_call_its_fresh_result_bit_for_bit():
     # Every call on a data object that earlier calls have read returns (or
     # raises) what the same call returns on a fresh copy, on joint data, on
-    # profile data and on value-only profiles, whose difference jets fail
-    # some quadrature checks.
+    # profile data and on tables, whose spline jets fail some quadrature
+    # checks.
     def outcome(call, data):
         try:
             return repr(call(data))
         except NumericsError as exc:
             return repr(exc)
 
-    def value_only(data):
-        return replace(data, **{name: RadialProfile(getattr(data, name).value,
-                                                    domain=getattr(data, name).domain)
+    def table(data, annulus):
+        rs = np.geomspace(annulus[0] / 1.2, annulus[1] * 1.2, 400)
+        return replace(data, **{name: tabulated_profile(rs, getattr(data, name)(rs))
                                 for name in ("A", "V", "Emag")})
 
     for p, ann, pert in drawn_variational_cases(6, seed=21):
         calls = dict(set_calls(ann, pert),
                      norm=lambda d: perturbation_norm(d, ann, pert))
         for build in (rn_data, lambda p: replace(rn_data(p)),
-                      lambda p: value_only(rn_data(p))):
+                      lambda p: table(rn_data(p), ann)):
             shared = build(p)
             for name, call in [*calls.items(), *reversed(calls.items())]:
                 assert outcome(call, shared) == outcome(call, build(p)), (p, name)
@@ -760,6 +761,20 @@ def test_quadrature_size_is_bounded():
                           (MAX_PANEL_NODES // MAX_NODES + 1, MAX_NODES)):
         with pytest.raises(ParameterError):
             QuadratureConfig(panels=panels, nodes=nodes)
+
+
+def test_quadrature_counts_are_integers_and_its_tolerance_is_finite():
+    # A float count reached numpy (a broadcast error in the identity, a
+    # TypeError from leggauss, NaN to int) or was rounded up, True read as 1,
+    # and an infinite tolerance switched the panel-doubling check off.
+    for kwargs in (dict(panels=2.5), dict(nodes=2.5), dict(panels=math.nan), dict(panels=True),
+                   dict(nodes=False), dict(panels=16.0)):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            QuadratureConfig(**kwargs)
+    for tol in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            QuadratureConfig(tol=tol)
+    QuadratureConfig(panels=np.int64(8), nodes=np.int32(6), tol=1e-12)
 
 
 def test_bump_second_derivative_must_not_overflow():
