@@ -10,9 +10,8 @@ message of the ElectrovacError it raised. Run it in two checkouts and diff:
 
 The sets are seeded: closed-form data plain and with a bump in V, the same
 data as cubic tables, n from 3 to 7 in every regime, and a few sets that end
-in errors. The pointwise
-readers run on 64 radii of each grid, on one scalar radius, and at each
-closed-form photon-sphere radius; the isotropic chart of each set's
+in errors. The pointwise readers run on 64 radii of each grid, on one scalar
+radius, and at each closed-form photon-sphere radius; the isotropic chart of each set's
 parameters at its branch start and at seeded radii above it; then the
 variational calls on criticality ladders at the bump's extremes (narrow,
 filling the annulus, at its edge, on a 64-panel rule); last, the flat-ball
