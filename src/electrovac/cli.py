@@ -19,6 +19,8 @@ overrides both. It must be finite and >= 0.
 
 The parser is built from the standard library alone, so --help and usage
 errors load no numpy; each command imports only the modules it runs.
+classify loads no numpy either: it reads its data at scalar radii, which
+are evaluated in Python floats.
 """
 
 from __future__ import annotations

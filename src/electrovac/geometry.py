@@ -4,7 +4,8 @@ The metric is g = A(r) dr^2 + r^2 g_S on an open radial interval, with g_S the
 round unit (n-1)-sphere. Every symmetric 2-tensor built from such data is
 diagonal in the orthonormal frame {e_0 = A^{-1/2} d/dr, tangential frame}, with
 one radial and one (repeated) tangential eigenvalue; FrameTensor2 stores that
-pair. All operators work elementwise on scalar or 1-D array radii.
+pair. All operators work elementwise on scalar or 1-D array radii; a float
+radius is read in Python floats (profiles.float_pass).
 
 Orientation convention: the unit normal of a coordinate sphere points toward
 increasing r. Mean curvature is the trace of the shape operator for that
@@ -14,13 +15,11 @@ normal, so round spheres in flat space have H = (n-1)/r > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from .errors import DomainError, NumericsError, ParameterError, require_dimension
-from .profiles import MODE_CLOSED_FORM, RadialProfile, finite_jet, require_open
+from .profiles import (MODE_CLOSED_FORM, RadialProfile, finite_jet, float_pass, np, quiet,
+                       require_open, sqrt)
 
 V_ZERO_MARGIN = 1e-9
 # |V| below this counts as zero: a photon sphere there is rejected, a slice
@@ -31,12 +30,39 @@ TOL_CLOSED_FORM = 1e-9
 TOL_FINITE_DIFFERENCE = 1e-5
 
 
-@dataclass(frozen=True)
-class FrameTensor2:
+class Record:
+    """Base of the package's result and parameter types: plain classes whose
+    fields are their ``__slots__``, in order, which the repr lists."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ValueRecord(Record):
+    """A Record that compares and hashes by its fields."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class FrameTensor2(Record):
     """Orthonormal-frame components of a radially symmetric 2-tensor."""
 
-    radial: np.ndarray | float
-    tangential: np.ndarray | float
+    __slots__ = ("radial", "tangential")
+
+    def __init__(self, radial, tangential):
+        self.radial, self.tangential = radial, tangential
 
     def trace(self, n: int):
         return self.radial + (n - 1) * self.tangential
@@ -45,8 +71,7 @@ class FrameTensor2:
         return FrameTensor2(radial=f * self.radial, tangential=f * self.tangential)
 
 
-@dataclass(frozen=True)
-class HypersurfaceGeometry:
+class HypersurfaceGeometry(Record):
     """Extrinsic/intrinsic data of the coordinate sphere at radius r.
 
     B_tan is the (repeated) tangential eigenvalue of the second fundamental
@@ -57,18 +82,14 @@ class HypersurfaceGeometry:
     read of the jets of A and V.
     """
 
-    r: np.ndarray | float
-    H: np.ndarray | float
-    B_tan: np.ndarray | float
-    R_S: np.ndarray | float
-    V: np.ndarray | float
-    nuV: np.ndarray | float
-    ric_nn: np.ndarray | float
-    R: np.ndarray | float
+    __slots__ = ("r", "H", "B_tan", "R_S", "V", "nuV", "ric_nn", "R")
+
+    def __init__(self, r, H, B_tan, R_S, V, nuV, ric_nn, R):
+        self.r, self.H, self.B_tan, self.R_S = r, H, B_tan, R_S
+        self.V, self.nuV, self.ric_nn, self.R = V, nuV, ric_nn, R
 
 
-@dataclass(frozen=True)
-class SphericalStaticData:
+class SphericalStaticData(Record):
     """Static spherically symmetric data (g, V, |E|) with optional potential.
 
     Fields
@@ -91,23 +112,25 @@ class SphericalStaticData:
         the profiles for every count. ``rn_data`` makes each profile's jet a
         part of it, so the two cannot disagree. On finite radii only a numpy
         overflow, invalid operation or division by zero may make a part
-        non-finite. Kept as ``joint_jet``, not a field: a ``replace`` copy
-        has none.
+        non-finite. Kept as ``joint_jet``: a ``replace`` copy has none
+        unless one is passed.
     """
 
-    n: int
-    lam: float
-    A: RadialProfile
-    V: RadialProfile
-    Emag: RadialProfile
-    Psi: Optional[RadialProfile] = None
-    v_zeros: tuple[float, ...] = field(default=())
-    r_scale: float = 1.0
-    joint: InitVar[Optional[Callable]] = None
+    __slots__ = ("n", "lam", "A", "V", "Emag", "Psi", "v_zeros", "r_scale", "joint_jet")
 
-    def __post_init__(self, joint):
-        require_dimension(self.n)
-        object.__setattr__(self, "joint_jet", joint)
+    def __init__(self, n: int, lam: float, A: RadialProfile, V: RadialProfile,
+                 Emag: RadialProfile, Psi: Optional[RadialProfile] = None,
+                 v_zeros: tuple[float, ...] = (), r_scale: float = 1.0,
+                 joint: Optional[Callable] = None):
+        require_dimension(n)
+        self.n, self.lam, self.A, self.V, self.Emag, self.Psi = n, lam, A, V, Emag, Psi
+        self.v_zeros, self.r_scale, self.joint_jet = v_zeros, r_scale, joint
+
+    def replace(self, **changes) -> SphericalStaticData:
+        """A copy with the given fields changed, checked as a new instance;
+        it has a joint jet only if one is passed as ``joint``."""
+        fields = {name: getattr(self, name) for name in self.__slots__ if name != "joint_jet"}
+        return SphericalStaticData(**{**fields, **changes})
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -120,10 +143,12 @@ class SphericalStaticData:
 
     def require_off_v_zeros(self, r):
         for z in self.v_zeros:
-            if (np.abs(r - z) < V_ZERO_MARGIN).any():
+            near = abs(r - z) < V_ZERO_MARGIN
+            if near if type(r) is float else near.any():
                 raise DomainError(f"radius within {V_ZERO_MARGIN} of the V-zero at r = {z}")
         return r
 
+    @float_pass
     def jets(self, r, count: int) -> list:
         """The jets (f, f', f'') at r of the first count of A, V, Emag and Psi.
 
@@ -134,7 +159,8 @@ class SphericalStaticData:
         operation or division by zero on finite radii has only finite parts
         and skips their checks; one that does runs again with numpy's
         warnings off, and the jets asked for are checked in order, so the
-        first non-finite part raises NumericsError.
+        first non-finite part raises NumericsError. A float pass checks the
+        jets asked for in order, as the array path's rerun does.
         """
         if self.joint_jet is not None:
             jets = _joint_jets(self.joint_jet, self.A.require_inside(r))
@@ -161,7 +187,7 @@ def require_tolerance(tol):
 
 
 def _require_positive(a):
-    if np.less_equal(a, 0).any():
+    if (a <= 0) if type(a) is float else np.less_equal(a, 0).any():
         raise DomainError("metric coefficient A must be positive")
     return a
 
@@ -169,7 +195,11 @@ def _require_positive(a):
 def _joint_jets(joint, r):
     """joint(r) at radii inside its domain (so finite) as an iterator of jets,
     checked when drawn unless a pass under raised numpy floating-point errors
-    shows them finite."""
+    shows them finite. Float arithmetic flags no overflow or invalid
+    operation, so a float pass checks each jet drawn."""
+    if type(r) is float:
+        with quiet():
+            return map(finite_jet, joint(r))
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return iter(joint(r))
@@ -189,7 +219,7 @@ def warped_scalar(n, A, Ap, C, Cp, Cpp):
 
 def _require_finite(what: str, *parts):
     for part in parts:
-        if not np.isfinite(part).all():
+        if not (math.isfinite(part) if type(part) is float else np.isfinite(part).all()):
             raise NumericsError(f"non-finite {what}")
 
 
@@ -228,13 +258,14 @@ def scalar_curvature_d1_kernel(n, a, ap, app, r):
 
 def level_set_kernel(n, a, ap, v, vp, r) -> HypersurfaceGeometry:
     """The coordinate sphere's geometry from A, A', V and V' already read at
-    the radius array r, with numpy's warnings off as level_set_geometry's."""
-    with np.errstate(all="ignore"):
-        sa = np.sqrt(a)
+    the radius r, a float or an array, with numpy's warnings off as
+    level_set_geometry's."""
+    with quiet():
+        sa = sqrt(a)
         H = (n - 1) / (r * sa)
         ric = ricci_kernel(n, a, ap, r)
         return HypersurfaceGeometry(
-            r=r[()],
+            r=r if type(r) is float else r[()],
             H=H,
             B_tan=H / (n - 1),
             R_S=(n - 1) * (n - 2) / (r * r),
@@ -250,11 +281,12 @@ def level_set_kernel(n, a, ap, v, vp, r) -> HypersurfaceGeometry:
 # non-finite raises NumericsError (in ricci_kernel, or in scalar_curvature_d1
 # itself), and one that ends finite passes silently (at r = 1e200, r*r
 # overflows and K_tan = x/inf reads 0).
+@float_pass
 def ricci_radial(data: SphericalStaticData, r) -> FrameTensor2:
     """Ricci tensor of g in frame components at radius r."""
     r = data.require_interior(r)
     (a, ap, _), = data.jets(r, 1)
-    with np.errstate(all="ignore"):
+    with quiet():
         return ricci_kernel(data.n, a, ap, r)
 
 
@@ -264,14 +296,18 @@ def scalar_curvature(data: SphericalStaticData, r):
 
 
 def scalar_curvature_d1(data: SphericalStaticData, r):
-    """Radial derivative dR/dr, in closed form from A, A', A''."""
-    r = data.require_interior(r)
-    with np.errstate(all="ignore"):
+    """Radial derivative dR/dr, in closed form from A, A', A''.
+
+    A float radius is read as a 0-d array: numpy's r ** 3 on an array
+    rounds unlike Python's pow, in about one radius in twenty."""
+    r = data.require_interior(np.asarray(r, dtype=float))
+    with quiet():
         dR = scalar_curvature_d1_kernel(data.n, *data.jets(r, 1)[0], r)
     _require_finite("scalar curvature derivative", dR)
     return dR
 
 
+@float_pass
 def hessian_radial(data: SphericalStaticData, f: RadialProfile, r) -> FrameTensor2:
     """Hessian of a radial function f in frame components."""
     r = data.require_interior(r)
@@ -280,6 +316,7 @@ def hessian_radial(data: SphericalStaticData, f: RadialProfile, r) -> FrameTenso
     return hessian_kernel(a, ap, fp, fpp, r)
 
 
+@float_pass
 def laplacian_radial(data: SphericalStaticData, f: RadialProfile, r):
     """Laplace-Beltrami of a radial function, via the divergence form."""
     r = data.require_interior(r)
@@ -288,13 +325,15 @@ def laplacian_radial(data: SphericalStaticData, f: RadialProfile, r):
     return laplacian_kernel(data.n, a, ap, fp, fpp, r)
 
 
+@float_pass
 def grad_norm(data: SphericalStaticData, f: RadialProfile, r):
     """|grad f|_g = |f'| / sqrt(A) at radius r."""
     r = data.require_interior(r)
     (a, _, _), = data.jets(r, 1)
-    return np.abs(f.d1(r)) / np.sqrt(a)
+    return abs(f.d1(r)) / sqrt(a)
 
 
+@float_pass
 def level_set_geometry(data: SphericalStaticData, r) -> HypersurfaceGeometry:
     """Geometry of the coordinate sphere at r, normal toward increasing r."""
     r = data.require_interior(r)
@@ -310,7 +349,7 @@ def contracted_gauss_residual(data: SphericalStaticData, r):
     """
     n = data.n
     geo = level_set_geometry(data, r)
-    return np.abs(geo.R - 2.0 * geo.ric_nn - geo.R_S + ((n - 2) / (n - 1)) * geo.H * geo.H)
+    return abs(geo.R - 2.0 * geo.ric_nn - geo.R_S + ((n - 2) / (n - 1)) * geo.H * geo.H)
 
 
 def richardson_limit(samples, ratio=10.0):

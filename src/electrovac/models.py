@@ -14,14 +14,11 @@ when V^2 > 0 on the whole half-line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
-import numpy as np
-
 from .errors import DomainError, ParameterError, require_dimension
-from .geometry import SphericalStaticData
-from .profiles import RadialProfile, constant_profile
+from .geometry import Record, SphericalStaticData
+from .profiles import RadialProfile, constant_profile, np, sqrt
 
 
 def coupling_constant(n: int) -> float:
@@ -29,32 +26,28 @@ def coupling_constant(n: int) -> float:
     return math.sqrt(2.0 * (n - 2) / (n - 1))
 
 
-@dataclass(frozen=True)
-class RNParameters:
+class RNParameters(Record):
     """Mass/charge parameters of the charged static family. n is an integer
     from 3 to MAX_DIMENSION; lam is fixed 0."""
 
-    n: int
-    m: float
-    q: float
-    lam: float = field(default=0.0)
+    __slots__ = ("n", "m", "q", "lam")
 
-    def __post_init__(self):
-        require_dimension(self.n)
-        if not (math.isfinite(self.m) and self.m > 0):
-            raise ParameterError(f"mass must be positive and finite, got {self.m}")
-        if not math.isfinite(self.q):
-            raise ParameterError(f"charge must be finite, got {self.q}")
+    def __init__(self, n: int, m: float, q: float, lam: float = 0.0):
+        require_dimension(n)
+        if not (math.isfinite(m) and m > 0):
+            raise ParameterError(f"mass must be positive and finite, got {m}")
+        if not math.isfinite(q):
+            raise ParameterError(f"charge must be finite, got {q}")
         # The two terms of the photon-sphere discriminant (n m)^2 - 4(n-1) q^2;
         # with n >= 3 they bound m^2 and q^2, which rn_horizon and the closed forms take.
-        nm = self.n * self.m
-        for name, term, value in (("mass", nm * nm, self.m),
-                                  ("charge", 4.0 * (self.n - 1) * self.q * self.q, self.q)):
+        nm = n * m
+        for name, term, value in (("mass", nm * nm, m), ("charge", 4.0 * (n - 1) * q * q, q)):
             if not math.isfinite(term):
                 raise ParameterError(f"{name} too large: its term of the photon-sphere "
                                      f"discriminant overflows a float, got {value}")
-        if self.lam != 0.0:
+        if lam != 0.0:
             raise ParameterError("this family is constructed with lam = 0")
+        self.n, self.m, self.q, self.lam = n, m, q, lam
 
     @property
     def regime(self) -> str:
@@ -83,8 +76,9 @@ def rn_data(p: RNParameters) -> SphericalStaticData:
     """Closed-form data for the charged family on (r0, oo).
 
     The closed forms are written once, in the joint jet, from x = 1/r and
-    x^k, k = n - 2. Each profile's jet is the joint's part, so a direct
-    profile read, value or derivative, runs the whole joint pass.
+    x^k, k = n - 2, for a float radius and a radius array alike. Each
+    profile's jet is the joint's part, so a direct profile read, value or
+    derivative, runs the whole joint pass.
     """
     n, m, q = p.n, p.m, p.q
     k = n - 2
@@ -104,7 +98,7 @@ def rn_data(p: RNParameters) -> SphericalStaticData:
         w = 1.0 - 2.0 * u1 + u2
         wp = 2.0 * k * x * (u1 - u2)
         wpp = 2.0 * k * x * (x * ((2 * k + 1) * u2 - (k + 1) * u1))
-        ww, sw = w * w, np.sqrt(w)
+        ww, sw = w * w, sqrt(w)
         # |E| = ce x^(k+1) and Psi = cp x^k; each derivative is one more factor of x.
         e = ce * xk * x
         ex = e * x
@@ -115,7 +109,7 @@ def rn_data(p: RNParameters) -> SphericalStaticData:
                 (e, -(n - 1) * ex, n * (n - 1) * ex * x),
                 (psi, -k * px, k * (k + 1) * px * x))
 
-    dom = (rn_r0(p), np.inf)
+    dom = (rn_r0(p), math.inf)
     A, V, Emag, Psi = (RadialProfile(jet=lambda r, i=i: joint(r)[i], domain=dom) for i in range(4))
     h = rn_horizon(p)
     return SphericalStaticData(n=n, lam=0.0, A=A, V=V, Emag=Emag, Psi=Psi,
@@ -161,24 +155,21 @@ def perturbed_potential_data(base: SphericalStaticData, amplitude: float,
         a, v, e, psi = base.joint_jet(r)
         return a, bumped(r, *v), e, psi
 
-    return replace(base, V=newV, joint=joint if base.joint_jet else None)
+    return base.replace(V=newV, joint=joint if base.joint_jet else None)
 
 
 # ---------------------------------------------------------------------------
 # Isotropic chart
 
 
-@dataclass(frozen=True)
-class IsotropicPoint:
+class IsotropicPoint(Record):
     """Chart values at isotropic radius s: area radius r, conformal factor
     phi with r = s*phi, and the fields expressed in the chart."""
 
-    s: float
-    r: float
-    phi: float
-    V: float
-    Emag: float
-    Psi: float
+    __slots__ = ("s", "r", "phi", "V", "Emag", "Psi")
+
+    def __init__(self, s: float, r: float, phi: float, V: float, Emag: float, Psi: float):
+        self.s, self.r, self.phi, self.V, self.Emag, self.Psi = s, r, phi, V, Emag, Psi
 
 
 class IsotropicChart:
@@ -315,8 +306,7 @@ def phi_identity_residual(p: RNParameters, s: float) -> float:
 # Flat ball with linear potential
 
 
-@dataclass(frozen=True)
-class BallStaticExample:
+class BallStaticExample(Record):
     """Unit ball in flat R^3 with V(x) = x . v and vanishing field.
 
     Solves the static system with lam = 0 and E = 0; its zero set
@@ -326,9 +316,10 @@ class BallStaticExample:
     residuals.euclidean_ball_residuals checks it.
     """
 
-    v: tuple[float, float, float]
-    interior: np.ndarray
-    boundary: np.ndarray
+    __slots__ = ("v", "interior", "boundary")
+
+    def __init__(self, v: tuple[float, float, float], interior, boundary):
+        self.v, self.interior, self.boundary = v, interior, boundary
 
     @classmethod
     def default(cls, v=(0.0, 0.0, 1.0), n_interior: int = 200, n_boundary: int = 200):

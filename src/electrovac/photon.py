@@ -24,18 +24,17 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+import sys
 from typing import Optional
 
-import numpy as np
-
 from .errors import DomainError, NumericsError, ParameterError
-from .geometry import (DEGENERATE_V, TOL_CLOSED_FORM, V_ZERO_MARGIN, SphericalStaticData,
-                       level_set_geometry, require_tolerance)
+from .geometry import (DEGENERATE_V, TOL_CLOSED_FORM, V_ZERO_MARGIN, Record,
+                       SphericalStaticData, level_set_geometry, require_tolerance)
 from .models import RNParameters, rn_data, rn_r0
+from .profiles import np
 
 DOUBLE_ROOT_REL = 1e-12
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 def boundary_residual(data: SphericalStaticData, r):
@@ -47,32 +46,33 @@ def boundary_residual(data: SphericalStaticData, r):
     return (data.n - 1) * geo.nuV - geo.V * geo.H
 
 
-@dataclass(frozen=True)
-class PhotonRoot:
-    r: float
-    u: float
-    multiplicity: int
+class PhotonRoot(Record):
+    __slots__ = ("r", "u", "multiplicity")
+
+    def __init__(self, r: float, u: float, multiplicity: int):
+        self.r, self.u, self.multiplicity = r, u, multiplicity
 
 
-@dataclass(frozen=True)
-class RejectedRoot:
-    reason: str
-    u: Optional[float] = None
-    r: Optional[float] = None
+class RejectedRoot(Record):
+    __slots__ = ("reason", "u", "r")
+
+    def __init__(self, reason: str, u: Optional[float] = None, r: Optional[float] = None):
+        self.reason, self.u, self.r = reason, u, r
 
 
-@dataclass(frozen=True)
-class PhotonSphereResult:
+class PhotonSphereResult(Record):
     """Admissible photon-sphere radii with multiplicity, plus bookkeeping.
 
     count is the number of distinct admissible radii (a double root counts
     once, carried with multiplicity 2); discriminant is n^2 m^2 - 4(n-1) q^2.
     """
 
-    roots: tuple[PhotonRoot, ...]
-    rejected: tuple[RejectedRoot, ...]
-    discriminant: float
-    count: int
+    __slots__ = ("roots", "rejected", "discriminant", "count")
+
+    def __init__(self, roots: tuple[PhotonRoot, ...], rejected: tuple[RejectedRoot, ...],
+                 discriminant: float, count: int):
+        self.roots, self.rejected, self.discriminant, self.count = (roots, rejected,
+                                                                    discriminant, count)
 
 
 def photon_sphere_radii(p: RNParameters) -> PhotonSphereResult:
@@ -120,13 +120,13 @@ def photon_sphere_radii(p: RNParameters) -> PhotonSphereResult:
     )
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """Regime and photon-sphere count predicted from (n, m, q) alone."""
 
-    regime: str
-    count: int
-    description: str
+    __slots__ = ("regime", "count", "description")
+
+    def __init__(self, regime: str, count: int, description: str):
+        self.regime, self.count, self.description = regime, count, description
 
 
 def classify_configuration(p: RNParameters) -> Classification:
@@ -208,8 +208,7 @@ def scan_photon_spheres(data: SphericalStaticData, lo: Optional[float] = None,
     return merged
 
 
-@dataclass(frozen=True)
-class QuasilocalReport:
+class QuasilocalReport(Record):
     """Slice checks at radius r against the quasi-local characterization:
 
       Q1   R_S = n/(n-1) H^2 + 2 |E|^2          (lam = 0 form)
@@ -221,13 +220,14 @@ class QuasilocalReport:
     degeneracy and still carries Q1 and the Ricci check.
     """
 
-    r: float
-    q1_residual: float
-    q2_residual: Optional[float]
-    ric_nn_residual: float
-    extremality: str
-    degenerate: bool
-    tol: float
+    __slots__ = ("r", "q1_residual", "q2_residual", "ric_nn_residual", "extremality",
+                 "degenerate", "tol")
+
+    def __init__(self, r: float, q1_residual: float, q2_residual: Optional[float],
+                 ric_nn_residual: float, extremality: str, degenerate: bool, tol: float):
+        self.r, self.q1_residual, self.q2_residual = r, q1_residual, q2_residual
+        self.ric_nn_residual, self.extremality = ric_nn_residual, extremality
+        self.degenerate, self.tol = degenerate, tol
 
     @property
     def passed(self) -> bool:

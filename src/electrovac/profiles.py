@@ -5,15 +5,41 @@ and its first two derivatives at once, in closed form or from an
 interpolant. Its value is the jet's first part. The ``mode`` attribute
 records how accurate the derivatives are, so callers can pick tolerances
 accordingly.
+
+A radius of type float is evaluated in Python floats, by the same expressions
+that evaluate arrays, and numpy is imported only on first array use, so a
+command that reads only scalar radii never loads it (``float_pass``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import importlib.util
+import math
+import sys
+from types import ModuleType
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError, NumericsError, ParameterError
+
+
+def _lazy_numpy():
+    """numpy, or where it is not imported yet a stand-in in sys.modules that
+    imports it on first attribute access, into the same module object."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# The modules that read scalar radii take numpy from here; an ``import numpy``
+# would load it at once.
+np = _lazy_numpy()
 
 MODE_CLOSED_FORM = "closed-form"
 MODE_FINITE_DIFFERENCE = "finite-difference"
@@ -21,11 +47,54 @@ MODE_FINITE_DIFFERENCE = "finite-difference"
 _JET_PARTS = ("value", "first derivative", "second derivative")
 
 
+def quiet():
+    """numpy's floating-point warnings off, as np.errstate(all="ignore"), once
+    numpy is loaded. Before that no numpy arithmetic has run, and the context
+    changes nothing, so a float pass that meets no numpy loads none."""
+    return np.errstate(all="ignore") if type(np) is ModuleType else contextlib.nullcontext()
+
+
+def sqrt(x):
+    """math.sqrt of a float, np.sqrt of anything else."""
+    return math.sqrt(x) if type(x) is float else np.sqrt(x)
+
+
+def float_pass(fn):
+    """fn, computed in Python floats when its positional argument ``r`` is a
+    float.
+
+    Python float arithmetic raises where numpy's returns inf or nan: a
+    ZeroDivisionError, an OverflowError from ``**`` or a math-domain
+    ValueError. When the float pass raises one of these, fn runs again on r
+    as a 0-d array, so it returns or raises what the array path does.
+    Otherwise the results agree bit for bit, as long as the Python
+    operations fn applies are ones that Python and numpy round alike (+ - *
+    /, abs, sqrt); a numpy function runs on a float as on a 0-d array.
+    """
+    at = fn.__code__.co_varnames.index("r")
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        if len(args) > at and type(args[at]) is float:
+            try:
+                return fn(*args, **kwargs)
+            except (ZeroDivisionError, OverflowError, ValueError):
+                args = (*args[:at], np.asarray(args[at]), *args[at + 1:])
+        return fn(*args, **kwargs)
+
+    return call
+
+
 def require_open(r, domain, what: str):
-    """r as a float array; DomainError naming the first radius not strictly
-    inside the open interval domain, NaN included, "radius ... outside <what> (lo, hi)"."""
-    r = np.asarray(r, dtype=float)
+    """r as a float array, or unchanged if it is a float; DomainError naming
+    the first radius not strictly inside the open interval domain, NaN
+    included, "radius ... outside <what> (lo, hi)"."""
     lo, hi = domain
+    if type(r) is float:
+        if not lo < r < hi:
+            raise DomainError(f"radius {r} outside {what} ({lo}, {hi})")
+        return r
+    r = np.asarray(r, dtype=float)
     inside = (r > lo) & (r < hi)
     if not inside.all():
         bad = r if r.ndim == 0 else r[~inside][0]
@@ -34,6 +103,10 @@ def require_open(r, domain, what: str):
 
 
 def _finite(out, what: str):
+    if type(out) is float:
+        if not math.isfinite(out):
+            raise NumericsError(f"profile {what} is non-finite inside the domain")
+        return out
     out = np.asarray(out, dtype=float)
     if not np.isfinite(out).all():
         raise NumericsError(f"profile {what} is non-finite inside the domain")
@@ -67,10 +140,12 @@ class RadialProfile:
     overflows raises NumericsError without a RuntimeWarning. It returns a
     scalar part for a scalar radius; ``d1`` and ``d2`` are its second and
     third parts. ``value(r)`` is the jet's first part, checked alone, so a
-    non-finite derivative never makes a value read warn or raise.
+    non-finite derivative never makes a value read warn or raise. A float
+    radius is passed to the jet as a float (``float_pass``); a jet that
+    returns numpy scalars or 0-d arrays for it gives numpy scalars.
     """
 
-    def __init__(self, jet: Callable, *, domain: tuple[float, float] = (0.0, np.inf),
+    def __init__(self, jet: Callable, *, domain: tuple[float, float] = (0.0, math.inf),
                  mode: str = MODE_CLOSED_FORM):
         lo, hi = float(domain[0]), float(domain[1])
         if not lo < hi:
@@ -85,9 +160,10 @@ class RadialProfile:
     def require_inside(self, r):
         return require_open(r, self.domain, "open domain")
 
+    @float_pass
     def value(self, r):
         r = self.require_inside(r)
-        with np.errstate(all="ignore"):
+        with quiet():
             return _finite(self._jet(r)[0], "value")
 
     __call__ = value
@@ -98,14 +174,15 @@ class RadialProfile:
     def d2(self, r):
         return self.jet(r)[2]
 
+    @float_pass
     def jet(self, r):
         """(f, f', f'') at r."""
         r = self.require_inside(r)
-        with np.errstate(all="ignore"):
+        with quiet():
             return finite_jet(self._jet(r))
 
 
-def constant_profile(c: float, domain=(0.0, np.inf)) -> RadialProfile:
+def constant_profile(c: float, domain=(0.0, math.inf)) -> RadialProfile:
     def jet(r):
         return np.full_like(r, float(c)), np.zeros_like(r), np.zeros_like(r)
 

@@ -55,7 +55,6 @@ shape from its closed forms, euclidean_ball_residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -63,7 +62,9 @@ import numpy as np
 from .errors import DegeneracyError, DomainError, NumericsError
 from .geometry import (
     DEGENERATE_V,
+    Record,
     SphericalStaticData,
+    ValueRecord,
     default_tolerance,
     hessian_kernel,
     laplacian_kernel,
@@ -79,6 +80,7 @@ from .geometry import (
 _BLOCK = 8192
 # At this count a passing verify_all on rn_data took 0.23 s (2-core x86-64); memory is per block.
 MAX_GRID_COUNT = 10 ** 6
+_GRID_COUNT = 1000
 
 EQUATION_TAGS = {
     "E1": "Hessian equation for the potential",
@@ -100,14 +102,13 @@ EQUATION_TAGS = {
 }
 
 
-@dataclass(frozen=True)
-class TagResult:
-    tag: str
-    max_residual: float
-    worst_radius: Optional[float]
-    passed: bool
-    note: Optional[str] = None
-    skipped: int = 0
+class TagResult(Record):
+    __slots__ = ("tag", "max_residual", "worst_radius", "passed", "note", "skipped")
+
+    def __init__(self, tag: str, max_residual: float, worst_radius: Optional[float],
+                 passed: bool, note: Optional[str] = None, skipped: int = 0):
+        self.tag, self.max_residual, self.worst_radius = tag, max_residual, worst_radius
+        self.passed, self.note, self.skipped = passed, note, skipped
 
     def to_dict(self):
         out = {
@@ -123,27 +124,24 @@ class TagResult:
         return out
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(ValueRecord):
     """Radial evaluation grid: count points on [lo, hi], log or linear."""
 
-    lo: float
-    hi: float
-    count: int = 1000
-    spacing: str = "log"
+    __slots__ = ("lo", "hi", "count", "spacing")
 
-    def __post_init__(self):
-        if not (0 <= self.lo < self.hi and np.isfinite(self.hi)):
-            raise DomainError(f"bad grid interval [{self.lo}, {self.hi}]")
-        if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
-            raise DomainError(f"grid count must be an integer, got {self.count!r}")
-        if not 2 <= self.count <= MAX_GRID_COUNT:
-            raise DomainError("grid needs at least 2 points" if self.count < 2 else
-                              f"grid count {self.count} above the limit {MAX_GRID_COUNT}")
-        if self.spacing not in ("log", "linear"):
-            raise DomainError(f"unknown grid spacing {self.spacing!r}")
-        if self.spacing == "log" and self.lo <= 0:
+    def __init__(self, lo: float, hi: float, count: int = _GRID_COUNT, spacing: str = "log"):
+        if not (0 <= lo < hi and np.isfinite(hi)):
+            raise DomainError(f"bad grid interval [{lo}, {hi}]")
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise DomainError(f"grid count must be an integer, got {count!r}")
+        if not 2 <= count <= MAX_GRID_COUNT:
+            raise DomainError("grid needs at least 2 points" if count < 2 else
+                              f"grid count {count} above the limit {MAX_GRID_COUNT}")
+        if spacing not in ("log", "linear"):
+            raise DomainError(f"unknown grid spacing {spacing!r}")
+        if spacing == "log" and lo <= 0:
             raise DomainError("log spacing needs a positive lower endpoint")
+        self.lo, self.hi, self.count, self.spacing = lo, hi, count, spacing
 
     def radii(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         """Radii start to stop (all by default), bit for bit np.geomspace's or np.linspace's."""
@@ -176,17 +174,18 @@ def _default_bounds(data: SphericalStaticData) -> tuple[float, float]:
     return 1.01 * r0 if r0 > 0 else 0.5 * data.r_scale, 100.0 * max(1.0, r0)
 
 
-def default_grid(data: SphericalStaticData, count: int = GridSpec.count) -> GridSpec:
+def default_grid(data: SphericalStaticData, count: int = _GRID_COUNT) -> GridSpec:
     """Log grid hugging the data domain."""
     return GridSpec(*_default_bounds(data), count=count, spacing="log")
 
 
-@dataclass
-class ResidualReport:
-    entries: dict[str, TagResult]
-    grid: str
-    tolerance: float
-    extras: dict = field(default_factory=dict)
+class ResidualReport(Record):
+    __slots__ = ("entries", "grid", "tolerance", "extras")
+
+    def __init__(self, entries: dict[str, TagResult], grid: str, tolerance: float,
+                 extras: Optional[dict] = None):
+        self.entries, self.grid, self.tolerance = entries, grid, tolerance
+        self.extras = {} if extras is None else extras
 
     @property
     def passed(self) -> bool:

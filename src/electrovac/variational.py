@@ -39,14 +39,15 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, NumericsError, ParameterError
 from .geometry import (
+    Record,
     SphericalStaticData,
+    ValueRecord,
     hessian_kernel,
     laplacian_kernel,
     level_set_kernel,
@@ -76,31 +77,29 @@ MAX_NODES = 100
 MAX_PANEL_NODES = 2 ** 16
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(ValueRecord):
     """Composite Gauss-Legendre rule: `panels` equal panels, `nodes` points
-    each; `tol` bounds the panel-doubling change accepted as converged."""
+    each; `tol` bounds the panel-doubling change accepted as converged.
+    Equal configurations hash alike: the node arrays are cached by them."""
 
-    panels: int = 16
-    nodes: int = 12
-    tol: float = 1e-9
+    __slots__ = ("panels", "nodes", "tol")
 
-    def __post_init__(self):
-        for name in ("panels", "nodes"):
-            count = getattr(self, name)
+    def __init__(self, panels: int = 16, nodes: int = 12, tol: float = 1e-9):
+        for name, count in (("panels", panels), ("nodes", nodes)):
             if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
                 raise ParameterError(f"quadrature {name} must be an integer, got {count!r}")
-        if self.panels < 1 or self.nodes < 2:
+        if panels < 1 or nodes < 2:
             raise ParameterError("need at least 1 panel and 2 nodes")
         # leggauss builds a nodes x nodes companion matrix, and every call
         # evaluates its integrand on about 3 panels x nodes points per row.
-        if self.nodes > MAX_NODES:
-            raise ParameterError(f"at most {MAX_NODES} nodes per panel, got {self.nodes}")
-        if self.panels * self.nodes > MAX_PANEL_NODES:
+        if nodes > MAX_NODES:
+            raise ParameterError(f"at most {MAX_NODES} nodes per panel, got {nodes}")
+        if panels * nodes > MAX_PANEL_NODES:
             raise ParameterError(
-                f"panels x nodes must be at most {MAX_PANEL_NODES}, got {self.panels * self.nodes}")
-        if not 0 < self.tol < math.inf:
-            raise ParameterError(f"quadrature tolerance must be finite and positive, got {self.tol}")
+                f"panels x nodes must be at most {MAX_PANEL_NODES}, got {panels * nodes}")
+        if not 0 < tol < math.inf:
+            raise ParameterError(f"quadrature tolerance must be finite and positive, got {tol}")
+        self.panels, self.nodes, self.tol = panels, nodes, tol
 
 
 def radial_integral(fn, lo: float, hi: float, quad: QuadratureConfig,
@@ -236,8 +235,7 @@ def _rule_integrals(fn, quad: QuadratureConfig, rules) -> list[np.ndarray]:
         raise NumericsError("non-finite integral") from None
 
 
-@dataclass(frozen=True)
-class Perturbation:
+class Perturbation(Record):
     """Compactly supported radial bump applied to the metric.
 
     The profile is b(t) = (1 - t^2)^3 on |t| < 1 with t = (r - center)/halfwidth,
@@ -251,30 +249,29 @@ class Perturbation:
     amplitude is eps; |eps| <= 0.5 keeps the metric positive definite.
     """
 
-    center: float
-    halfwidth: float
-    mode: str = "both"
-    amplitude: float = 1e-3
+    __slots__ = ("center", "halfwidth", "mode", "amplitude")
 
-    def __post_init__(self):
-        if not (self.halfwidth > 0 and math.isfinite(self.center)):
+    def __init__(self, center: float, halfwidth: float, mode: str = "both",
+                 amplitude: float = 1e-3):
+        if not (halfwidth > 0 and math.isfinite(center)):
             raise ParameterError("bump needs finite center and positive halfwidth")
-        if self.mode not in ("radial", "tangential", "both"):
-            raise ParameterError(f"unknown perturbation mode {self.mode!r}")
-        if not (abs(self.amplitude) <= 0.5):
+        if mode not in ("radial", "tangential", "both"):
+            raise ParameterError(f"unknown perturbation mode {mode!r}")
+        if not (abs(amplitude) <= 0.5):
             raise ParameterError("|amplitude| must be <= 0.5 for a positive metric")
+        self.center, self.halfwidth, self.mode, self.amplitude = center, halfwidth, mode, amplitude
         lo, hi = self.support()
-        if not lo < self.center < hi:
+        if not lo < center < hi:
             raise ParameterError(
-                f"bump halfwidth {self.halfwidth} is below the resolution of its center "
-                f"{self.center}: the support edges round onto the center")
+                f"bump halfwidth {halfwidth} is below the resolution of its center "
+                f"{center}: the support edges round onto the center")
         # halfwidth ** 2 overflows above about 1.34e154, and b'' = -6 / halfwidth ** 2
         # at the center overflows below about 1.83e-154.
-        hw2 = float(self.halfwidth) * float(self.halfwidth)
+        hw2 = float(halfwidth) * float(halfwidth)
         if not math.isfinite(hw2):
-            raise ParameterError(f"bump halfwidth {self.halfwidth} too large: halfwidth^2 overflows")
+            raise ParameterError(f"bump halfwidth {halfwidth} too large: halfwidth^2 overflows")
         if not (hw2 > 0.0 and math.isfinite(6.0 / hw2)):
-            raise ParameterError(f"bump halfwidth {self.halfwidth} too small: 6/halfwidth^2 overflows")
+            raise ParameterError(f"bump halfwidth {halfwidth} too small: 6/halfwidth^2 overflows")
 
     def support(self) -> tuple[float, float]:
         return (self.center - self.halfwidth, self.center + self.halfwidth)
@@ -438,8 +435,7 @@ def evaluate_functional(data: SphericalStaticData, annulus,
     return _functional_values(data, r1, r2, pert, amplitudes, quad)[0][0]
 
 
-@dataclass(frozen=True)
-class CriticalityResult:
+class CriticalityResult(ValueRecord):
     """Central-difference derivative of F along a perturbation family.
 
     derivatives[i] estimates dF/deps at eps = 0 from +/- epsilons[i]; slope is
@@ -449,14 +445,15 @@ class CriticalityResult:
     below tol = 1e-5 * pert_norm and the slope sits in [1.8, 2.2].
     """
 
-    epsilons: tuple[float, ...]
-    derivatives: tuple[float, ...]
-    slope: float
-    refined: float
-    pert_norm: float
-    tol: float
-    slope_ok: bool
-    final_ok: bool
+    __slots__ = ("epsilons", "derivatives", "slope", "refined", "pert_norm", "tol",
+                 "slope_ok", "final_ok")
+
+    def __init__(self, epsilons: tuple[float, ...], derivatives: tuple[float, ...],
+                 slope: float, refined: float, pert_norm: float, tol: float,
+                 slope_ok: bool, final_ok: bool):
+        self.epsilons, self.derivatives, self.slope, self.refined = (epsilons, derivatives,
+                                                                     slope, refined)
+        self.pert_norm, self.tol, self.slope_ok, self.final_ok = pert_norm, tol, slope_ok, final_ok
 
     @property
     def passed(self) -> bool:

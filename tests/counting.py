@@ -1,7 +1,5 @@
 """Profiles that count how often a computation evaluates them on radius arrays."""
 
-import dataclasses
-
 import numpy as np
 
 from electrovac import RadialProfile
@@ -52,7 +50,7 @@ def counting_data(data):
     """Copy of data whose profiles count their array evaluations; returns
     (copy, counts) with counts[name][entry point] -> calls."""
     counts = {name: {} for name in PROFILES if getattr(data, name) is not None}
-    copy = dataclasses.replace(data, **{
+    copy = data.replace(**{
         name: CountingProfile(getattr(data, name), counts[name]) for name in counts})
     return copy, counts
 
@@ -67,4 +65,4 @@ def counting_joint_data(data):
         return inner(r)
 
     copy, counts = counting_data(data)
-    return dataclasses.replace(copy, joint=joint), counts, radii
+    return copy.replace(joint=joint), counts, radii

@@ -27,7 +27,6 @@ line; table files go to a temporary directory whose name is printed as <tmp>.
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -99,11 +98,11 @@ def hex_floats(doc):
 
 def plain(out):
     """A result as JSON-ready data: reports and results through to_dict or
-    their fields, numpy scalars as Python floats."""
+    their fields (their __slots__, in order), numpy scalars as Python floats."""
     if hasattr(out, "to_dict"):
         return out.to_dict()
-    if dataclasses.is_dataclass(out):
-        return {f.name: plain(getattr(out, f.name)) for f in dataclasses.fields(out)}
+    if hasattr(out, "__slots__"):
+        return {name: plain(getattr(out, name)) for name in out.__slots__}
     if isinstance(out, dict):
         return {k: plain(v) for k, v in out.items()}
     if isinstance(out, np.ndarray):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -296,7 +295,7 @@ def test_joint_and_profile_jets_read_the_same_bits():
     # jets(r, count) from the joint pass and from the profiles of a copy
     # without one: the same parts, at every count.
     for data, r in reader_cases():
-        copy = dataclasses.replace(data)
+        copy = data.replace()
         assert copy.joint_jet is None
         for count in (1, 2, 3, 4):
             got, want = data.jets(r, count), copy.jets(r, count)
@@ -327,14 +326,14 @@ def test_two_jet_readers_make_one_joint_pass_on_rn_data():
             return inner(r)
 
         data, counts = counting_data(base)
-        data = dataclasses.replace(data, joint=joint)
+        data = data.replace(joint=joint)
         read(data, rs)
         assert len(calls) == 1 and np.array_equal(calls[0], rs), name
         assert counts == {"A": {}, "V": {}, "Emag": {}, "Psi": {}}, name
 
 
 def test_a_replace_copy_reads_its_profiles():
-    # A dataclasses.replace copy has no joint jet: each reader takes one jet
+    # A replace copy has no joint jet: each reader takes one jet
     # of A and one of V from the profiles, and _el_integrand one of |E|.
     rs = np.linspace(3.0, 6.0, 50)
     for name, read in two_jet_readers().items():

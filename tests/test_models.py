@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -157,8 +156,8 @@ def test_perturbed_potential_changes_values_keeps_derivative_consistency():
 def test_perturbed_potential_keeps_the_mode_of_base_v():
     closed = rn_data(RNParameters(3, 1.0, 0.5))
     rs = np.geomspace(2.0, 40.0, 400)
-    table = dataclasses.replace(closed, V=tabulated_profile(rs, closed.V(rs)))
-    loose = dataclasses.replace(closed, V=RadialProfile(closed.V.jet, domain=closed.V.domain,
+    table = closed.replace(V=tabulated_profile(rs, closed.V(rs)))
+    loose = closed.replace(V=RadialProfile(closed.V.jet, domain=closed.V.domain,
                                                         mode=MODE_FINITE_DIFFERENCE))
     for base in (closed, table, loose):
         assert perturbed_potential_data(base, 1e-3, 5.0, 0.5).V.mode == base.V.mode
@@ -170,9 +169,9 @@ def test_perturbed_potential_keeps_every_other_field():
     base = rn_data(RNParameters(3, 1.0, 1.5))
     bumped = perturbed_potential_data(base, 1e-3, 2.0, 0.2)
     assert bumped.V is not base.V
-    for f in dataclasses.fields(base):
-        if f.name != "V":
-            assert getattr(bumped, f.name) is getattr(base, f.name), f.name
+    for name in base.__slots__:
+        if name not in ("V", "joint_jet"):
+            assert getattr(bumped, name) is getattr(base, name), name
     assert base.r_scale == 1.5
     assert default_grid(bumped) == default_grid(base)
     assert default_grid(bumped).lo == 0.75
@@ -219,7 +218,7 @@ def test_a_copy_that_swaps_a_profile_has_no_joint_jet():
     assert data.joint_jet is not None
     assert perturbed_potential_data(data, 1e-3, 5.0, 0.5).joint_jet is not None
     for name in ("A", "V", "Emag", "Psi"):
-        copy = dataclasses.replace(data, **{name: RadialProfile(getattr(data, name).jet)})
+        copy = data.replace(**{name: RadialProfile(getattr(data, name).jet)})
         assert copy.joint_jet is None, name
         assert perturbed_potential_data(copy, 1e-3, 5.0, 0.5).joint_jet is None, name
     # Data built without one has none, and neither does a bump of it.

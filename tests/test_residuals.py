@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import json
 import math
@@ -252,7 +251,7 @@ def test_default_tolerance_tracks_profile_mode():
     closed = rn_data(RNParameters(3, 1.0, 0.5))
     assert default_tolerance(closed) == TOL_CLOSED_FORM
     rs = np.geomspace(2.0, 40.0, 400)
-    table_a = dataclasses.replace(closed, A=tabulated_profile(rs, closed.A(rs)))
+    table_a = closed.replace(A=tabulated_profile(rs, closed.A(rs)))
     assert default_tolerance(table_a) == TOL_FINITE_DIFFERENCE
 
 
@@ -364,7 +363,7 @@ def test_verify_all_evaluates_the_joint_jet_once_per_block():
                 return inner(r)
 
             counted, counts = counting_data(data)
-            counted = dataclasses.replace(counted, joint=joint)
+            counted = counted.replace(joint=joint)
             grid = default_grid(counted, count=count)
             rep = verify_all(counted, grid, r_boundary=r_boundary)
             assert rep.passed == (data is base) and "PEM4" in rep.entries
@@ -411,7 +410,7 @@ def test_joint_and_profile_jets_give_the_same_reports():
     seen = set()
     with np.errstate(over="ignore", invalid="ignore"):
         for data, grid, r_b in cases:
-            copy = dataclasses.replace(data)
+            copy = data.replace()
             assert copy.joint_jet is None
             got = every_report(data, grid, r_b)
             assert got == every_report(copy, grid, r_b)
@@ -484,7 +483,7 @@ def block_cases():
     base = rn_data(RNParameters(3, 1.0, 0.5))
     rs = np.geomspace(2.0, 40.0, 400)
     yield "table", table_data(base, rs), GridSpec(2.1, 39.0, count=count), 5.0, True
-    loose = dataclasses.replace(base, A=RadialProfile(base.A.jet, domain=base.A.domain,
+    loose = base.replace(A=RadialProfile(base.A.jet, domain=base.A.domain,
                                                       mode=MODE_FINITE_DIFFERENCE))
     yield "loose mode", loose, default_grid(loose, count=count), 3.0, False
     linear = GridSpec(1.0, 9.0, count=count, spacing="linear")
@@ -617,7 +616,7 @@ def test_a_grid_past_the_domain_names_its_end_before_any_block():
     # A lower end outside was named so before; an upper one was not: the
     # first radius past 8 was.
     data = step_field_data(0.0, domain=(0.0, 8.0))
-    low = dataclasses.replace(data, A=constant_profile(1.0, domain=(1.0, np.inf)))
+    low = data.replace(A=constant_profile(1.0, domain=(1.0, np.inf)))
     for base, lo, message in ((data, 1.0, "radius 9.0 outside open domain (0.0, 8.0)"),
                               (low, 0.5, "radius 0.5 outside open domain (1.0, inf)")):
         grid = GridSpec(lo, 9.0, count=3 * residuals._BLOCK, spacing="linear")
