@@ -15,6 +15,7 @@ normal, so round spheres in flat space have H = (n-1)/r > 0.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Optional
 
 from .errors import DomainError, NumericsError, ParameterError, require_dimension
@@ -46,14 +47,16 @@ class ValueRecord(Record):
 
     __slots__ = ()
 
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # instance -> its fields as a tuple: a lookup key of lru_cache, so kept fast.
+        cls._fields = operator.attrgetter(*cls.__slots__)
 
     def __eq__(self, other):
-        return type(other) is type(self) and self._fields() == other._fields()
+        return type(other) is type(self) and self._fields(self) == other._fields(other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
 
 class FrameTensor2(Record):

@@ -46,7 +46,9 @@ def drawn_data(count, seed):
     """(label, parameters, data) per set: n from 3 to 7, the regime cycling
     through sub-extremal, extremal and super-extremal, each as closed form,
     with a bump in V and as cubic tables; then the extremal set above, plain
-    and bumped, and flat data with a numpy jet for |E| and no parameters."""
+    and bumped; last flat data, which has no parameters, with a numpy jet for
+    |E|, with A falling through 0 at r = 2 and with A' so steep that the
+    Ricci components overflow below r = 0.5."""
     rng = np.random.default_rng(seed)
     for i in range(count):
         n = 3 + i % 5
@@ -69,6 +71,10 @@ def drawn_data(count, seed):
     flat = flat_data(3)
     yield "flat, numpy |E|", None, flat.replace(
         Emag=RadialProfile(lambda r: (np.exp(r), np.exp(r), np.exp(r) + 0.0 * r)))
+    yield "flat, A through 0", None, flat.replace(
+        A=RadialProfile(lambda r: (2.0 - r, -1.0 + 0.0 * r, 0.0 * r)))
+    yield "flat, steep A", None, flat.replace(
+        A=RadialProfile(lambda r: (1.0 + 0.0 * r, 1e308 + 0.0 * r, 0.0 * r)))
 
 
 def radii(data, rng):
