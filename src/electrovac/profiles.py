@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import importlib.util
 import math
 import sys
 from types import ModuleType
@@ -24,22 +23,23 @@ from typing import Callable
 from .errors import DomainError, NumericsError, ParameterError
 
 
-def _lazy_numpy():
-    """numpy, or where it is not imported yet a stand-in in sys.modules that
-    imports it on first attribute access, into the same module object."""
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
-    spec.loader.exec_module(module)
-    return module
+class _LazyNumpy(ModuleType):
+    """numpy, imported on the first read of an attribute this module lacks,
+    whose namespace is then copied here, so later reads are plain lookups.
+    The import is a plain import statement, under the import system's lock,
+    so threads that read first at once each get the whole module, and
+    nothing stands in for numpy in sys.modules."""
+
+    def __getattr__(self, name):
+        import numpy
+
+        self.__dict__.update(numpy.__dict__)
+        return getattr(numpy, name)
 
 
 # The modules that read scalar radii take numpy from here; an ``import numpy``
 # would load it at once.
-np = _lazy_numpy()
+np = sys.modules.get("numpy") or _LazyNumpy("numpy")
 
 MODE_CLOSED_FORM = "closed-form"
 MODE_FINITE_DIFFERENCE = "finite-difference"
@@ -49,9 +49,9 @@ _JET_PARTS = ("value", "first derivative", "second derivative")
 
 def quiet():
     """numpy's floating-point warnings off, as np.errstate(all="ignore"), once
-    numpy is loaded. Before that no numpy arithmetic has run, and the context
-    changes nothing, so a float pass that meets no numpy loads none."""
-    return np.errstate(all="ignore") if type(np) is ModuleType else contextlib.nullcontext()
+    numpy is imported. Before that no numpy arithmetic has run, and the
+    context changes nothing, so a float pass that meets no numpy loads none."""
+    return np.errstate(all="ignore") if "numpy" in sys.modules else contextlib.nullcontext()
 
 
 def sqrt(x):

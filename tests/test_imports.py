@@ -241,6 +241,40 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules, numpy, tmp_p
     assert got["electrovac"] == modules
 
 
+def test_first_array_reads_from_many_threads_get_numpy_whole():
+    # profiles' numpy stand-in imports numpy on the first attribute read;
+    # eight threads making that read at once each wait for the whole module.
+    got = run_fresh("""
+        import threading
+        from electrovac import RNParameters, rn_data
+        data = rn_data(RNParameters(3, 1.0, 0.5))
+        before = "numpy._core" in sys.modules
+        out, start = [], threading.Barrier(8)
+
+        def read():
+            start.wait(timeout=30)
+            try:
+                out.append(float(data.V([3.0, 4.0])[1]))
+            except Exception as exc:
+                out.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        print(json.dumps({"before": before, "alive": any(t.is_alive() for t in threads),
+                          "out": out, "want": float(data.V(4.0))}))
+    """)
+    assert got["before"] is False and got["alive"] is False
+    assert got["out"] == [got["want"]] * 8
+
+
 def test_all_is_the_public_table_and_a_star_import_binds_each_name():
     got = run_fresh("""
         import electrovac
