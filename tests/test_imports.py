@@ -3,7 +3,8 @@
 electrovac imports no scipy module: table profiles are built with a numpy
 spline, the isotropic inverse is solved in closed form, and the photon-sphere
 scan refines its brackets with numpy. Importing the package and its CLI loads
-no numpy either, and each command loads only the modules it runs. Each check
+no numpy either, each command loads only the modules it runs, and classify,
+which reads only scalar radii, loads no numpy at all. Each check
 runs in a fresh interpreter, because this test process has long since
 imported scipy, the spline's test oracle, and every electrovac module.
 """
@@ -190,8 +191,8 @@ def loaded(argv):
                 code = electrovac.cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    # A lazy stand-in puts "numpy" in sys.modules before numpy runs; numpy._core
-    # is there only once it has.
+    # Whether numpy ran, not whether some module is bound to its name:
+    # numpy._core is loaded only by numpy's own import.
     return {"code": code, "numpy": "numpy._core" in sys.modules,
             "electrovac": sorted(m for m in sys.modules if m.split(".")[0] == "electrovac")}
 """
