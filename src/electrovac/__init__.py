@@ -16,21 +16,20 @@ _EXPORTS = {
                  "level_set_geometry", "ricci_radial", "richardson_limit", "scalar_curvature",
                  "scalar_curvature_d1"),
     "models": ("BallStaticExample", "IsotropicChart", "IsotropicPoint", "RNParameters",
-               "coupling_constant", "flat_data", "isotropic_inverse", "isotropic_map",
-               "perturbed_potential_data", "phi_identity_residual", "rn_data", "rn_horizon",
-               "rn_r0"),
+               "coupling_constant", "flat_data", "isotropic_inverse", "perturbed_potential_data",
+               "phi_identity_residual", "rn_data", "rn_horizon", "rn_r0"),
     "photon": ("Classification", "PhotonRoot", "PhotonSphereResult", "QuasilocalReport",
                "RejectedRoot", "boundary_residual", "classify_configuration",
                "photon_sphere_radii", "quasilocal_check", "scan_photon_spheres"),
     "profiles": ("RadialProfile", "constant_profile", "tabulated_profile"),
     "residuals": ("EQUATION_TAGS", "GridSpec", "ResidualReport", "TagResult",
-                  "default_grid", "equivalence_property", "euclidean_ball_residuals",
-                  "residual_identities", "residual_master", "residual_pem",
-                  "residual_system", "residual_traced", "verify_all"),
+                  "default_grid", "euclidean_ball_residuals", "residual_identities",
+                  "residual_master", "residual_pem", "residual_system", "residual_traced",
+                  "verify_all"),
     "variational": ("CriticalityResult", "Perturbation", "QuadratureConfig",
                     "criticality_test", "euler_lagrange_integral", "evaluate_functional",
-                    "perturbation_norm", "pohozaev_residual", "radial_integral",
-                    "sphere_area", "surface_gravity"),
+                    "perturbation_norm", "pohozaev_residual", "sphere_area",
+                    "surface_gravity"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

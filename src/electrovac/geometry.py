@@ -99,7 +99,8 @@ class SphericalStaticData(Record):
     ------
     n : spatial dimension, an integer from 3 to MAX_DIMENSION;
         ParameterError otherwise.
-    lam : cosmological constant entering the field equations.
+    lam : cosmological constant entering the field equations, finite;
+        ParameterError otherwise.
     A, V, Emag : radial profiles of the metric coefficient, the static
         potential, and the electric field magnitude.
     Psi : optional electric potential with dV Psi = V E as dictionary.
@@ -126,6 +127,8 @@ class SphericalStaticData(Record):
                  v_zeros: tuple[float, ...] = (), r_scale: float = 1.0,
                  joint: Optional[Callable] = None):
         require_dimension(n)
+        if not math.isfinite(lam):
+            raise ParameterError(f"cosmological constant lam must be finite, got {lam}")
         self.n, self.lam, self.A, self.V, self.Emag, self.Psi = n, lam, A, V, Emag, Psi
         self.v_zeros, self.r_scale, self.joint_jet = v_zeros, r_scale, joint
 

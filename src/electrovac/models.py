@@ -243,11 +243,6 @@ class IsotropicChart:
                               Emag=float(emag), Psi=float(psi))
 
 
-def isotropic_map(p: RNParameters, s: float) -> IsotropicPoint:
-    """Chart point at isotropic radius s on the outer branch."""
-    return IsotropicChart(p).point(s)
-
-
 def isotropic_inverse(p: RNParameters, r: float) -> float:
     """Isotropic radius with r(s) = r, in closed form.
 

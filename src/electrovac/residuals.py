@@ -458,15 +458,6 @@ def residual_identities(data: SphericalStaticData, grid: GridSpec,
     return _report((_identity_rows,), data, grid, tol)
 
 
-def equivalence_property(data: SphericalStaticData, grid: GridSpec,
-                         tol: Optional[float] = None) -> bool:
-    """True iff the first-order system and the master equation agree on
-    whether this data passes (both pass or both fail)."""
-    rep = _report((_system_rows, _master_rows), data, grid, tol)
-    master_passed = rep.entries.pop("AE1").passed
-    return rep.passed == master_passed
-
-
 def verify_all(data: SphericalStaticData, grid: GridSpec,
                tol: Optional[float] = None,
                r_boundary: Optional[float] = None) -> ResidualReport:

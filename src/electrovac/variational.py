@@ -102,16 +102,6 @@ class QuadratureConfig(ValueRecord):
         self.panels, self.nodes, self.tol = panels, nodes, tol
 
 
-def radial_integral(fn, lo: float, hi: float, quad: QuadratureConfig,
-                    panels: Optional[int] = None) -> float:
-    """int_lo^hi fn(r) dr on quad's composite rule, or on `panels` panels.
-
-    fn receives the rule's nodes as one read-only array, shared with every
-    other integral on the same rule; it must not write to it."""
-    rule = [(lo, hi, quad.panels if panels is None else panels)]
-    return float(_rule_integrals(fn, quad, [rule])[0][0])
-
-
 def _break_segments(breaks, panels: int) -> list[tuple[float, float, int]]:
     """Segments (lo, hi, panels) of a composite rule whose segment edges sit
     on the integrand's kink radii, panels shared out by length.
@@ -149,8 +139,6 @@ def _rule_nodes(quad: QuadratureConfig, rules):
     for rule in rules:
         slices.append([])
         for lo, hi, panels in rule:
-            if panels < 1:
-                raise ParameterError("need at least 1 panel per segment")
             delta = hi - lo
             step = delta / panels
             rows.append((start, panels, delta, lo) if step == 0 else (start, 1, step, lo))

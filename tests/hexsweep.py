@@ -51,14 +51,12 @@ from electrovac import (
     contracted_gauss_residual,
     criticality_test,
     default_grid,
-    equivalence_property,
     euclidean_ball_residuals,
     euler_lagrange_integral,
     evaluate_functional,
     grad_norm,
     hessian_radial,
     horizon_gradient_limit,
-    isotropic_map,
     laplacian_radial,
     level_set_geometry,
     perturbation_norm,
@@ -280,6 +278,13 @@ def pointwise_calls(data, grid, r_b, roots):
     return out
 
 
+def system_agrees_with_master(rep):
+    """Whether the first-order system (E1, E2, E3a, E3b) and the master
+    equation AE1 pass or fail together in one verify_all report."""
+    system = all(rep.entries[tag].passed for tag in ("E1", "E2", "E3a", "E3b"))
+    return system == rep.entries["AE1"].passed
+
+
 def calls(data, grid, r_b, annulus, pert, roots):
     out = {
         "verify_all": lambda: verify_all(data, grid, r_boundary=r_b),
@@ -288,7 +293,7 @@ def calls(data, grid, r_b, annulus, pert, roots):
         "residual_traced": lambda: residual_traced(data, grid, r_boundary=r_b),
         "residual_pem": lambda: residual_pem(data, grid, r_boundary=r_b),
         "residual_identities": lambda: residual_identities(data, grid),
-        "equivalence_property": lambda: equivalence_property(data, grid),
+        "system agrees with AE1": lambda: system_agrees_with_master(verify_all(data, grid)),
         "evaluate_functional": lambda: evaluate_functional(data, annulus),
     }
     if pert is not None:
@@ -302,7 +307,7 @@ def calls(data, grid, r_b, annulus, pert, roots):
 
 
 def chart_calls(p, rng):
-    """isotropic_map, phi_identity_residual and r_of_s at the branch start and
+    """IsotropicChart.point, phi_identity_residual and r_of_s at the branch start and
     at five seeded radii above it, and r_of_s on those five at once."""
     chart = IsotropicChart(p)
     start = chart.s_branch
@@ -310,7 +315,7 @@ def chart_calls(p, rng):
     radii = [start, *(start + scale * 10.0 ** rng.uniform(-6.0, 2.0, 5))]
     out = {}
     for i, s in enumerate(radii):
-        out[f"isotropic_map s{i}"] = lambda s=s: isotropic_map(p, s)
+        out[f"point s{i}"] = lambda s=s: chart.point(s)
         out[f"phi_identity_residual s{i}"] = lambda s=s: phi_identity_residual(p, s)
         out[f"r_of_s s{i}"] = lambda s=s: chart.r_of_s(s)
     out["r_of_s array"] = lambda: chart.r_of_s(np.array(radii[1:]))
@@ -329,8 +334,9 @@ def cli_cases(tmp):
     """(environment, argv) per command line: every command and format, tables
     of 4 and 5 columns, one too narrow for its default grid and one whose
     grid passes its end, one whose |E| overflows when squared, the help
-    texts, NaN and huge boundary radii, and the usage (exit 2) and domain
-    (exit 3) errors, overflowing parameters and dimensions among them."""
+    texts, NaN and huge boundary radii, a non-finite --lam on a table, and
+    the usage (exit 2) and domain (exit 3) errors, overflowing parameters and
+    dimensions among them."""
     write_table(f"{tmp}/t5.dat")
     write_table(f"{tmp}/t4.dat", columns=4)
     write_table(f"{tmp}/t3.dat", columns=3)
@@ -377,6 +383,8 @@ def cli_cases(tmp):
         table,
         [*table, "--format", "text"],
         [*table, "--boundary", "5.0", "--lam=-0.0"],
+        [*table, "--lam", "nan"],
+        [*table, "--lam", "inf"],
         [*table, "--grid-count", "300", "--grid-spacing", "linear"],
         [*table, "--m", "1"],
         [*table, "--grid-hi", "20"],

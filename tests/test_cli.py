@@ -165,6 +165,19 @@ def test_identity_tolerance_must_be_finite_and_non_negative(capsys, monkeypatch)
     assert doc["tolerances"] == {"identity": 0.0} and doc["results"]["tolerance"] == 0.0
 
 
+def test_cosmological_constant_must_be_finite(tmp_path, capsys):
+    # A table with --lam nan or inf reached the residuals and exited 3 with
+    # "non-finite residual for E1"; the data constructor now refuses it.
+    from electrovac.cli import main
+
+    table = tmp_path / "t.dat"
+    write_table(table)
+    for value in ("nan", "inf", "-inf"):
+        assert main(["verify", "--n", "3", "--profile", str(table), f"--lam={value}"]) == 2, value
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: cosmological constant lam must be finite, got {value}\n")
+
+
 def test_functional_has_no_identity_tolerance(capsys):
     # functional parsed --tol but never read it: its verdict rests on the
     # criticality, divergence-identity and quadrature tolerances.

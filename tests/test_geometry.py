@@ -182,6 +182,8 @@ def test_richardson_limit_recovers_synthetic_limit():
     hs = [1e-3 / 10.0**k for k in range(6)]
     samples = [L + c1 * h + c2 * h * h for h in hs]
     assert abs(richardson_limit(samples, ratio=10.0) - L) < 1e-14
+    with pytest.raises(NumericsError, match="at least two samples"):
+        richardson_limit(samples[:1])
 
 
 def test_horizon_gradient_limit_matches_surface_gravity():

@@ -18,7 +18,6 @@ from electrovac import (
     euclidean_ball_residuals,
     flat_data,
     isotropic_inverse,
-    isotropic_map,
     perturbed_potential_data,
     phi_identity_residual,
     rn_data,
@@ -48,6 +47,9 @@ def test_parameter_validation():
         RNParameters(3, 1e160, 0.0)
     with pytest.raises(ParameterError, match="charge"):
         RNParameters(3, 1.0, -1e160)
+    for q in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="charge must be finite"):
+            RNParameters(3, 1.0, q)
     # so would a term of the photon-sphere discriminant (n m)^2 - 4(n-1) q^2
     for n, m, q, name in ((3, 5e153, 0.0, "mass"), (7, 1.3e154, 1e150, "mass"),
                           (5, 4.677351245980863e-256, 7.325555962603106e+153, "charge")):
@@ -78,6 +80,11 @@ def test_dimension_is_bounded_before_any_float_conversion():
         with pytest.raises(ParameterError, match=message):
             SphericalStaticData(n=n, lam=0.0, A=one, V=one, Emag=one)
     assert SphericalStaticData(n=343, lam=0.0, A=one, V=one, Emag=one).n == 343
+    # So is a non-finite lam, which would otherwise surface later as a
+    # non-finite E1 residual.
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="lam must be finite"):
+            SphericalStaticData(n=3, lam=lam, A=one, V=one, Emag=one)
 
 
 def test_regime_labels():
@@ -264,7 +271,7 @@ CHART_CASES = [
 
 
 def test_isotropic_schwarzschild_landmark():
-    pt = isotropic_map(RNParameters(3, 1.0, 0.0), 0.5)
+    pt = IsotropicChart(RNParameters(3, 1.0, 0.0)).point(0.5)
     assert pt.r == 2.0
     assert pt.V == 0.0
     assert np.isclose(pt.phi, 4.0, rtol=1e-15)
@@ -365,6 +372,7 @@ def test_ball_example_residuals_are_exact_zeros():
     for tag in ("BALL_HESS", "BALL_LAP", "BALL_RIC", "BALL_AE1", "BALL_ROBIN"):
         assert rep.entries[tag].max_residual == 0.0
     assert rep.extras["sigma_area"] == math.pi
+    assert rep.to_dict()["extras"] == {"sigma_area": math.pi}
 
 
 def test_ball_example_sample_geometry():

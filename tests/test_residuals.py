@@ -22,7 +22,6 @@ from electrovac import (
     constant_profile,
     default_grid,
     default_tolerance,
-    equivalence_property,
     flat_data,
     hessian_radial,
     laplacian_radial,
@@ -111,13 +110,19 @@ def test_traced_equation_is_trace_of_hessian_equation():
     assert np.allclose(trace_e1, te1, rtol=0, atol=1e-12 * scale)
 
 
+def system_and_master_verdicts(rep):
+    """(whether the first-order system E1, E2, E3a, E3b passed, whether AE1 did)."""
+    system = all(rep.entries[tag].passed for tag in ("E1", "E2", "E3a", "E3b"))
+    return system, rep.entries["AE1"].passed
+
+
 def test_system_and_master_agree_on_valid_and_invalid_data():
     for p in [RNParameters(3, 1.0, 0.5), RNParameters(4, 1.0, 1.0), RNParameters(3, 1.0, 1.3)]:
         data = rn_data(p)
         grid = default_grid(data)
         assert residual_system(data, grid).passed
         assert residual_master(data, grid).passed
-        assert equivalence_property(data, grid)
+        assert system_and_master_verdicts(verify_all(data, grid)) == (True, True)
 
     # deliberately broken potential: both formulations must fail together
     base = rn_data(RNParameters(3, 1.0, 0.5))
@@ -125,7 +130,7 @@ def test_system_and_master_agree_on_valid_and_invalid_data():
     grid = default_grid(bad)
     assert not residual_system(bad, grid).passed
     assert not residual_master(bad, grid).passed
-    assert equivalence_property(bad, grid)
+    assert system_and_master_verdicts(verify_all(bad, grid)) == (False, False)
 
 
 def test_perturbation_moves_only_potential_equations():
@@ -263,7 +268,6 @@ def test_library_tolerances_must_be_finite_and_non_negative():
     grid = default_grid(data, count=50)
     calls = (lambda tol: verify_all(data, grid, tol=tol),
              lambda tol: residual_system(data, grid, tol=tol),
-             lambda tol: equivalence_property(data, grid, tol=tol),
              lambda tol: quasilocal_check(data, 3.0, tol))
     for tol in (math.nan, -1.0, -math.inf, math.inf):
         for call in calls:

@@ -22,7 +22,6 @@ from electrovac import (
     perturbed_potential_data,
     photon_sphere_radii,
     pohozaev_residual,
-    radial_integral,
     rn_data,
     rn_horizon,
     sphere_area,
@@ -43,6 +42,7 @@ from electrovac.variational import (
     _norm_density,
     _pohozaev_boundary,
     _pohozaev_integrands,
+    _rule_integrals,
     _rule_sums,
 )
 
@@ -59,7 +59,7 @@ def test_sphere_area_values():
 
 def test_quadrature_exact_on_inverse_square():
     quad = QuadratureConfig()
-    val = radial_integral(lambda r: 1.0 / r**2, 1.0, 2.0, quad)
+    [[val]] = _rule_integrals(lambda r: 1.0 / r**2, quad, [[(1.0, 2.0, quad.panels)]])
     assert np.isclose(val, 0.5, rtol=1e-13)
 
 
@@ -125,8 +125,8 @@ def test_node_array_equals_the_linspace_rule_bit_for_bit():
 
 def test_batched_sums_are_one_dot_per_row():
     # A batch of integrands is summed row by row and segment by segment with
-    # the dot radial_integral takes, not as one matrix-vector product, whose
-    # rounding differs, and the segments' sums are added in order.
+    # one dot each, the sum a one-segment rule gives, not as one matrix-vector
+    # product, whose rounding differs, and the segments' sums are added in order.
     rng = np.random.default_rng(4)
     quad = QuadratureConfig()
     for panels in (2, 9, 16, 32):
@@ -142,7 +142,8 @@ def test_batched_sums_are_one_dot_per_row():
         assert [float(x) for x in sums] == want
         xs, ws = linspace_rule(quad.nodes, 1.0, 4.0, panels)
         row = rows[3, :xs.size]
-        assert radial_integral(lambda r: row, 1.0, 4.0, quad, panels) == float(np.dot(ws, row))
+        [[one]] = _rule_integrals(lambda r: row, quad, [[(1.0, 4.0, panels)]])
+        assert one == float(np.dot(ws, row))
 
 
 def test_flat_annulus_functional_value():
@@ -464,6 +465,7 @@ def test_tiny_scale_integrands_raise_without_warnings():
 
 
 @pytest.mark.parametrize("epsilons", [
+    pytest.param((1e-2,), id="single"),
     pytest.param((1e-2, 0.0), id="zero"),
     pytest.param((1e-2, -1e-3), id="negative"),
     pytest.param((1e-2, 1e-3, 1e-3), id="duplicate"),
@@ -702,15 +704,15 @@ def pohozaev_boundary_reference(data, r, sign):
 
 def test_merged_sums_equal_the_per_segment_definition():
     # One integrand evaluation serves every segment of both rules; each result
-    # must still be built from one radial_integral per segment and panel
-    # count, added in segment order, bit for bit. The boundary terms, read on
+    # must still equal one one-segment rule per segment and panel count,
+    # added in segment order, bit for bit. The boundary terms, read on
     # both annulus edges at once, equal the scalar formulas above bit for bit.
     quad = QuadratureConfig()
     fine = 2 * quad.panels
 
     def integral(fn, breaks, panels):
-        return sum(radial_integral(fn, lo, hi, quad, k)
-                   for lo, hi, k in _break_segments(breaks, panels))
+        return sum(float(_rule_integrals(fn, quad, [[seg]])[0][0])
+                   for seg in _break_segments(breaks, panels))
 
     for p, ann, pert in drawn_variational_cases(12, seed=9):
         r1, r2 = ann
@@ -742,8 +744,8 @@ def test_merged_sums_equal_the_per_segment_definition():
             assert crit.pert_norm == math.sqrt(omega * norm) == perturbation_norm(data, ann, pert), case
             el = integral(lambda r: _el_integrand(data, pert, r), breaks, fine)
             assert euler_lagrange_integral(data, ann, pert) == float(omega * el), case
-            lhs, rhs = (radial_integral(lambda r: _pohozaev_integrands(data, r)[i], r1, r2, quad, fine)
-                        for i in (0, 1))
+            lhs, rhs = (_rule_integrals(lambda r: _pohozaev_integrands(data, r)[i], quad,
+                                        [[(r1, r2, fine)]])[0][0] for i in (0, 1))
             want = abs((n - 2) / (2.0 * n) * omega * lhs
                        - (-omega * rhs + outer + inner))
             assert pohozaev_residual(data, ann) == want, case
