@@ -32,3 +32,13 @@ def require_dimension(n):
         raise ParameterError(f"dimension must be at most {MAX_DIMENSION}, got {n}")
     if not n >= 3 or int(n) != n:
         raise ParameterError(f"dimension must be an integer >= 3, got {n}")
+
+
+def as_float(value, what: str, error: type = ParameterError) -> float:
+    """value as a float; error (ParameterError by default) where the
+    conversion overflows, as for an int beyond the float range, which
+    float() and math.isfinite reject with a bare OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{what} is too large for a float") from None

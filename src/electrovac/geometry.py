@@ -18,7 +18,7 @@ import math
 import operator
 from typing import Callable, Optional
 
-from .errors import DomainError, NumericsError, ParameterError, require_dimension
+from .errors import DomainError, NumericsError, ParameterError, as_float, require_dimension
 from .profiles import (MODE_CLOSED_FORM, RadialProfile, finite_jet, float_pass, np, quiet,
                        require_open, sqrt)
 
@@ -127,6 +127,7 @@ class SphericalStaticData(Record):
                  v_zeros: tuple[float, ...] = (), r_scale: float = 1.0,
                  joint: Optional[Callable] = None):
         require_dimension(n)
+        lam = as_float(lam, "cosmological constant lam")
         if not math.isfinite(lam):
             raise ParameterError(f"cosmological constant lam must be finite, got {lam}")
         self.n, self.lam, self.A, self.V, self.Emag, self.Psi = n, lam, A, V, Emag, Psi

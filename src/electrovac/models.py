@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .errors import DomainError, ParameterError, require_dimension
+from .errors import DomainError, ParameterError, as_float, require_dimension
 from .geometry import Record, SphericalStaticData
 from .profiles import RadialProfile, constant_profile, np, sqrt
 
@@ -34,6 +34,7 @@ class RNParameters(Record):
 
     def __init__(self, n: int, m: float, q: float, lam: float = 0.0):
         require_dimension(n)
+        m, q = as_float(m, "mass"), as_float(q, "charge")
         if not (math.isfinite(m) and m > 0):
             raise ParameterError(f"mass must be positive and finite, got {m}")
         if not math.isfinite(q):
@@ -138,6 +139,8 @@ def perturbed_potential_data(base: SphericalStaticData, amplitude: float,
     failure paths. ParameterError unless amplitude and center are finite and
     width is finite and positive.
     """
+    amplitude, center, width = (as_float(x, "potential bump parameter")
+                                for x in (amplitude, center, width))
     if not (all(map(math.isfinite, (amplitude, center, width))) and width > 0):
         raise ParameterError("bump amplitude and center must be finite and its width "
                              f"finite and positive, got {amplitude}, {center}, {width}")
@@ -254,7 +257,7 @@ def isotropic_inverse(p: RNParameters, r: float) -> float:
     r(s) by more than that relative to r.
     """
     chart = IsotropicChart(p)
-    r = float(r)
+    r = as_float(r, "area radius", DomainError)
     if not (math.isfinite(r) and r > 0):
         raise DomainError(f"area radius must be positive and finite, got {r}")
     m, q, k = p.m, p.q, chart.k

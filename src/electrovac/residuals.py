@@ -59,7 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError, NumericsError
+from .errors import DegeneracyError, DomainError, NumericsError, as_float
 from .geometry import (
     DEGENERATE_V,
     Record,
@@ -130,7 +130,8 @@ class GridSpec(ValueRecord):
     __slots__ = ("lo", "hi", "count", "spacing")
 
     def __init__(self, lo: float, hi: float, count: int = _GRID_COUNT, spacing: str = "log"):
-        if not (0 <= lo < hi and np.isfinite(hi)):
+        lo, hi = (as_float(x, "grid endpoint", DomainError) for x in (lo, hi))
+        if not (0 <= lo < hi and math.isfinite(hi)):
             raise DomainError(f"bad grid interval [{lo}, {hi}]")
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
             raise DomainError(f"grid count must be an integer, got {count!r}")
@@ -145,7 +146,7 @@ class GridSpec(ValueRecord):
 
     def radii(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         """Radii start to stop (all by default), bit for bit np.geomspace's or np.linspace's."""
-        count, log, lo, hi = self.count, self.spacing == "log", float(self.lo), float(self.hi)
+        count, log, lo, hi = self.count, self.spacing == "log", self.lo, self.hi
         stop = count if stop is None else min(stop, count)
         y0, y1 = (np.log10(lo), np.log10(hi)) if log else (lo, hi)
         y, step = np.arange(start, stop, dtype=float), (y1 - y0) / (count - 1)

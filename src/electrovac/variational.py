@@ -19,19 +19,25 @@ variation and AE1 take T from the same kernel, geometry.master_kernel, so
 data solving the static system is critical.
 
 The calls on one data set share their reads. A quadrature's node array is
-built once per rule and kept read-only, the annulus edges are one read-only
-[r1, r2] array, and the jets of A, V and |E| on each of these arrays are read
-once per data object across calls: the last three (data, radius array) pairs
-keep their jets, and a call that needs fewer profiles takes a prefix. So the
-four calls of one set read the data on three radius arrays, not seven. This
-assumes a data set's profiles are pure functions of r, as verify_all does
-within a report; a read that raises keeps nothing.
+built once per rule and kept read-only, the annulus edges are checked as
+Python floats and read on one read-only [r1, r2] array, and the jets of A, V
+and |E| on each of these arrays are read once per data object across calls:
+the last three (data, radius array) pairs keep their jets, and a call that
+needs fewer profiles takes a prefix. So the four calls of one set read the
+data on three radius arrays, not seven. This assumes a data set's profiles
+are pure functions of r, as verify_all does within a report; a read that
+raises keeps nothing.
 
 The criticality ladder's rows, one per amplitude, differ only on the bump's
 support: off it b = b' = b'' = 0 and each row equals the first amplitude's,
 bit for bit. The first row is evaluated on every node and the others only on
 the support, so the work and scratch of the other rows scale with the bump,
-not with the annulus.
+not with the annulus. The bump's parts are likewise evaluated only at the
+nodes inside its support, and the first variation evaluates b alone.
+
+The numpy call count, not the arithmetic, dominates a call on a few hundred
+nodes, so each segment of a rule is summed for all rows of a batch with one
+np.vecdot, which keeps each row's per-row dot bits.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, NumericsError, ParameterError
+from .errors import DomainError, NumericsError, ParameterError, as_float
 from .geometry import (
     Record,
     SphericalStaticData,
@@ -57,6 +63,7 @@ from .geometry import (
     warped_scalar,
 )
 from .models import RNParameters, rn_horizon
+from .profiles import require_open
 
 
 def sphere_area(n: int) -> float:
@@ -97,6 +104,7 @@ class QuadratureConfig(ValueRecord):
         if panels * nodes > MAX_PANEL_NODES:
             raise ParameterError(
                 f"panels x nodes must be at most {MAX_PANEL_NODES}, got {panels * nodes}")
+        tol = as_float(tol, "quadrature tolerance")
         if not 0 < tol < math.inf:
             raise ParameterError(f"quadrature tolerance must be finite and positive, got {tol}")
         self.panels, self.nodes, self.tol = panels, nodes, tol
@@ -199,11 +207,14 @@ def _finite_rows(vals) -> np.ndarray:
 
 
 def _rule_sums(rows, rule) -> np.ndarray:
-    """Per row, one np.dot(ws, row[segment]) per segment of rule, added in
-    segment order. A dot on a contiguous view equals the dot on a copy, so a
-    row's sum does not depend on what else is in the batch or the node
-    array; one matrix-vector product would round differently."""
-    return sum(np.array([np.dot(ws, row[seg]) for row in rows]) for seg, ws in rule)
+    """Per row, the sums over the segments of rule, added in segment order.
+
+    Each segment takes one np.vecdot over all rows, whose float64 loop calls
+    per row the same BLAS ddot that np.dot(ws, row[segment]) calls on a
+    contiguous view or a copy alike, so a row's sum does not depend on what
+    else is in the batch or the node array; one matrix-vector product would
+    round differently."""
+    return sum(np.vecdot(rows[:, seg], ws) for seg, ws in rule)
 
 
 def _rule_integrals(fn, quad: QuadratureConfig, rules) -> list[np.ndarray]:
@@ -241,6 +252,8 @@ class Perturbation(Record):
 
     def __init__(self, center: float, halfwidth: float, mode: str = "both",
                  amplitude: float = 1e-3):
+        center, halfwidth, amplitude = (as_float(x, f"bump {name}") for x, name in (
+            (center, "center"), (halfwidth, "halfwidth"), (amplitude, "amplitude")))
         if not (halfwidth > 0 and math.isfinite(center)):
             raise ParameterError("bump needs finite center and positive halfwidth")
         if mode not in ("radial", "tangential", "both"):
@@ -255,7 +268,7 @@ class Perturbation(Record):
                 f"{center}: the support edges round onto the center")
         # halfwidth ** 2 overflows above about 1.34e154, and b'' = -6 / halfwidth ** 2
         # at the center overflows below about 1.83e-154.
-        hw2 = float(halfwidth) * float(halfwidth)
+        hw2 = halfwidth * halfwidth
         if not math.isfinite(hw2):
             raise ParameterError(f"bump halfwidth {halfwidth} too large: halfwidth^2 overflows")
         if not (hw2 > 0.0 and math.isfinite(6.0 / hw2)):
@@ -264,22 +277,34 @@ class Perturbation(Record):
     def support(self) -> tuple[float, float]:
         return (self.center - self.halfwidth, self.center + self.halfwidth)
 
-    def bump_jet(self, r):
-        """(b, b', b'') at r.
+    def _inside(self, r):
+        """The mask of the radii r inside the open support, and t = (r -
+        center) / halfwidth and u = 1 - t^2 at those radii.
 
         The offset from the center is clipped to the support before it is
-        scaled and squared: inside the support that changes no bit, outside
-        every part is 0 anyway, and far from a narrow support nothing
-        overflows."""
+        scaled: inside the support that changes no bit, and far from a narrow
+        support the scaled offset does not overflow."""
         hw = self.halfwidth
         t = np.clip(np.asarray(r, dtype=float) - self.center, -hw, hw) / hw
-        inside, u = np.abs(t) < 1.0, 1.0 - t * t
-        return (np.where(inside, u ** 3, 0.0),
-                np.where(inside, -6.0 * t * u ** 2 / hw, 0.0),
-                np.where(inside, (-6.0 * u ** 2 + 24.0 * t * t * u) / hw ** 2, 0.0))
+        inside = np.abs(t) < 1.0
+        t = t[inside]
+        return inside, t, 1.0 - t * t
+
+    def bump_jet(self, r):
+        """(b, b', b'') at r, float arrays of r's shape.
+
+        Each part is evaluated only at the radii inside the support and
+        written into an array of zeros, so off the support every part is
+        +0.0 and its cost scales with the support, not with r."""
+        inside, t, u = self._inside(r)
+        hw = self.halfwidth
+        return tuple(_on_support(inside, part) for part in (
+            u ** 3, -6.0 * t * u ** 2 / hw, (-6.0 * u ** 2 + 24.0 * t * t * u) / hw ** 2))
 
     def bump(self, r):
-        return self.bump_jet(r)[0]
+        """b at r: bump_jet(r)[0], bit for bit, without b' and b''."""
+        inside, _, u = self._inside(r)
+        return _on_support(inside, u ** 3)
 
     @property
     def radial_on(self) -> float:
@@ -290,13 +315,28 @@ class Perturbation(Record):
         return 1.0 if self.mode in ("tangential", "both") else 0.0
 
 
+def _on_support(inside, values) -> np.ndarray:
+    """An array of zeros shaped as the mask inside, with values where it is set."""
+    out = np.zeros(inside.shape)
+    out[inside] = values
+    return out
+
+
 def _require_annulus(data: SphericalStaticData, annulus,
                      pert: Optional[Perturbation] = None) -> tuple[float, float]:
-    """r1 < r2 inside the data domain, with pert's support inside (r1, r2)."""
-    r1, r2 = float(annulus[0]), float(annulus[1])
+    """r1 < r2 inside the data domain, with pert's support inside (r1, r2).
+
+    The edges are checked as Python floats, in the order require_interior
+    checks the array [r1, r2]: both against the open domain, then both
+    against the V-zero margin, so each raises the error that would."""
+    r1, r2 = (as_float(r, "annulus edge", DomainError) for r in (annulus[0], annulus[1]))
     if not r1 < r2:
         raise DomainError(f"annulus endpoints out of order: [{r1}, {r2}]")
-    data.require_interior(_annulus_edges(r1, r2))
+    domain = data.domain
+    for r in (r1, r2):
+        require_open(r, domain, "data domain")
+    for r in (r1, r2):
+        data.require_off_v_zeros(r)
     if pert is not None:
         lo, hi = pert.support()
         if not (r1 < lo and hi < r2):
@@ -490,7 +530,7 @@ def criticality_test(data: SphericalStaticData, annulus, pert: Perturbation,
     r1, r2 = _require_annulus(data, annulus, pert)
     # Zero divides by zero, a negative epsilon has no logarithm for the slope
     # fit, and a repeated one leaves the fit rank-deficient.
-    epsilons = tuple(float(e) for e in epsilons)
+    epsilons = tuple(as_float(e, "epsilon") for e in epsilons)
     if not all(0.0 < e <= 0.5 for e in epsilons):
         raise ParameterError(f"each epsilon must be finite and in (0, 0.5], got {epsilons}")
     if len(set(epsilons)) != len(epsilons):

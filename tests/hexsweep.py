@@ -14,8 +14,10 @@ in errors. The pointwise readers run on 64 radii of each grid, on one scalar
 radius, and at each closed-form photon-sphere radius; the isotropic chart of each set's
 parameters at its branch start and at seeded radii above it; then the
 variational calls on criticality ladders at the bump's extremes (narrow,
-filling the annulus, at its edge, on a 64-panel rule); last, the flat-ball
-report of the default BallStaticExample. pytest does not
+filling the annulus, at its edge, on a 64-panel rule); then Perturbation.bump
+and bump_jet read directly, where an integral could round away a changed
+zero sign; last, the flat-ball report of the default BallStaticExample.
+pytest does not
 collect this file. Floating-point warnings are silenced: only results and
 errors are compared.
 
@@ -226,6 +228,36 @@ def ladder_sets():
             for i, (name, (center, halfwidth, q)) in enumerate(bumps.items()):
                 pert = Perturbation(center=center, halfwidth=halfwidth, mode=MODES[i % 3])
                 yield f"ladder {name} {kind} {p} {pert.mode}", data, annulus, pert, q
+
+
+def bump_calls():
+    """(label, call, fn) per direct read of b and of the jet (b, b', b''),
+    with each part's type and shape: at a float radius and at the center, on
+    arrays that straddle the support edges (each edge and its neighbours),
+    and at far radii, for a wide bump, the narrowest bump at 4.5 and one
+    near the smallest halfwidth whose b'' is finite."""
+    for pert in (Perturbation(4.5, 0.75), Perturbation(4.5, 1e-15),
+                 Perturbation(1e-134, 1e-149, mode="radial")):
+        c, hw = pert.center, pert.halfwidth
+        lo, hi = pert.support()
+        radii = {
+            "float": c + 0.3 * hw,
+            "center": c,
+            "edges": np.array([np.nextafter(lo, -np.inf), lo, np.nextafter(lo, c), c,
+                               np.nextafter(hi, c), hi, np.nextafter(hi, np.inf)]),
+            "straddling": np.linspace(lo - hw, hi + hw, 9),
+            "far": np.array([-1e300, c - 1e6, c + 1e6, 1e300]),
+        }
+        for name, r in radii.items():
+            for call, fn in (("bump", pert.bump), ("bump_jet", pert.bump_jet)):
+                yield f"bump {pert}", f"{call} {name}", lambda fn=fn, r=r: typed(fn(r))
+
+
+def typed(parts):
+    """parts (one array or a tuple of them) with each array's type and shape."""
+    if isinstance(parts, tuple):
+        return [typed(part) for part in parts]
+    return {"type": type(parts).__name__, "shape": list(np.shape(parts)), "value": parts}
 
 
 def ladder_calls(data, annulus, pert, quad):
@@ -476,6 +508,8 @@ def main(argv=None):
         for label, *case in ladder_sets():
             for name, fn in ladder_calls(*case).items():
                 sys.stdout.write(json.dumps({"set": label, "call": name, "out": outcome(fn)}) + "\n")
+        for label, name, fn in bump_calls():
+            sys.stdout.write(json.dumps({"set": label, "call": name, "out": outcome(fn)}) + "\n")
         line = {"set": "flat ball", "call": "euclidean_ball_residuals",
                 "out": outcome(lambda: euclidean_ball_residuals(BallStaticExample.default()))}
         sys.stdout.write(json.dumps(line) + "\n")

@@ -7,15 +7,20 @@ import pytest
 from electrovac import (
     BallStaticExample,
     DomainError,
+    GridSpec,
     IsotropicChart,
     ParameterError,
+    Perturbation,
+    QuadratureConfig,
     RNParameters,
     RadialProfile,
     SphericalStaticData,
     constant_profile,
     coupling_constant,
+    criticality_test,
     default_grid,
     euclidean_ball_residuals,
+    evaluate_functional,
     flat_data,
     isotropic_inverse,
     perturbed_potential_data,
@@ -85,6 +90,39 @@ def test_dimension_is_bounded_before_any_float_conversion():
     for lam in (math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError, match="lam must be finite"):
             SphericalStaticData(n=3, lam=lam, A=one, V=one, Emag=one)
+
+
+def test_an_int_beyond_the_float_range_raises_the_documented_error():
+    # float() and math.isfinite reject an int beyond the float range with a
+    # bare OverflowError and np.isfinite with a TypeError; a tolerance of
+    # 10**400 was accepted and overflowed in the next functional. Each value
+    # is converted to a float once, where it is checked.
+    huge = 10 ** 400
+    one = constant_profile(1.0)
+    p = RNParameters(3, 1.0, 0.5)
+    data = rn_data(p)
+    pert = Perturbation(4.5, 1.0)
+    calls = [
+        (ParameterError, lambda: RNParameters(3, 1.0, huge)),
+        (ParameterError, lambda: RNParameters(3, huge, 0.0)),
+        (ParameterError, lambda: SphericalStaticData(n=3, lam=huge, A=one, V=one, Emag=one)),
+        (ParameterError, lambda: Perturbation(huge, 1.0)),
+        (ParameterError, lambda: Perturbation(4.5, huge)),
+        (ParameterError, lambda: Perturbation(4.5, 1.0, amplitude=-huge)),
+        (ParameterError, lambda: criticality_test(data, (3.0, 6.0), pert, epsilons=(huge, 1e-3))),
+        (ParameterError, lambda: QuadratureConfig(tol=huge)),
+        (ParameterError, lambda: perturbed_potential_data(data, 1e-3, huge, 0.5)),
+        (DomainError, lambda: GridSpec(1.0, huge)),
+        (DomainError, lambda: GridSpec(-huge, 1.0, spacing="linear")),
+        (DomainError, lambda: evaluate_functional(data, (3.0, huge))),
+        (DomainError, lambda: isotropic_inverse(p, huge)),
+    ]
+    for error, call in calls:
+        with pytest.raises(error, match="too large for a float"):
+            call()
+    # A value in range is kept as its float.
+    assert QuadratureConfig(tol=1).tol == 1.0 and type(QuadratureConfig(tol=1).tol) is float
+    assert type(RNParameters(3, 1, 0).m) is float and GridSpec(1, 10).radii()[-1] == 10.0
 
 
 def test_regime_labels():

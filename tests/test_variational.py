@@ -42,6 +42,7 @@ from electrovac.variational import (
     _norm_density,
     _pohozaev_boundary,
     _pohozaev_integrands,
+    _require_annulus,
     _rule_integrals,
     _rule_sums,
 )
@@ -140,6 +141,8 @@ def test_batched_sums_are_one_dot_per_row():
             assert np.array_equal(xs[seg], x_ref) and np.array_equal(ws, w_ref)
             want = [w + float(np.dot(ws, row[seg].copy())) for w, row in zip(want, rows)]
         assert [float(x) for x in sums] == want
+        # A one-row batch sums as that row does in the full batch.
+        assert [float(x) for x in _rule_sums(rows[5:6], segments)] == want[5:6]
         xs, ws = linspace_rule(quad.nodes, 1.0, 4.0, panels)
         row = rows[3, :xs.size]
         [[one]] = _rule_integrals(lambda r: row, quad, [[(1.0, 4.0, panels)]])
@@ -825,3 +828,64 @@ def test_bump_jet_keeps_its_bits_and_never_overflows():
             assert np.array_equal(got[inside], ref[inside]) and np.all(got[~inside] == 0.0)
         far = np.array([c - 2.0 * hw, c + 1e6, 1e300])
         assert all(np.array_equal(part, np.zeros(3)) for part in pert.bump_jet(far))
+
+
+def where_jet(pert, r):
+    """(b, b', b'') at r as three np.where over every radius: the definition
+    that bump_jet evaluates on the support alone."""
+    hw = pert.halfwidth
+    t = np.clip(np.asarray(r, dtype=float) - pert.center, -hw, hw) / hw
+    inside, u = np.abs(t) < 1.0, 1.0 - t * t
+    return (np.where(inside, u ** 3, 0.0),
+            np.where(inside, -6.0 * t * u ** 2 / hw, 0.0),
+            np.where(inside, (-6.0 * u ** 2 + 24.0 * t * t * u) / hw ** 2, 0.0))
+
+
+def test_bump_is_the_first_part_of_bump_jet_bit_for_bit():
+    # bump computes b alone, and both write the support's values into zeros:
+    # each part keeps the type, shape and bits, the sign of each zero too, of
+    # the np.where definition, and bump equals bump_jet's first part. An
+    # integral over the parts could round a changed zero sign away.
+    def bits(part):
+        assert type(part) is np.ndarray and part.dtype == np.float64
+        return part.shape, part.view(np.int64).tolist()
+
+    for pert in (PERT, Perturbation(4.5, 1e-15), Perturbation(1e-134, 1e-149)):
+        c, hw = pert.center, pert.halfwidth
+        lo, hi = pert.support()
+        edges = [np.nextafter(lo, -np.inf), lo, np.nextafter(lo, c), c, np.nextafter(hi, c), hi,
+                 np.nextafter(hi, np.inf)]
+        for r in (c + 0.3 * hw, c, lo, hi, c + 5.0 * hw, np.array(c), np.array(hi),
+                  c + hw * np.array([-3.0, 2.0, 4.0]),             # no radius inside
+                  np.linspace(lo - hw, hi + hw, 9),                 # some inside
+                  c + hw * np.linspace(-0.9, 0.9, 7),               # all inside
+                  np.array(edges), np.array([-1e300, c - 1e6, c + 1e6, 1e300]),
+                  (c + hw * np.linspace(-1.5, 1.5, 12)).reshape(3, 4), np.array([])):
+            b, jet = pert.bump(r), pert.bump_jet(r)
+            assert bits(b) == bits(jet[0])
+            assert [bits(part) for part in jet] == [bits(part) for part in where_jet(pert, r)]
+            assert b.shape == np.shape(r)
+
+
+def test_annulus_edges_raise_what_require_interior_raises_on_them():
+    # The edges are checked as floats, both against the domain first and
+    # then both against the V-zero margin, the order of require_interior on
+    # the array [r1, r2]; each case raises its error and message.
+    data = rn_data(RNParameters(3, 1.0, 0.5))
+    r_h = data.v_zeros[0]
+    assert data.domain[0] == r_h
+    for r1, r2 in ((r_h + 5e-10, math.inf),   # r2's domain error before r1's margin
+                   (r_h + 5e-10, 6.0),        # r1 within the V-zero margin
+                   (0.5 * r_h, 6.0),          # r1 below the domain
+                   (r_h, 6.0)):               # r1 on the domain's edge
+        with pytest.raises(DomainError) as want:
+            data.require_interior(np.array([r1, r2]))
+        with pytest.raises(DomainError) as got:
+            _require_annulus(data, (r1, r2))
+        assert str(got.value) == str(want.value)
+    data.require_interior(np.array([3.0, 1e6]))
+    assert _require_annulus(data, (3, 1e6)) == (3.0, 1e6)
+    # A NaN edge fails the order check before any domain check.
+    for annulus in ((math.nan, 6.0), (3.0, math.nan)):
+        with pytest.raises(DomainError, match="annulus endpoints out of order"):
+            _require_annulus(data, annulus)
