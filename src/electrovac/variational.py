@@ -252,8 +252,9 @@ class Perturbation(Record):
 
     def __init__(self, center: float, halfwidth: float, mode: str = "both",
                  amplitude: float = 1e-3):
-        center, halfwidth, amplitude = (as_float(x, f"bump {name}") for x, name in (
-            (center, "center"), (halfwidth, "halfwidth"), (amplitude, "amplitude")))
+        center = as_float(center, "bump center")
+        halfwidth = as_float(halfwidth, "bump halfwidth")
+        amplitude = as_float(amplitude, "bump amplitude")
         if not (halfwidth > 0 and math.isfinite(center)):
             raise ParameterError("bump needs finite center and positive halfwidth")
         if mode not in ("radial", "tangential", "both"):
@@ -326,9 +327,10 @@ def _require_annulus(data: SphericalStaticData, annulus,
                      pert: Optional[Perturbation] = None) -> tuple[float, float]:
     """r1 < r2 inside the data domain, with pert's support inside (r1, r2).
 
-    The edges are checked as Python floats, in the order require_interior
-    checks the array [r1, r2]: both against the open domain, then both
-    against the V-zero margin, so each raises the error that would."""
+    The edges are checked as Python floats in the order require_interior
+    checks the array [r1, r2], both against the open domain and then both
+    against the V-zero margin, so a bad edge raises the error and message
+    that require_interior raises on that array."""
     r1, r2 = (as_float(r, "annulus edge", DomainError) for r in (annulus[0], annulus[1]))
     if not r1 < r2:
         raise DomainError(f"annulus endpoints out of order: [{r1}, {r2}]")

@@ -17,9 +17,8 @@ variational calls on criticality ladders at the bump's extremes (narrow,
 filling the annulus, at its edge, on a 64-panel rule); then Perturbation.bump
 and bump_jet read directly, where an integral could round away a changed
 zero sign; last, the flat-ball report of the default BallStaticExample.
-pytest does not
-collect this file. Floating-point warnings are silenced: only results and
-errors are compared.
+pytest does not collect this file. Floating-point warnings are silenced:
+only results and errors are compared.
 
 With --cli it instead runs a fixed list of command lines through
 electrovac.cli.main in process and prints, per line, the exit code (or the
@@ -234,8 +233,8 @@ def bump_calls():
     """(label, call, fn) per direct read of b and of the jet (b, b', b''),
     with each part's type and shape: at a float radius and at the center, on
     arrays that straddle the support edges (each edge and its neighbours),
-    and at far radii, for a wide bump, the narrowest bump at 4.5 and one
-    near the smallest halfwidth whose b'' is finite."""
+    and at far radii, for a wide bump, the narrowest bump at 4.5 and a bump
+    of halfwidth 1e-149, whose far radii overflow an unclipped offset."""
     for pert in (Perturbation(4.5, 0.75), Perturbation(4.5, 1e-15),
                  Perturbation(1e-134, 1e-149, mode="radial")):
         c, hw = pert.center, pert.halfwidth
