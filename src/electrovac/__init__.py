@@ -28,8 +28,7 @@ _EXPORTS = {
                   "verify_all"),
     "variational": ("CriticalityResult", "Perturbation", "QuadratureConfig",
                     "criticality_test", "euler_lagrange_integral", "evaluate_functional",
-                    "perturbation_norm", "pohozaev_residual", "sphere_area",
-                    "surface_gravity"),
+                    "pohozaev_residual", "sphere_area", "surface_gravity"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -153,8 +153,8 @@ def cmd_classify(args) -> tuple[dict, dict, dict, bool]:
             {"u": rej.u, "r": rej.r, "reason": rej.reason} for rej in result.rejected
         ],
     }
-    params = {"n": p.n, "m": p.m, "q": p.q, "lam": p.lam,
-              "conventions": _conventions(p.n, p.lam)}
+    params = {"n": p.n, "m": p.m, "q": p.q, "lam": 0.0,
+              "conventions": _conventions(p.n, 0.0)}
     return params, results, {"identity": tol}, ok
 
 
@@ -172,7 +172,7 @@ def cmd_verify(args) -> tuple[dict, dict, dict, bool]:
         if args.lam != 0.0:
             raise ParameterError("the closed-form family is built with lam = 0")
         data = rn_data(p)
-        params = {"n": p.n, "m": p.m, "q": p.q, "lam": p.lam}
+        params = {"n": p.n, "m": p.m, "q": p.q, "lam": 0.0}
     params["conventions"] = _conventions(args.n, args.lam)
 
     tol = _resolve_tol(args, data)
@@ -232,10 +232,10 @@ def cmd_functional(args) -> tuple[dict, dict, dict, bool]:
         "pohozaev_ok": poho_ok,
     }
     params = {
-        "n": p.n, "m": p.m, "q": p.q, "lam": p.lam,
+        "n": p.n, "m": p.m, "q": p.q, "lam": 0.0,
         "annulus": [r1, r2],
         "perturbation": {"center": center, "halfwidth": width, "mode": args.pert_mode},
-        "conventions": _conventions(p.n, p.lam),
+        "conventions": _conventions(p.n, 0.0),
     }
     tolerances = {
         "criticality": crit.tol,

@@ -307,7 +307,7 @@ def scalar_curvature_d1(data: SphericalStaticData, r):
 
     A float radius is read as a 0-d array: numpy's r ** 3 on an array
     rounds unlike Python's pow, in about one radius in twenty."""
-    r = data.require_interior(np.asarray(r, dtype=float))
+    r = np.asarray(data.require_interior(r), dtype=float)
     with quiet():
         dR = scalar_curvature_d1_kernel(data.n, *data.jets(r, 1)[0], r)
     _require_finite("scalar curvature derivative", dR)
@@ -359,21 +359,19 @@ def contracted_gauss_residual(data: SphericalStaticData, r):
     return abs(geo.R - 2.0 * geo.ric_nn - geo.R_S + ((n - 2) / (n - 1)) * geo.H * geo.H)
 
 
-def richardson_limit(samples, ratio=10.0):
-    """Limit h -> 0 of f(h) from samples at h_k = h_0 / ratio^k.
+def richardson_limit(samples):
+    """Limit h -> 0 of f(h) from samples at h_k = h_0 / 10^k.
 
     Assumes a smooth expansion f = L + c_1 h + c_2 h^2 + ...; eliminates one
-    power per tableau column.
+    power per tableau column, of which only the latest is kept.
     """
-    t = [list(map(float, samples))]
-    k = len(t[0])
-    if k < 2:
+    col = list(map(float, samples))
+    if len(col) < 2:
         raise NumericsError("need at least two samples to extrapolate")
-    for j in range(1, k):
-        prev = t[-1]
-        fac = ratio ** j
-        t.append([(fac * prev[i + 1] - prev[i]) / (fac - 1.0) for i in range(len(prev) - 1)])
-    return t[-1][0]
+    for j in range(1, len(col)):
+        fac = 10.0 ** j
+        col = [(fac * b - a) / (fac - 1.0) for a, b in zip(col, col[1:])]
+    return col[0]
 
 
 def horizon_gradient_limit(data: SphericalStaticData, r_h: float) -> float:
@@ -381,6 +379,8 @@ def horizon_gradient_limit(data: SphericalStaticData, r_h: float) -> float:
 
     Samples at r_h + 10^-k, k = 3..8, then extrapolates; the sample closest
     to the horizon stays outside the 1e-9 refusal margin around the V-zero.
+    DomainError for an int r_h beyond the float range.
     """
+    r_h = as_float(r_h, "horizon radius", DomainError)
     samples = [float(grad_norm(data, data.V, r_h + 10.0 ** (-k))) for k in range(3, 9)]
-    return richardson_limit(samples, ratio=10.0)
+    return richardson_limit(samples)

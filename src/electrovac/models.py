@@ -28,11 +28,12 @@ def coupling_constant(n: int) -> float:
 
 class RNParameters(Record):
     """Mass/charge parameters of the charged static family. n is an integer
-    from 3 to MAX_DIMENSION; lam is fixed 0."""
+    from 3 to MAX_DIMENSION; the family is built with lam = 0, which
+    rn_data sets on its data."""
 
-    __slots__ = ("n", "m", "q", "lam")
+    __slots__ = ("n", "m", "q")
 
-    def __init__(self, n: int, m: float, q: float, lam: float = 0.0):
+    def __init__(self, n: int, m: float, q: float):
         require_dimension(n)
         m, q = as_float(m, "mass"), as_float(q, "charge")
         if not (math.isfinite(m) and m > 0):
@@ -46,9 +47,7 @@ class RNParameters(Record):
             if not math.isfinite(term):
                 raise ParameterError(f"{name} too large: its term of the photon-sphere "
                                      f"discriminant overflows a float, got {value}")
-        if lam != 0.0:
-            raise ParameterError("this family is constructed with lam = 0")
-        self.n, self.m, self.q, self.lam = n, m, q, lam
+        self.n, self.m, self.q = n, m, q
 
     @property
     def regime(self) -> str:
@@ -207,6 +206,8 @@ class IsotropicChart:
             self.closed_start = False
 
     def _factors(self, s):
+        if isinstance(s, int):
+            s = as_float(s, "isotropic radius", DomainError)
         s = np.asarray(s, dtype=float)
         bad = (s < self.s_branch) if self.closed_start else (s <= self.s_branch)
         if np.any(bad):

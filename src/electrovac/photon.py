@@ -27,7 +27,7 @@ import numbers
 import sys
 from typing import Optional
 
-from .errors import DomainError, NumericsError, ParameterError
+from .errors import DomainError, NumericsError, ParameterError, as_float
 from .geometry import (DEGENERATE_V, TOL_CLOSED_FORM, V_ZERO_MARGIN, Record,
                        SphericalStaticData, level_set_geometry, require_tolerance)
 from .models import RNParameters, rn_data, rn_r0
@@ -175,6 +175,7 @@ def scan_photon_spheres(data: SphericalStaticData, lo: Optional[float] = None,
     if not (data.domain[0] <= lo < hi < math.inf):
         raise DomainError(
             f"scan interval [{lo}, {hi}] is not a finite, non-empty interval of the data domain")
+    lo, hi = (as_float(x, "scan bound", DomainError) for x in (lo, hi))
 
     rs = np.geomspace(lo, hi, samples)
     vals = np.asarray(boundary_residual(data, rs), dtype=float)

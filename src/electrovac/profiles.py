@@ -20,7 +20,7 @@ import sys
 from types import ModuleType
 from typing import Callable
 
-from .errors import DomainError, NumericsError, ParameterError
+from .errors import DomainError, NumericsError, ParameterError, as_float
 
 
 class _LazyNumpy(ModuleType):
@@ -60,13 +60,14 @@ def sqrt(x):
 
 
 def float_pass(fn):
-    """fn, computed in Python floats when its positional argument ``r`` is a
-    float.
+    """fn, computed in Python floats when its argument ``r``, given by
+    position or by keyword, is a float.
 
     Python float arithmetic raises where numpy's returns inf or nan: a
     ZeroDivisionError, an OverflowError from ``**`` or a math-domain
     ValueError. When the float pass raises one of these, fn runs again on r
-    as a 0-d array, so it returns or raises what the array path does.
+    as a 0-d array, passed as r was, so it returns or raises what the array
+    path does.
     Otherwise the results agree bit for bit, as long as the Python
     operations fn applies are ones that Python and numpy round alike (+ - *
     /, abs, sqrt); a numpy function runs on a float as on a 0-d array.
@@ -75,11 +76,16 @@ def float_pass(fn):
 
     @functools.wraps(fn)
     def call(*args, **kwargs):
-        if len(args) > at and type(args[at]) is float:
+        positional = len(args) > at
+        r = args[at] if positional else kwargs.get("r")
+        if type(r) is float:
             try:
                 return fn(*args, **kwargs)
             except (ZeroDivisionError, OverflowError, ValueError):
-                args = (*args[:at], np.asarray(args[at]), *args[at + 1:])
+                if positional:
+                    args = (*args[:at], np.asarray(r), *args[at + 1:])
+                else:
+                    kwargs = {**kwargs, "r": np.asarray(r)}
         return fn(*args, **kwargs)
 
     return call
@@ -88,12 +94,15 @@ def float_pass(fn):
 def require_open(r, domain, what: str):
     """r as a float array, or unchanged if it is a float; DomainError naming
     the first radius not strictly inside the open interval domain, NaN
-    included, "radius ... outside <what> (lo, hi)"."""
+    included, "radius ... outside <what> (lo, hi)", or an int radius beyond
+    the float range."""
     lo, hi = domain
     if type(r) is float:
         if not lo < r < hi:
             raise DomainError(f"radius {r} outside {what} ({lo}, {hi})")
         return r
+    if isinstance(r, int):
+        r = as_float(r, "radius", DomainError)
     r = np.asarray(r, dtype=float)
     inside = (r > lo) & (r < hi)
     if not inside.all():
@@ -147,7 +156,8 @@ class RadialProfile:
 
     def __init__(self, jet: Callable, *, domain: tuple[float, float] = (0.0, math.inf),
                  mode: str = MODE_CLOSED_FORM):
-        lo, hi = float(domain[0]), float(domain[1])
+        lo, hi = (as_float(edge, "profile domain edge", DomainError)
+                  for edge in (domain[0], domain[1]))
         if not lo < hi:
             raise DomainError(f"empty profile domain ({lo}, {hi})")
         modes = (MODE_CLOSED_FORM, MODE_FINITE_DIFFERENCE)

@@ -440,9 +440,9 @@ def _functional_values(data: SphericalStaticData, r1: float, r2: float,
     """F at each amplitude of pert's direction (pert None: the one unperturbed
     value), each with its own panel-doubling convergence check, in order.
 
-    Returns (values, pert_norm). With norm, pert_norm is perturbation_norm's
-    value, from the integrand's last row on the coarse rule, which is the
-    rule perturbation_norm uses; None otherwise.
+    Returns (values, pert_norm). With norm, pert_norm is the L^2(dv_o) norm
+    of pert's unit-amplitude direction, from the integrand's last row summed
+    on the coarse rule; None otherwise.
     """
     omega = sphere_area(data.n)
     breaks = [r1, r2] if pert is None else [r1, r2, *pert.support()]
@@ -490,30 +490,15 @@ class CriticalityResult(ValueRecord):
         return self.slope_ok and self.final_ok
 
 
-def perturbation_norm(data: SphericalStaticData, annulus, pert: Perturbation,
-                      quad: QuadratureConfig = QuadratureConfig()) -> float:
-    """L^2(dv_o) norm of the unit-amplitude metric direction of pert."""
-    r1, r2 = _require_annulus(data, annulus, pert)
-
-    def fn(r):
-        (a, _, _), = _jets(data, r, 1)
-        return _norm_density(data.n, pert, pert.bump(r), np.sqrt(a), r)
-
-    rule = _break_segments([r1, *pert.support(), r2], quad.panels)
-    return math.sqrt(sphere_area(data.n) * _rule_integrals(fn, quad, [rule])[0][0])
-
-
-DEFAULT_EPSILONS = (1e-2, 1e-3, 2e-4, 1e-4)
+# criticality_test's central-difference amplitudes, largest first.
+EPSILONS = (1e-2, 1e-3, 2e-4, 1e-4)
 
 
 def criticality_test(data: SphericalStaticData, annulus, pert: Perturbation,
-                     quad: QuadratureConfig = QuadratureConfig(),
-                     epsilons: tuple[float, ...] = DEFAULT_EPSILONS) -> CriticalityResult:
-    """Estimate dF/deps at eps = 0 by central differences over an eps ladder.
+                     quad: QuadratureConfig = QuadratureConfig()) -> CriticalityResult:
+    """Estimate dF/deps at eps = 0 by central differences over EPSILONS.
 
-    Every epsilon must be finite, in (0, 0.5] (so each bumped metric stays
-    positive definite) and distinct from the others; ParameterError otherwise.
-    The 2 len(epsilons) bumped functionals share one evaluation of the base
+    The 2 len(EPSILONS) bumped functionals share one evaluation of the base
     fields and of the bump on one node array, which holds both rules of the
     panel-doubling check; each is summed and convergence-checked on its own,
     so derivatives[i] equals
@@ -523,47 +508,30 @@ def criticality_test(data: SphericalStaticData, annulus, pert: Perturbation,
     bit for bit, and a ladder whose quadrature does not converge raises the
     NumericsError that amplitude raises alone. The amplitudes' integrands
     differ only on the bump's support, where each is evaluated on its own;
-    off it they share the first amplitude's values. pert_norm equals
-    perturbation_norm(data, annulus, pert, quad) bit for bit: its integrand
-    comes from the same evaluation, on the coarse rule's nodes.
+    off it they share the first amplitude's values. pert_norm, the L^2(dv_o)
+    norm of pert's unit-amplitude direction, comes from the same evaluation,
+    summed on the coarse rule's nodes.
     """
-    if len(epsilons) < 2:
-        raise ParameterError("need at least two epsilon values")
     r1, r2 = _require_annulus(data, annulus, pert)
-    # Zero divides by zero, a negative epsilon has no logarithm for the slope
-    # fit, and a repeated one leaves the fit rank-deficient.
-    epsilons = tuple(as_float(e, "epsilon") for e in epsilons)
-    if not all(0.0 < e <= 0.5 for e in epsilons):
-        raise ParameterError(f"each epsilon must be finite and in (0, 0.5], got {epsilons}")
-    if len(set(epsilons)) != len(epsilons):
-        raise ParameterError(f"epsilons must be distinct, got {epsilons}")
-
     values, norm = _functional_values(
-        data, r1, r2, pert, [a for eps in epsilons for a in (+eps, -eps)], quad, norm=True)
+        data, r1, r2, pert, [a for eps in EPSILONS for a in (+eps, -eps)], quad, norm=True)
     derivs = [(fp - fm) / (2.0 * eps)
-              for eps, fp, fm in zip(epsilons, values[0::2], values[1::2])]
+              for eps, fp, fm in zip(EPSILONS, values[0::2], values[1::2])]
     tol = 1e-5 * norm
 
     mags = np.abs(np.asarray(derivs))
     usable = mags > 0
     if np.count_nonzero(usable) >= 2:
-        slope = float(np.polyfit(np.log(np.asarray(epsilons)[usable]),
+        slope = float(np.polyfit(np.log(np.asarray(EPSILONS)[usable]),
                                  np.log(mags[usable]), 1)[0])
     else:
         slope = float("nan")
 
-    # Richardson on the smallest pair with ratio 2 removes the eps^2 term.
-    eps_sorted = sorted(range(len(epsilons)), key=lambda i: epsilons[i])
-    i0 = eps_sorted[0]
-    refined = derivs[i0]
-    for i1 in eps_sorted[1:]:
-        ratio = epsilons[i1] / epsilons[i0]
-        if abs(ratio - 2.0) < 1e-12:
-            refined = (4.0 * derivs[i0] - derivs[i1]) / 3.0
-            break
+    # Richardson on EPSILONS[-1] and EPSILONS[-2] = 2 EPSILONS[-1] removes the eps^2 term.
+    refined = (4.0 * derivs[-1] - derivs[-2]) / 3.0
 
     return CriticalityResult(
-        epsilons=epsilons,
+        epsilons=EPSILONS,
         derivatives=tuple(float(d) for d in derivs),
         slope=slope,
         refined=float(refined),

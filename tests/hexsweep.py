@@ -60,7 +60,6 @@ from electrovac import (
     horizon_gradient_limit,
     laplacian_radial,
     level_set_geometry,
-    perturbation_norm,
     perturbed_potential_data,
     phi_identity_residual,
     photon_sphere_radii,
@@ -262,7 +261,6 @@ def typed(parts):
 def ladder_calls(data, annulus, pert, quad):
     return {
         "evaluate_functional": lambda: evaluate_functional(data, annulus, pert, quad),
-        "perturbation_norm": lambda: perturbation_norm(data, annulus, pert, quad),
         "criticality_test": lambda: criticality_test(data, annulus, pert, quad),
         "euler_lagrange_integral": lambda: euler_lagrange_integral(data, annulus, pert, quad),
     }
@@ -329,7 +327,6 @@ def calls(data, grid, r_b, annulus, pert, roots):
     }
     if pert is not None:
         out.update({
-            "perturbation_norm": lambda: perturbation_norm(data, annulus, pert),
             "criticality_test": lambda: criticality_test(data, annulus, pert),
             "euler_lagrange_integral": lambda: euler_lagrange_integral(data, annulus, pert),
         })

@@ -181,7 +181,7 @@ def test_richardson_limit_recovers_synthetic_limit():
     L, c1, c2 = 0.73, 2.1, -5.4
     hs = [1e-3 / 10.0**k for k in range(6)]
     samples = [L + c1 * h + c2 * h * h for h in hs]
-    assert abs(richardson_limit(samples, ratio=10.0) - L) < 1e-14
+    assert abs(richardson_limit(samples) - L) < 1e-14
     with pytest.raises(NumericsError, match="at least two samples"):
         richardson_limit(samples[:1])
 

@@ -151,6 +151,14 @@ def test_the_float_pass_reruns_where_float_arithmetic_raises():
     want = outcome(lambda r: grad_norm(data, data.V, r), np.asarray(r))
     assert outcome(lambda r: grad_norm(data, data.V, r), r) == want
     assert want == ("NumericsError", "profile value is non-finite inside the domain")
+    # A radius given by keyword reruns as one given by position does: the
+    # keyword forms of jets and value raised a bare ZeroDivisionError.
+    for by_position, by_keyword in (
+            (lambda r: data.jets(r, 2), lambda r: data.jets(r=r, count=2)),
+            (lambda r: data.V.value(r), lambda r: data.V.value(r=r)),
+            (lambda r: data.V.jet(r), lambda r: data.V.jet(r=r)),
+            (lambda r: grad_norm(data, data.V, r), lambda r: grad_norm(data, data.V, r=r))):
+        assert outcome(by_keyword, r) == outcome(by_position, r) == outcome(by_position, np.asarray(r))
     assert (outcome(lambda r: horizon_gradient_limit(data, r), data.v_zeros[0])
             == outcome(lambda r: horizon_gradient_limit(data, r), np.asarray(data.v_zeros[0])))
 
