@@ -192,6 +192,7 @@ def cmd_functional(args) -> tuple[dict, dict, dict, bool]:
     from .variational import (
         Perturbation,
         QuadratureConfig,
+        _require_annulus,
         criticality_test,
         evaluate_functional,
         pohozaev_residual,
@@ -200,10 +201,12 @@ def cmd_functional(args) -> tuple[dict, dict, dict, bool]:
     p = _params_from_args(args)
     data = rn_data(p)
     r1, r2 = args.annulus
-    # The default bump is derived from the annulus, so a reversed one must
-    # be named before the bump it would spoil.
+    # The default bump is derived from the annulus, so a reversed one, or
+    # an edge outside the data domain, must be named before the bump it
+    # would spoil.
     if not r1 < r2:
         raise ParameterError(f"annulus endpoints out of order: [{r1}, {r2}]")
+    _require_annulus(data, (r1, r2))
     center = args.pert_center if args.pert_center is not None else 0.5 * (r1 + r2)
     width = args.pert_width if args.pert_width is not None else 0.25 * (r2 - r1)
     pert = Perturbation(center=center, halfwidth=width, mode=args.pert_mode)

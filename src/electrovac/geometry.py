@@ -33,9 +33,26 @@ TOL_FINITE_DIFFERENCE = 1e-5
 
 class Record:
     """Base of the package's result and parameter types: plain classes whose
-    fields are their ``__slots__``, in order, which the repr lists."""
+    fields are their ``__slots__``, in order, which the repr lists.
+
+    Its ``__init__`` binds every field, in ``__slots__`` order, by position
+    and then by name, with no defaults: a missing, unknown or repeated field
+    raises TypeError naming the class and the field. A class that checks or
+    converts its input, or gives a field a default, defines its own."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        fields = dict(zip(names, args), **kwargs) if args else kwargs
+        if len(fields) < len(args) + len(kwargs) or fields.keys() != set(names):
+            wrong = ([f"got field {name!r} twice" for name in names[:len(args)] if name in kwargs]
+                     + [f"has no field {name!r}" for name in kwargs if name not in names]
+                     + [f"missing field {name!r}" for name in names if name not in fields]
+                     + [f"takes {len(names)} fields, got {len(args)} by position"])
+            raise TypeError(f"{type(self).__qualname__} {wrong[0]}")
+        for name in names:
+            setattr(self, name, fields[name])
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -64,9 +81,6 @@ class FrameTensor2(Record):
 
     __slots__ = ("radial", "tangential")
 
-    def __init__(self, radial, tangential):
-        self.radial, self.tangential = radial, tangential
-
     def trace(self, n: int):
         return self.radial + (n - 1) * self.tangential
 
@@ -86,10 +100,6 @@ class HypersurfaceGeometry(Record):
     """
 
     __slots__ = ("r", "H", "B_tan", "R_S", "V", "nuV", "ric_nn", "R")
-
-    def __init__(self, r, H, B_tan, R_S, V, nuV, ric_nn, R):
-        self.r, self.H, self.B_tan, self.R_S = r, H, B_tan, R_S
-        self.V, self.nuV, self.ric_nn, self.R = V, nuV, ric_nn, R
 
 
 class SphericalStaticData(Record):
@@ -186,8 +196,9 @@ def default_tolerance(data: SphericalStaticData) -> float:
     return TOL_CLOSED_FORM if closed else TOL_FINITE_DIFFERENCE
 
 
-def require_tolerance(tol):
-    """tol, unchanged; ParameterError unless it is finite and >= 0."""
+def require_tolerance(tol) -> float:
+    """tol as a float; ParameterError unless it is finite and >= 0."""
+    tol = as_float(tol, "identity tolerance")
     if not (math.isfinite(tol) and tol >= 0):
         raise ParameterError(f"identity tolerance must be finite and >= 0, got {tol}")
     return tol

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import DomainError, ParameterError, as_float, require_dimension
 from .geometry import Record, SphericalStaticData
-from .profiles import RadialProfile, constant_profile, np, sqrt
+from .profiles import RadialProfile, constant_profile, float_array, np, sqrt
 
 
 def coupling_constant(n: int) -> float:
@@ -170,9 +170,6 @@ class IsotropicPoint(Record):
 
     __slots__ = ("s", "r", "phi", "V", "Emag", "Psi")
 
-    def __init__(self, s: float, r: float, phi: float, V: float, Emag: float, Psi: float):
-        self.s, self.r, self.phi, self.V, self.Emag, self.Psi = s, r, phi, V, Emag, Psi
-
 
 class IsotropicChart:
     """Isotropic presentation of the charged family on its outer branch.
@@ -206,9 +203,7 @@ class IsotropicChart:
             self.closed_start = False
 
     def _factors(self, s):
-        if isinstance(s, int):
-            s = as_float(s, "isotropic radius", DomainError)
-        s = np.asarray(s, dtype=float)
+        s = float_array(s, "isotropic radius")
         bad = (s < self.s_branch) if self.closed_start else (s <= self.s_branch)
         if np.any(bad):
             raise DomainError(f"isotropic radius below the branch start {self.s_branch}")
@@ -316,9 +311,6 @@ class BallStaticExample(Record):
     """
 
     __slots__ = ("v", "interior", "boundary")
-
-    def __init__(self, v: tuple[float, float, float], interior, boundary):
-        self.v, self.interior, self.boundary = v, interior, boundary
 
     @classmethod
     def default(cls, v=(0.0, 0.0, 1.0), n_interior: int = 200, n_boundary: int = 200):

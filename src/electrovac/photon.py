@@ -49,15 +49,9 @@ def boundary_residual(data: SphericalStaticData, r):
 class PhotonRoot(Record):
     __slots__ = ("r", "u", "multiplicity")
 
-    def __init__(self, r: float, u: float, multiplicity: int):
-        self.r, self.u, self.multiplicity = r, u, multiplicity
-
 
 class RejectedRoot(Record):
     __slots__ = ("reason", "u", "r")
-
-    def __init__(self, reason: str, u: Optional[float] = None, r: Optional[float] = None):
-        self.reason, self.u, self.r = reason, u, r
 
 
 class PhotonSphereResult(Record):
@@ -68,11 +62,6 @@ class PhotonSphereResult(Record):
     """
 
     __slots__ = ("roots", "rejected", "discriminant", "count")
-
-    def __init__(self, roots: tuple[PhotonRoot, ...], rejected: tuple[RejectedRoot, ...],
-                 discriminant: float, count: int):
-        self.roots, self.rejected, self.discriminant, self.count = (roots, rejected,
-                                                                    discriminant, count)
 
 
 def photon_sphere_radii(p: RNParameters) -> PhotonSphereResult:
@@ -88,7 +77,8 @@ def photon_sphere_radii(p: RNParameters) -> PhotonSphereResult:
     if abs(disc) <= DOUBLE_ROOT_REL * (n * m) ** 2:
         candidates.append((n * m / 2.0, 2))
     elif disc < 0.0:
-        rejected.append(RejectedRoot(reason="negative discriminant: complex root pair"))
+        rejected.append(RejectedRoot(
+            reason="negative discriminant: complex root pair", u=None, r=None))
     else:
         s = math.sqrt(disc)
         candidates.append(((n * m - s) / 2.0, 1))
@@ -97,7 +87,7 @@ def photon_sphere_radii(p: RNParameters) -> PhotonSphereResult:
     roots: list[PhotonRoot] = []
     for u, mult in candidates:
         if u < 0.0:
-            rejected.append(RejectedRoot(reason="negative root in u", u=u))
+            rejected.append(RejectedRoot(reason="negative root in u", u=u, r=None))
             continue
         r = u ** (1.0 / k)
         if r <= r0 + V_ZERO_MARGIN:
@@ -124,9 +114,6 @@ class Classification(Record):
     """Regime and photon-sphere count predicted from (n, m, q) alone."""
 
     __slots__ = ("regime", "count", "description")
-
-    def __init__(self, regime: str, count: int, description: str):
-        self.regime, self.count, self.description = regime, count, description
 
 
 def classify_configuration(p: RNParameters) -> Classification:
@@ -223,12 +210,6 @@ class QuasilocalReport(Record):
 
     __slots__ = ("r", "q1_residual", "q2_residual", "ric_nn_residual", "extremality",
                  "degenerate", "tol")
-
-    def __init__(self, r: float, q1_residual: float, q2_residual: Optional[float],
-                 ric_nn_residual: float, extremality: str, degenerate: bool, tol: float):
-        self.r, self.q1_residual, self.q2_residual = r, q1_residual, q2_residual
-        self.ric_nn_residual, self.extremality = ric_nn_residual, extremality
-        self.degenerate, self.tol = degenerate, tol
 
     @property
     def passed(self) -> bool:

@@ -91,19 +91,27 @@ def float_pass(fn):
     return call
 
 
+def float_array(value, what: str, error: type = DomainError):
+    """value as a float array; error (DomainError by default) where the
+    conversion overflows, as for an int beyond the float range, which numpy
+    rejects with a bare OverflowError: errors.as_float for arrays."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise error(f"{what} is too large for a float") from None
+
+
 def require_open(r, domain, what: str):
     """r as a float array, or unchanged if it is a float; DomainError naming
     the first radius not strictly inside the open interval domain, NaN
-    included, "radius ... outside <what> (lo, hi)", or an int radius beyond
-    the float range."""
+    included, "radius ... outside <what> (lo, hi)", or for an int radius,
+    alone or in a sequence, beyond the float range."""
     lo, hi = domain
     if type(r) is float:
         if not lo < r < hi:
             raise DomainError(f"radius {r} outside {what} ({lo}, {hi})")
         return r
-    if isinstance(r, int):
-        r = as_float(r, "radius", DomainError)
-    r = np.asarray(r, dtype=float)
+    r = float_array(r, "radius")
     inside = (r > lo) & (r < hi)
     if not inside.all():
         bad = r if r.ndim == 0 else r[~inside][0]
@@ -245,8 +253,7 @@ def tabulated_profile(radii, values) -> RadialProfile:
     difference scheme, so the profile reports finite-difference mode and
     callers should use the loose tolerance.
     """
-    radii = np.asarray(radii, dtype=float)
-    values = np.asarray(values, dtype=float)
+    radii, values = (float_array(x, "table entry", NumericsError) for x in (radii, values))
     if radii.ndim != 1 or radii.size < 4:
         raise DomainError("need at least 4 samples for a cubic table profile")
     if np.any(np.diff(radii) <= 0):

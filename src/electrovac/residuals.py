@@ -105,11 +105,6 @@ EQUATION_TAGS = {
 class TagResult(Record):
     __slots__ = ("tag", "max_residual", "worst_radius", "passed", "note", "skipped")
 
-    def __init__(self, tag: str, max_residual: float, worst_radius: Optional[float],
-                 passed: bool, note: Optional[str] = None, skipped: int = 0):
-        self.tag, self.max_residual, self.worst_radius = tag, max_residual, worst_radius
-        self.passed, self.note, self.skipped = passed, note, skipped
-
     def to_dict(self):
         out = {
             "tag": self.tag,
@@ -183,11 +178,6 @@ def default_grid(data: SphericalStaticData, count: int = _GRID_COUNT) -> GridSpe
 class ResidualReport(Record):
     __slots__ = ("entries", "grid", "tolerance", "extras")
 
-    def __init__(self, entries: dict[str, TagResult], grid: str, tolerance: float,
-                 extras: Optional[dict] = None):
-        self.entries, self.grid, self.tolerance = entries, grid, tolerance
-        self.extras = {} if extras is None else extras
-
     @property
     def passed(self) -> bool:
         return all(e.passed for e in self.entries.values())
@@ -219,7 +209,7 @@ def _tag_from_values(tag, rs, res, tol, note=None) -> TagResult:
     mx, i = _worst(tag, res)
     worst = float(np.asarray(rs, dtype=float).reshape(-1)[i])
     return TagResult(tag=tag, max_residual=mx, worst_radius=worst,
-                     passed=bool(mx <= tol), note=note)
+                     passed=bool(mx <= tol), note=note, skipped=0)
 
 
 def euclidean_ball_residuals(example) -> ResidualReport:
@@ -345,7 +335,8 @@ def _identity_rows(f: _Fields):
 # when it is given a boundary radius.
 _AFTER_ROWS = {_system_rows: ("E3b",), _traced_rows: ("TE2", "E4"), _pem_rows: ("PEM4",),
                _identity_rows: ("NE2",)}
-_STRUCTURAL = {tag: TagResult(tag=tag, max_residual=0.0, worst_radius=None, passed=True, note=note)
+_STRUCTURAL = {tag: TagResult(tag=tag, max_residual=0.0, worst_radius=None, passed=True,
+                              note=note, skipped=0)
                for tag, note in (("E3b", "radial 1-form f(r) dr is closed identically"),
                                  ("NE2", "round slices are umbilic by construction"))}
 _BOUNDARY = {"TE2": None, "E4": "tangential component; round slices are umbilic", "PEM4": None}
@@ -409,7 +400,7 @@ def _report(families, data, grid, tol, r_boundary=None) -> ResidualReport:
         note=f"{skipped} grid points with |V| < {DEGENERATE_V:g} skipped" if skipped else None)
         for tag, (mx, r, skipped) in _worst_rows(families, data, grid).items()}
     entries.update({tag: extra[tag] for tag in after if tag in extra})
-    return ResidualReport(entries=entries, grid=grid.describe(), tolerance=tol)
+    return ResidualReport(entries=entries, grid=grid.describe(), tolerance=tol, extras={})
 
 
 def _robin_defect(data: SphericalStaticData, r_boundary: float) -> float:

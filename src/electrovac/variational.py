@@ -63,7 +63,7 @@ from .geometry import (
     warped_scalar,
 )
 from .models import RNParameters, rn_horizon
-from .profiles import require_open
+from .profiles import float_array, require_open
 
 
 def sphere_area(n: int) -> float:
@@ -284,9 +284,10 @@ class Perturbation(Record):
 
         The offset from the center is clipped to the support before it is
         scaled: inside the support that changes no bit, and far from a narrow
-        support the scaled offset does not overflow."""
+        support the scaled offset does not overflow. DomainError for an int
+        radius beyond the float range."""
         hw = self.halfwidth
-        t = np.clip(np.asarray(r, dtype=float) - self.center, -hw, hw) / hw
+        t = np.clip(float_array(r, "radius") - self.center, -hw, hw) / hw
         inside = np.abs(t) < 1.0
         t = t[inside]
         return inside, t, 1.0 - t * t
@@ -477,13 +478,6 @@ class CriticalityResult(ValueRecord):
 
     __slots__ = ("epsilons", "derivatives", "slope", "refined", "pert_norm", "tol",
                  "slope_ok", "final_ok")
-
-    def __init__(self, epsilons: tuple[float, ...], derivatives: tuple[float, ...],
-                 slope: float, refined: float, pert_norm: float, tol: float,
-                 slope_ok: bool, final_ok: bool):
-        self.epsilons, self.derivatives, self.slope, self.refined = (epsilons, derivatives,
-                                                                     slope, refined)
-        self.pert_norm, self.tol, self.slope_ok, self.final_ok = pert_norm, tol, slope_ok, final_ok
 
     @property
     def passed(self) -> bool:

@@ -431,6 +431,7 @@ def cli_cases(tmp):
         ["functional", *sub, *annulus, "--quad-panels", "8", "--quad-nodes", "10",
          "--quad-tol", "1e-8"],
         ["functional", *sub, "--annulus", "6", "3"],
+        ["functional", *sub, "--annulus", "3", "inf"],
         ["functional", *sub, *annulus, "--quad-nodes", "101"],
         ["functional", "--n", "4", "--m", "1", "--q", "0.5", "--annulus", "1.2e93", "7e93"],
         ["functional", *sub, *annulus, "--tol", "1e-3"],

@@ -481,6 +481,12 @@ def test_a_nan_radius_is_outside_the_domain():
     res = run_cli("verify", "--n", "3", "--m", "1", "--q", "0.5", "--boundary", "nan")
     assert (res.returncode, res.stdout, res.stderr) == (
         3, "", "error: radius nan outside data domain (1.8660254037844386, inf)\n")
+    # An infinite annulus edge is named before the default bump derived from
+    # it, whose infinite center exited 2 naming a bump that was never given.
+    res = run_cli("functional", "--n", "3", "--m", "1", "--q", "0.5", "--annulus", "3", "inf")
+    assert (res.returncode, res.stdout, res.stderr) == (
+        3, "", "error: radius inf outside data domain (1.8660254037844386, inf)\n")
     data = rn_data(RNParameters(3, 1.0, 0.5))
     with pytest.raises(DomainError, match="radius nan outside open domain"):
         data.jets(np.array([3.0, np.nan]), 1)
+

@@ -28,7 +28,13 @@ from electrovac import (
     surface_gravity,
     tabulated_profile,
 )
-from electrovac.variational import Perturbation, _el_integrand, _pohozaev_integrands
+from electrovac.geometry import FrameTensor2, HypersurfaceGeometry, Record
+from electrovac.models import BallStaticExample, IsotropicPoint
+from electrovac.photon import (Classification, PhotonRoot, PhotonSphereResult, QuasilocalReport,
+                               RejectedRoot)
+from electrovac.residuals import ResidualReport, TagResult
+from electrovac.variational import (CriticalityResult, Perturbation, _el_integrand,
+                                    _pohozaev_integrands)
 
 from counting import counting_data
 
@@ -347,3 +353,51 @@ def test_a_replace_copy_reads_its_profiles():
         assert counts == want, name
         for profile in ("A", "V"):
             assert np.array_equal(getattr(data, profile).jet_radii[0], rs), (name, profile)
+
+
+PLAIN_RECORDS = (FrameTensor2, HypersurfaceGeometry, CriticalityResult, TagResult, ResidualReport,
+                 PhotonRoot, RejectedRoot, PhotonSphereResult, Classification, QuasilocalReport,
+                 IsotropicPoint, BallStaticExample)
+# The records that check or convert their input, with their own __init__.
+CHECKING_RECORDS = {"SphericalStaticData", "QuadratureConfig", "Perturbation", "GridSpec",
+                    "RNParameters"}
+
+
+@pytest.mark.parametrize("cls", PLAIN_RECORDS, ids=lambda cls: cls.__name__)
+def test_a_plain_record_binds_its_fields_by_position_and_by_name(cls):
+    names = cls.__slots__
+    values = [f"{name}-value" for name in names]
+    by_position, by_name = cls(*values), cls(**dict(zip(names, values)))
+    mixed = cls(*values[:1], **dict(zip(names[1:], values[1:])))
+    for record in (by_position, by_name, mixed):
+        assert [getattr(record, name) for name in names] == values
+        assert repr(record) == repr(by_position)
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(by_name) == f"{cls.__qualname__}({fields})"
+    first, last = names[0], names[-1]
+    wrong = {
+        f"missing field {last!r}": lambda: cls(**dict(zip(names[:-1], values))),
+        "has no field 'bogus'": lambda: cls(*values, bogus=1),
+        f"got field {first!r} twice": lambda: cls(*values[:1], **dict(zip(names, values))),
+        f"takes {len(names)} fields": lambda: cls(*values, 1),
+    }
+    for message, call in wrong.items():
+        with pytest.raises(TypeError, match=f"^{cls.__qualname__} {message}"):
+            call()
+
+
+def test_only_the_checking_records_define_their_own_init():
+    import importlib
+    import pkgutil
+
+    import electrovac
+
+    records = {}
+    for info in pkgutil.iter_modules(electrovac.__path__):
+        module = importlib.import_module(f"electrovac.{info.name}")
+        records.update({cls.__name__: cls for cls in vars(module).values()
+                        if isinstance(cls, type) and issubclass(cls, Record)
+                        and cls.__module__ == module.__name__})
+    own = {name for name, cls in records.items() if cls.__init__ is not Record.__init__}
+    assert own == CHECKING_RECORDS
+    assert {cls.__name__ for cls in PLAIN_RECORDS} == set(records) - own - {"Record", "ValueRecord"}

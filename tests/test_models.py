@@ -9,6 +9,7 @@ from electrovac import (
     DomainError,
     GridSpec,
     IsotropicChart,
+    NumericsError,
     ParameterError,
     Perturbation,
     QuadratureConfig,
@@ -22,12 +23,14 @@ from electrovac import (
     euclidean_ball_residuals,
     evaluate_functional,
     flat_data,
+    hessian_radial,
     horizon_gradient_limit,
     isotropic_inverse,
     level_set_geometry,
     perturbed_potential_data,
     phi_identity_residual,
     quasilocal_check,
+    ricci_radial,
     rn_data,
     rn_horizon,
     rn_r0,
@@ -127,6 +130,20 @@ def test_an_int_beyond_the_float_range_raises_the_documented_error():
         (DomainError, lambda: verify_all(data, default_grid(data), r_boundary=huge)),
         (DomainError, lambda: scan_photon_spheres(data, 3.0, huge)),
         (DomainError, lambda: RadialProfile(jet=lambda r: (r, r, r), domain=(0.0, huge))),
+        # The int inside a sequence of radii, or at a tolerance.
+        (DomainError, lambda: level_set_geometry(data, [3.0, huge])),
+        (DomainError, lambda: ricci_radial(data, [3.0, huge])),
+        (DomainError, lambda: hessian_radial(data, data.V, [3.0, huge])),
+        (DomainError, lambda: data.V([3.0, huge])),
+        (DomainError, lambda: data.jets([3.0, huge], 2)),
+        (DomainError, lambda: IsotropicChart(p).r_of_s([2.0, huge])),
+        (DomainError, lambda: Perturbation(4.5, 1.0).bump(huge)),
+        (DomainError, lambda: Perturbation(4.5, 1.0).bump_jet([4.0, huge])),
+        (ParameterError, lambda: quasilocal_check(data, 3.0, tol=huge)),
+        (ParameterError, lambda: verify_all(data, default_grid(data), tol=huge)),
+        # A table entry beyond the float range, as a non-finite entry.
+        (NumericsError, lambda: tabulated_profile([1, 2, 3, huge], [1, 2, 3, 4])),
+        (NumericsError, lambda: tabulated_profile([1, 2, 3, 4], [1, 2, huge, 4])),
     ]
     for error, call in calls:
         with pytest.raises(error, match="too large for a float"):
