@@ -26,12 +26,14 @@ MAX_DIMENSION = 343
 
 
 def require_dimension(n):
-    """ParameterError unless n is an integer from 3 to MAX_DIMENSION; n is
-    compared before any float conversion, which overflows for a huge int."""
+    """ParameterError unless n is an integer from 3 to MAX_DIMENSION: of a
+    type with __index__, as int and the numpy integers are and float is
+    not; a bool is below 3. n is compared before any float conversion,
+    which overflows for a huge int."""
+    if not hasattr(type(n), "__index__") or n < 3:
+        raise ParameterError(f"dimension must be an integer >= 3, got {n}")
     if n > MAX_DIMENSION:
         raise ParameterError(f"dimension must be at most {MAX_DIMENSION}, got {n}")
-    if not n >= 3 or int(n) != n:
-        raise ParameterError(f"dimension must be an integer >= 3, got {n}")
 
 
 def as_float(value, what: str, error: type = ParameterError) -> float:

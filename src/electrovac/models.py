@@ -22,7 +22,9 @@ from .profiles import RadialProfile, constant_profile, float_array, np, sqrt
 
 
 def coupling_constant(n: int) -> float:
-    """c_n = sqrt(2(n-2)/(n-1)); equals 1 in dimension 3."""
+    """c_n = sqrt(2(n-2)/(n-1)); equals 1 in dimension 3. n is checked as
+    require_dimension checks it."""
+    require_dimension(n)
     return math.sqrt(2.0 * (n - 2) / (n - 1))
 
 
@@ -203,7 +205,13 @@ class IsotropicChart:
             self.closed_start = False
 
     def _factors(self, s):
+        """s as a float array, u = s^(n-2) and a_pm; DomainError for a NaN or
+        infinite s or one below the branch. Callers run it with numpy's
+        warnings off, as the rest of the chart: a huge s overflows u to inf,
+        where a_pm read 1."""
         s = float_array(s, "isotropic radius")
+        if not np.isfinite(s).all():
+            raise DomainError("isotropic radius must be finite")
         bad = (s < self.s_branch) if self.closed_start else (s <= self.s_branch)
         if np.any(bad):
             raise DomainError(f"isotropic radius below the branch start {self.s_branch}")
@@ -213,33 +221,42 @@ class IsotropicChart:
         return s, u, ap, am
 
     def r_of_s(self, s):
-        s, _, ap, am = self._factors(s)
-        return s * (ap * am) ** (1.0 / self.k)
+        """r at s; DomainError where it is not a finite float."""
+        with np.errstate(all="ignore"):
+            s, _, ap, am = self._factors(s)
+            return _finite_chart(s * (ap * am) ** (1.0 / self.k))
 
     def point(self, s: float) -> IsotropicPoint:
-        """All chart values at s from one domain check."""
-        s, u, ap, am = self._factors(s)
-        n, m, q, k = self.p.n, self.p.m, self.p.q, self.k
-        phi = (ap * am) ** (1.0 / k)
-        v = (1.0 - (m ** 2 - q ** 2) / (4.0 * u * u)) / (ap * am)
-        psi = q / (self.cn * u * ap * am)
-        emag = 0.0
-        if q != 0.0:
-            # d(phi)/ds via logarithmic derivative of the two factors
-            dap = -k * (m + q) / (2.0 * u * s)
-            dam = -k * (m - q) / (2.0 * u * s)
-            dphi = phi * (dap / ap + dam / am) / k
-            d = (m * m - q * q) / (4.0 * u * u)
-            rprime = phi + s * dphi
-            with np.errstate(divide="ignore", invalid="ignore"):
+        """All chart values at s from one domain check; DomainError where one
+        of them is not a finite float."""
+        with np.errstate(all="ignore"):
+            s, u, ap, am = self._factors(s)
+            n, m, q, k = self.p.n, self.p.m, self.p.q, self.k
+            phi = (ap * am) ** (1.0 / k)
+            v = (1.0 - (m ** 2 - q ** 2) / (4.0 * u * u)) / (ap * am)
+            psi = q / (self.cn * u * ap * am)
+            emag = 0.0
+            if q != 0.0:
+                # d(phi)/ds via logarithmic derivative of the two factors
+                dap = -k * (m + q) / (2.0 * u * s)
+                dam = -k * (m - q) / (2.0 * u * s)
+                dphi = phi * (dap / ap + dam / am) / k
+                d = (m * m - q * q) / (4.0 * u * u)
+                rprime = phi + s * dphi
                 coef = (k / self.cn) * q * (1.0 - d) / (s ** (n - 1) * phi ** (2 * n - 3) * rprime)
-                val = np.abs(coef) * phi
-            # r'(s) = 0 at a closed branch start; the chart expression degenerates
-            # there, so fall back to the area-radius form at that single point.
-            direct = k * abs(q) / (self.cn * (s * phi) ** (n - 1))
-            emag = np.where(rprime > 0.0, val, direct)[()]
-        return IsotropicPoint(s=float(s), r=float(s * phi), phi=float(phi), V=float(v),
-                              Emag=float(emag), Psi=float(psi))
+                # r'(s) = 0 at a closed branch start; the chart expression degenerates
+                # there, so fall back to the area-radius form at that single point.
+                direct = k * abs(q) / (self.cn * (s * phi) ** (n - 1))
+                emag = np.where(rprime > 0.0, np.abs(coef) * phi, direct)[()]
+            values = [float(x) for x in (s, s * phi, phi, v, emag, psi)]
+        return IsotropicPoint(*_finite_chart(values))
+
+
+def _finite_chart(values):
+    """values, DomainError unless all are finite."""
+    if not np.isfinite(values).all():
+        raise DomainError("a chart value at this isotropic radius is not a finite float")
+    return values
 
 
 def isotropic_inverse(p: RNParameters, r: float) -> float:

@@ -28,7 +28,7 @@ import sys
 from typing import Optional
 
 from .errors import DomainError, NumericsError, ParameterError, as_float
-from .geometry import (DEGENERATE_V, TOL_CLOSED_FORM, V_ZERO_MARGIN, Record,
+from .geometry import (DEGENERATE_V, MAX_GRID_COUNT, TOL_CLOSED_FORM, V_ZERO_MARGIN, Record,
                        SphericalStaticData, level_set_geometry, require_tolerance)
 from .models import RNParameters, rn_data, rn_r0
 from .profiles import np
@@ -143,7 +143,8 @@ def scan_photon_spheres(data: SphericalStaticData, lo: Optional[float] = None,
                         hi: float = 1e3, samples: int = 4096) -> list[float]:
     """Oracle root finder: bracketed sign-change scan of boundary_residual.
 
-    Samples the residual at `samples` geometrically spaced radii on [lo, hi].
+    Samples the residual at `samples` geometrically spaced radii on [lo, hi],
+    an integer from 2 to MAX_GRID_COUNT, the bound of a residual grid's count.
     A sample where it is exactly 0 is a root; every sign change between
     neighbours is a bracket [a, b]. All brackets are refined together by
     Illinois false position: each step evaluates the residual once, as one
@@ -154,8 +155,9 @@ def scan_photon_spheres(data: SphericalStaticData, lo: Optional[float] = None,
     steps. Tangential (double) roots do not change sign and are invisible to
     this scan by design.
     """
-    if not (isinstance(samples, numbers.Integral) and samples >= 2):
-        raise ParameterError(f"samples must be an integer >= 2, got {samples!r}")
+    if not (isinstance(samples, numbers.Integral) and 2 <= samples <= MAX_GRID_COUNT):
+        raise ParameterError(
+            f"samples must be an integer from 2 to {MAX_GRID_COUNT}, got {samples!r}")
     r0 = data.domain[0]
     if lo is None:
         lo = r0 * (1.0 + 1e-6) if r0 > 0 else 0.05 * data.r_scale

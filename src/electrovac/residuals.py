@@ -62,6 +62,7 @@ import numpy as np
 from .errors import DegeneracyError, DomainError, NumericsError, as_float
 from .geometry import (
     DEGENERATE_V,
+    MAX_GRID_COUNT,
     Record,
     SphericalStaticData,
     ValueRecord,
@@ -78,8 +79,6 @@ from .geometry import (
 # glibc's default 128 KB mmap threshold, so the heap reuses it while it is
 # still in cache instead of mapping and faulting in fresh pages.
 _BLOCK = 8192
-# At this count a passing verify_all on rn_data took 0.23 s (2-core x86-64); memory is per block.
-MAX_GRID_COUNT = 10 ** 6
 _GRID_COUNT = 1000
 
 EQUATION_TAGS = {

@@ -19,14 +19,14 @@ variation and AE1 take T from the same kernel, geometry.master_kernel, so
 data solving the static system is critical.
 
 The calls on one data set share their reads. A quadrature's node array is
-built once per rule and kept read-only, the annulus edges are checked as
-Python floats and read on one read-only [r1, r2] array, and the jets of A, V
-and |E| on each of these arrays are read once per data object across calls:
-the last three (data, radius array) pairs keep their jets, and a call that
-needs fewer profiles takes a prefix. So the four calls of one set read the
-data on three radius arrays, not seven. This assumes a data set's profiles
-are pure functions of r, as verify_all does within a report; a read that
-raises keeps nothing.
+built once per pair of rules and kept read-only, and the jets of A, V and |E|
+on it are read once per data object across calls: the last three (data,
+node array) pairs keep their jets, and a call that needs fewer profiles
+takes a prefix. The annulus edges are checked and read as Python floats, the
+sphere geometry at each once per data object. So the four calls of one set
+read the data on two node arrays and at the two edges. This assumes a data
+set's profiles are pure functions of r, as verify_all does within a report;
+a read that raises keeps nothing.
 
 The criticality ladder's rows, one per amplitude, differ only on the bump's
 support: off it b = b' = b'' = 0 and each row equals the first amplitude's,
@@ -43,20 +43,21 @@ np.vecdot, which keeps each row's per-row dot bits.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, NumericsError, ParameterError, as_float
+from .errors import DomainError, NumericsError, ParameterError, as_float, require_dimension
 from .geometry import (
     Record,
     SphericalStaticData,
     ValueRecord,
     hessian_kernel,
     laplacian_kernel,
-    level_set_kernel,
+    level_set_geometry,
     master_kernel,
     ricci_kernel,
     scalar_curvature_d1_kernel,
@@ -67,7 +68,9 @@ from .profiles import float_array, require_open
 
 
 def sphere_area(n: int) -> float:
-    """Area of the unit (n-1)-sphere in R^n: 2 pi^{n/2} / Gamma(n/2)."""
+    """Area of the unit (n-1)-sphere in R^n: 2 pi^{n/2} / Gamma(n/2); n is
+    checked as require_dimension checks it."""
+    require_dimension(n)
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
@@ -110,69 +113,59 @@ class QuadratureConfig(ValueRecord):
         self.panels, self.nodes, self.tol = panels, nodes, tol
 
 
-def _break_segments(breaks, panels: int) -> list[tuple[float, float, int]]:
+def _break_segments(breaks, panels: int) -> tuple[tuple[float, float, int], ...]:
     """Segments (lo, hi, panels) of a composite rule whose segment edges sit
     on the integrand's kink radii, panels shared out by length.
 
     The bump profile is only C^2 at its support edges; putting those on
     segment boundaries keeps every Gauss panel on a smooth piece.
+    NumericsError where a piece's share, panels (hi - lo) / (r2 - r1),
+    overflows: the annulus is too wide for the quadrature.
     """
     breaks = sorted(set(float(b) for b in breaks))
     total = breaks[-1] - breaks[0]
-    return [(a, b, max(2, math.ceil(panels * (b - a) / total)))
-            for a, b in zip(breaks[:-1], breaks[1:])]
-
-
-def _node_array(quad: QuadratureConfig, rules):
-    """One node array holding every segment of every rule, in order.
-
-    rules lists each rule's segments as (lo, hi, panels). Returns the nodes
-    and, per rule, its segments as (slice into the nodes, weights), so one
-    integrand evaluation serves the coarse and the doubled rule alike. All
-    panels are built in one pass, their edges equal to np.linspace(lo, hi,
-    panels + 1) bit for bit, also where linspace's step underflows to 0.
-    The arrays are read-only and built once per quad and rules, so calls on
-    the same rules get the same node array and share its field reads.
-    """
-    return _rule_nodes(quad, tuple(tuple((float(lo), float(hi), panels) for lo, hi, panels in rule)
-                                   for rule in rules))
+    shares = [panels * (b - a) / total for a, b in zip(breaks[:-1], breaks[1:])]
+    if not math.isfinite(sum(shares)):
+        raise NumericsError(f"annulus [{breaks[0]}, {breaks[-1]}] too wide for the quadrature")
+    return tuple((a, b, max(2, math.ceil(share)))
+                 for a, b, share in zip(breaks[:-1], breaks[1:], shares))
 
 
 @functools.lru_cache(maxsize=4)
 def _rule_nodes(quad: QuadratureConfig, rules):
+    """One node array holding every segment of every rule, in order.
+
+    rules holds each rule's segments as tuples (lo, hi, panels). Returns the
+    nodes and, per rule, its segments as (slice into the nodes, weights), so
+    one integrand evaluation serves the coarse and the doubled rule alike.
+    A segment's panel edges are np.linspace(lo, hi, panels + 1); the panels
+    of all segments are built from them in one pass, with numpy's warnings
+    off; NumericsError where a node overflows, on an annulus too wide for
+    the quadrature. The arrays are read-only and built once per quad and
+    rules, so calls on the same rules get the same node array and share its
+    field reads.
+    """
     x, w = _gauss_legendre(quad.nodes)
-    # Edge k of a segment is k / div * factor + lo, the last one hi: linspace's
-    # k * step + lo, or (k / panels) * (hi - lo) + lo where the step is 0.
-    rows, counts, his, slices, start = [], [], [], [], 0
-    for rule in rules:
-        slices.append([])
-        for lo, hi, panels in rule:
-            delta = hi - lo
-            step = delta / panels
-            rows.append((start, panels, delta, lo) if step == 0 else (start, 1, step, lo))
-            slices[-1].append(slice(start * quad.nodes, (start + panels) * quad.nodes))
-            start += panels
-            counts.append(panels)
-            his.append(hi)
-    first, div, factor, lo = np.repeat(np.array(rows), counts, axis=0).T
-    k = np.arange(start) - first
-    left = k / div * factor + lo
-    right = (k + 1.0) / div * factor + lo
-    right[np.cumsum(counts) - 1] = his
-    mids = 0.5 * (left + right)
-    half = 0.5 * (right - left)
-    ws = (half[:, None] * w[None, :]).ravel()
-    xs = (mids[:, None] + half[:, None] * x[None, :]).ravel()
+    with np.errstate(all="ignore"):
+        edges = [np.linspace(lo, hi, panels + 1) for rule in rules for lo, hi, panels in rule]
+        left = np.concatenate([e[:-1] for e in edges])
+        right = np.concatenate([e[1:] for e in edges])
+        mids = 0.5 * (left + right)
+        half = 0.5 * (right - left)
+        ws = (half[:, None] * w[None, :]).ravel()
+        xs = (mids[:, None] + half[:, None] * x[None, :]).ravel()
+    if not np.isfinite(xs).all():
+        raise NumericsError("annulus too wide for the quadrature: a node overflows")
     xs.flags.writeable = ws.flags.writeable = False
-    return xs, tuple(tuple((seg, ws[seg]) for seg in rule) for rule in slices)
+    cuts = itertools.accumulate((quad.nodes * (len(e) - 1) for e in edges), initial=0)
+    segments = (slice(a, b) for a, b in itertools.pairwise(cuts))
+    # zip draws from segments only after rule yields a segment of its own.
+    return xs, tuple(tuple((seg, ws[seg]) for _, seg in zip(rule, segments)) for rule in rules)
 
 
-@functools.lru_cache(maxsize=4)
-def _annulus_edges(r1: float, r2: float) -> np.ndarray:
-    """[r1, r2] as one read-only array, the same object for the same edges."""
-    edges = np.array([r1, r2])
-    edges.flags.writeable = False
-    return edges
+# level_set_geometry(data, r) at an annulus edge r, a float: the boundary terms
+# of a set's calls read each edge once per data object.
+_edge_geometry = functools.lru_cache(maxsize=4)(level_set_geometry)
 
 
 # (id(data), id(r)) -> (data, r, count, jets), least recently used first. An
@@ -224,7 +217,7 @@ def _rule_integrals(fn, quad: QuadratureConfig, rules) -> list[np.ndarray]:
     non-finite integrand as NumericsError. The rows are then finite, so a
     sum is non-finite only where it overflows, which raises NumericsError
     too."""
-    xs, rules = _node_array(quad, rules)
+    xs, rules = _rule_nodes(quad, rules)
     with np.errstate(all="ignore"):
         rows = _finite_rows(fn(xs))
     try:
@@ -426,13 +419,11 @@ def _norm_density(n: int, pert: Perturbation, b, sa, r):
 def _functional_boundary(data: SphericalStaticData, r1: float, r2: float) -> float:
     """Boundary term 2 int V H ds_o with outward normals; the perturbation
     vanishes on a neighborhood of the boundary, so base quantities apply.
-    A and V are read once, on both radii; r ** (n - 1) stays a Python float
-    power, which numpy's array power does not match bit for bit."""
+    Each edge's V and H come from its cached sphere geometry, and the term
+    is taken in Python floats."""
     n = data.n
-    rr = _annulus_edges(r1, r2)
-    (a, _, _), (v, _, _) = _jets(data, rr, 2)
-    vh1, vh2 = (v * ((n - 1) / (rr * np.sqrt(a)))).tolist()
-    return 2.0 * sphere_area(n) * (vh2 * r2 ** (n - 1) - vh1 * r1 ** (n - 1))
+    g1, g2 = _edge_geometry(data, r1), _edge_geometry(data, r2)
+    return 2.0 * sphere_area(n) * (g2.V * g2.H * r2 ** (n - 1) - g1.V * g1.H * r1 ** (n - 1))
 
 
 def _functional_values(data: SphericalStaticData, r1: float, r2: float,
@@ -449,7 +440,7 @@ def _functional_values(data: SphericalStaticData, r1: float, r2: float,
     breaks = [r1, r2] if pert is None else [r1, r2, *pert.support()]
     coarse, fine = _rule_integrals(
         lambda r: _functional_integrand(data, pert, amplitudes, r, norm), quad,
-        [_break_segments(breaks, quad.panels), _break_segments(breaks, 2 * quad.panels)])
+        (_break_segments(breaks, quad.panels), _break_segments(breaks, 2 * quad.panels)))
     pert_norm = math.sqrt(omega * coarse[-1]) if norm else None
     if norm:
         coarse, fine = coarse[:-1], fine[:-1]
@@ -524,16 +515,9 @@ def criticality_test(data: SphericalStaticData, annulus, pert: Perturbation,
     # Richardson on EPSILONS[-1] and EPSILONS[-2] = 2 EPSILONS[-1] removes the eps^2 term.
     refined = (4.0 * derivs[-1] - derivs[-2]) / 3.0
 
-    return CriticalityResult(
-        epsilons=EPSILONS,
-        derivatives=tuple(float(d) for d in derivs),
-        slope=slope,
-        refined=float(refined),
-        pert_norm=norm,
-        tol=tol,
-        slope_ok=bool(1.8 <= slope <= 2.2) if math.isfinite(slope) else False,
-        final_ok=bool(abs(refined) <= tol),
-    )
+    return CriticalityResult(epsilons=EPSILONS, derivatives=tuple(derivs), slope=slope,
+                             refined=refined, pert_norm=norm, tol=tol,
+                             slope_ok=1.8 <= slope <= 2.2, final_ok=abs(refined) <= tol)
 
 
 def _el_integrand(data: SphericalStaticData, pert: Perturbation, r):
@@ -557,7 +541,7 @@ def euler_lagrange_integral(data: SphericalStaticData, annulus, pert: Perturbati
     breaks = [r1, *pert.support(), r2]
     coarse, fine = _rule_integrals(
         lambda r: _el_integrand(data, pert, r), quad,
-        [_break_segments(breaks, quad.panels), _break_segments(breaks, 2 * quad.panels)])
+        (_break_segments(breaks, quad.panels), _break_segments(breaks, 2 * quad.panels)))
     value, = _converged(quad, coarse, fine, " for the variation integral")
     return sphere_area(data.n) * value
 
@@ -580,16 +564,13 @@ def _pohozaev_integrands(data: SphericalStaticData, r):
 
 def _pohozaev_boundary(data: SphericalStaticData, r1: float, r2: float) -> tuple[float, float]:
     """The boundary integrals of Ric0(X, N) over the spheres at r1 and r2,
-    each signed by the orientation of the annulus' outward normal there, from
-    the geometry of both spheres at once, from the jets _functional_boundary
-    reads; each edge's product is taken in Python floats, as there."""
+    each signed by the orientation of the annulus' outward normal there,
+    from the cached sphere geometry _functional_boundary reads, in Python
+    floats as there."""
     n = data.n
-    rr = _annulus_edges(r1, r2)
-    (a, ap, _), (v, vp, _) = _jets(data, rr, 2)
-    geo = level_set_kernel(n, a, ap, v, vp, rr)
-    t_rad = (geo.ric_nn - geo.R / n).tolist()
-    return tuple(sign * sphere_area(n) * r ** (n - 1) * x * t
-                 for sign, r, x, t in zip((-1.0, 1.0), (r1, r2), geo.nuV.tolist(), t_rad))
+    return tuple(sign * sphere_area(n) * r ** (n - 1) * geo.nuV * (geo.ric_nn - geo.R / n)
+                 for sign, r, geo in zip((-1.0, 1.0), (r1, r2),
+                                         (_edge_geometry(data, r1), _edge_geometry(data, r2))))
 
 
 def pohozaev_residual(data: SphericalStaticData, annulus,
@@ -607,9 +588,9 @@ def pohozaev_residual(data: SphericalStaticData, annulus,
     r1, r2 = _require_annulus(data, annulus)
     n = data.n
     omega = sphere_area(n)
-    coarse, fine = (sums.tolist() for sums in _rule_integrals(
+    coarse, fine = _rule_integrals(
         lambda r: _pohozaev_integrands(data, r), quad,
-        [[(r1, r2, quad.panels)], [(r1, r2, 2 * quad.panels)]]))
+        (((r1, r2, quad.panels),), ((r1, r2, 2 * quad.panels),)))
     fine = _converged(quad, coarse, fine, " in the identity check")
     lhs = (n - 2) / (2.0 * n) * omega * fine[0]
     inner, outer = _pohozaev_boundary(data, r1, r2)

@@ -11,12 +11,13 @@ class CountingProfile(RadialProfile):
     """Delegates every evaluation to base and counts, per entry point
     (value, d1, d2, jet), the calls made on radius arrays; scalar calls are
     not counted. ``calls`` keeps (entry point, radius array) of each counted
-    call in order, ``jet_radii`` the radius array of each counted jet call."""
+    call in order, ``jet_radii`` the radius array of each counted jet call,
+    and ``scalar_calls`` (entry point, radius) of each scalar call in order."""
 
     def __init__(self, base: RadialProfile, counts: dict):
         super().__init__(base.jet, domain=base.domain, mode=base.mode)
         self.base, self.counts = base, counts
-        self.calls = []
+        self.calls, self.scalar_calls = [], []
 
     @property
     def jet_radii(self):
@@ -26,6 +27,8 @@ class CountingProfile(RadialProfile):
         if np.ndim(r) > 0:
             self.counts[name] = self.counts.get(name, 0) + 1
             self.calls.append((name, np.array(r, dtype=float)))
+        else:
+            self.scalar_calls.append((name, r))
 
     def value(self, r):
         self._count("value", r)

@@ -16,7 +16,9 @@ parameters at its branch start and at seeded radii above it; then the
 variational calls on criticality ladders at the bump's extremes (narrow,
 filling the annulus, at its edge, on a 64-panel rule); then Perturbation.bump
 and bump_jet read directly, where an integral could round away a changed
-zero sign; last, the flat-ball report of the default BallStaticExample.
+zero sign; the flat-ball report of the default BallStaticExample; last, the
+guarded inputs (guard_calls), where an exception other than ElectrovacError
+is printed by its type and message too.
 pytest does not collect this file. Floating-point warnings are silenced:
 only results and errors are compared.
 
@@ -50,6 +52,7 @@ from electrovac import (
     boundary_residual,
     constant_profile,
     contracted_gauss_residual,
+    coupling_constant,
     criticality_test,
     default_grid,
     euclidean_ball_residuals,
@@ -74,6 +77,7 @@ from electrovac import (
     rn_data,
     scalar_curvature_d1,
     scan_photon_spheres,
+    sphere_area,
     tabulated_profile,
     verify_all,
 )
@@ -251,6 +255,42 @@ def bump_calls():
                 yield f"bump {pert}", f"{call} {name}", lambda fn=fn, r=r: typed(fn(r))
 
 
+def guard_calls():
+    """(label, call, fn) per input that an entry point must reject with its
+    documented error, or answer with finite values: the isotropic chart at
+    NaN, infinite and huge s for n from 3 to 7, float and out-of-range
+    dimensions, a photon-sphere scan past its sample bound (rejected before
+    anything is built) and annuli too wide for the quadrature."""
+    for n in range(3, 8):
+        p = RNParameters(n, 1.0, 0.5)
+        chart = IsotropicChart(p)
+        for s in (float("nan"), float("inf"), 1e60, 1e200, 1.7e308):
+            yield f"guard chart {p}", f"point {s!r}", lambda chart=chart, s=s: chart.point(s)
+            yield f"guard chart {p}", f"r_of_s {s!r}", lambda chart=chart, s=s: chart.r_of_s(s)
+            yield (f"guard chart {p}", f"phi_identity_residual {s!r}",
+                   lambda p=p, s=s: phi_identity_residual(p, s))
+    for name, fn in (("RNParameters", lambda n: RNParameters(n, 1.0, 0.5)),
+                     ("sphere_area", sphere_area), ("coupling_constant", coupling_constant)):
+        for n in (3.0, 1, 344):
+            yield "guard dimension", f"{name} {n!r}", lambda fn=fn, n=n: fn(n)
+    data = rn_data(RNParameters(3, 1.0, 0.5))
+    yield ("guard scan", "samples 2**62",
+           lambda: scan_photon_spheres(data, 2.0, 10.0, samples=2 ** 62))
+    pert = Perturbation(5.0, 1.0)
+    for name, fn in (("evaluate_functional", lambda: evaluate_functional(data, (2.0, 1e307))),
+                     ("criticality_test", lambda: criticality_test(data, (2.0, 1e307), pert)),
+                     ("pohozaev_residual", lambda: pohozaev_residual(data, (2.0, 1.7e308)))):
+        yield "guard wide annulus", name, fn
+
+
+def guarded(fn):
+    """outcome(fn), with any other exception recorded by its type and message."""
+    try:
+        return outcome(fn)
+    except Exception as exc:  # a bare error, as an unguarded entry point raised
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
 def typed(parts):
     """parts (one array or a tuple of them) with each array's type and shape."""
     if isinstance(parts, tuple):
@@ -364,7 +404,7 @@ def cli_cases(tmp):
     grid passes its end, one whose |E| overflows when squared, the help
     texts, NaN and huge boundary radii, a non-finite --lam on a table, and
     the usage (exit 2) and domain (exit 3) errors, overflowing parameters and
-    dimensions among them."""
+    dimensions among them; last, an annulus too wide for the quadrature."""
     write_table(f"{tmp}/t5.dat")
     write_table(f"{tmp}/t4.dat", columns=4)
     write_table(f"{tmp}/t3.dat", columns=3)
@@ -449,6 +489,8 @@ def cli_cases(tmp):
         for argv in (["classify", *sub], ["verify", *sub], table):
             out += [({}, [*argv, "--tol", value]), ({"ELECTROVAC_TOL": value}, argv)]
     out.append(({"ELECTROVAC_TOL": "nan"}, ["functional", *sub, *annulus]))
+    out.append(({}, ["functional", *sub, "--annulus", "2", "1e307", "--pert-center", "5",
+                     "--pert-width", "1"]))
     return out
 
 
@@ -510,6 +552,8 @@ def main(argv=None):
         line = {"set": "flat ball", "call": "euclidean_ball_residuals",
                 "out": outcome(lambda: euclidean_ball_residuals(BallStaticExample.default()))}
         sys.stdout.write(json.dumps(line) + "\n")
+        for label, name, fn in guard_calls():
+            sys.stdout.write(json.dumps({"set": label, "call": name, "out": guarded(fn)}) + "\n")
 
 
 if __name__ == "__main__":

@@ -367,13 +367,17 @@ def test_huge_mass_runs_without_runtime_warnings(n, q_over_m, capsys):
                   "--annulus", "1e-100", "2e-100"], "non-finite integrand", id="functional"),
     pytest.param(["functional", "--n", "4", "--m", "1", "--q", "0.5",
                   "--annulus", "1.2e93", "7e93"], "non-finite integral", id="huge-annulus"),
+    pytest.param(["functional", "--n", "3", "--m", "1", "--q", "0.5", "--annulus", "2", "1e307",
+                  "--pert-center", "5", "--pert-width", "1"],
+                 "annulus [2.0, 1e+307] too wide for the quadrature", id="wide-annulus"),
 ])
 def test_extreme_scale_numerics_errors_print_only_the_error_line(args, message):
     # Jet parts and integrands overflow at the tiny scales, and the norm's
     # quadrature sum on the huge annulus. The numpy warnings they raised
     # used to reach stderr before the error line, and under
     # -W error::RuntimeWarning ended the command in a traceback; the huge
-    # annulus exited 0 with "pert_norm": Infinity.
+    # annulus exited 0 with "pert_norm": Infinity, and the wide one, whose
+    # panel shares overflow, ended in an OverflowError traceback.
     for env_extra in (None, {"PYTHONWARNINGS": "error::RuntimeWarning"}):
         res = run_cli(*args, env_extra=env_extra)
         assert (res.returncode, res.stdout, res.stderr) == (3, "", f"error: {message}\n"), env_extra

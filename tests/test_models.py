@@ -83,7 +83,7 @@ def test_dimension_is_bounded_before_any_float_conversion():
             RNParameters(n, 1.0, 0.0)
     assert RNParameters(343, 1.0, 0.0).n == 343
     assert math.isfinite(sphere_area(343))
-    with pytest.raises(OverflowError):
+    with pytest.raises(ParameterError, match="dimension must be at most 343"):
         sphere_area(344)
     # SphericalStaticData takes the same bound, as a usage error.
     one = constant_profile(1.0)
@@ -158,6 +158,64 @@ def test_regime_labels():
     assert RNParameters(3, 1.0, -0.5).regime == "sub-extremal"
     assert RNParameters(3, 1.0, 1.0).regime == "extremal"
     assert RNParameters(3, 1.0, 1.5).regime == "super-extremal"
+
+
+def test_dimension_must_be_an_integer_everywhere():
+    # An integral float passed the dimension check, and rn_data and
+    # photon_sphere_radii then raised a bare TypeError; sphere_area and
+    # coupling_constant skipped the check and raised OverflowError,
+    # ValueError or ZeroDivisionError.
+    from electrovac import photon_sphere_radii
+
+    for n in (3.0, 5.0, np.float64(4.0), True, "3", None):
+        with pytest.raises(ParameterError, match="dimension must be an integer >= 3"):
+            RNParameters(n, 1.0, 0.0)
+    cases = [(sphere_area, 344, "at most 343"), (sphere_area, 0, "an integer >= 3"),
+             (sphere_area, 3.0, "an integer >= 3"), (coupling_constant, 1, "an integer >= 3"),
+             (coupling_constant, 10 ** 400, "at most 343"), (coupling_constant, 4.0, "an integer >= 3")]
+    for fn, n, message in cases:
+        with pytest.raises(ParameterError, match=f"dimension must be {message}"):
+            fn(n)
+    for n in (np.int64(3), np.int32(5)):
+        p = RNParameters(n, 1.0, 0.5)
+        assert photon_sphere_radii(p).count == photon_sphere_radii(RNParameters(int(n), 1.0, 0.5)).count
+        assert rn_data(p).n == n
+        assert sphere_area(n) == sphere_area(int(n))
+        assert coupling_constant(n) == coupling_constant(int(n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_isotropic_chart_rejects_non_finite_radii_and_values(n):
+    # A NaN s gave an all-NaN point, an infinite or huge s a RuntimeWarning.
+    # A NaN or infinite s is a domain error; a huge s gives finite values,
+    # computed with numpy's warnings off, or a domain error where one is not.
+    p = RNParameters(n, 1.0, 0.5)
+    chart = IsotropicChart(p)
+    for s in (math.nan, math.inf, -math.inf):
+        for call in (chart.point, chart.r_of_s, lambda s: phi_identity_residual(p, s)):
+            with pytest.raises(DomainError, match="isotropic radius must be finite"):
+                call(s)
+    with pytest.raises(DomainError, match="isotropic radius must be finite"):
+        chart.r_of_s([2.0, math.nan])
+    for s in (1e60, 1e100, 1e200, 1e300, 1.7e308):
+        pt = chart.point(s)
+        parts = (pt.s, pt.r, pt.phi, pt.V, pt.Emag, pt.Psi)
+        assert all(type(x) is float and math.isfinite(x) for x in parts), (n, s)
+        assert (pt.r, pt.V) == (chart.r_of_s(s), 1.0) and 0.0 <= pt.Emag <= 1e-120, (n, s)
+        assert phi_identity_residual(p, s) == 0.0, (n, s)
+    pt = IsotropicChart(RNParameters(5, 1.0, 0.5)).point(1e200)
+    assert (pt.r, pt.V, pt.Emag) == (1e200, 1.0, 0.0)
+
+
+def test_isotropic_chart_values_that_are_not_finite_raise():
+    # At m = 1e-300 the chart's u = s^(n-2) meets the float range: V and |E|
+    # came out NaN and infinite, and phi_identity_residual NaN.
+    p = RNParameters(3, 1e-300, 1e-301)
+    chart = IsotropicChart(p)
+    s = 1.5 * chart.s_branch + 1e-302
+    for call in (chart.point, lambda s: phi_identity_residual(p, s)):
+        with pytest.raises(DomainError, match="not a finite float"):
+            call(s)
 
 
 def test_coupling_constant_values():

@@ -142,11 +142,15 @@ def test_scan_without_sign_change_finds_nothing():
     pytest.param({"samples": 0}, ParameterError, id="no-samples"),
     pytest.param({"samples": 1}, ParameterError, id="one-sample"),
     pytest.param({"samples": 2.5}, ParameterError, id="fractional-samples"),
+    pytest.param({"samples": photon.MAX_GRID_COUNT + 1}, ParameterError, id="samples-above-bound"),
+    pytest.param({"lo": 2.0, "hi": 10.0, "samples": 2 ** 62}, ParameterError, id="huge-samples"),
     pytest.param({"hi": np.inf}, DomainError, id="infinite-hi"),
     pytest.param({"hi": np.nan}, DomainError, id="nan-hi"),
 ])
 def test_scan_rejects_bad_input(kwargs, error):
-    # Before: IndexError, TypeError, and a RuntimeWarning from np.geomspace.
+    # Before: IndexError, TypeError, and a RuntimeWarning from np.geomspace;
+    # a huge sample count reached np.geomspace, whose ValueError ("array is
+    # too big") escaped. Each bad count is rejected before anything is built.
     data = rn_data(RNParameters(3, 1.0, 0.5))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

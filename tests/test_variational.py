@@ -37,12 +37,12 @@ from electrovac.variational import (
     _functional_boundary,
     _functional_integrand,
     _gauss_legendre,
-    _node_array,
     _norm_density,
     _pohozaev_boundary,
     _pohozaev_integrands,
     _require_annulus,
     _rule_integrals,
+    _rule_nodes,
     _rule_sums,
 )
 
@@ -59,7 +59,7 @@ def test_sphere_area_values():
 
 def test_quadrature_exact_on_inverse_square():
     quad = QuadratureConfig()
-    [[val]] = _rule_integrals(lambda r: 1.0 / r**2, quad, [[(1.0, 2.0, quad.panels)]])
+    [[val]] = _rule_integrals(lambda r: 1.0 / r**2, quad, (((1.0, 2.0, quad.panels),),))
     assert np.isclose(val, 0.5, rtol=1e-13)
 
 
@@ -73,7 +73,7 @@ def test_gauss_legendre_rule_is_cached_read_only_and_unchanged():
             arr[0] = 0.0
     # The composite rule is built from the cached one bit for bit, and is
     # cached read-only itself.
-    xs, [[(_, ws)]] = _node_array(QuadratureConfig(nodes=12), [[(1.0, 2.5, 3)]])
+    xs, [[(_, ws)]] = _rule_nodes(QuadratureConfig(nodes=12), (((1.0, 2.5, 3),),))
     edges = np.linspace(1.0, 2.5, 4)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -111,14 +111,14 @@ def test_node_array_equals_the_linspace_rule_bit_for_bit():
             rules.append([(a, b, int(rng.integers(1, 65))) for a, b in zip(breaks[:-1], breaks[1:])])
         if draw % 6 == 0:
             rules[-1].append(subnormal[draw % 2])
-        xs, got = _node_array(quad, rules)
+        xs, got = _rule_nodes(quad, tuple(map(tuple, rules)))
         want = [[linspace_rule(quad.nodes, *seg) for seg in rule] for rule in rules]
         assert np.array_equal(xs, np.concatenate([x for rule in want for x, _ in rule])), draw
         for rule_got, rule_want in zip(got, want):
             for (seg, ws), (x_ref, w_ref) in zip(rule_got, rule_want, strict=True):
                 assert np.array_equal(xs[seg], x_ref) and np.array_equal(ws, w_ref), draw
         for lo, hi, p in (seg for rule in rules for seg in rule):
-            one_x, [[(_, one_w)]] = _node_array(quad, [[(lo, hi, p)]])
+            one_x, [[(_, one_w)]] = _rule_nodes(quad, (((lo, hi, p),),))
             x_ref, w_ref = linspace_rule(quad.nodes, lo, hi, p)
             assert np.array_equal(one_x, x_ref) and np.array_equal(one_w, w_ref), draw
 
@@ -130,8 +130,8 @@ def test_batched_sums_are_one_dot_per_row():
     rng = np.random.default_rng(4)
     quad = QuadratureConfig()
     for panels in (2, 9, 16, 32):
-        rule = [(1.0, 1.5, panels), (1.5, 4.0, 2 * panels), (4.0, 4.25, 3)]
-        xs, (segments,) = _node_array(quad, [rule])
+        rule = ((1.0, 1.5, panels), (1.5, 4.0, 2 * panels), (4.0, 4.25, 3))
+        xs, (segments,) = _rule_nodes(quad, (rule,))
         rows = rng.normal(size=(8, xs.size)) * np.exp(rng.uniform(-5.0, 5.0, (8, 1)))
         sums = _rule_sums(rows, segments)
         want = [0.0] * len(rows)
@@ -144,7 +144,7 @@ def test_batched_sums_are_one_dot_per_row():
         assert [float(x) for x in _rule_sums(rows[5:6], segments)] == want[5:6]
         xs, ws = linspace_rule(quad.nodes, 1.0, 4.0, panels)
         row = rows[3, :xs.size]
-        [[one]] = _rule_integrals(lambda r: row, quad, [[(1.0, 4.0, panels)]])
+        [[one]] = _rule_integrals(lambda r: row, quad, (((1.0, 4.0, panels),),))
         assert one == float(np.dot(ws, row))
 
 
@@ -266,8 +266,8 @@ def test_v_zeros_on_quadrature_nodes_change_no_value():
     data = rn_data(RNParameters(3, 1.0, 0.5))
     quad = QuadratureConfig()
     r1, r2 = ANNULUS
-    plain = _node_array(quad, [_break_segments([r1, r2], quad.panels)])[0]
-    split = _node_array(quad, [_break_segments([r1, *PERT.support(), r2], quad.panels)])[0]
+    plain = _rule_nodes(quad, (_break_segments([r1, r2], quad.panels),))[0]
+    split = _rule_nodes(quad, (_break_segments([r1, *PERT.support(), r2], quad.panels),))[0]
     z_plain, z_split = plain[plain.size // 3], split[split.size // 2]
     assert z_plain not in split and z_split not in plain
     marked = data.replace(v_zeros=data.v_zeros + (z_plain, z_split))
@@ -345,7 +345,7 @@ def ladder_rows_reference(data, pert, amplitudes, r):
 def ladder_nodes(annulus, pert, quad):
     """The node array of criticality_test's coarse and doubled rules."""
     breaks = [*annulus, *pert.support()]
-    return _node_array(quad, [_break_segments(breaks, k) for k in (quad.panels, 2 * quad.panels)])[0]
+    return _rule_nodes(quad, tuple(_break_segments(breaks, k) for k in (quad.panels, 2 * quad.panels)))[0]
 
 
 LADDER_AMPLITUDES = [a for eps in EPSILONS for a in (+eps, -eps)]
@@ -462,26 +462,49 @@ def test_tiny_scale_integrands_raise_without_warnings():
         pohozaev_residual(data, (1e-100, 2e-100))
 
 
+def test_an_annulus_too_wide_for_the_quadrature_is_a_numerics_error():
+    # A piece wider than about 5.6e306 overflowed its panel share: an
+    # OverflowError from math.ceil. The identity's rule has no shares, but
+    # its nodes overflowed with a RuntimeWarning and then failed the domain
+    # check as radius inf. RuntimeWarnings are errors here.
+    data = rn_data(RNParameters(3, 1.0, 0.5))
+    pert = Perturbation(center=5.0, halfwidth=1.0)
+    annulus = (2.0, 1e307)
+    for call in (lambda: evaluate_functional(data, annulus),
+                 lambda: evaluate_functional(data, annulus, pert),
+                 lambda: criticality_test(data, annulus, pert),
+                 lambda: euler_lagrange_integral(data, annulus, pert)):
+        with pytest.raises(NumericsError, match=r"annulus \[2.0, 1e\+307\] too wide for the quadrature"):
+            call()
+    with pytest.raises(NumericsError, match="a node overflows"):
+        pohozaev_residual(data, (2.0, 1.7e308))
+    with pytest.raises(NumericsError, match="non-finite integrand"):
+        pohozaev_residual(data, (2.0, 5e306))
+    # Up to the overflow the share sets the panel counts as before.
+    assert _break_segments([2.0, 4.0, 6.0, 1e306], 16) == ((2.0, 4.0, 2), (4.0, 6.0, 2), (6.0, 1e306, 16))
+
+
 def test_criticality_evaluates_base_fields_once_per_node_set():
     # Each call builds one node array holding every segment (annulus edges
     # and bump support) of the coarse and the doubled rule, and reads each
     # profile it needs exactly once on that array; criticality_test takes its
-    # perturbation norm from the same evaluation. The boundary terms read each
-    # of their profiles exactly once more, on [r1, r2].
+    # perturbation norm from the same evaluation. The boundary terms read the
+    # jets of A and V once more at each edge, as floats, r1 first.
     quad = QuadratureConfig()
     panels = (quad.panels, 2 * quad.panels)
     bumped = [_break_segments([*ANNULUS, *PERT.support()], k) for k in panels]
     plain = [_break_segments(ANNULUS, k) for k in panels]
     whole = [[(*ANNULUS, k)] for k in panels]
-    functional = {"A": ["jet", "jet"], "V": ["jet", "jet"], "Emag": ["jet"]}
+    edges = [("jet", r) for r in ANNULUS]
+    functional = {"A": (["jet"], edges), "V": (["jet"], edges), "Emag": (["jet"], [])}
     calls = [
         ("functional", lambda d: evaluate_functional(d, ANNULUS), plain, functional),
         ("bumped functional", lambda d: evaluate_functional(d, ANNULUS, PERT), bumped, functional),
         ("criticality", lambda d: criticality_test(d, ANNULUS, PERT).passed, bumped, functional),
         ("first variation", lambda d: euler_lagrange_integral(d, ANNULUS, PERT), bumped,
-         {"A": ["jet"], "V": ["jet"], "Emag": ["jet"]}),
+         {"A": (["jet"], []), "V": (["jet"], []), "Emag": (["jet"], [])}),
         ("identity", lambda d: pohozaev_residual(d, ANNULUS), whole,
-         {"A": ["jet", "jet"], "V": ["jet", "jet"]}),
+         {"A": (["jet"], edges), "V": (["jet"], edges)}),
     ]
     for name, call, rules, reads in calls:
         data, counts = counting_data(rn_data(RNParameters(3, 1.0, 0.5)))
@@ -489,16 +512,20 @@ def test_criticality_evaluates_base_fields_once_per_node_set():
         nodes = np.concatenate([linspace_rule(quad.nodes, lo, hi, k)[0]
                                 for rule in rules for lo, hi, k in rule])
         for profile in counts:
-            made = getattr(data, profile).calls
-            assert [entry for entry, _ in made] == reads.get(profile, []), (name, profile)
-            for (_, radii), want in zip(made, (nodes, np.array(ANNULUS))):
-                assert np.array_equal(radii, want), (name, profile)
+            prof = getattr(data, profile)
+            arrays, scalars = reads.get(profile, ([], []))
+            assert [entry for entry, _ in prof.calls] == arrays, (name, profile)
+            for _, radii in prof.calls:
+                assert np.array_equal(radii, nodes), (name, profile)
+            assert prof.scalar_calls == scalars, (name, profile)
+            assert all(type(r) is float for _, r in prof.scalar_calls), (name, profile)
 
 
 def test_library_calls_on_rn_data_run_the_joint_once_per_radius_array():
     # On rn_data every field these calls read comes from data.jets: one
-    # joint pass per radius array they read, in order, and no direct read of
-    # any profile. grad_norm differentiates a profile of other data.
+    # joint pass per radius array they read, and per float radius, in order,
+    # and no direct read of any profile. grad_norm differentiates a profile
+    # of other data.
     from electrovac import default_grid, grad_norm, level_set_geometry, verify_all
 
     p = RNParameters(3, 1.0, 0.5)
@@ -508,20 +535,21 @@ def test_library_calls_on_rn_data_run_the_joint_once_per_radius_array():
     panels = (quad.panels, 2 * quad.panels)
 
     def nodes(*rules):
-        return _node_array(quad, rules)[0]
+        return _rule_nodes(quad, rules)[0]
 
     plain = nodes(*(_break_segments(ANNULUS, k) for k in panels))
     bumped = nodes(*(_break_segments([*ANNULUS, *PERT.support()], k) for k in panels))
-    whole = nodes(*([(*ANNULUS, k)] for k in panels))
-    edges, rs = np.array(ANNULUS), np.linspace(3.0, 6.0, 50)
+    whole = nodes(*(((*ANNULUS, k),) for k in panels))
+    r1, r2 = ANNULUS
+    rs = np.linspace(3.0, 6.0, 50)
     other = rn_data(RNParameters(4, 1.0, 0.2)).V
     calls = [
         ("verify_all", lambda d: verify_all(d, grid, r_boundary=r_boundary),
          [r_boundary, grid.radii()]),
-        ("functional", lambda d: evaluate_functional(d, ANNULUS), [plain, edges]),
-        ("criticality", lambda d: criticality_test(d, ANNULUS, PERT), [bumped, edges]),
+        ("functional", lambda d: evaluate_functional(d, ANNULUS), [plain, r1, r2]),
+        ("criticality", lambda d: criticality_test(d, ANNULUS, PERT), [bumped, r1, r2]),
         ("first variation", lambda d: euler_lagrange_integral(d, ANNULUS, PERT), [bumped]),
-        ("identity", lambda d: pohozaev_residual(d, ANNULUS), [whole, edges]),
+        ("identity", lambda d: pohozaev_residual(d, ANNULUS), [whole, r1, r2]),
         ("sphere geometry", lambda d: level_set_geometry(d, rs), [rs]),
         ("gradient norm", lambda d: grad_norm(d, other, rs), [rs]),
     ]
@@ -530,7 +558,7 @@ def test_library_calls_on_rn_data_run_the_joint_once_per_radius_array():
         call(data)
         assert len(radii) == len(want), name
         for got, expected in zip(radii, want):
-            assert np.array_equal(got, expected), name
+            assert got.shape == np.shape(expected) and np.array_equal(got, expected), name
         assert counts == {profile: {} for profile in PROFILES}, name
 
 
@@ -545,28 +573,30 @@ def set_calls(annulus, pert):
 
 
 @pytest.mark.parametrize("order, passes", [
-    (("functional", "identity", "criticality", "first variation"), ("plain", "edges", "bumped")),
-    (("criticality", "first variation", "functional", "identity"), ("bumped", "edges", "plain")),
+    (("functional", "identity", "criticality", "first variation"), ("plain", "r1", "r2", "bumped")),
+    (("criticality", "first variation", "functional", "identity"), ("bumped", "r1", "r2", "plain")),
 ])
 def test_one_set_reads_each_radius_array_once_across_its_calls(order, passes):
     # The calls of one set on one data object share the node array of each
     # rule (the plain functional's rules equal the identity's) and the
-    # annulus edges, and read the fields once on each: three joint passes
-    # for the four calls, whichever rule comes first.
+    # annulus edges, and read the fields once on each node array and once
+    # at each edge, as a float: four joint passes for the four calls,
+    # whichever rule comes first.
     quad = QuadratureConfig()
     panels = (quad.panels, 2 * quad.panels)
-    plain = _node_array(quad, [_break_segments(ANNULUS, k) for k in panels])[0]
-    bumped = _node_array(quad, [_break_segments([*ANNULUS, *PERT.support()], k)
-                                for k in panels])[0]
-    assert _node_array(quad, [[(*ANNULUS, k)] for k in panels])[0] is plain
-    arrays = {"plain": plain, "bumped": bumped, "edges": np.array(ANNULUS)}
+    plain = _rule_nodes(quad, tuple(_break_segments(ANNULUS, k) for k in panels))[0]
+    bumped = _rule_nodes(quad, tuple(_break_segments([*ANNULUS, *PERT.support()], k)
+                                     for k in panels))[0]
+    assert _rule_nodes(quad, tuple(((*ANNULUS, k),) for k in panels))[0] is plain
+    arrays = {"plain": plain, "bumped": bumped, "r1": np.array(ANNULUS[0]),
+              "r2": np.array(ANNULUS[1])}
     data, counts, radii = counting_joint_data(rn_data(RNParameters(3, 1.0, 0.5)))
     calls = set_calls(ANNULUS, PERT)
     for name in order:
         calls[name](data)
-    assert len(radii) == 3, order
+    assert len(radii) == 4, order
     for got, want in zip(radii, passes):
-        assert np.array_equal(got, arrays[want]), (order, want)
+        assert got.shape == arrays[want].shape and np.array_equal(got, arrays[want]), (order, want)
     assert counts == {profile: {} for profile in PROFILES}
 
 
@@ -610,8 +640,10 @@ def test_a_read_that_raises_keeps_nothing_and_raises_again():
         errors.append(str(info.value))
     assert errors[0] == errors[1] and "non-finite" in errors[0]
     assert counts["Emag"] == {"jet": 2} and counts["A"] == {"jet": 2}
+    assert data.A.scalar_calls == []
     assert pohozaev_residual(data, ANNULUS) == pohozaev_residual(base, ANNULUS)
-    assert counts["A"] == {"jet": 4}
+    assert counts["A"] == {"jet": 3}
+    assert data.A.scalar_calls == [("jet", r) for r in ANNULUS]
 
 
 def test_threads_sharing_the_read_cache_get_the_single_thread_results():
@@ -687,7 +719,7 @@ def test_merged_sums_equal_the_per_segment_definition():
     fine = 2 * quad.panels
 
     def integral(fn, breaks, panels):
-        return sum(float(_rule_integrals(fn, quad, [[seg]])[0][0])
+        return sum(float(_rule_integrals(fn, quad, ((seg,),))[0][0])
                    for seg in _break_segments(breaks, panels))
 
     for p, ann, pert in drawn_variational_cases(12, seed=9):
@@ -723,7 +755,7 @@ def test_merged_sums_equal_the_per_segment_definition():
             el = integral(lambda r: _el_integrand(data, pert, r), breaks, fine)
             assert euler_lagrange_integral(data, ann, pert) == float(omega * el), case
             lhs, rhs = (_rule_integrals(lambda r: _pohozaev_integrands(data, r)[i], quad,
-                                        [[(r1, r2, fine)]])[0][0] for i in (0, 1))
+                                        (((r1, r2, fine),),))[0][0] for i in (0, 1))
             want = abs((n - 2) / (2.0 * n) * omega * lhs
                        - (-omega * rhs + outer + inner))
             assert pohozaev_residual(data, ann) == want, case
