@@ -48,16 +48,24 @@ checked radius, |V| < 1e-9 on the whole grid, raises DegeneracyError after
 the last block. Each TagResult is built once, at the end; the structural tags
 (E3b, NE2) come from a table.
 
+numpy comes from profiles' stand-in, so importing this module loads none.
+While numpy is not loaded, a grid of at most 1000 radii is walked one float
+radius at a time through the same fields and families (a cold closed-form
+verify); the walk's report is the blocks' bit for bit, because the fields
+use only + - * /, abs and sqrt and GridSpec builds the same radii in Python
+floats. Where the walk raises, would skip a radius, or ends with numpy
+loaded, the blocks run again, so every error is theirs.
+
 The flat-ball example (models.BallStaticExample) gets a report of the same
 shape from its closed forms, euclidean_ball_residuals.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from typing import Optional
-
-import numpy as np
 
 from .errors import DegeneracyError, DomainError, NumericsError, as_float
 from .geometry import (
@@ -74,12 +82,15 @@ from .geometry import (
     require_tolerance,
     ricci_kernel,
 )
+from .profiles import np, sqrt
 
 # Radii per block of a report: each float64 temporary is then 64 KB, below
 # glibc's default 128 KB mmap threshold, so the heap reuses it while it is
 # still in cache instead of mapping and faulting in fresh pages.
 _BLOCK = 8192
 _GRID_COUNT = 1000
+# Bits of the index that a log grid's table covers: radii 0 to 2**_TABLE_BITS - 1.
+_TABLE_BITS = 13
 
 EQUATION_TAGS = {
     "E1": "Hessian equation for the potential",
@@ -119,7 +130,17 @@ class TagResult(Record):
 
 
 class GridSpec(ValueRecord):
-    """Radial evaluation grid: count points on [lo, hi], log or linear."""
+    """Radial evaluation grid: count points on [lo, hi], log or linear.
+
+    Log radii are r_i = lo q^i with q = (hi/lo)^(1/(count-1)), by
+    multiplication alone, and r_(count-1) = hi. lo q^i is lo times q^(2^b)
+    for each set bit b of i below _TABLE_BITS, in ascending order, times the
+    product of the higher bits' factors, formed alike. lo and each factor are
+    kept as a mantissa in [1, 2) and a binary exponent, the mantissas
+    multiplied and the exponents added, so nothing overflows or loses bits
+    to a subnormal before the radius itself. numpy and Python floats run the
+    same operations, so they agree bit for bit, and a grid scaled by 2^j has
+    its radii scaled by 2^j exactly. Linear radii are np.linspace's."""
 
     __slots__ = ("lo", "hi", "count", "spacing")
 
@@ -127,8 +148,9 @@ class GridSpec(ValueRecord):
         lo, hi = (as_float(x, "grid endpoint", DomainError) for x in (lo, hi))
         if not (0 <= lo < hi and math.isfinite(hi)):
             raise DomainError(f"bad grid interval [{lo}, {hi}]")
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        if isinstance(count, bool) or not hasattr(type(count), "__index__"):
             raise DomainError(f"grid count must be an integer, got {count!r}")
+        count = int(count)
         if not 2 <= count <= MAX_GRID_COUNT:
             raise DomainError("grid needs at least 2 points" if count < 2 else
                               f"grid count {count} above the limit {MAX_GRID_COUNT}")
@@ -139,23 +161,92 @@ class GridSpec(ValueRecord):
         self.lo, self.hi, self.count, self.spacing = lo, hi, count, spacing
 
     def radii(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
-        """Radii start to stop (all by default), bit for bit np.geomspace's or np.linspace's."""
-        count, log, lo, hi = self.count, self.spacing == "log", self.lo, self.hi
-        stop = count if stop is None else min(stop, count)
-        y0, y1 = (np.log10(lo), np.log10(hi)) if log else (lo, hi)
-        y, step = np.arange(start, stop, dtype=float), (y1 - y0) / (count - 1)
-        # As np.linspace, which divides first when the step underflows to 0.
-        y = (y * step if step else y / (count - 1) * (y1 - y0)) + y0
-        if log:
-            y = np.power(10.0, y)
-            if start == 0:
-                y[0] = lo
-        if stop == count:
+        """Radii start to stop, exactly radii()[start:stop] for any integers."""
+        count, lo, hi = self.count, self.lo, self.hi
+        start, stop, _ = slice(start, stop).indices(count)
+        if self.spacing == "linear":
+            y = _linear(np.arange(start, stop, dtype=float), lo, hi, count)
+        else:
+            ms, ks, highs = _log_table(lo, hi, count)
+            size, parts = ms.size, [np.empty(0)]
+            for h in range(start // size, -(-stop // size)):
+                j = slice(max(start - h * size, 0), stop - h * size)
+                with np.errstate(over="ignore"):  # only at hi, which replaces it
+                    parts.append(np.ldexp(ms[j] * highs[h][0], ks[j] + highs[h][1]))
+            y = np.concatenate(parts)
+        if stop == count > start:
             y[-1] = hi
         return y
 
+    def _floats(self) -> list:
+        """radii() in Python floats, by the same operations."""
+        count, lo, hi = self.count, self.lo, self.hi
+        if self.spacing == "linear":
+            return [_linear(i, lo, hi, count) for i in range(count - 1)] + [hi]
+        factors, size = _factors(lo, hi, count), 1 << _TABLE_BITS
+        low = _powers(_binary(lo), factors[:_TABLE_BITS], min(count - 1, size))
+        high = _powers((1.0, 0), factors[_TABLE_BITS:], -(-(count - 1) // size))
+        pairs = [(m * hm, k + hk) for hm, hk in high for m, k in low][:count - 1]
+        return [math.ldexp(m, k) for m, k in pairs] + [hi]
+
     def describe(self) -> str:
         return f"{self.count} {self.spacing}-spaced radii in [{self.lo:.6g}, {self.hi:.6g}]"
+
+
+def _linear(i, lo, hi, count):
+    """Radius i of count on [lo, hi] as np.linspace computes it, which
+    divides first when the step underflows to 0."""
+    step = (hi - lo) / (count - 1)
+    return (i * step if step else i / (count - 1) * (hi - lo)) + lo
+
+
+def _binary(x: float) -> tuple[float, int]:
+    """(m, k) with x = m 2^k and m in [1, 2), for a positive finite x."""
+    m, k = math.frexp(x)
+    return 2.0 * m, k - 1
+
+
+def _factors(lo, hi, count) -> list:
+    """q^(2^b) as _binary pairs for every bit b of count - 1, q = (hi/lo)^(1/(count-1)).
+    Each is the square of the last, rounded as the float product rounds it."""
+    ratio = hi / lo
+    if ratio < math.inf:
+        m, k = _binary(ratio ** (1.0 / (count - 1)))
+    else:  # from the mantissas and binary exponents of hi and lo
+        (mh, kh), (ml, kl) = _binary(hi), _binary(lo)
+        t = (kh - kl) / (count - 1)
+        m, k = _binary((mh / ml) ** (1.0 / (count - 1)) * 2.0 ** (t % 1.0))
+        k += math.floor(t)
+    out = []
+    for _ in range((count - 1).bit_length()):
+        out.append((m, k))
+        m, e = _binary(m * m)
+        k = 2 * k + e
+    return out
+
+
+def _powers(first, factors, size) -> list:
+    """size _binary pairs: the i-th is first times factors[b] for each set
+    bit b of i, in ascending order."""
+    y = [first]
+    for fm, fk in factors:
+        y += [(m * fm, k + fk) for m, k in y[:size - len(y)]]
+    return y
+
+
+@functools.lru_cache(maxsize=4)
+def _log_table(lo, hi, count):
+    """The mantissas and binary exponents of lo q^j, j below 2**_TABLE_BITS
+    and count, as read-only arrays, as _powers would build them, and the
+    product of the higher bits' factors for each block of that length."""
+    factors, size = _factors(lo, hi, count), min(count, 1 << _TABLE_BITS)
+    m, k = _binary(lo)
+    ms, ks = np.array([m]), np.array([k], dtype=np.intc)  # np.ldexp is fast on C ints only
+    for fm, fk in factors[:_TABLE_BITS]:
+        n = size - ms.size
+        ms, ks = np.concatenate((ms, ms[:n] * fm)), np.concatenate((ks, ks[:n] + fk))
+    ms.flags.writeable = ks.flags.writeable = False
+    return ms, ks, _powers((1.0, 0), factors[_TABLE_BITS:], -(-count // size))
 
 
 def _default_bounds(data: SphericalStaticData) -> tuple[float, float]:
@@ -164,7 +255,7 @@ def _default_bounds(data: SphericalStaticData) -> tuple[float, float]:
     otherwise from just above r0 (or half the characteristic radius when the
     domain reaches 0) out to 100 max(1, r0)."""
     r0, hi = data.domain
-    if np.isfinite(hi):
+    if math.isfinite(hi):
         return 1.01 * r0 if r0 > 0 else 0.01 * hi, 0.99 * hi
     return 1.01 * r0 if r0 > 0 else 0.5 * data.r_scale, 100.0 * max(1.0, r0)
 
@@ -193,15 +284,18 @@ class ResidualReport(Record):
         return out
 
 
+def _finite(tag, mx: float) -> float:
+    if not math.isfinite(mx):
+        raise NumericsError(f"non-finite residual for {tag}")
+    return mx
+
+
 def _worst(tag, res) -> tuple[float, int]:
     """(max |res|, the first index where it occurs) of a non-empty res."""
     res = np.abs(np.asarray(res, dtype=float))
     # argmax stops at the first NaN, and the max is inf if any entry is.
     i = int(np.argmax(res))
-    mx = float(res[i])
-    if not math.isfinite(mx):
-        raise NumericsError(f"non-finite residual for {tag}")
-    return mx, i
+    return _finite(tag, float(res[i])), i
 
 
 def _tag_from_values(tag, rs, res, tol, note=None) -> TagResult:
@@ -257,7 +351,7 @@ class _Fields:
         self.rs = rs
         jets = data.jets(rs, 3 if data.Psi is None else 4)
         self.a, self.ap, _ = jets[0]
-        self.sa = np.sqrt(self.a)
+        self.sa = sqrt(self.a)
         self.v, self.vp, vpp = jets[1]
         self.e, self.ep, _ = jets[2]
         # After the jets' checks, so their errors come first; those kept rs in the domain.
@@ -275,13 +369,20 @@ class _Fields:
         self.two_e2_n = self.two_e2 / (self.n - 1)
 
 
-# A family maps one _Fields block to (radii, {tag: residual at those radii}).
+def _maximum(x, y):
+    """np.maximum, NaN propagation included, of two floats too."""
+    if type(x) is float:
+        return x if x >= y or x != x else y
+    return np.maximum(x, y)
+
+
+# A family maps one _Fields block, or one float radius's, to (radii, {tag:
+# residual at those radii}).
 def _system_rows(f: _Fields):
     n, lam, rs = f.n, f.lam, f.rs
     rhs_rad = f.ric.radial - 2.0 * lam / (n - 1) + f.two_e2 - f.two_e2_n
     rhs_tan = f.ric.tangential - 2.0 * lam / (n - 1) - f.two_e2_n
-    e1 = np.maximum(np.abs(f.hess.radial - f.v * rhs_rad),
-                    np.abs(f.hess.tangential - f.v * rhs_tan))
+    e1 = _maximum(abs(f.hess.radial - f.v * rhs_rad), abs(f.hess.tangential - f.v * rhs_tan))
     e2_res = f.lap - f.v * (2.0 * (n - 2) / (n - 1) * f.e2 - 2.0 * lam / (n - 1))
     e3a = (f.ep + (n - 1) * f.e / rs) / f.sa
     return rs, {"E1": e1, "E2": e2_res, "E3a": e3a}
@@ -289,7 +390,7 @@ def _system_rows(f: _Fields):
 
 def _master_rows(f: _Fields):
     T = master_kernel(f.v, f.e2, f.hess, f.lap, f.vric)
-    return f.rs, {"AE1": np.maximum(np.abs(T.radial), np.abs(T.tangential))}
+    return f.rs, {"AE1": _maximum(abs(T.radial), abs(T.tangential))}
 
 
 def _traced_rows(f: _Fields):
@@ -303,25 +404,28 @@ def _pem_rows(f: _Fields):
     """Only the radii with |V| >= DEGENERATE_V, possibly none; the report
     counts the rest as skipped."""
     n = f.n
-    ok = np.abs(f.v) >= DEGENERATE_V
-    ok = slice(None) if ok.all() else ok  # views, not masked copies, when nothing is skipped
-    rs_ok, v, dpsi2 = f.rs[ok], f.v[ok], f.dpsi2[ok]
+    ok = abs(f.v) >= DEGENERATE_V
+    # The fields themselves, not masked copies, when nothing is skipped. A
+    # float radius that would be skipped raises here (a float takes no index),
+    # and the float walk leaves the report to the array path.
+    at = (lambda x: x) if (ok if type(ok) is bool else ok.all()) else (lambda x: x[ok])
+    rs_ok, v, dpsi2 = at(f.rs), at(f.v), at(f.dpsi2)
 
     t = dpsi2 / v
-    pem1_rad = f.hess.radial[ok] - (f.vric.radial[ok] + 2.0 * (n - 2) / (n - 1) * t)
-    pem1_tan = f.hess.tangential[ok] - (f.vric.tangential[ok] - 2.0 / (n - 1) * t)
-    pem1 = np.maximum(np.abs(pem1_rad), np.abs(pem1_tan))
-    pem2 = f.lap[ok] - 2.0 * (n - 2) / (n - 1) * t
+    pem1_rad = at(f.hess.radial) - (at(f.vric.radial) + 2.0 * (n - 2) / (n - 1) * t)
+    pem1_tan = at(f.hess.tangential) - (at(f.vric.tangential) - 2.0 / (n - 1) * t)
+    pem1 = _maximum(abs(pem1_rad), abs(pem1_tan))
+    pem2 = at(f.lap) - 2.0 * (n - 2) / (n - 1) * t
 
     # div(grad Psi / V): frame component X = Psi'/(sqrt(A) V), divergence
     # X' + (n-1) X / r with X' expanded in closed form.
-    a, sa, ap, vp = f.a[ok], f.sa[ok], f.ap[ok], f.vp[ok]
-    psip, psipp = f.psip[ok], f.psipp[ok]
+    a, sa, ap, vp = at(f.a), at(f.sa), at(f.ap), at(f.vp)
+    psip, psipp = at(f.psip), at(f.psipp)
     inv = 1.0 / (sa * v)
     X = psip * inv
     Xp = psipp * inv - X * (ap / (2.0 * a) + vp * sa * inv)
     pem3 = Xp + (n - 1) * X / rs_ok
-    npem1 = f.R[ok] - 2.0 * t / v
+    npem1 = at(f.R) - 2.0 * t / v
     return rs_ok, {"PEM1": pem1, "PEM2": pem2, "PEM3": pem3, "NPEM1": npem1}
 
 
@@ -351,10 +455,43 @@ def _worst_rows(families, data, grid) -> dict[str, list]:
     profile's DomainError before any block (the grid is monotone, so only
     an end can leave it); otherwise the first block that raises ends the
     pass with its error; a tag left with no checked radius (every
-    |V| < DEGENERATE_V) raises DegeneracyError after the last block."""
+    |V| < DEGENERATE_V) raises DegeneracyError after the last block.
+
+    While numpy is not loaded, a grid of at most _GRID_COUNT radii is first
+    walked in Python floats (_float_rows), which gives the same rows bit for
+    bit. If the walk raises, meets a radius it would skip, or ends with
+    numpy loaded, the blocks run as usual, so every error is theirs."""
     lo, hi = data.domain
     if not lo < grid.lo < grid.hi < hi:
         data.jets(np.array([grid.lo, grid.hi]), 3)
+    if "numpy" not in sys.modules and grid.count <= _GRID_COUNT:
+        try:
+            worst = _float_rows(families, data, grid)
+        except Exception:
+            pass
+        else:
+            if "numpy" not in sys.modules:
+                return worst
+    return _block_rows(families, data, grid)
+
+
+def _float_rows(families, data, grid) -> dict[str, list]:
+    """_worst_rows' rows from one _Fields per float radius, with its reducer;
+    any error, or a radius that would be skipped, raises."""
+    worst: dict[str, list] = {}
+    for r in grid._floats():
+        f = _Fields(data, r)
+        for family in families:
+            radius, rows = family(f)
+            for tag, res in rows.items():
+                row = worst.setdefault(tag, [-1.0, None, 0])
+                mx = _finite(tag, abs(res))
+                if mx > row[0]:
+                    row[0], row[1] = mx, radius
+    return worst
+
+
+def _block_rows(families, data, grid) -> dict[str, list]:
     worst: dict[str, list] = {}
     for start in range(0, grid.count, _BLOCK):
         # The jets already run with numpy's warnings off and check their own
@@ -391,8 +528,10 @@ def _report(families, data, grid, tol, r_boundary=None) -> ResidualReport:
     after = [tag for family in families for tag in _AFTER_ROWS.get(family, ())]
     extra = dict(_STRUCTURAL)
     if r_boundary is not None:
-        defect = _robin_defect(data, r_boundary)
-        extra.update({tag: _tag_from_values(tag, [r_boundary], [defect], tol, note)
+        defect = abs(float(_robin_defect(data, r_boundary)))
+        extra.update({tag: TagResult(tag=tag, max_residual=_finite(tag, defect),
+                                     worst_radius=float(r_boundary), passed=defect <= tol,
+                                     note=note, skipped=0)
                       for tag, note in _BOUNDARY.items() if tag in after})
     entries = {tag: TagResult(
         tag=tag, max_residual=mx, worst_radius=r, passed=bool(mx <= tol), skipped=skipped,

@@ -26,6 +26,10 @@ With --cli it instead runs a fixed list of command lines through
 electrovac.cli.main in process and prints, per line, the exit code (or the
 type name of an exception that escapes main), stdout and the last stderr
 line; table files go to a temporary directory whose name is printed as <tmp>.
+With --cli --fresh each command line runs in its own interpreter, as
+`python -m electrovac.cli`, so a closed-form verify walks its grid in Python
+floats; its output must equal the in-process output line for line. There an
+exception that escapes main shows as exit code 1 and its traceback's last line.
 """
 
 import argparse
@@ -33,6 +37,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -517,16 +522,25 @@ def run_cli(env, argv):
     return code, stdout.getvalue(), (stderr.getvalue().splitlines() or [""])[-1]
 
 
+def run_fresh_cli(env, argv):
+    """run_cli's three fields from a new `python -m electrovac.cli` process."""
+    res = subprocess.run([sys.executable, "-m", "electrovac.cli", *argv], capture_output=True,
+                         text=True, env={**os.environ, **env})
+    return res.returncode, res.stdout, (res.stderr.splitlines() or [""])[-1]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sets", type=int, default=40, help="drawn parameter sets")
     parser.add_argument("--seed", type=int, default=13)
     parser.add_argument("--cli", action="store_true", help="sweep the command lines instead")
+    parser.add_argument("--fresh", action="store_true",
+                        help="with --cli, run each command line in its own interpreter")
     args = parser.parse_args(argv)
     if args.cli:
         with tempfile.TemporaryDirectory() as tmp:
             for env, cli_argv in cli_cases(tmp):
-                code, out, err = run_cli(env, cli_argv)
+                code, out, err = (run_fresh_cli if args.fresh else run_cli)(env, cli_argv)
                 report = os.path.join(tmp, "report.json")
                 if os.path.exists(report):
                     with open(report) as fh:

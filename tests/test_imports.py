@@ -10,6 +10,8 @@ imported scipy, the spline's test oracle, and every electrovac module.
 """
 
 import ast
+import contextlib
+import io
 import json
 import os
 import re
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 
 import electrovac
+import electrovac.cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -217,18 +220,25 @@ def _modules(*names):
     return sorted(PARSER_ONLY + [f"electrovac.{name}" for name in names])
 
 
+VERIFY = _modules("geometry", "models", "profiles", "residuals")
+
+
 @pytest.mark.parametrize("argv, modules, numpy", [
     (["classify", *SUB], _modules("geometry", "models", "photon", "profiles"), False),
-    (["verify", *SUB], _modules("geometry", "models", "profiles", "residuals"), True),
-    (["verify", "--n", "3", "--profile", "TABLE"],
-     _modules("geometry", "models", "profiles", "residuals"), True),
+    (["verify", *SUB], VERIFY, False),
+    (["verify", *SUB, "--boundary", "3.0", "--format", "text"], VERIFY, False),
+    (["verify", *SUB, "--grid-count", "1001"], VERIFY, True),
+    (["verify", "--n", "3", "--profile", "TABLE"], VERIFY, True),
     (["functional", *SUB, "--annulus", "3", "6"],
      _modules("geometry", "models", "profiles", "variational"), True),
-], ids=["classify", "verify", "verify-profile", "functional"])
+], ids=["classify", "verify", "verify-boundary-text", "verify-1001", "verify-profile",
+        "functional"])
 def test_each_command_loads_only_the_modules_it_runs(argv, modules, numpy, tmp_path):
     # classify needs neither residuals nor variational, verify neither
     # variational nor photon, and functional neither residuals nor photon.
-    # classify reads only scalar radii, in Python floats, so it loads no numpy.
+    # classify reads only scalar radii, in Python floats, so it loads no
+    # numpy, and neither does verify on closed-form data and at most 1000
+    # radii, which it walks in Python floats.
     if "TABLE" in argv:
         table = tmp_path / "family.dat"
         data = electrovac.rn_data(electrovac.RNParameters(3, 1.0, 0.5))
@@ -324,3 +334,21 @@ def test_library_defaults_reach_the_reports_unrestated():
     grid, default = reports["verify"]["results"]["grid"], electrovac.GridSpec(1.0, 2.0)
     assert grid.startswith(f"{default.count} {default.spacing}-spaced radii")
     assert reports["functional"]["tolerances"]["quadrature"] == electrovac.QuadratureConfig().tol
+
+
+def test_a_fresh_verify_prints_what_the_array_path_prints():
+    # A fresh process walks the golden line's grid in Python floats; this
+    # process, which has numpy, runs the array blocks.
+    argv = ["verify", "--n", "3", "--m", "1", "--q", "0", "--boundary", "3.0"]
+    got = run_fresh(f"""
+        import contextlib, io
+        import electrovac.cli
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = electrovac.cli.main({argv!r})
+        print(json.dumps({{"code": code, "out": out.getvalue(), "numpy": "numpy._core" in sys.modules}}))
+    """)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = electrovac.cli.main(argv)
+    assert got == {"code": code, "out": out.getvalue(), "numpy": False}

@@ -223,8 +223,13 @@ def test_grid_count_is_an_integer_from_two_to_the_limit():
 
 def test_block_radii_equal_slices_of_the_numpy_grids():
     # Endpoints from 1e-300 to 1e300, counts up to 2e5, both spacings: every
-    # block a report builds, and the whole grid, bit for bit as numpy builds it.
+    # block a report builds equals its slice of the whole grid, bit for bit.
+    # Linear grids are np.linspace's. Log grids are the Python-float
+    # construction's, run exactly at both ends, never decrease, and lie
+    # within count eps of np.geomspace, plus geomspace's own error: it raises
+    # 10 to an exponent y rounded to about |y| eps.
     rng = np.random.default_rng(53)
+    eps = np.finfo(float).eps
     for i in range(300):
         spacing = ("log", "linear")[i % 2]
         e_lo = rng.uniform(-300.0, 299.0)
@@ -232,13 +237,52 @@ def test_block_radii_equal_slices_of_the_numpy_grids():
         hi = 10.0 ** min(rng.uniform(e_lo + 1e-9, e_lo + 40.0), 300.0)
         count = int(10.0 ** rng.uniform(np.log10(2.0), np.log10(2e5)))
         grid = GridSpec(lo, hi, count=count, spacing=spacing)
-        want = (np.geomspace if spacing == "log" else np.linspace)(lo, hi, count)
-        assert grid.radii().tobytes() == want.tobytes(), (lo, hi, count, spacing)
+        whole, case = grid.radii(), (lo, hi, count, spacing)
+        if spacing == "linear":
+            assert whole.tobytes() == np.linspace(lo, hi, count).tobytes(), case
+        else:
+            assert whole[0] == lo and whole[-1] == hi and (np.diff(whole) >= 0).all(), case
+            bound = (count + math.log(10.0) * max(abs(e_lo), abs(math.log10(hi)))) * eps
+            assert np.max(np.abs(whole / np.geomspace(lo, hi, count) - 1.0)) <= bound, case
+        if count <= 20_000:
+            assert whole.tobytes() == np.array(grid._floats()).tobytes(), case
         for block in (residuals._BLOCK, int(rng.integers(1, count + 1))):
             for start in range(0, count, block)[:40]:
                 got = grid.radii(start, start + block)
-                assert got.tobytes() == want[start:start + block].tobytes(), (
-                    lo, hi, count, spacing, block, start)
+                assert got.tobytes() == whole[start:start + block].tobytes(), case + (block, start)
+
+
+def test_log_radii_stay_finite_at_the_ends_of_the_float_range():
+    # A subnormal lo or a hi near the float max puts hi/lo, or a factor
+    # q^(2^b), beyond the float range; the radii stay finite and monotone.
+    for lo, hi in ((5e-324, 1.0), (1e-310, 1e300), (1.0, 1.7e308), (1e-10, 1.7e308),
+                   (5e-324, 1.7e308)):
+        for count in (2, 3, 7, 521, 1000, 1025, 20_000):
+            grid = GridSpec(lo, hi, count=count)
+            radii = grid.radii()
+            assert radii[0] == lo and radii[-1] == hi and (np.diff(radii) >= 0).all()
+            assert radii.tobytes() == np.array(grid._floats()).tobytes(), (lo, hi, count)
+
+
+def test_log_radii_scale_exactly_by_powers_of_two():
+    # r -> 2^j r maps the grid onto the scaled grid, bit for bit: np.geomspace's
+    # radii differ in 945 to 991 of 1000 at these j.
+    grid = default_grid(rn_data(RNParameters(3, 1.0, 0.5)))
+    for j in (-40, 9, 200):
+        scaled = GridSpec(math.ldexp(grid.lo, j), math.ldexp(grid.hi, j), count=grid.count)
+        assert np.count_nonzero(np.ldexp(grid.radii(), j) != scaled.radii()) == 0, j
+
+
+def test_radii_are_slices_of_the_grid_for_any_integers():
+    # radii(1000) and radii(0, 0) raised IndexError, and radii(-5) returned
+    # 1005 radii, five of them below lo.
+    for grid in (GridSpec(1, 10), GridSpec(1, 10, count=20_000), GridSpec(0, 10, spacing="linear")):
+        whole = grid.radii()
+        assert grid.radii(grid.count).size == 0 and grid.radii(0, 0).size == 0
+        assert grid.radii(-5).tobytes() == whole[-5:].tobytes()
+        for start, stop in ((-5, None), (3, -2), (-30000, 5), (7, 3), (8190, 8195), (0, 10 ** 9),
+                            (-1, -1), (grid.count - 1, None)):
+            assert grid.radii(start, stop).tobytes() == whole[start:stop].tobytes(), (start, stop)
 
 
 def test_default_grid_endpoints():
@@ -655,3 +699,49 @@ def test_benchmark_residual_families_resolve():
         # Called as the benchmark calls it.
         kwargs = {"r_boundary": r_boundary} if name in ("residual_traced", "residual_pem") else {}
         assert fn(data, grid, **kwargs).passed, name
+
+
+def walk_cases():
+    """(data, grid, boundary radius) over n 3-7 and every regime: the default
+    log grid of 1000 radii with and without a photon-sphere boundary, and
+    log and linear grids of 2 and 7 radii and a linear one of 1000."""
+    for n in range(3, 8):
+        for m, q in ((1.0, 0.5), (1.0, -1.0), (0.7, 1.1)):
+            p = RNParameters(n, m, q)
+            data = rn_data(p)
+            lo, hi = residuals._default_bounds(data)
+            roots = photon_sphere_radii(p).roots
+            yield data, GridSpec(lo, hi), roots[-1].r if roots else None
+            yield data, GridSpec(lo, hi), None
+            yield data, GridSpec(lo, hi, spacing="linear"), None
+            for count in (2, 7):
+                for spacing in ("log", "linear"):
+                    yield data, GridSpec(lo, hi, count=count, spacing=spacing), None
+    yield rn_data(RNParameters(3, 3e153, 0.0)), default_grid(rn_data(RNParameters(3, 3e153, 0.0))), None
+
+
+def test_the_float_walk_gives_the_array_reports_bit_for_bit(monkeypatch):
+    # A process without numpy walks a grid of at most 1000 radii in Python
+    # floats; here the walk runs in place of the blocks.
+    want = [json.dumps(verify_all(*case[:2], r_boundary=case[2]).to_dict()) for case in walk_cases()]
+    monkeypatch.setattr(residuals, "_block_rows", residuals._float_rows)
+    got = [json.dumps(verify_all(*case[:2], r_boundary=case[2]).to_dict()) for case in walk_cases()]
+    assert len(got) == 106 and got == want
+
+
+def test_the_float_walk_raises_where_the_array_path_does():
+    # So the array path runs again and its error is the one reported.
+    families = (residuals._system_rows, residuals._master_rows, residuals._traced_rows,
+                residuals._pem_rows, residuals._identity_rows)
+    for p in (RNParameters(3, 1e-300, 1e-301), RNParameters(5, 1e-200, 0.0)):
+        data = rn_data(p)
+        grid = default_grid(data)
+        with pytest.raises(ElectrovacError):
+            verify_all(data, grid)
+        with pytest.raises(ElectrovacError):
+            residuals._float_rows(families, data, grid)
+    # A radius the PEM rows would skip raises too.
+    data, grid = zero_crossing_data(1e-8), GridSpec(1.0, 9.0, count=1000, spacing="linear")
+    assert residual_pem(data, grid).entries["PEM1"].skipped > 0
+    with pytest.raises(TypeError):
+        residuals._float_rows((residuals._pem_rows,), data, grid)
