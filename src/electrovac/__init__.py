@@ -11,12 +11,12 @@ _EXPORTS = {
     "errors": ("DegeneracyError", "DomainError", "ElectrovacError", "NumericsError",
                "ParameterError"),
     "geometry": ("FrameTensor2", "HypersurfaceGeometry", "SphericalStaticData",
-                 "contracted_gauss_residual", "default_tolerance", "grad_norm",
-                 "hessian_radial", "horizon_gradient_limit", "laplacian_radial",
+                 "contracted_gauss_residual", "coupling_constant", "default_tolerance",
+                 "grad_norm", "hessian_radial", "horizon_gradient_limit", "laplacian_radial",
                  "level_set_geometry", "ricci_radial", "richardson_limit", "scalar_curvature",
                  "scalar_curvature_d1"),
     "models": ("BallStaticExample", "IsotropicChart", "IsotropicPoint", "RNParameters",
-               "coupling_constant", "flat_data", "isotropic_inverse", "perturbed_potential_data",
+               "flat_data", "isotropic_inverse", "perturbed_potential_data",
                "phi_identity_residual", "rn_data", "rn_horizon", "rn_r0"),
     "photon": ("Classification", "PhotonRoot", "PhotonSphereResult", "QuasilocalReport",
                "RejectedRoot", "boundary_residual", "classify_configuration",

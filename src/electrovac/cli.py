@@ -20,7 +20,12 @@ overrides both. It must be finite and >= 0.
 The parser is built from the standard library alone, so --help and usage
 errors load no numpy; each command imports only the modules it runs.
 classify loads no numpy either: it reads its data at scalar radii, which
-are evaluated in Python floats.
+are evaluated in Python floats. Nor does verify on at most 1000 radii, on
+closed-form data or on a table: it walks its grid in Python floats, and
+reads a plain table in them too (ASCII text, '#' comments, whitespace-
+separated plain decimals such as -1.5e-3, rows of one width). Any other
+table file, or one that cannot be opened, is handed to numpy.loadtxt, so its
+values and error lines are numpy's; a table with no data rows exits 3.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ POHOZAEV_TOL = 1e-7
 
 
 def _conventions(n: int, lam: float) -> dict:
-    from .models import coupling_constant
+    from .geometry import coupling_constant
 
     return {
         "normal_orientation": "toward increasing r",
@@ -74,33 +79,65 @@ def _params_from_args(args) -> RNParameters:
     return RNParameters(n=args.n, m=args.m, q=args.q)
 
 
-def load_table(path: str, n: int, lam: float) -> SphericalStaticData:
-    """Whitespace-separated columns r A V Emag [Psi]; '#' starts a comment."""
-    import numpy as np
+# A token of the tables read in Python floats: a plain ASCII decimal, which
+# float() and numpy's reader convert alike.
+_DECIMAL = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
 
-    from .geometry import SphericalStaticData
-    from .profiles import tabulated_profile
 
+def _plain_rows(path: str) -> Optional[list]:
+    """The rows of a plain table file as lists of floats: ASCII text whose
+    lines, up to a '#', hold whitespace-separated plain decimals, as many on
+    every line that has any. None for anything else, which numpy reads: a
+    path numpy opens otherwise than as a local text file (a URL, a
+    compressed suffix), one open() fails on, and any other content."""
+    if re.search(r"://|\.(gz|bz2|xz|lzma)$", path):
+        return None
     try:
-        arr = np.loadtxt(path, comments="#", ndmin=2)
-    except ValueError as exc:
-        raise DomainError(f"unreadable table {path}: {exc}") from exc
-    if arr.shape[1] not in (4, 5):
+        with open(path, encoding="ascii") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError):
+        return None
+    rows = [row for row in (line.partition("#")[0].split() for line in lines) if row]
+    token = re.compile(_DECIMAL)
+    if len({len(row) for row in rows}) > 1 or not all(
+            token.fullmatch(t) for row in rows for t in row):
+        return None
+    return [list(map(float, row)) for row in rows]
+
+
+def load_table(path: str, n: int, lam: float) -> SphericalStaticData:
+    """Whitespace-separated columns r A V Emag [Psi]; '#' starts a comment.
+
+    A plain table (_plain_rows) is read in Python floats; numpy reads any
+    other, so its values and its errors are numpy.loadtxt's. DomainError for
+    a table with no data rows."""
+    from .geometry import SphericalStaticData
+    from .profiles import _table_profiles
+
+    rows = _plain_rows(path)
+    if rows is None:
+        import warnings
+
+        import numpy as np
+
+        try:
+            with warnings.catch_warnings():
+                # An empty table is an error below, not a warning here.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(path, comments="#", ndmin=2).tolist()
+        except ValueError as exc:
+            raise DomainError(f"unreadable table {path}: {exc}") from exc
+    if not rows:
+        raise DomainError(f"table {path} has no data rows")
+    if len(rows[0]) not in (4, 5):
         raise DomainError(
-            f"table must have 4 or 5 columns (r A V Emag [Psi]), got {arr.shape[1]}")
-    r = arr[:, 0]
-    if np.any(arr[:, 1] <= 0):
+            f"table must have 4 or 5 columns (r A V Emag [Psi]), got {len(rows[0])}")
+    r, *columns = zip(*rows)
+    if any(a <= 0 for a in columns[0]):
         raise DomainError("metric coefficient A must be positive")
-    psi = tabulated_profile(r, arr[:, 4]) if arr.shape[1] == 5 else None
-    return SphericalStaticData(
-        n=n,
-        lam=lam,
-        A=tabulated_profile(r, arr[:, 1]),
-        V=tabulated_profile(r, arr[:, 2]),
-        Emag=tabulated_profile(r, arr[:, 3]),
-        Psi=psi,
-        r_scale=max(1.0, float(r[0])),
-    )
+    (A, V, Emag, *psi), joint = _table_profiles(r, columns)
+    return SphericalStaticData(n=n, lam=lam, A=A, V=V, Emag=Emag, Psi=psi[0] if psi else None,
+                               r_scale=max(1.0, r[0]), joint=joint)
 
 
 def _given(**options) -> dict:
@@ -159,7 +196,6 @@ def cmd_classify(args) -> tuple[dict, dict, dict, bool]:
 
 
 def cmd_verify(args) -> tuple[dict, dict, dict, bool]:
-    from .models import rn_data
     from .residuals import GridSpec, _default_bounds, verify_all
 
     if args.profile is not None:
@@ -168,6 +204,8 @@ def cmd_verify(args) -> tuple[dict, dict, dict, bool]:
         data = load_table(args.profile, n=args.n, lam=args.lam)
         params: dict = {"n": args.n, "lam": args.lam, "profile": args.profile}
     else:
+        from .models import rn_data
+
         p = _params_from_args(args)
         if args.lam != 0.0:
             raise ParameterError("the closed-form family is built with lam = 0")

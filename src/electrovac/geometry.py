@@ -14,6 +14,7 @@ normal, so round spheres in flat space have H = (n-1)/r > 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from typing import Callable, Optional
@@ -34,6 +35,13 @@ TOL_FINITE_DIFFERENCE = 1e-5
 MAX_GRID_COUNT = 10 ** 6
 
 
+def coupling_constant(n: int) -> float:
+    """c_n = sqrt(2(n-2)/(n-1)); equals 1 in dimension 3. n is checked as
+    require_dimension checks it."""
+    require_dimension(n)
+    return math.sqrt(2.0 * (n - 2) / (n - 1))
+
+
 class Record:
     """Base of the package's result and parameter types: plain classes whose
     fields are their ``__slots__``, in order, which the repr lists.
@@ -47,6 +55,15 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
+        if not args and len(kwargs) == len(names):
+            # Every field by name, as the per-radius kernels pass them: as
+            # many names as fields, each found, is exactly the field set.
+            try:
+                for name in names:
+                    setattr(self, name, kwargs[name])
+                return
+            except KeyError:
+                pass
         fields = dict(zip(names, args), **kwargs) if args else kwargs
         if len(fields) < len(args) + len(kwargs) or fields.keys() != set(names):
             wrong = ([f"got field {name!r} twice" for name in names[:len(args)] if name in kwargs]
@@ -124,12 +141,13 @@ class SphericalStaticData(Record):
         checked: no integrand divides by V.
     r_scale : characteristic radius used when picking default grids on data
         whose domain reaches down to 0.
-    joint : optional r -> the unchecked jets of A, V, Emag and Psi, on one
-        domain, from shared subexpressions, which ``jets`` reads in place of
-        the profiles for every count. ``rn_data`` makes each profile's jet a
-        part of it, so the two cannot disagree. On finite radii only a numpy
-        overflow, invalid operation or division by zero may make a part
-        non-finite. Kept as ``joint_jet``: a ``replace`` copy has none
+    joint : optional r -> the unchecked jets of A, V, Emag and Psi (if
+        given), on one domain, from shared subexpressions, which ``jets``
+        reads in place of the profiles for every count. ``rn_data`` makes
+        each profile's jet a part of it, so the two cannot disagree, and so
+        does a table's spline (one knot search per radius). On finite radii
+        only a numpy overflow, invalid operation or division by zero may
+        make a part non-finite. Kept as ``joint_jet``: a ``replace`` copy has none
         unless one is passed.
     """
 
@@ -188,7 +206,7 @@ class SphericalStaticData(Record):
             jets = (prof.jet(r) for prof in (self.A, self.V, self.Emag, self.Psi))
         a = next(jets)
         _require_positive(a[0])
-        return [a] + [next(jets) for _ in range(count - 1)]
+        return [a, *itertools.islice(jets, count - 1)]
 
 
 def default_tolerance(data: SphericalStaticData) -> float:

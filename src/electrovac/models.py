@@ -17,15 +17,8 @@ import math
 from typing import Optional
 
 from .errors import DomainError, ParameterError, as_float, require_dimension
-from .geometry import Record, SphericalStaticData
+from .geometry import Record, SphericalStaticData, coupling_constant
 from .profiles import RadialProfile, constant_profile, float_array, np, sqrt
-
-
-def coupling_constant(n: int) -> float:
-    """c_n = sqrt(2(n-2)/(n-1)); equals 1 in dimension 3. n is checked as
-    require_dimension checks it."""
-    require_dimension(n)
-    return math.sqrt(2.0 * (n - 2) / (n - 1))
 
 
 class RNParameters(Record):
@@ -156,8 +149,8 @@ def perturbed_potential_data(base: SphericalStaticData, amplitude: float,
     newV = RadialProfile(jet=lambda r: bumped(r, *V.jet(r)), domain=V.domain, mode=V.mode)
 
     def joint(r):
-        a, v, e, psi = base.joint_jet(r)
-        return a, bumped(r, *v), e, psi
+        a, v, *rest = base.joint_jet(r)
+        return a, bumped(r, *v), *rest
 
     return base.replace(V=newV, joint=joint if base.joint_jet else None)
 

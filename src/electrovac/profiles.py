@@ -13,12 +13,14 @@ command that reads only scalar radii never loads it (``float_pass``).
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
+import itertools
 import math
 import sys
 from types import ModuleType
-from typing import Callable
+from typing import Callable, Optional
 
 from .errors import DomainError, NumericsError, ParameterError, as_float
 
@@ -43,8 +45,6 @@ np = sys.modules.get("numpy") or _LazyNumpy("numpy")
 
 MODE_CLOSED_FORM = "closed-form"
 MODE_FINITE_DIFFERENCE = "finite-difference"
-
-_JET_PARTS = ("value", "first derivative", "second derivative")
 
 
 def quiet():
@@ -131,8 +131,12 @@ def _finite(out, what: str):
 
 
 def finite_jet(parts):
-    """The three parts (f, f', f'') of a jet, each checked finite, in order."""
-    return tuple(_finite(out, what) for out, what in zip(parts, _JET_PARTS))
+    """The three parts (f, f', f'') of a jet, each checked finite, in order.
+    Three floats whose sum is finite are finite, and come back as they are."""
+    f, f1, f2 = parts
+    if type(f) is type(f1) is type(f2) is float and math.isfinite(f + f1 + f2):
+        return f, f1, f2
+    return _finite(f, "value"), _finite(f1, "first derivative"), _finite(f2, "second derivative")
 
 
 class RadialProfile:
@@ -207,8 +211,9 @@ def constant_profile(c: float, domain=(0.0, math.inf)) -> RadialProfile:
     return RadialProfile(jet=jet, domain=domain)
 
 
-def _not_a_knot_slopes(x, y):
-    """Knot slopes of the not-a-knot cubic spline through (x, y), x.size >= 4.
+def _not_a_knot_slopes(x: list, y: list) -> tuple[list, list, list]:
+    """Knot slopes of the not-a-knot cubic spline through (x, y), len(x) >= 4,
+    with the knot spacings and the secant slopes, in Python floats.
 
     This is the tridiagonal system of scipy's ``CubicSpline`` with its default
     boundary condition: continuity of the second derivative at every interior
@@ -216,23 +221,19 @@ def _not_a_knot_slopes(x, y):
     It is solved by elimination on the three bands, O(n) with no dense matrix.
     No pivoting is needed: the pivots are dx[1] on row 0, dx[0] + dx[1] on
     row 1, more than 2 dx[i-1] on each row i from 2 to n - 2, and positive on
-    the last row.
+    the last row. The squares are ``**`` powers, which round as numpy's do.
     """
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    n = x.size
-    lower, diag, upper, rhs = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    n = len(x)
+    dx = [b - a for a, b in zip(x, x[1:])]
+    slope = [(b - a) / h for a, b, h in zip(y, y[1:], dx)]
     # row i: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
-    lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
-    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d = x[2] - x[0]
-    diag[0], upper[0] = dx[1], d
-    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    lower[-1], diag[-1] = d, dx[-2]
-    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    # Python floats: a scalar loop over lists beats numpy element access.
-    lower, diag, upper, rhs = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    lower = [0.0, *dx[1:], d1]
+    diag = [dx[1], *(2.0 * (a + b) for a, b in zip(dx, dx[1:])), dx[-2]]
+    upper = [d0, *dx[:-1], 0.0]
+    rhs = [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0,
+           *(3.0 * (b * p + a * q) for a, b, p, q in zip(dx, dx[1:], slope, slope[1:])),
+           (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]
     for i in range(1, n):
         w = lower[i] / diag[i - 1]
         diag[i] -= w * upper[i - 1]
@@ -241,7 +242,97 @@ def _not_a_knot_slopes(x, y):
     s[-1] = rhs[-1] / diag[-1]
     for i in range(n - 2, -1, -1):
         s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
-    return np.array(s), slope
+    return s, dx, slope
+
+
+def _pieces(x: list, y: list) -> list:
+    """Horner coefficients (c3, c2, c1, c0) of each piece of the spline through
+    (x, y): f = ((c3 h + c2) h + c1) h + c0 with h = r - x[i] on piece i."""
+    s, dx, slope = _not_a_knot_slopes(x, y)
+    out = []
+    for i, (h, m) in enumerate(zip(dx, slope)):
+        t = (s[i] + s[i + 1] - 2.0 * m) / h
+        out.append((t / h, (m - s[i]) / h - t, s[i], y[i]))
+    return out
+
+
+def _horner(a3, a2, a1, a0, h):
+    return (((a3 * h + a2) * h + a1) * h + a0,
+            (3.0 * a3 * h + 2.0 * a2) * h + a1,
+            6.0 * a3 * h + 2.0 * a2)
+
+
+def _float_list(x, what: str) -> list:
+    """x as a list of floats: a list or tuple of floats as it is, anything
+    else through a 1-D float array; DomainError naming what otherwise."""
+    if type(x) in (list, tuple) and all(type(v) is float for v in x):
+        return list(x)
+    x = float_array(x, "table entry", NumericsError)
+    if x.ndim != 1:
+        raise DomainError(f"table {what} must be one-dimensional")
+    return x.tolist()
+
+
+class _Spline:
+    """Not-a-knot cubic splines of one or more columns through shared knots.
+
+    They are built and read at a float radius in Python floats, a piece found
+    by bisect; the read-only arrays that radius arrays read, with the same
+    Horner expressions, are built once, on the first array read, and stored
+    by one assignment, so first reads from many threads each see a whole set.
+    """
+
+    def __init__(self, knots: list, columns: list):
+        self.knots = knots
+        self.pieces = [_pieces(knots, col) for col in columns]
+        self._arrays = None
+
+    def _build(self):
+        knots = np.array(self.knots)
+        pieces = [np.array(list(zip(*col))) for col in self.pieces]
+        for a in (knots, *pieces):
+            a.flags.writeable = False
+        self._arrays = knots, pieces
+        return self._arrays
+
+    def jets(self, r, columns) -> list:
+        """The jets (f, f', f'') at r, inside the knots' open interval, of the
+        columns numbered in columns; a knot takes its right piece."""
+        if type(r) is float:
+            i = bisect.bisect_right(self.knots, r) - 1
+            h = r - self.knots[i]
+            return [_horner(*self.pieces[j][i], h) for j in columns]
+        knots, pieces = self._arrays or self._build()
+        i = np.searchsorted(knots, r, side="right") - 1
+        h = r - knots[i]
+        return [_horner(*pieces[j][:, i], h) for j in columns]
+
+
+def _table_profiles(radii, columns) -> tuple[list, Optional[Callable]]:
+    """One finite-difference profile per column of samples at strictly
+    increasing radii, and their joint jet: r -> every column's jet from one
+    piece lookup (SphericalStaticData's ``joint``), or None."""
+    radii = _float_list(radii, "radii")
+    columns = [_float_list(col, "values") for col in columns]
+    if len(radii) < 4:
+        raise DomainError("need at least 4 samples for a cubic table profile")
+    if any(b - a <= 0 for a, b in zip(radii, radii[1:])):
+        raise DomainError("table radii must be strictly increasing")
+    if any(len(col) != len(radii) for col in columns):
+        raise DomainError("table values must be one per radius")
+    if not all(map(math.isfinite, itertools.chain(radii, *columns))):
+        raise NumericsError("non-finite entries in table")
+    spline, every = _Spline(radii, columns), range(len(columns))
+    # Spline derivatives are exact derivatives of the interpolant; keep them,
+    # but report finite-difference mode: accuracy is set by the table.
+    profiles = [RadialProfile(jet=lambda r, j=j: spline.jets(r, (j,))[0],
+                              domain=(radii[0], radii[-1]), mode=MODE_FINITE_DIFFERENCE)
+                for j in every]
+    # A joint pass is trusted finite unless numpy flags an error, which holds
+    # for finite coefficients only; a finite sum shows them finite. Samples
+    # that overflow a slope get none, and each profile's jet checks its parts.
+    finite = math.isfinite(sum(map(sum, itertools.chain(*spline.pieces))))
+    return profiles, (lambda r: spline.jets(r, every)) if finite else None
 
 
 def tabulated_profile(radii, values) -> RadialProfile:
@@ -252,30 +343,13 @@ def tabulated_profile(radii, values) -> RadialProfile:
     Its own derivatives make the jet, but interpolation error scales like a
     difference scheme, so the profile reports finite-difference mode and
     callers should use the loose tolerance.
+
+    The spline is built in Python floats and read at a float radius in them,
+    so a table given as lists of floats and read at float radii loads no
+    numpy; a radius array reads arrays built on its first use, bit for bit
+    as the float reads. So a verify on a table, as on closed-form data, on
+    at most 1000 radii loads no numpy, unless the CLI's reader hands the
+    file to numpy.loadtxt: for any text but ASCII plain decimals in rows of
+    one width, with '#' comments, or a file it cannot open (cli.load_table).
     """
-    radii, values = (float_array(x, "table entry", NumericsError) for x in (radii, values))
-    if radii.ndim != 1 or radii.size < 4:
-        raise DomainError("need at least 4 samples for a cubic table profile")
-    if np.any(np.diff(radii) <= 0):
-        raise DomainError("table radii must be strictly increasing")
-    if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(values))):
-        raise NumericsError("non-finite entries in table")
-    s, slope = _not_a_knot_slopes(radii, values)
-    # Horner coefficients per interval: f = ((c3 h + c2) h + c1) h + c0, h = r - radii[i].
-    dx = np.diff(radii)
-    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
-    c3, c2, c1, c0 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], values[:-1]
-
-    def jet(r):
-        # RadialProfile admits only radii inside the open table interval,
-        # so the piece index lies in [0, radii.size - 2]; a knot takes its right piece.
-        i = np.searchsorted(radii, r, side="right") - 1
-        h = r - radii[i]
-        a3, a2, a1 = c3[i], c2[i], c1[i]
-        return (((a3 * h + a2) * h + a1) * h + c0[i],
-                (3.0 * a3 * h + 2.0 * a2) * h + a1,
-                6.0 * a3 * h + 2.0 * a2)
-
-    # Spline derivatives are exact derivatives of the interpolant; keep them,
-    # but report finite-difference mode: accuracy is set by the table.
-    return RadialProfile(jet=jet, domain=(radii[0], radii[-1]), mode=MODE_FINITE_DIFFERENCE)
+    return _table_profiles(radii, [values])[0][0]

@@ -50,10 +50,10 @@ the last block. Each TagResult is built once, at the end; the structural tags
 
 numpy comes from profiles' stand-in, so importing this module loads none.
 While numpy is not loaded, a grid of at most 1000 radii is walked one float
-radius at a time through the same fields and families (a cold closed-form
-verify); the walk's report is the blocks' bit for bit, because the fields
-use only + - * /, abs and sqrt and GridSpec builds the same radii in Python
-floats. Where the walk raises, would skip a radius, or ends with numpy
+radius at a time through the same fields and families (a cold verify, on
+closed-form data or a table); the walk's report is the blocks' bit for bit,
+because the fields use only + - * /, abs and sqrt and GridSpec builds the
+same radii in Python floats. Where the walk raises, would skip a radius, or ends with numpy
 loaded, the blocks run again, so every error is theirs.
 
 The flat-ball example (models.BallStaticExample) gets a report of the same
@@ -477,17 +477,24 @@ def _worst_rows(families, data, grid) -> dict[str, list]:
 
 def _float_rows(families, data, grid) -> dict[str, list]:
     """_worst_rows' rows from one _Fields per float radius, with its reducer;
-    any error, or a radius that would be skipped, raises."""
+    any error, a non-finite residual, or a radius that would be skipped,
+    raises. The residuals are checked at the end, by one sum, which a NaN or
+    an infinity makes non-finite; so may an overflowing sum of finite ones,
+    which leaves the report to the blocks as well."""
     worst: dict[str, list] = {}
+    total = 0.0
     for r in grid._floats():
         f = _Fields(data, r)
         for family in families:
             radius, rows = family(f)
             for tag, res in rows.items():
                 row = worst.setdefault(tag, [-1.0, None, 0])
-                mx = _finite(tag, abs(res))
+                mx = abs(res)
+                total += mx
                 if mx > row[0]:
                     row[0], row[1] = mx, radius
+    if not math.isfinite(total):
+        raise NumericsError("non-finite residual")
     return worst
 
 

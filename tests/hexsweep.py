@@ -27,8 +27,9 @@ electrovac.cli.main in process and prints, per line, the exit code (or the
 type name of an exception that escapes main), stdout and the last stderr
 line; table files go to a temporary directory whose name is printed as <tmp>.
 With --cli --fresh each command line runs in its own interpreter, as
-`python -m electrovac.cli`, so a closed-form verify walks its grid in Python
-floats; its output must equal the in-process output line for line. There an
+`python -m electrovac.cli`, so a verify on closed-form data or a plain table
+reads and walks its grid in Python floats; its output must equal the
+in-process output line for line. There an
 exception that escapes main shows as exit code 1 and its traceback's last line.
 """
 
@@ -409,7 +410,9 @@ def cli_cases(tmp):
     grid passes its end, one whose |E| overflows when squared, the help
     texts, NaN and huge boundary radii, a non-finite --lam on a table, and
     the usage (exit 2) and domain (exit 3) errors, overflowing parameters and
-    dimensions among them; last, an annulus too wide for the quadrature."""
+    dimensions among them; then an annulus too wide for the quadrature; last,
+    an empty table, one of comments only, and one with a "1_0" token, which
+    float() reads and numpy's reader refuses."""
     write_table(f"{tmp}/t5.dat")
     write_table(f"{tmp}/t4.dat", columns=4)
     write_table(f"{tmp}/t3.dat", columns=3)
@@ -496,6 +499,14 @@ def cli_cases(tmp):
     out.append(({"ELECTROVAC_TOL": "nan"}, ["functional", *sub, *annulus]))
     out.append(({}, ["functional", *sub, "--annulus", "2", "1e307", "--pert-center", "5",
                      "--pert-width", "1"]))
+    with open(f"{tmp}/t5.dat") as fh:
+        rows = [line.split() for line in fh]
+    rows[9][1] = "1_0"
+    for name, text in (("empty", ""), ("comments", "# r A V Emag Psi\n\n# no rows\n"),
+                       ("underscore", "".join(" ".join(row) + "\n" for row in rows))):
+        with open(f"{tmp}/{name}.dat", "w") as fh:
+            fh.write(text)
+        out.append(({}, ["verify", "--n", "3", "--profile", f"{tmp}/{name}.dat"]))
     return out
 
 

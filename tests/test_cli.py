@@ -106,6 +106,47 @@ def test_exit_code_three_on_missing_table():
     assert "not found" in res.stderr
 
 
+@pytest.mark.parametrize("text", ["", "# r A V Emag\n\n  # nothing else\n",
+                                  "# r A V Emag \N{GREEK CAPITAL LETTER PSI}\n"],
+                         ids=["empty", "comments-only", "non-ascii-comment"])
+def test_a_table_with_no_data_rows_exits_three_without_a_warning(tmp_path, text):
+    # numpy's loadtxt warned "input contained no data" and read one column,
+    # so the command went on to "must have 4 or 5 columns ..., got 1", and
+    # under -W error ended in a traceback. The non-ASCII comment sends the
+    # table to numpy's reader, which warns; the plain ones never reach it.
+    table = tmp_path / "empty.dat"
+    table.write_text(text, encoding="utf-8")
+    res = run_cli("verify", "--n", "3", "--profile", str(table),
+                  env_extra={"PYTHONWARNINGS": "error"})
+    assert (res.returncode, res.stdout, res.stderr) == (
+        3, "", f"error: table {table} has no data rows\n")
+
+
+def test_a_table_the_plain_reader_declines_gets_numpys_error_line(tmp_path, capsys):
+    # float() reads "1_0" and Arabic-Indic digits, which numpy's reader
+    # refuses; a missing file and a compressed suffix are numpy's to open.
+    from electrovac.cli import main
+
+    good = "1.0 1.0 1.0 0.0\n2.0 1.0 1.0 0.0\n"
+    cases = {"underscore.dat": good + "3.0 1_0 1.0 0.0\n",
+             "arabic.dat": good + "3.0 \N{ARABIC-INDIC DIGIT ONE} 1.0 0.0\n",
+             "plain.dat.gz": good, "missing.dat": None}
+    for name, text in cases.items():
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        try:
+            np.loadtxt(str(path), comments="#", ndmin=2)
+        except ValueError as exc:
+            want = f"error: unreadable table {path}: {exc}\n"
+        except OSError as exc:
+            want = f"error: {exc}\n"
+        else:
+            raise AssertionError(f"numpy read {name}")
+        assert main(["verify", "--n", "3", "--profile", str(path)]) == 3, name
+        assert capsys.readouterr() == ("", want), name
+
+
 def test_good_table_verifies_at_loose_tolerance(tmp_path):
     table = tmp_path / "family.dat"
     write_table(table)
@@ -454,6 +495,23 @@ def test_overflowing_field_squares_end_in_one_error_line(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(NumericsError, match="non-finite residual for E1"):
             verify_all(data, default_grid(data))
+
+
+@pytest.mark.parametrize("extra", [[], ["--grid-count", "2000"]], ids=["walk", "blocks"])
+def test_a_table_whose_slopes_overflow_names_the_profile(tmp_path, extra):
+    # A 1e300 sample 1e-12 past its neighbour overflows a secant slope, which
+    # leaves the spline's coefficients non-finite. Building it warned
+    # "overflow encountered in divide"; now both the float walk and the array
+    # blocks end in the profile's own error line, and nothing else.
+    rs = np.linspace(1.0, 2.0, 50)
+    rs[20] = rs[19] + 1e-12
+    table = tmp_path / "steep.dat"
+    np.savetxt(table, np.column_stack([rs, np.ones(50), np.ones(50),
+                                       np.where(np.arange(50) == 20, 1e300, 0.0)]))
+    res = run_cli("verify", "--n", "3", "--profile", str(table), *extra,
+                  env_extra={"PYTHONWARNINGS": "error"})
+    assert (res.returncode, res.stdout, res.stderr) == (
+        3, "", "error: profile value is non-finite inside the domain\n")
 
 
 def test_readers_at_huge_radii_run_without_warnings():

@@ -375,13 +375,16 @@ def test_a_plain_record_binds_its_fields_by_position_and_by_name(cls):
     fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
     assert repr(by_name) == f"{cls.__qualname__}({fields})"
     first, last = names[0], names[-1]
-    wrong = {
-        f"missing field {last!r}": lambda: cls(**dict(zip(names[:-1], values))),
-        "has no field 'bogus'": lambda: cls(*values, bogus=1),
-        f"got field {first!r} twice": lambda: cls(*values[:1], **dict(zip(names, values))),
-        f"takes {len(names)} fields": lambda: cls(*values, 1),
-    }
-    for message, call in wrong.items():
+    wrong = [
+        (f"missing field {last!r}", lambda: cls(**dict(zip(names[:-1], values)))),
+        ("has no field 'bogus'", lambda: cls(*values, bogus=1)),
+        # every field by name, with one more or with one replaced
+        ("has no field 'bogus'", lambda: cls(**dict(zip(names, values)), bogus=1)),
+        ("has no field 'bogus'", lambda: cls(**dict(zip(names[:-1], values)), bogus=1)),
+        (f"got field {first!r} twice", lambda: cls(*values[:1], **dict(zip(names, values)))),
+        (f"takes {len(names)} fields", lambda: cls(*values, 1)),
+    ]
+    for message, call in wrong:
         with pytest.raises(TypeError, match=f"^{cls.__qualname__} {message}"):
             call()
 

@@ -1,10 +1,10 @@
 """Package-level contracts: what importing electrovac loads and exports.
 
-electrovac imports no scipy module: table profiles are built with a numpy
-spline, the isotropic inverse is solved in closed form, and the photon-sphere
-scan refines its brackets with numpy. Importing the package and its CLI loads
-no numpy either, each command loads only the modules it runs, and classify,
-which reads only scalar radii, loads no numpy at all. Each check
+electrovac imports no scipy module: table profiles are splines built in
+Python floats, the isotropic inverse is solved in closed form, and the
+photon-sphere scan refines its brackets with numpy. Importing the package and
+its CLI loads no numpy either, each command loads only the modules it runs,
+and classify, which reads only scalar radii, loads no numpy at all. Each check
 runs in a fresh interpreter, because this test process has long since
 imported scipy, the spline's test oracle, and every electrovac module.
 """
@@ -162,11 +162,12 @@ EXPORTS = {
     "errors": ["DegeneracyError", "DomainError", "ElectrovacError", "NumericsError",
                "ParameterError"],
     "geometry": ["FrameTensor2", "HypersurfaceGeometry", "SphericalStaticData",
-                 "contracted_gauss_residual", "default_tolerance", "grad_norm", "hessian_radial",
+                 "contracted_gauss_residual", "coupling_constant", "default_tolerance",
+                 "grad_norm", "hessian_radial",
                  "horizon_gradient_limit", "laplacian_radial", "level_set_geometry",
                  "ricci_radial", "richardson_limit", "scalar_curvature", "scalar_curvature_d1"],
     "models": ["BallStaticExample", "IsotropicChart", "IsotropicPoint", "RNParameters",
-               "coupling_constant", "flat_data", "isotropic_inverse", "perturbed_potential_data",
+               "flat_data", "isotropic_inverse", "perturbed_potential_data",
                "phi_identity_residual", "rn_data", "rn_horizon", "rn_r0"],
     "photon": ["Classification", "PhotonRoot", "PhotonSphereResult", "QuasilocalReport",
                "RejectedRoot", "boundary_residual", "classify_configuration",
@@ -221,6 +222,12 @@ def _modules(*names):
 
 
 VERIFY = _modules("geometry", "models", "profiles", "residuals")
+TABLE = _modules("geometry", "profiles", "residuals")
+TABLES = {  # columns past r, and the comment line
+    "TABLE5": (("A", "V", "Emag", "Psi"), "# r A V Emag Psi"),
+    "TABLE4": (("A", "V", "Emag"), "# r A V Emag"),
+    "DECLINED": (("A", "V", "Emag", "Psi"), "# r A V Emag \N{GREEK CAPITAL LETTER PSI}"),
+}
 
 
 @pytest.mark.parametrize("argv, modules, numpy", [
@@ -228,23 +235,29 @@ VERIFY = _modules("geometry", "models", "profiles", "residuals")
     (["verify", *SUB], VERIFY, False),
     (["verify", *SUB, "--boundary", "3.0", "--format", "text"], VERIFY, False),
     (["verify", *SUB, "--grid-count", "1001"], VERIFY, True),
-    (["verify", "--n", "3", "--profile", "TABLE"], VERIFY, True),
+    (["verify", "--n", "3", "--profile", "TABLE5"], TABLE, False),
+    (["verify", "--n", "3", "--profile", "TABLE4"], TABLE, False),
+    (["verify", "--n", "3", "--profile", "DECLINED"], TABLE, True),
     (["functional", *SUB, "--annulus", "3", "6"],
      _modules("geometry", "models", "profiles", "variational"), True),
 ], ids=["classify", "verify", "verify-boundary-text", "verify-1001", "verify-profile",
-        "functional"])
+        "verify-profile-4", "verify-profile-declined", "functional"])
 def test_each_command_loads_only_the_modules_it_runs(argv, modules, numpy, tmp_path):
     # classify needs neither residuals nor variational, verify neither
-    # variational nor photon, and functional neither residuals nor photon.
-    # classify reads only scalar radii, in Python floats, so it loads no
-    # numpy, and neither does verify on closed-form data and at most 1000
-    # radii, which it walks in Python floats.
-    if "TABLE" in argv:
+    # variational nor photon, and functional neither residuals nor photon;
+    # verify on a table needs no models either. classify reads only scalar
+    # radii, in Python floats, so it loads no numpy, and neither does verify
+    # at most 1000 radii, which it walks in Python floats, on closed-form
+    # data or on a plain ASCII table, which it reads in them. A table with a
+    # non-ASCII byte, even in a comment, is numpy's to read.
+    for arg in set(argv) & set(TABLES):
+        names, header = TABLES[arg]
         table = tmp_path / "family.dat"
         data = electrovac.rn_data(electrovac.RNParameters(3, 1.0, 0.5))
         rs = np.geomspace(2.2, 12.0, 400)
-        np.savetxt(table, np.column_stack([rs, data.A(rs), data.V(rs), data.Emag(rs)]))
-        argv = [str(table) if arg == "TABLE" else arg for arg in argv]
+        np.savetxt(table, np.column_stack([rs, *(getattr(data, name)(rs) for name in names)]),
+                   header=header, comments="", encoding="utf-8")
+        argv = [str(table) if a == arg else a for a in argv]
     got = loaded_after(argv)
     assert got["code"] in (0, 1) and got["numpy"] == numpy
     assert got["electrovac"] == modules
@@ -352,3 +365,35 @@ def test_a_fresh_verify_prints_what_the_array_path_prints():
     with contextlib.redirect_stdout(out):
         code = electrovac.cli.main(argv)
     assert got == {"code": code, "out": out.getvalue(), "numpy": False}
+
+
+def test_a_fresh_table_verify_prints_what_the_array_path_prints(tmp_path):
+    # A fresh process reads each plain table in Python floats and walks its
+    # grid in them, with no numpy; this process reads the same reports
+    # through the array blocks.
+    runs = []
+    for n, m, q in ((3, 1.0, 0.5), (4, 1.5, -0.9), (5, 2.0, 1.1), (6, 1.0, 0.0), (7, 0.8, 0.3)):
+        data = electrovac.rn_data(electrovac.RNParameters(n, m, q))
+        rs = np.geomspace(1.05 * data.domain[0] + 0.1, 20.0, 400)
+        for names in (("A", "V", "Emag"), ("A", "V", "Emag", "Psi")):
+            table = tmp_path / f"n{n}-{len(names) + 1}.dat"
+            np.savetxt(table, np.column_stack([rs, *(getattr(data, name)(rs) for name in names)]))
+            for spacing in ("log", "linear"):
+                runs.append(["verify", "--n", str(n), "--profile", str(table),
+                             "--grid-spacing", spacing])
+    got = run_fresh(f"""
+        import contextlib, io
+        import electrovac.cli
+        outs = []
+        for argv in {runs!r}:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                outs.append([electrovac.cli.main(argv), out.getvalue()])
+        print(json.dumps({{"outs": outs, "numpy": "numpy._core" in sys.modules}}))
+    """)
+    want = []
+    for argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            want.append([electrovac.cli.main(argv), out.getvalue()])
+    assert got == {"outs": want, "numpy": False}

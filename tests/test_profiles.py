@@ -191,6 +191,33 @@ def test_tabulated_profile_knot_is_the_same_from_either_interval():
         assert np.max(np.abs(f(left) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def spline_cases():
+    rs = np.geomspace(0.7, 30.0, 257)
+    yield "log r", rs, np.log(rs)
+    yield "r**3", rs, rs ** 3
+    for n, m, q in ((3, 1.0, 0.5), (5, 2.0, 1.1), (7, 0.8, 0.0)):
+        data = rn_data(RNParameters(n, m, q))
+        knots = np.geomspace(1.01 * data.domain[0], 40.0, 400)
+        for name in ("A", "V", "Emag", "Psi"):
+            yield f"rn_data({n}, {m}, {q}).{name}", knots, getattr(data, name)(knots)
+
+
+@pytest.mark.parametrize("name,radii,values",
+                         [pytest.param(*case, id=case[0]) for case in spline_cases()])
+def test_a_table_read_at_float_radii_is_its_array_read_bit_for_bit(name, radii, values):
+    # Float radii bisect the Python-float pieces; arrays read the arrays built
+    # from them. Every knot takes its right piece, and both domain ends are
+    # approached to one ulp.
+    p = tabulated_profile(radii.tolist(), values.tolist())
+    probes = np.concatenate([[np.nextafter(radii[0], np.inf)], radii[1:-1],
+                             0.5 * (radii[:-1] + radii[1:]), [np.nextafter(radii[-1], -np.inf)]])
+    arrays = p.jet(probes)
+    for i, r in enumerate(probes.tolist()):
+        got = p.jet(r)
+        assert [type(x) for x in got] == [float] * 3, (name, r)
+        assert [x.hex() for x in got] == [float(part[i]).hex() for part in arrays], (name, r)
+
+
 def jet_cases():
     for n, m, q in ((3, 1.0, 0.5), (4, 1.5, -0.9), (5, 2.0, 1.1), (3, 1.0, 1.0), (3, 1.0, 1.3)):
         data = rn_data(RNParameters(n, m, q))
