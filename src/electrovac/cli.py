@@ -22,10 +22,8 @@ errors load no numpy; each command imports only the modules it runs.
 classify loads no numpy either: it reads its data at scalar radii, which
 are evaluated in Python floats. Nor does verify on at most 1000 radii, on
 closed-form data or on a table: it walks its grid in Python floats, and
-reads a plain table in them too (ASCII text, '#' comments, whitespace-
-separated plain decimals such as -1.5e-3, rows of one width). Any other
-table file, or one that cannot be opened, is handed to numpy.loadtxt, so its
-values and error lines are numpy's; a table with no data rows exits 3.
+load_table reads a plain table in them too, handing any other table to
+numpy.loadtxt.
 """
 
 from __future__ import annotations
@@ -88,9 +86,10 @@ def _plain_rows(path: str) -> Optional[list]:
     """The rows of a plain table file as lists of floats: ASCII text whose
     lines, up to a '#', hold whitespace-separated plain decimals, as many on
     every line that has any. None for anything else, which numpy reads: a
-    path numpy opens otherwise than as a local text file (a URL, a
-    compressed suffix), one open() fails on, and any other content."""
-    if re.search(r"://|\.(gz|bz2|xz|lzma)$", path):
+    path that is not a regular file (a pipe, read once, is numpy's to read),
+    one numpy opens otherwise than as a local text file (a URL, a compressed
+    suffix), one open() fails on, and any other content."""
+    if not os.path.isfile(path) or re.search(r"://|\.(gz|bz2|xz|lzma)$", path):
         return None
     try:
         with open(path, encoding="ascii") as fh:

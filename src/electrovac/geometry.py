@@ -14,7 +14,6 @@ normal, so round spheres in flat space have H = (n-1)/r > 0.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from typing import Callable, Optional
@@ -55,24 +54,21 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
-        if not args and len(kwargs) == len(names):
-            # Every field by name, as the per-radius kernels pass them: as
-            # many names as fields, each found, is exactly the field set.
+        fields = dict(zip(names, args), **kwargs) if args else kwargs
+        # As many distinct fields as given and as declared, each found, is
+        # exactly the field set.
+        if len(fields) == len(args) + len(kwargs) == len(names):
             try:
                 for name in names:
-                    setattr(self, name, kwargs[name])
+                    setattr(self, name, fields[name])
                 return
             except KeyError:
                 pass
-        fields = dict(zip(names, args), **kwargs) if args else kwargs
-        if len(fields) < len(args) + len(kwargs) or fields.keys() != set(names):
-            wrong = ([f"got field {name!r} twice" for name in names[:len(args)] if name in kwargs]
-                     + [f"has no field {name!r}" for name in kwargs if name not in names]
-                     + [f"missing field {name!r}" for name in names if name not in fields]
-                     + [f"takes {len(names)} fields, got {len(args)} by position"])
-            raise TypeError(f"{type(self).__qualname__} {wrong[0]}")
-        for name in names:
-            setattr(self, name, fields[name])
+        wrong = ([f"got field {name!r} twice" for name in names[:len(args)] if name in kwargs]
+                 + [f"has no field {name!r}" for name in kwargs if name not in names]
+                 + [f"missing field {name!r}" for name in names if name not in fields]
+                 + [f"takes {len(names)} fields, got {len(args)} by position"])
+        raise TypeError(f"{type(self).__qualname__} {wrong[0]}")
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -206,7 +202,7 @@ class SphericalStaticData(Record):
             jets = (prof.jet(r) for prof in (self.A, self.V, self.Emag, self.Psi))
         a = next(jets)
         _require_positive(a[0])
-        return [a, *itertools.islice(jets, count - 1)]
+        return [a] + [next(jets) for _ in range(count - 1)]
 
 
 def default_tolerance(data: SphericalStaticData) -> float:

@@ -131,11 +131,8 @@ def _finite(out, what: str):
 
 
 def finite_jet(parts):
-    """The three parts (f, f', f'') of a jet, each checked finite, in order.
-    Three floats whose sum is finite are finite, and come back as they are."""
+    """The three parts (f, f', f'') of a jet, each checked finite, in order."""
     f, f1, f2 = parts
-    if type(f) is type(f1) is type(f2) is float and math.isfinite(f + f1 + f2):
-        return f, f1, f2
     return _finite(f, "value"), _finite(f1, "first derivative"), _finite(f2, "second derivative")
 
 
@@ -348,8 +345,7 @@ def tabulated_profile(radii, values) -> RadialProfile:
     so a table given as lists of floats and read at float radii loads no
     numpy; a radius array reads arrays built on its first use, bit for bit
     as the float reads. So a verify on a table, as on closed-form data, on
-    at most 1000 radii loads no numpy, unless the CLI's reader hands the
-    file to numpy.loadtxt: for any text but ASCII plain decimals in rows of
-    one width, with '#' comments, or a file it cannot open (cli.load_table).
+    at most 1000 radii loads no numpy, unless cli.load_table hands the file
+    to numpy.loadtxt.
     """
     return _table_profiles(radii, [values])[0][0]

@@ -477,24 +477,17 @@ def _worst_rows(families, data, grid) -> dict[str, list]:
 
 def _float_rows(families, data, grid) -> dict[str, list]:
     """_worst_rows' rows from one _Fields per float radius, with its reducer;
-    any error, a non-finite residual, or a radius that would be skipped,
-    raises. The residuals are checked at the end, by one sum, which a NaN or
-    an infinity makes non-finite; so may an overflowing sum of finite ones,
-    which leaves the report to the blocks as well."""
+    any error, or a radius that would be skipped, raises."""
     worst: dict[str, list] = {}
-    total = 0.0
     for r in grid._floats():
         f = _Fields(data, r)
         for family in families:
             radius, rows = family(f)
             for tag, res in rows.items():
                 row = worst.setdefault(tag, [-1.0, None, 0])
-                mx = abs(res)
-                total += mx
+                mx = _finite(tag, abs(res))
                 if mx > row[0]:
                     row[0], row[1] = mx, radius
-    if not math.isfinite(total):
-        raise NumericsError("non-finite residual")
     return worst
 
 

@@ -147,6 +147,24 @@ def test_a_table_the_plain_reader_declines_gets_numpys_error_line(tmp_path, caps
         assert capsys.readouterr() == ("", want), name
 
 
+@pytest.mark.parametrize("comment", ["# r A V Emag\n", "# r A V Emag \N{GREEK CAPITAL LETTER PSI}\n"],
+                         ids=["plain", "non-ascii-comment"])
+def test_a_table_on_a_pipe_verifies_as_its_file_does(tmp_path, comment):
+    # A pipe can be read only once, so the plain reader leaves it to numpy;
+    # reading it first left numpy an empty stream and "has no data rows".
+    table = tmp_path / "family.dat"
+    write_table(table)
+    text = comment + table.read_text()
+    table.write_text(text, encoding="utf-8")
+    from_file = run_cli("verify", "--profile", str(table), "--n", "3")
+    piped = subprocess.run(
+        [sys.executable, "-m", "electrovac.cli", "verify", "--profile", "/dev/stdin", "--n", "3"],
+        input=text, capture_output=True, encoding="utf-8")
+    assert from_file.returncode == 0
+    assert (piped.returncode, piped.stderr) == (0, "")
+    assert piped.stdout == from_file.stdout.replace(json.dumps(str(table)), '"/dev/stdin"')
+
+
 def test_good_table_verifies_at_loose_tolerance(tmp_path):
     table = tmp_path / "family.dat"
     write_table(table)
