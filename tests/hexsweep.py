@@ -31,13 +31,22 @@ With --cli --fresh each command line runs in its own interpreter, as
 reads and walks its grid in Python floats; its output must equal the
 in-process output line for line. There an
 exception that escapes main shows as exit code 1 and its traceback's last line.
+
+With --write-digest it writes golden/hexsweep.digest instead: one line per
+sweep set and one per --cli command line (in process), each the SHA-256 of
+its output lines and its label. tests/test_digest.py checks both against it,
+so an output that moves by one bit names its set:
+
+    PYTHONPATH=src python tests/hexsweep.py --write-digest
 """
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -92,6 +101,7 @@ PROFILES = ("A", "V", "Emag", "Psi")
 COUNTS = (300, 2000, 20_000)
 MODES = ("radial", "tangential", "both")
 GEOMETRY_FIELDS = ("r", "H", "B_tan", "R_S", "nuV", "ric_nn")
+DIGEST = pathlib.Path(__file__).resolve().parent / "golden" / "hexsweep.digest"
 
 
 def hex_floats(doc):
@@ -540,6 +550,63 @@ def run_fresh_cli(env, argv):
     return res.returncode, res.stdout, (res.stderr.splitlines() or [""])[-1]
 
 
+def sweep_lines(sets=40, seed=13) -> list:
+    """(set label, JSON line) per line of the sweep."""
+    out = []
+    chart_rng = np.random.default_rng(seed + 1)
+    with np.errstate(all="ignore"):
+        for label, p, *case in [*drawn_sets(sets, seed), *edge_sets()]:
+            charts = chart_calls(p, chart_rng)  # drawn for an empty slot too
+            if not case:
+                continue
+            for name, fn in (calls(*case) | charts).items():
+                out.append((label, {"set": label, "call": name, "out": outcome(fn)}))
+        for label, *case in ladder_sets():
+            for name, fn in ladder_calls(*case).items():
+                out.append((label, {"set": label, "call": name, "out": outcome(fn)}))
+        for label, name, fn in bump_calls():
+            out.append((label, {"set": label, "call": name, "out": outcome(fn)}))
+        ball = outcome(lambda: euclidean_ball_residuals(BallStaticExample.default()))
+        out.append(("flat ball", {"set": "flat ball", "call": "euclidean_ball_residuals",
+                                  "out": ball}))
+        for label, name, fn in guard_calls():
+            out.append((label, {"set": label, "call": name, "out": guarded(fn)}))
+    return [(label, json.dumps(line)) for label, line in out]
+
+
+def cli_lines(fresh=False) -> list:
+    """(command line, JSON line) per command line of cli_cases, each run in
+    process or, with fresh, in its own interpreter."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for env, cli_argv in cli_cases(tmp):
+            code, stdout, err = (run_fresh_cli if fresh else run_cli)(env, cli_argv)
+            report = os.path.join(tmp, "report.json")
+            if os.path.exists(report):
+                with open(report) as fh:
+                    stdout += fh.read()
+                os.remove(report)
+            line = {"env": env, "argv": cli_argv, "exit": code, "stdout": stdout, "stderr": err}
+            label = " ".join(["cli", *(f"{k}={v}" for k, v in env.items()), *cli_argv])
+            out.append((label.replace(tmp, "<tmp>"), json.dumps(line).replace(tmp, "<tmp>")))
+    return out
+
+
+def digests(lines) -> dict:
+    """{label: SHA-256 of that label's lines, each ended by a newline}, in the
+    order of each label's first line."""
+    out = {}
+    for label, line in lines:
+        out.setdefault(label, hashlib.sha256()).update(line.encode() + b"\n")
+    return {label: h.hexdigest() for label, h in out.items()}
+
+
+def read_digest(path=DIGEST) -> dict:
+    """The {label: SHA-256} that --write-digest wrote to path."""
+    with open(path) as fh:
+        return dict(reversed(line.rstrip("\n").split("  ", 1)) for line in fh)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sets", type=int, default=40, help="drawn parameter sets")
@@ -547,38 +614,16 @@ def main(argv=None):
     parser.add_argument("--cli", action="store_true", help="sweep the command lines instead")
     parser.add_argument("--fresh", action="store_true",
                         help="with --cli, run each command line in its own interpreter")
+    parser.add_argument("--write-digest", action="store_true",
+                        help=f"write the digest of the sweep and the in-process --cli lines to {DIGEST}")
     args = parser.parse_args(argv)
-    if args.cli:
-        with tempfile.TemporaryDirectory() as tmp:
-            for env, cli_argv in cli_cases(tmp):
-                code, out, err = (run_fresh_cli if args.fresh else run_cli)(env, cli_argv)
-                report = os.path.join(tmp, "report.json")
-                if os.path.exists(report):
-                    with open(report) as fh:
-                        out += fh.read()
-                    os.remove(report)
-                line = {"env": env, "argv": cli_argv, "exit": code, "stdout": out, "stderr": err}
-                sys.stdout.write(json.dumps(line).replace(tmp, "<tmp>") + "\n")
+    if args.write_digest:
+        found = digests(sweep_lines(args.sets, args.seed) + cli_lines())
+        with open(DIGEST, "w") as fh:
+            fh.writelines(f"{digest}  {label}\n" for label, digest in found.items())
         return
-    chart_rng = np.random.default_rng(args.seed + 1)
-    with np.errstate(all="ignore"):
-        for label, p, *case in [*drawn_sets(args.sets, args.seed), *edge_sets()]:
-            charts = chart_calls(p, chart_rng)  # drawn for an empty slot too
-            if not case:
-                continue
-            for name, fn in (calls(*case) | charts).items():
-                line = {"set": label, "call": name, "out": outcome(fn)}
-                sys.stdout.write(json.dumps(line) + "\n")
-        for label, *case in ladder_sets():
-            for name, fn in ladder_calls(*case).items():
-                sys.stdout.write(json.dumps({"set": label, "call": name, "out": outcome(fn)}) + "\n")
-        for label, name, fn in bump_calls():
-            sys.stdout.write(json.dumps({"set": label, "call": name, "out": outcome(fn)}) + "\n")
-        line = {"set": "flat ball", "call": "euclidean_ball_residuals",
-                "out": outcome(lambda: euclidean_ball_residuals(BallStaticExample.default()))}
-        sys.stdout.write(json.dumps(line) + "\n")
-        for label, name, fn in guard_calls():
-            sys.stdout.write(json.dumps({"set": label, "call": name, "out": guarded(fn)}) + "\n")
+    lines = cli_lines(args.fresh) if args.cli else sweep_lines(args.sets, args.seed)
+    sys.stdout.writelines(line + "\n" for _, line in lines)
 
 
 if __name__ == "__main__":
