@@ -30,12 +30,13 @@ any lam; the Psi-form equations are stated for lam = 0.
 
 A report first evaluates the one Robin defect behind the boundary tags (TE2,
 E4, PEM4) when it has a boundary radius, so a bad boundary radius fails before
-any grid work. It then walks the grid in consecutive blocks of _BLOCK radii,
-each built alone, with one set of pointwise fields per block from one read of
-SphericalStaticData.jets, one joint pass when the data has a joint jet. Each
-residual family maps a block to its radii and one row of residuals per tag,
+any grid work. It then walks the grid in runs of radii, with one set of
+pointwise fields per run from one read of SphericalStaticData.jets, one joint
+pass when the data has a joint jet. A run is a block of _BLOCK consecutive
+radii, each built alone, or, in a process without numpy, one float radius.
+Each residual family maps a run to its radii and one row of residuals per tag,
 and one reducer keeps, per tag, the maximum |residual|, the radius where it
-occurs and the skipped points; a later block replaces the maximum only when
+occurs and the skipped points; a later run replaces the maximum only when
 strictly larger, so the result equals one argmax over the whole grid, bit for
 bit. The arithmetic is elementwise, so a report does not depend on the block
 length, and its memory does not grow with the grid.
@@ -45,16 +46,18 @@ data domain raises that DomainError before any block. Otherwise the first
 block that raises ends the report, so when two errors of different kinds sit
 in different blocks, the earlier block's error is raised. A tag left with no
 checked radius, |V| < 1e-9 on the whole grid, raises DegeneracyError after
-the last block. Each TagResult is built once, at the end; the structural tags
-(E3b, NE2) come from a table.
+the last block. Each grid TagResult is built once, at the end. The boundary
+and flat-ball tags go through the same _worst as the runs, so a non-finite
+value raises the same NumericsError; the structural tags (E3b, NE2) come
+from a table.
 
 numpy comes from profiles' stand-in, so importing this module loads none.
 While numpy is not loaded, a grid of at most 1000 radii is walked one float
-radius at a time through the same fields and families (a cold verify, on
-closed-form data or a table); the walk's report is the blocks' bit for bit,
-because the fields use only + - * /, abs and sqrt and GridSpec builds the
-same radii in Python floats. Where the walk raises, would skip a radius, or ends with numpy
-loaded, the blocks run again, so every error is theirs.
+radius at a time (a cold verify, on closed-form data or a table); the walk's
+report is the blocks' bit for bit, because the fields use only + - * /, abs
+and sqrt and GridSpec builds the same radii in Python floats. Where the walk
+raises, would skip a radius, or ends with numpy loaded, the blocks run
+again, so every error is theirs.
 
 The flat-ball example (models.BallStaticExample) gets a report of the same
 shape from its closed forms, euclidean_ball_residuals.
@@ -284,25 +287,24 @@ class ResidualReport(Record):
         return out
 
 
-def _finite(tag, mx: float) -> float:
+def _worst(tag, rs, res) -> tuple[float, float]:
+    """(max |res|, the first radius where it occurs) at a float radius rs, or
+    over a non-empty array rs; NumericsError if that max is not finite."""
+    if type(rs) is float:
+        mx = abs(res)
+    else:
+        res = np.abs(res)
+        # argmax stops at the first NaN, and the max is inf if any entry is.
+        i = int(np.argmax(res))
+        mx, rs = float(res[i]), float(rs[i])
     if not math.isfinite(mx):
         raise NumericsError(f"non-finite residual for {tag}")
-    return mx
+    return mx, rs
 
 
-def _worst(tag, res) -> tuple[float, int]:
-    """(max |res|, the first index where it occurs) of a non-empty res."""
-    res = np.abs(np.asarray(res, dtype=float))
-    # argmax stops at the first NaN, and the max is inf if any entry is.
-    i = int(np.argmax(res))
-    return _finite(tag, float(res[i])), i
-
-
-def _tag_from_values(tag, rs, res, tol, note=None) -> TagResult:
-    mx, i = _worst(tag, res)
-    worst = float(np.asarray(rs, dtype=float).reshape(-1)[i])
-    return TagResult(tag=tag, max_residual=mx, worst_radius=worst,
-                     passed=bool(mx <= tol), note=note, skipped=0)
+def _entry(tag, mx, r, tol, note=None, skipped=0) -> TagResult:
+    return TagResult(tag=tag, max_residual=mx, worst_radius=r, passed=mx <= tol, note=note,
+                     skipped=skipped)
 
 
 def euclidean_ball_residuals(example) -> ResidualReport:
@@ -337,7 +339,7 @@ def euclidean_ball_residuals(example) -> ResidualReport:
             ("BALL_AE1", radii_in, master, "master equation with E = 0"),
             ("BALL_ROBIN", radii_bd, robin, "dV/dnu - V H/(n-1) on the unit sphere"))
     return ResidualReport(
-        entries={tag: _tag_from_values(tag, rs, res, tol, note) for tag, rs, res, note in rows},
+        entries={tag: _entry(tag, *_worst(tag, rs, res), tol, note) for tag, rs, res, note in rows},
         grid=f"{len(pts_in)} quasi-random interior points, {len(pts_bd)} spiral boundary points",
         tolerance=tol, extras={"sigma_area": math.pi})
 
@@ -403,30 +405,28 @@ def _traced_rows(f: _Fields):
 def _pem_rows(f: _Fields):
     """Only the radii with |V| >= DEGENERATE_V, possibly none; the report
     counts the rest as skipped."""
-    n = f.n
-    ok = abs(f.v) >= DEGENERATE_V
-    # The fields themselves, not masked copies, when nothing is skipped. A
-    # float radius that would be skipped raises here (a float takes no index),
-    # and the float walk leaves the report to the array path.
-    at = (lambda x: x) if (ok if type(ok) is bool else ok.all()) else (lambda x: x[ok])
-    rs_ok, v, dpsi2 = at(f.rs), at(f.v), at(f.dpsi2)
-
-    t = dpsi2 / v
-    pem1_rad = at(f.hess.radial) - (at(f.vric.radial) + 2.0 * (n - 2) / (n - 1) * t)
-    pem1_tan = at(f.hess.tangential) - (at(f.vric.tangential) - 2.0 / (n - 1) * t)
+    n, v, sa = f.n, f.v, f.sa
+    t = f.dpsi2 / v
+    pem1_rad = f.hess.radial - (f.vric.radial + 2.0 * (n - 2) / (n - 1) * t)
+    pem1_tan = f.hess.tangential - (f.vric.tangential - 2.0 / (n - 1) * t)
     pem1 = _maximum(abs(pem1_rad), abs(pem1_tan))
-    pem2 = at(f.lap) - 2.0 * (n - 2) / (n - 1) * t
+    pem2 = f.lap - 2.0 * (n - 2) / (n - 1) * t
 
     # div(grad Psi / V): frame component X = Psi'/(sqrt(A) V), divergence
     # X' + (n-1) X / r with X' expanded in closed form.
-    a, sa, ap, vp = at(f.a), at(f.sa), at(f.ap), at(f.vp)
-    psip, psipp = at(f.psip), at(f.psipp)
     inv = 1.0 / (sa * v)
-    X = psip * inv
-    Xp = psipp * inv - X * (ap / (2.0 * a) + vp * sa * inv)
-    pem3 = Xp + (n - 1) * X / rs_ok
-    npem1 = at(f.R) - 2.0 * t / v
-    return rs_ok, {"PEM1": pem1, "PEM2": pem2, "PEM3": pem3, "NPEM1": npem1}
+    X = f.psip * inv
+    Xp = f.psipp * inv - X * (f.ap / (2.0 * f.a) + f.vp * sa * inv)
+    pem3 = Xp + (n - 1) * X / f.rs
+    npem1 = f.R - 2.0 * t / v
+    rows = {"PEM1": pem1, "PEM2": pem2, "PEM3": pem3, "NPEM1": npem1}
+    ok = abs(v) >= DEGENERATE_V
+    if ok if type(ok) is bool else ok.all():
+        return f.rs, rows
+    # Elementwise, so the kept radii's residuals are the same bits. A float
+    # radius that would be skipped raises here (a float takes no index), and
+    # the float walk leaves the report to the blocks.
+    return f.rs[ok], {tag: res[ok] for tag, res in rows.items()}
 
 
 def _identity_rows(f: _Fields):
@@ -446,95 +446,81 @@ _BOUNDARY = {"TE2": None, "E4": "tangential component; round slices are umbilic"
 
 
 def _worst_rows(families, data, grid) -> dict[str, list]:
-    """Per grid tag, [max |residual|, its radius, skipped radii] over
-    consecutive blocks of _BLOCK radii, one _Fields each. A later block
-    replaces the max only when strictly larger, so ties keep the first
-    radius, as one argmax over the whole grid would.
+    """Per grid tag, [max |residual|, its radius, skipped radii], from
+    _reduce over runs of radii: consecutive blocks of _BLOCK radii, or,
+    while numpy is not loaded and the grid has at most _GRID_COUNT radii,
+    its float radii one at a time, which give the same rows bit for bit. If
+    that walk raises, meets a radius it would skip, or ends with numpy
+    loaded, the blocks run as usual, so every error is theirs.
 
     Errors: an end of the grid outside the data domain raises that
-    profile's DomainError before any block (the grid is monotone, so only
-    an end can leave it); otherwise the first block that raises ends the
-    pass with its error; a tag left with no checked radius (every
-    |V| < DEGENERATE_V) raises DegeneracyError after the last block.
-
-    While numpy is not loaded, a grid of at most _GRID_COUNT radii is first
-    walked in Python floats (_float_rows), which gives the same rows bit for
-    bit. If the walk raises, meets a radius it would skip, or ends with
-    numpy loaded, the blocks run as usual, so every error is theirs."""
+    profile's DomainError before any run (the grid is monotone, so only an
+    end can leave it); otherwise the first block that raises ends the pass
+    with its error; a tag left with no checked radius (every
+    |V| < DEGENERATE_V) raises DegeneracyError after the last block."""
     lo, hi = data.domain
     if not lo < grid.lo < grid.hi < hi:
         data.jets(np.array([grid.lo, grid.hi]), 3)
+    worst = None
     if "numpy" not in sys.modules and grid.count <= _GRID_COUNT:
         try:
-            worst = _float_rows(families, data, grid)
+            worst = _reduce(families, data, grid._floats())
         except Exception:
             pass
-        else:
-            if "numpy" not in sys.modules:
-                return worst
-    return _block_rows(families, data, grid)
-
-
-def _float_rows(families, data, grid) -> dict[str, list]:
-    """_worst_rows' rows from one _Fields per float radius, with its reducer;
-    any error, or a radius that would be skipped, raises."""
-    worst: dict[str, list] = {}
-    for r in grid._floats():
-        f = _Fields(data, r)
-        for family in families:
-            radius, rows = family(f)
-            for tag, res in rows.items():
-                row = worst.setdefault(tag, [-1.0, None, 0])
-                mx = _finite(tag, abs(res))
-                if mx > row[0]:
-                    row[0], row[1] = mx, radius
-    return worst
-
-
-def _block_rows(families, data, grid) -> dict[str, list]:
-    worst: dict[str, list] = {}
-    for start in range(0, grid.count, _BLOCK):
+    if worst is None or "numpy" in sys.modules:
         # The jets already run with numpy's warnings off and check their own
         # parts. Past them, an overflow that ends non-finite reaches the Ricci
         # check or _worst, which raise NumericsError, so a warning would only
         # precede that error line. One that ends finite passes silently: at
         # m = 3e153, r*r overflows in ricci_kernel and (1 - 1/A)/inf reads 0.
-        #
-        # The last block's fields stay bound until the next block's replace
-        # them: freed first, they leave free memory at the top of the heap,
-        # which glibc returns to the kernel, and the next block faults it back
-        # in. A del at the end of this loop body took a 1e5-radius verify_all
-        # from about 800 to 5,400 minor page faults.
+        # np.errstate loads numpy here if the float walk did not, so the
+        # context holds before a table's first block loads it.
         with np.errstate(all="ignore"):
-            f = _Fields(data, grid.radii(start, start + _BLOCK))
-            for family in families:
-                radii, rows = family(f)
-                skipped = f.rs.size - radii.size
-                for tag, res in rows.items():
-                    row = worst.setdefault(tag, [-1.0, None, 0])
-                    row[2] += skipped
-                    if radii.size:
-                        mx, i = _worst(tag, res)
-                        if mx > row[0]:
-                            row[0], row[1] = mx, float(radii[i])
+            worst = _reduce(families, data, (grid.radii(start, start + _BLOCK)
+                                             for start in range(0, grid.count, _BLOCK)))
     if any(r is None for _, r, _ in worst.values()):
         raise DegeneracyError("V is degenerate on the whole grid")
     return worst
 
 
+def _reduce(families, data, runs) -> dict[str, list]:
+    """_worst_rows' rows from one _Fields per run of radii (a float radius or
+    an array). A later run replaces a tag's max only when strictly larger,
+    so ties keep the first radius, as one argmax over the whole grid would;
+    a run whose radii a family skips all leaves the tag's row as it was."""
+    worst: dict[str, list] = {}
+    for rs in runs:
+        # The last run's fields stay bound until the next run's replace them:
+        # freed first, they leave free memory at the top of the heap, which
+        # glibc returns to the kernel, and the next block faults it back in.
+        # A del at the end of this loop body took a 1e5-radius verify_all
+        # from about 800 to 5,400 minor page faults.
+        f = _Fields(data, rs)
+        for family in families:
+            radii, rows = family(f)
+            for tag, res in rows.items():
+                row = worst.setdefault(tag, [-1.0, None, 0])
+                if radii is not rs:
+                    row[2] += rs.size - radii.size
+                    if not radii.size:
+                        continue
+                mx, r = _worst(tag, radii, res)
+                if mx > row[0]:
+                    row[0], row[1] = mx, r
+    return worst
+
+
 def _report(families, data, grid, tol, r_boundary=None) -> ResidualReport:
-    """The tags of every family, in blocks of _BLOCK radii."""
+    """The tags of every family, over the grid's runs of radii."""
     tol = default_tolerance(data) if tol is None else require_tolerance(tol)
     after = [tag for family in families for tag in _AFTER_ROWS.get(family, ())]
     extra = dict(_STRUCTURAL)
     if r_boundary is not None:
-        defect = abs(float(_robin_defect(data, r_boundary)))
-        extra.update({tag: TagResult(tag=tag, max_residual=_finite(tag, defect),
-                                     worst_radius=float(r_boundary), passed=defect <= tol,
-                                     note=note, skipped=0)
+        defect = float(_robin_defect(data, r_boundary))
+        extra.update({tag: _entry(tag, *_worst(tag, float(r_boundary), defect), tol, note)
                       for tag, note in _BOUNDARY.items() if tag in after})
-    entries = {tag: TagResult(
-        tag=tag, max_residual=mx, worst_radius=r, passed=bool(mx <= tol), skipped=skipped,
+    entries = {tag: _entry(
+        tag, mx, r, tol, skipped=skipped,
         note=f"{skipped} grid points with |V| < {DEGENERATE_V:g} skipped" if skipped else None)
         for tag, (mx, r, skipped) in _worst_rows(families, data, grid).items()}
     entries.update({tag: extra[tag] for tag in after if tag in extra})

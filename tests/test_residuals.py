@@ -720,11 +720,17 @@ def walk_cases():
     yield rn_data(RNParameters(3, 3e153, 0.0)), default_grid(rn_data(RNParameters(3, 3e153, 0.0))), None
 
 
+def float_walk(families, data, grid):
+    """The reducer driven with the grid's float radii, as a process without
+    numpy drives it."""
+    return residuals._reduce(families, data, grid._floats())
+
+
 def test_the_float_walk_gives_the_array_reports_bit_for_bit(monkeypatch):
     # A process without numpy walks a grid of at most 1000 radii in Python
     # floats; here the walk runs in place of the blocks.
     want = [json.dumps(verify_all(*case[:2], r_boundary=case[2]).to_dict()) for case in walk_cases()]
-    monkeypatch.setattr(residuals, "_block_rows", residuals._float_rows)
+    monkeypatch.setattr(residuals, "_worst_rows", float_walk)
     got = [json.dumps(verify_all(*case[:2], r_boundary=case[2]).to_dict()) for case in walk_cases()]
     assert len(got) == 106 and got == want
 
@@ -739,9 +745,9 @@ def test_the_float_walk_raises_where_the_array_path_does():
         with pytest.raises(ElectrovacError):
             verify_all(data, grid)
         with pytest.raises(ElectrovacError):
-            residuals._float_rows(families, data, grid)
+            float_walk(families, data, grid)
     # A radius the PEM rows would skip raises too.
     data, grid = zero_crossing_data(1e-8), GridSpec(1.0, 9.0, count=1000, spacing="linear")
     assert residual_pem(data, grid).entries["PEM1"].skipped > 0
     with pytest.raises(TypeError):
-        residuals._float_rows((residuals._pem_rows,), data, grid)
+        float_walk((residuals._pem_rows,), data, grid)
