@@ -17,7 +17,7 @@ import math
 from typing import Optional
 
 from .errors import DomainError, ParameterError, as_float, require_dimension
-from .geometry import Record, SphericalStaticData, coupling_constant
+from .geometry import MAX_GRID_COUNT, Record, SphericalStaticData, coupling_constant
 from .profiles import RadialProfile, constant_profile, float_array, np, sqrt
 
 
@@ -324,9 +324,15 @@ class BallStaticExample(Record):
 
     @classmethod
     def default(cls, v=(0.0, 0.0, 1.0), n_interior: int = 200, n_boundary: int = 200):
-        vv = np.asarray(v, dtype=float)
-        if vv.shape != (3,) or not np.any(vv != 0):
-            raise ParameterError("v must be a nonzero 3-vector")
+        vv = float_array(v, "v", ParameterError)
+        if vv.shape != (3,) or not np.isfinite(vv).all() or not np.any(vv != 0):
+            raise ParameterError("v must be a finite nonzero 3-vector")
+        for name, count in (("n_interior", n_interior), ("n_boundary", n_boundary)):
+            # A bool is rejected as GridSpec rejects it for its count.
+            if (isinstance(count, bool) or not hasattr(type(count), "__index__")
+                    or not 1 <= count <= MAX_GRID_COUNT):
+                raise ParameterError(
+                    f"{name} must be an integer from 1 to {MAX_GRID_COUNT}, got {count!r}")
         interior = _halton_ball(n_interior)
         boundary = _sphere_spiral(n_boundary)
         return cls(v=tuple(map(float, vv)), interior=interior, boundary=boundary)

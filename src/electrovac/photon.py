@@ -31,7 +31,7 @@ from .errors import DomainError, NumericsError, ParameterError, as_float
 from .geometry import (DEGENERATE_V, MAX_GRID_COUNT, TOL_CLOSED_FORM, V_ZERO_MARGIN, Record,
                        SphericalStaticData, level_set_geometry, require_tolerance)
 from .models import RNParameters, rn_data, rn_r0
-from .profiles import np
+from .profiles import np, one_radius
 
 DOUBLE_ROOT_REL = 1e-12
 _EPS = sys.float_info.epsilon
@@ -225,6 +225,7 @@ def quasilocal_check(data: SphericalStaticData, r: float,
                      tol: float = TOL_CLOSED_FORM) -> QuasilocalReport:
     """Evaluate the quasi-local photon-sphere conditions on the slice at r."""
     require_tolerance(tol)
+    r = one_radius(r)
     geo = level_set_geometry(data, r)
     n = data.n
     h2 = float(geo.H) ** 2
@@ -247,7 +248,7 @@ def quasilocal_check(data: SphericalStaticData, r: float,
         extremality = "super-extremal"
 
     return QuasilocalReport(
-        r=float(r), q1_residual=float(q1), q2_residual=q2,
+        r=r, q1_residual=float(q1), q2_residual=q2,
         ric_nn_residual=float(ric), extremality=extremality,
         degenerate=degenerate, tol=tol,
     )

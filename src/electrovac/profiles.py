@@ -101,6 +101,16 @@ def float_array(value, what: str, error: type = DomainError):
         raise error(f"{what} is too large for a float") from None
 
 
+def one_radius(r) -> float:
+    """r as a float, for a call that takes one radius: DomainError naming r
+    unless it is one real number (a float, an int or a 0-d array, say), where
+    float() raises a bare TypeError for a sequence or a longer array."""
+    try:
+        return as_float(r, "radius", DomainError)
+    except (TypeError, ValueError):
+        raise DomainError(f"expected one radius, got {r!r}") from None
+
+
 def require_open(r, domain, what: str):
     """r as a float array, or unchanged if it is a float; DomainError naming
     the first radius not strictly inside the open interval domain, NaN

@@ -85,7 +85,7 @@ from .geometry import (
     require_tolerance,
     ricci_kernel,
 )
-from .profiles import np, sqrt
+from .profiles import np, one_radius, sqrt
 
 # Radii per block of a report: each float64 temporary is then 64 KB, below
 # glibc's default 128 KB mmap threshold, so the heap reuses it while it is
@@ -516,8 +516,9 @@ def _report(families, data, grid, tol, r_boundary=None) -> ResidualReport:
     after = [tag for family in families for tag in _AFTER_ROWS.get(family, ())]
     extra = dict(_STRUCTURAL)
     if r_boundary is not None:
+        r_boundary = one_radius(r_boundary)
         defect = float(_robin_defect(data, r_boundary))
-        extra.update({tag: _entry(tag, *_worst(tag, float(r_boundary), defect), tol, note)
+        extra.update({tag: _entry(tag, *_worst(tag, r_boundary, defect), tol, note)
                       for tag, note in _BOUNDARY.items() if tag in after})
     entries = {tag: _entry(
         tag, mx, r, tol, skipped=skipped,

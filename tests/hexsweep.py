@@ -276,7 +276,8 @@ def guard_calls():
     documented error, or answer with finite values: the isotropic chart at
     NaN, infinite and huge s for n from 3 to 7, float and out-of-range
     dimensions, a photon-sphere scan past its sample bound (rejected before
-    anything is built) and annuli too wide for the quadrature."""
+    anything is built), annuli too wide for the quadrature, boundary radii
+    that are not one number, and flat balls with bad counts or directions."""
     for n in range(3, 8):
         p = RNParameters(n, 1.0, 0.5)
         chart = IsotropicChart(p)
@@ -297,6 +298,16 @@ def guard_calls():
                      ("criticality_test", lambda: criticality_test(data, (2.0, 1e307), pert)),
                      ("pohozaev_residual", lambda: pohozaev_residual(data, (2.0, 1.7e308)))):
         yield "guard wide annulus", name, fn
+    grid = default_grid(data, count=50)
+    for r_b in ([3.0], np.array([3.0]), (3.0, 4.0)):
+        for fn in (verify_all, residual_traced, residual_pem):
+            yield ("guard one radius", f"{fn.__name__} {r_b!r}",
+                   lambda fn=fn, r_b=r_b: fn(data, grid, r_boundary=r_b))
+    yield "guard one radius", "quasilocal_check [3.0]", lambda: quasilocal_check(data, [3.0])
+    for kwargs in ({"n_boundary": 0}, {"n_interior": 0}, {"n_interior": -1},
+                   {"n_interior": 2.5}, {"v": (float("inf"), 0.0, 1.0)}):
+        yield ("guard flat ball", f"default {kwargs!r}",
+               lambda kwargs=kwargs: euclidean_ball_residuals(BallStaticExample.default(**kwargs)))
 
 
 def guarded(fn):

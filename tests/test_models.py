@@ -512,6 +512,25 @@ def test_ball_example_rejects_zero_direction():
         BallStaticExample.default(v=(0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n_boundary": 0}, {"n_interior": 0}, {"n_interior": -1}, {"n_interior": 2.5},
+    {"n_interior": True}, {"n_boundary": False}, {"n_boundary": 10 ** 400},
+    {"v": (np.inf, 0.0, 1.0)}, {"v": (np.nan, 0.0, 1.0)}, {"v": (10 ** 400, 0, 1)},
+])
+def test_ball_example_rejects_bad_counts_and_directions(kwargs):
+    # These ended in numpy's empty-argmax or matmul ValueError, a TypeError,
+    # an OverflowError, a NaN residual or an "invalid value" warning, or were
+    # accepted (a bool count).
+    with pytest.raises(ParameterError):
+        euclidean_ball_residuals(BallStaticExample.default(**kwargs))
+
+
+def test_ball_example_takes_any_integer_count():
+    ex = BallStaticExample.default(v=(1, 2, 3), n_interior=np.int64(1), n_boundary=3)
+    assert ex.interior.shape == (1, 3) and ex.boundary.shape == (3, 3)
+    assert euclidean_ball_residuals(ex).passed
+
+
 @pytest.mark.parametrize("amplitude, center, width", [
     (np.nan, 5.0, 0.5), (np.inf, 5.0, 0.5), (1e-3, np.nan, 0.5), (1e-3, -np.inf, 0.5),
     (1e-3, 5.0, 0.0), (1e-3, 5.0, -0.5), (1e-3, 5.0, np.inf), (1e-3, 5.0, np.nan),
