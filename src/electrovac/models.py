@@ -324,8 +324,12 @@ class BallStaticExample(Record):
 
     @classmethod
     def default(cls, v=(0.0, 0.0, 1.0), n_interior: int = 200, n_boundary: int = 200):
-        vv = float_array(v, "v", ParameterError)
-        if vv.shape != (3,) or not np.isfinite(vv).all() or not np.any(vv != 0):
+        try:
+            vv = float_array(v, "v", ParameterError)
+            ok = vv.shape == (3,) and np.isfinite(vv).all() and np.any(vv != 0)
+        except (TypeError, ValueError):  # not numbers, or a ragged sequence
+            ok = False
+        if not ok:
             raise ParameterError("v must be a finite nonzero 3-vector")
         for name, count in (("n_interior", n_interior), ("n_boundary", n_boundary)):
             # A bool is rejected as GridSpec rejects it for its count.

@@ -516,11 +516,12 @@ def test_ball_example_rejects_zero_direction():
     {"n_boundary": 0}, {"n_interior": 0}, {"n_interior": -1}, {"n_interior": 2.5},
     {"n_interior": True}, {"n_boundary": False}, {"n_boundary": 10 ** 400},
     {"v": (np.inf, 0.0, 1.0)}, {"v": (np.nan, 0.0, 1.0)}, {"v": (10 ** 400, 0, 1)},
+    {"v": "abc"}, {"v": ([1.0, 2.0], 3.0, 4.0)},
 ])
 def test_ball_example_rejects_bad_counts_and_directions(kwargs):
-    # These ended in numpy's empty-argmax or matmul ValueError, a TypeError,
-    # an OverflowError, a NaN residual or an "invalid value" warning, or were
-    # accepted (a bool count).
+    # These ended in numpy's empty-argmax, matmul or conversion ValueError, a
+    # TypeError, an OverflowError, a NaN residual or an "invalid value"
+    # warning, or were accepted (a bool count).
     with pytest.raises(ParameterError):
         euclidean_ball_residuals(BallStaticExample.default(**kwargs))
 
