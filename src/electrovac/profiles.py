@@ -102,9 +102,10 @@ def float_array(value, what: str, error: type = DomainError):
 
 
 def one_radius(r) -> float:
-    """r as a float, for a call that takes one radius: DomainError naming r
-    unless it is one real number (a float, an int or a 0-d array, say), where
-    float() raises a bare TypeError for a sequence or a longer array."""
+    """r as a float, for a call that takes one radius: a float, an int or a
+    0-d array, say. DomainError naming r for anything float() refuses, such
+    as a sequence or an array of one or more dimensions, where it raises a
+    bare TypeError."""
     try:
         return as_float(r, "radius", DomainError)
     except (TypeError, ValueError):

@@ -471,24 +471,24 @@ def test_bad_boundary_radius_fails_before_any_grid_work():
     p = RNParameters(3, 1.0, 0.5)
     # More than one radius ended in numpy's bare TypeError ("only
     # 0-dimensional arrays can be converted to Python scalars").
-    bad = {0.5: "radius 0.5 outside data domain", (3.0, 4.0): r"one radius, got \(3.0, 4.0\)",
-           "[3.0]": r"one radius, got \[3.0\]", "array": r"one radius, got array\(\[3.\]\)"}
-    values = {"[3.0]": [3.0], "array": np.array([3.0])}
+    bad = [(0.5, "radius 0.5 outside data domain"), ((3.0, 4.0), r"one radius, got \(3.0, 4.0\)"),
+           ([3.0], r"one radius, got \[3.0\]"), (np.array([3.0]), r"one radius, got array\(\[3.\]\)")]
     for count in (1000, 2 * residuals._BLOCK + 3):
         data, counts = counting_data(rn_data(p))
         for call in (verify_all, residual_traced, residual_pem):
-            for r_b, message in bad.items():
+            for r_b, message in bad:
                 with pytest.raises(DomainError, match=message):
-                    call(data, default_grid(data, count=count), r_boundary=values.get(r_b, r_b))
+                    call(data, default_grid(data, count=count), r_boundary=r_b)
         assert counts == {name: {} for name in PROFILES}
     data = rn_data(p)
     with pytest.raises(DomainError, match=r"one radius, got \[3.0\]"):
         quasilocal_check(data, [3.0])
-    # One number of any type gives the float's report.
-    grid = default_grid(data, count=50)
+
     def fields(rep):
         return repr([getattr(rep, name) for name in rep.__slots__])
 
+    # One number of any type gives the float's report.
+    grid = default_grid(data, count=50)
     want = report_or_error(lambda: verify_all(data, grid, r_boundary=3.0))
     for r_b in (3, np.float64(3.0), np.array(3.0)):
         assert report_or_error(lambda: verify_all(data, grid, r_boundary=r_b)) == want
