@@ -37,9 +37,12 @@ def require_dimension(n):
 
 
 def as_float(value, what: str, error: type = ParameterError) -> float:
-    """value as a float; error (ParameterError by default) where the
-    conversion overflows, as for an int beyond the float range, which
-    float() and math.isfinite reject with a bare OverflowError."""
+    """value as a float; error (ParameterError by default) for a str, bytes
+    or bytearray, which float() would parse, and where the conversion
+    overflows, as for an int beyond the float range, which float() and
+    math.isfinite reject with a bare OverflowError."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise error(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:

@@ -3,9 +3,10 @@
 The metric is g = A(r) dr^2 + r^2 g_S on an open radial interval, with g_S the
 round unit (n-1)-sphere. Every symmetric 2-tensor built from such data is
 diagonal in the orthonormal frame {e_0 = A^{-1/2} d/dr, tangential frame}, with
-one radial and one (repeated) tangential eigenvalue; FrameTensor2 stores that
-pair. All operators work elementwise on scalar or 1-D array radii; a float
-radius is read in Python floats (profiles.float_pass).
+one radial and one (repeated) tangential eigenvalue: a plain (radial,
+tangential) pair from the kernels, a FrameTensor2 from the public readers.
+All operators work elementwise on scalar or 1-D array radii; a float radius
+is read in Python floats (profiles.float_pass).
 
 Orientation convention: the unit normal of a coordinate sphere points toward
 increasing r. Mean curvature is the trace of the shape operator for that
@@ -14,8 +15,10 @@ normal, so round spheres in flat space have H = (n-1)/r > 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+import sys
 from typing import Callable, Optional
 
 from .errors import DomainError, NumericsError, ParameterError, as_float, require_dimension
@@ -99,9 +102,6 @@ class FrameTensor2(Record):
 
     def trace(self, n: int):
         return self.radial + (n - 1) * self.tangential
-
-    def scaled(self, f):
-        return FrameTensor2(radial=f * self.radial, tangential=f * self.tangential)
 
 
 class HypersurfaceGeometry(Record):
@@ -193,11 +193,13 @@ class SphericalStaticData(Record):
         operation or division by zero on finite radii has only finite parts
         and skips their checks; one that does runs again with numpy's
         warnings off, and the jets asked for are checked in order, so the
-        first non-finite part raises NumericsError. A float pass checks the
-        jets asked for in order, as the array path's rerun does.
+        first non-finite part raises NumericsError. A float pass, which
+        flags nothing, checks the parts asked for with one sum: only when
+        that sum is not finite (or not a Python float) are they checked jet
+        by jet, in order, as the array path's rerun checks them.
         """
         if self.joint_jet is not None:
-            jets = _joint_jets(self.joint_jet, self.A.require_inside(r))
+            jets = _joint_jets(self.joint_jet, self.A.require_inside(r), count)
         else:
             jets = (prof.jet(r) for prof in (self.A, self.V, self.Emag, self.Psi))
         a = next(jets)
@@ -227,14 +229,22 @@ def _require_positive(a):
     return a
 
 
-def _joint_jets(joint, r):
-    """joint(r) at radii inside its domain (so finite) as an iterator of jets,
-    checked when drawn unless a pass under raised numpy floating-point errors
-    shows them finite. Float arithmetic flags no overflow or invalid
-    operation, so a float pass checks each jet drawn."""
+def _joint_jets(joint, r, count):
+    """The first count jets of joint(r) at radii inside its domain (so
+    finite) as an iterator, checked when drawn unless a pass under raised
+    numpy floating-point errors shows them finite. Float arithmetic flags no
+    overflow or invalid operation, so a float pass is shown finite by a
+    finite float sum of its parts; a sum of finite parts that overflows only
+    leads to the checks, which pass. numpy's warnings are turned off for a
+    float pass only once numpy is loaded."""
     if type(r) is float:
-        with quiet():
-            return map(finite_jet, joint(r))
+        if "numpy" not in sys.modules:
+            jets = joint(r)[:count]
+        else:
+            with np.errstate(all="ignore"):
+                jets = joint(r)[:count]
+        total = sum(itertools.chain.from_iterable(jets))
+        return iter(jets) if type(total) is float and math.isfinite(total) else map(finite_jet, jets)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return iter(joint(r))
@@ -259,16 +269,19 @@ def _require_finite(what: str, *parts):
 
 
 # Kernels on values already evaluated at r: a = A, ap = A', fp = f', fpp = f''.
-def ricci_kernel(n, a, ap, r) -> FrameTensor2:
+# A 2-tensor kernel returns its frame components as a plain (radial,
+# tangential) pair, which the public readers wrap in FrameTensor2; a residual
+# run reads the pairs as they come, with no object per radius.
+def ricci_kernel(n, a, ap, r) -> tuple:
     # warped_scalar's K_rad and K_tan at C = r, C' = 1, C'' = 0, bit for bit.
     K_rad, K_tan = ap / (2.0 * a * a * r), (1.0 - 1.0 / a) / (r * r)
-    ric = FrameTensor2(radial=(n - 1) * K_rad, tangential=K_rad + (n - 2) * K_tan)
-    _require_finite("Ricci components", ric.radial, ric.tangential)
+    ric = (n - 1) * K_rad, K_rad + (n - 2) * K_tan
+    _require_finite("Ricci components", *ric)
     return ric
 
 
-def hessian_kernel(a, ap, fp, fpp, r) -> FrameTensor2:
-    return FrameTensor2(radial=(fpp - ap * fp / (2.0 * a)) / a, tangential=fp / (r * a))
+def hessian_kernel(a, ap, fp, fpp, r) -> tuple:
+    return (fpp - ap * fp / (2.0 * a)) / a, fp / (r * a)
 
 
 def laplacian_kernel(n, a, ap, fp, fpp, r):
@@ -277,11 +290,11 @@ def laplacian_kernel(n, a, ap, fp, fpp, r):
     return fpp / a - fp * ap / (2.0 * a * a) + (n - 1) * fp / (r * a)
 
 
-def master_kernel(v, e2, hess: FrameTensor2, lap, vric: FrameTensor2) -> FrameTensor2:
-    """T = Hess V - (Lap V) g - V Ric - 2 V (E-flat x E-flat - |E|^2 g), vric = V Ric:
-    AE1 says T = 0, and <T, h> is the annulus functional's first variation."""
-    return FrameTensor2(radial=hess.radial - lap - vric.radial,
-                        tangential=hess.tangential - lap - vric.tangential + 2.0 * v * e2)
+def master_kernel(v, e2, hess, lap, vric) -> tuple:
+    """T = Hess V - (Lap V) g - V Ric - 2 V (E-flat x E-flat - |E|^2 g), with
+    the pairs hess = Hess V and vric = V Ric: AE1 says T = 0, and <T, h> is
+    the annulus functional's first variation."""
+    return hess[0] - lap - vric[0], hess[1] - lap - vric[1] + 2.0 * v * e2
 
 
 def scalar_curvature_d1_kernel(n, a, ap, app, r):
@@ -302,7 +315,7 @@ def ricci_radial(data: SphericalStaticData, r) -> FrameTensor2:
     r = data.require_interior(r)
     (a, ap, _), = data.jets(r, 1)
     with quiet():
-        return ricci_kernel(data.n, a, ap, r)
+        return FrameTensor2(*ricci_kernel(data.n, a, ap, r))
 
 
 def scalar_curvature(data: SphericalStaticData, r):
@@ -328,7 +341,7 @@ def hessian_radial(data: SphericalStaticData, f: RadialProfile, r) -> FrameTenso
     r = data.require_interior(r)
     (a, ap, _), = data.jets(r, 1)
     _, fp, fpp = f.jet(r)
-    return hessian_kernel(a, ap, fp, fpp, r)
+    return FrameTensor2(*hessian_kernel(a, ap, fp, fpp, r))
 
 
 @float_pass
@@ -357,10 +370,10 @@ def level_set_geometry(data: SphericalStaticData, r) -> HypersurfaceGeometry:
     with quiet():
         sa = sqrt(a)
         H = (n - 1) / (r * sa)
-        ric = ricci_kernel(n, a, ap, r)
+        ric_nn, ric_tan = ricci_kernel(n, a, ap, r)
         return HypersurfaceGeometry(r=r if type(r) is float else r[()], H=H, B_tan=H / (n - 1),
                                     R_S=(n - 1) * (n - 2) / (r * r), V=v, nuV=vp / sa,
-                                    ric_nn=ric.radial, R=ric.trace(n))
+                                    ric_nn=ric_nn, R=ric_nn + (n - 1) * ric_tan)
 
 
 def contracted_gauss_residual(data: SphericalStaticData, r):

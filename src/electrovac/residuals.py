@@ -30,16 +30,18 @@ any lam; the Psi-form equations are stated for lam = 0.
 
 A report first evaluates the one Robin defect behind the boundary tags (TE2,
 E4, PEM4) when it has a boundary radius, so a bad boundary radius fails before
-any grid work. It then walks the grid in runs of radii, with one set of
-pointwise fields per run from one read of SphericalStaticData.jets, one joint
-pass when the data has a joint jet. A run is a block of _BLOCK consecutive
-radii, each built alone, or, in a process without numpy, one float radius.
-Each residual family maps a run to its radii and one row of residuals per tag,
-and one reducer keeps, per tag, the maximum |residual|, the radius where it
-occurs and the skipped points; a later run replaces the maximum only when
-strictly larger, so the result equals one argmax over the whole grid, bit for
-bit. The arithmetic is elementwise, so a report does not depend on the block
-length, and its memory does not grow with the grid.
+any grid work. It then walks the grid in runs of radii. A run is a block of
+_BLOCK consecutive radii, each built alone, with one set of pointwise fields
+from one read of SphericalStaticData.jets (one joint pass when the data has a
+joint jet), or, in a process without numpy, the grid's float radii as one
+list, with one set of fields per radius. Each residual family maps a set of
+fields to its radii and one row of residuals per tag, which a list run
+gathers into one list per tag. One reducer keeps, per tag, the maximum
+|residual|, the radius where it occurs and the skipped points, reducing each
+row or list once; a later run replaces the maximum only when strictly
+larger, so the result equals one argmax over the whole grid, bit for bit.
+The arithmetic is elementwise, so a report does not depend on the block
+length, and a block report's memory does not grow with the grid.
 
 A failing report makes the same one pass. An end of the grid outside the
 data domain raises that DomainError before any block. Otherwise the first
@@ -52,8 +54,8 @@ value raises the same NumericsError; the structural tags (E3b, NE2) come
 from a table.
 
 numpy comes from profiles' stand-in, so importing this module loads none.
-While numpy is not loaded, a grid of at most 1000 radii is walked one float
-radius at a time (a cold verify, on closed-form data or a table); the walk's
+While numpy is not loaded, a grid of at most 1000 radii is walked as one run
+of float radii (a cold verify, on closed-form data or a table); the walk's
 report is the blocks' bit for bit, because the fields use only + - * /, abs
 and sqrt and GridSpec builds the same radii in Python floats. Where the walk
 raises, would skip a radius, or ends with numpy loaded, the blocks run
@@ -289,9 +291,16 @@ class ResidualReport(Record):
 
 def _worst(tag, rs, res) -> tuple[float, float]:
     """(max |res|, the first radius where it occurs) at a float radius rs, or
-    over a non-empty array rs; NumericsError if that max is not finite."""
+    over a non-empty list or array rs; NumericsError if that max is not finite."""
     if type(rs) is float:
         mx = abs(res)
+    elif type(rs) is list:
+        res = list(map(abs, res))
+        # max passes over a NaN; a sum is finite only if every entry is,
+        # though finite entries may overflow it.
+        finite = math.isfinite(sum(res)) or all(map(math.isfinite, res))
+        mx = max(res) if finite else math.nan
+        rs = rs[res.index(mx)] if finite else None
     else:
         res = np.abs(res)
         # argmax stops at the first NaN, and the max is inf if any entry is.
@@ -358,11 +367,12 @@ class _Fields:
         self.e, self.ep, _ = jets[2]
         # After the jets' checks, so their errors come first; those kept rs in the domain.
         data.require_off_v_zeros(rs)
+        # The frame tensors are the kernels' (radial, tangential) pairs.
         self.ric = ricci_kernel(self.n, self.a, self.ap, rs)
-        self.vric = self.ric.scaled(self.v)
+        self.vric = self.v * self.ric[0], self.v * self.ric[1]
         self.hess = hessian_kernel(self.a, self.ap, self.vp, vpp, rs)
         self.lap = laplacian_kernel(self.n, self.a, self.ap, self.vp, vpp, rs)
-        self.R = self.ric.trace(self.n)
+        self.R = self.ric[0] + (self.n - 1) * self.ric[1]
         if data.Psi is not None:
             self.psip, self.psipp = jets[3][1:]
             self.dpsi2 = self.psip * self.psip / self.a
@@ -382,9 +392,9 @@ def _maximum(x, y):
 # residual at those radii}).
 def _system_rows(f: _Fields):
     n, lam, rs = f.n, f.lam, f.rs
-    rhs_rad = f.ric.radial - 2.0 * lam / (n - 1) + f.two_e2 - f.two_e2_n
-    rhs_tan = f.ric.tangential - 2.0 * lam / (n - 1) - f.two_e2_n
-    e1 = _maximum(abs(f.hess.radial - f.v * rhs_rad), abs(f.hess.tangential - f.v * rhs_tan))
+    rhs_rad = f.ric[0] - 2.0 * lam / (n - 1) + f.two_e2 - f.two_e2_n
+    rhs_tan = f.ric[1] - 2.0 * lam / (n - 1) - f.two_e2_n
+    e1 = _maximum(abs(f.hess[0] - f.v * rhs_rad), abs(f.hess[1] - f.v * rhs_tan))
     e2_res = f.lap - f.v * (2.0 * (n - 2) / (n - 1) * f.e2 - 2.0 * lam / (n - 1))
     e3a = (f.ep + (n - 1) * f.e / rs) / f.sa
     return rs, {"E1": e1, "E2": e2_res, "E3a": e3a}
@@ -392,7 +402,7 @@ def _system_rows(f: _Fields):
 
 def _master_rows(f: _Fields):
     T = master_kernel(f.v, f.e2, f.hess, f.lap, f.vric)
-    return f.rs, {"AE1": _maximum(abs(T.radial), abs(T.tangential))}
+    return f.rs, {"AE1": _maximum(abs(T[0]), abs(T[1]))}
 
 
 def _traced_rows(f: _Fields):
@@ -407,8 +417,8 @@ def _pem_rows(f: _Fields):
     counts the rest as skipped."""
     n, v, sa = f.n, f.v, f.sa
     t = f.dpsi2 / v
-    pem1_rad = f.hess.radial - (f.vric.radial + 2.0 * (n - 2) / (n - 1) * t)
-    pem1_tan = f.hess.tangential - (f.vric.tangential - 2.0 / (n - 1) * t)
+    pem1_rad = f.hess[0] - (f.vric[0] + 2.0 * (n - 2) / (n - 1) * t)
+    pem1_tan = f.hess[1] - (f.vric[1] - 2.0 / (n - 1) * t)
     pem1 = _maximum(abs(pem1_rad), abs(pem1_tan))
     pem2 = f.lap - 2.0 * (n - 2) / (n - 1) * t
 
@@ -449,7 +459,7 @@ def _worst_rows(families, data, grid) -> dict[str, list]:
     """Per grid tag, [max |residual|, its radius, skipped radii], from
     _reduce over runs of radii: consecutive blocks of _BLOCK radii, or,
     while numpy is not loaded and the grid has at most _GRID_COUNT radii,
-    its float radii one at a time, which give the same rows bit for bit. If
+    one run of its float radii, which gives the same rows bit for bit. If
     that walk raises, meets a radius it would skip, or ends with numpy
     loaded, the blocks run as usual, so every error is theirs.
 
@@ -464,7 +474,7 @@ def _worst_rows(families, data, grid) -> dict[str, list]:
     worst = None
     if "numpy" not in sys.modules and grid.count <= _GRID_COUNT:
         try:
-            worst = _reduce(families, data, grid._floats())
+            worst = _reduce(families, data, [grid._floats()])
         except Exception:
             pass
     if worst is None or "numpy" in sys.modules:
@@ -484,10 +494,12 @@ def _worst_rows(families, data, grid) -> dict[str, list]:
 
 
 def _reduce(families, data, runs) -> dict[str, list]:
-    """_worst_rows' rows from one _Fields per run of radii (a float radius or
-    an array). A later run replaces a tag's max only when strictly larger,
-    so ties keep the first radius, as one argmax over the whole grid would;
-    a run whose radii a family skips all leaves the tag's row as it was."""
+    """_worst_rows' rows from runs of radii: arrays, one _Fields each, or a
+    list of float radii, one _Fields per radius, whose residuals each tag
+    gathers into a list (_gather). A later run replaces a tag's max only
+    when strictly larger, so ties keep the first radius, as one argmax over
+    the whole grid would; a run whose radii a family skips all leaves the
+    tag's row as it was."""
     worst: dict[str, list] = {}
     for rs in runs:
         # The last run's fields stay bound until the next run's replace them:
@@ -495,9 +507,12 @@ def _reduce(families, data, runs) -> dict[str, list]:
         # glibc returns to the kernel, and the next block faults it back in.
         # A del at the end of this loop body took a 1e5-radius verify_all
         # from about 800 to 5,400 minor page faults.
-        f = _Fields(data, rs)
-        for family in families:
-            radii, rows = family(f)
+        if type(rs) is list:
+            produced = [(rs, _gather(families, data, rs))]
+        else:
+            f = _Fields(data, rs)
+            produced = (family(f) for family in families)
+        for radii, rows in produced:
             for tag, res in rows.items():
                 row = worst.setdefault(tag, [-1.0, None, 0])
                 if radii is not rs:
@@ -508,6 +523,18 @@ def _reduce(families, data, runs) -> dict[str, list]:
                 if mx > row[0]:
                     row[0], row[1] = mx, r
     return worst
+
+
+def _gather(families, data, rs) -> dict[str, list]:
+    """Every family's residuals at the float radii rs, one list per tag,
+    from one _Fields per radius; a radius that a family would skip raises
+    TypeError."""
+    fields = [_Fields(data, r) for r in rs]
+    cols: dict[str, list] = {}
+    for family in families:
+        rows = [family(f)[1] for f in fields]
+        cols.update({tag: [row[tag] for row in rows] for tag in rows[0]})
+    return cols
 
 
 def _report(families, data, grid, tol, r_boundary=None) -> ResidualReport:

@@ -372,7 +372,8 @@ def _functional_integrand(data: SphericalStaticData, pert: Optional[Perturbation
     e2 = e ** 2
     rn = r ** (n - 1)
     if pert is None:
-        R = ricci_kernel(n, a0, ap0, r).trace(n)
+        ric_rad, ric_tan = ricci_kernel(n, a0, ap0, r)
+        R = ric_rad + (n - 1) * ric_tan
         return v * (R - 6.0 * e2) * sa0 * rn + 4.0 * v * e2 * sa0 * rn
     eps = np.asarray(amplitudes, dtype=float)[:, None]
     b, b1, b2 = pert.bump_jet(r)
@@ -527,10 +528,10 @@ def _el_integrand(data: SphericalStaticData, pert: Perturbation, r):
     (a, ap, _), (v, vp, vpp), (e, _, _) = _jets(data, r, 3)
     hess = hessian_kernel(a, ap, vp, vpp, r)
     lap = laplacian_kernel(n, a, ap, vp, vpp, r)
-    ric = ricci_kernel(n, a, ap, r)
-    T = master_kernel(v, e ** 2, hess, lap, ric.scaled(v))
+    ric_rad, ric_tan = ricci_kernel(n, a, ap, r)
+    T_rad, T_tan = master_kernel(v, e ** 2, hess, lap, (v * ric_rad, v * ric_tan))
     b = pert.bump(r)
-    density = T.radial * (pert.radial_on * b) + (n - 1) * T.tangential * (pert.tangential_on * b)
+    density = T_rad * (pert.radial_on * b) + (n - 1) * T_tan * (pert.tangential_on * b)
     return density * np.sqrt(a) * r ** (n - 1)
 
 
@@ -553,12 +554,12 @@ def _pohozaev_integrands(data: SphericalStaticData, r):
     (a, ap, app), (_, vp, vpp) = _jets(data, r, 2)
     sa = np.sqrt(a)
     Rp = scalar_curvature_d1_kernel(n, a, ap, app, r)
-    hess = hessian_kernel(a, ap, vp, vpp, r)
-    ric = ricci_kernel(n, a, ap, r)
-    R = ric.trace(n)
-    t_rad = ric.radial - R / n
-    t_tan = ric.tangential - R / n
-    inner = hess.radial * t_rad + (n - 1) * hess.tangential * t_tan
+    hess_rad, hess_tan = hessian_kernel(a, ap, vp, vpp, r)
+    ric_rad, ric_tan = ricci_kernel(n, a, ap, r)
+    R = ric_rad + (n - 1) * ric_tan
+    t_rad = ric_rad - R / n
+    t_tan = ric_tan - R / n
+    inner = hess_rad * t_rad + (n - 1) * hess_tan * t_tan
     return vp * Rp / sa * r ** (n - 1), inner * sa * r ** (n - 1)
 
 

@@ -28,10 +28,12 @@ from electrovac import (
     surface_gravity,
     tabulated_profile,
 )
-from electrovac.geometry import FrameTensor2, HypersurfaceGeometry, Record
+from electrovac.errors import ElectrovacError
+from electrovac.geometry import FrameTensor2, HypersurfaceGeometry, Record, _require_positive
 from electrovac.models import BallStaticExample, IsotropicPoint
 from electrovac.photon import (Classification, PhotonRoot, PhotonSphereResult, QuasilocalReport,
                                RejectedRoot)
+from electrovac.profiles import _table_profiles, finite_jet
 from electrovac.residuals import ResidualReport, TagResult
 from electrovac.variational import (CriticalityResult, Perturbation, _el_integrand,
                                     _pohozaev_integrands)
@@ -310,6 +312,76 @@ def test_joint_and_profile_jets_read_the_same_bits():
             assert len(got) == len(want) == count
             for jet, other in zip(got, want):
                 assert all(same_bits(a, b) for a, b in zip(jet, other)), (data, r, count)
+
+
+def float_joint_cases():
+    """(data, r): joint data at a float radius, as rn_data, a 5-column table
+    (cli.load_table's joint) and a hand-written joint."""
+    base = rn_data(RNParameters(3, 1.0, 0.5))
+    yield base, 3.0
+    rs = [2.2 * 1.05 ** i for i in range(40)]
+    (A, V, Emag, Psi), joint = _table_profiles(
+        rs, [[float(getattr(base, name)(r)) for r in rs] for name in ("A", "V", "Emag", "Psi")])
+    yield SphericalStaticData(n=3, lam=0.0, A=A, V=V, Emag=Emag, Psi=Psi, joint=joint), 3.0
+
+    def hand(r):
+        x = 1.0 / r
+        return ((1.0 + x, -x * x, 2.0 * x * x * x), (r, 1.0, 0.0), (x * x, -2.0 * x * x * x, 6.0 * x ** 4),
+                (x, -x * x, 2.0 * x * x * x))
+
+    one = constant_profile(1.0)
+    yield SphericalStaticData(n=3, lam=0.0, A=one, V=one, Emag=one, Psi=one, joint=hand), 2.5
+
+
+def with_parts(joint, changes):
+    """joint with the parts {(jet, part): value} replaced."""
+    def read(r):
+        jets = [list(jet) for jet in joint(r)]
+        for (j, k), value in changes.items():
+            jets[j][k] = value
+        return tuple(map(tuple, jets))
+    return read
+
+
+def checked_jet_by_jet(jets, count):
+    """A float read checked one part at a time: each jet by finite_jet, in
+    order, and A > 0 right after A's jet."""
+    jets = map(finite_jet, jets)
+    a = next(jets)
+    _require_positive(a[0])
+    return [a] + [next(jets) for _ in range(count - 1)]
+
+
+def outcome(read):
+    try:
+        return [[part.hex() for part in jet] for jet in read()]
+    except ElectrovacError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_a_float_read_checked_by_one_sum_raises_what_a_check_per_part_raises():
+    # The first non-finite part asked for, in order, raises its
+    # NumericsError, A <= 0 its DomainError, and a non-finite part that is
+    # not asked for nothing; finite parts whose sum overflows come back as
+    # the joint gave them.
+    bad_values = (math.nan, math.inf, -math.inf)
+    for data, r in float_joint_cases():
+        changes = [{(j, k): x} for j in range(4) for k in range(3) for x in bad_values]
+        changes += [{(0, 0): -1.0}, {(0, 0): 0.0}, {(0, 0): -1.0, (1, 0): math.nan},
+                    {(1, 2): math.inf, (2, 1): math.nan}, {(0, 1): 1.7e308, (1, 0): 1.7e308},
+                    {(2, 2): -1.7e308, (3, 0): -1.7e308}]
+        for change in changes:
+            joint = with_parts(data.joint_jet, change)
+            bad = data.replace(joint=joint)
+            for count in (1, 2, 3, 4):
+                want = outcome(lambda: checked_jet_by_jet(joint(r), count))
+                assert outcome(lambda: bad.jets(r, count)) == want, (data, change, count)
+        overflow = data.replace(joint=with_parts(data.joint_jet, {(0, 1): 1.7e308, (1, 0): 1.7e308}))
+        parts = [part for jet in overflow.joint_jet(r) for part in jet]
+        assert all(map(math.isfinite, parts)) and sum(parts) == math.inf
+        assert outcome(lambda: overflow.jets(r, 4)) == outcome(lambda: overflow.joint_jet(r))
+        assert outcome(lambda: data.replace(joint=with_parts(data.joint_jet, {(0, 0): 0.0})).jets(r, 1)) == (
+            "DomainError", "metric coefficient A must be positive")
 
 
 def two_jet_readers():

@@ -349,22 +349,39 @@ def test_library_defaults_reach_the_reports_unrestated():
     assert reports["functional"]["tolerances"]["quadrature"] == electrovac.QuadratureConfig().tol
 
 
-def test_a_fresh_verify_prints_what_the_array_path_prints():
-    # A fresh process walks the golden line's grid in Python floats; this
-    # process, which has numpy, runs the array blocks.
-    argv = ["verify", "--n", "3", "--m", "1", "--q", "0", "--boundary", "3.0"]
+def test_a_fresh_verify_prints_what_the_array_path_prints(tmp_path):
+    # A fresh process walks each grid in Python floats; this process, which
+    # has numpy, runs the array blocks. A walk that fell back to the blocks
+    # would print the same reports but load numpy, so one process runs
+    # closed-form data for n 3-7 in every regime, with and without a
+    # photon-sphere boundary, and a 5-column plain table.
+    runs = [["verify", "--n", "3", "--m", "1", "--q", "0", "--boundary", "3.0"]]
+    for n in range(3, 8):
+        for m, q in ((1.0, 0.5), (1.0, -1.0), (0.7, 1.1)):
+            argv = ["verify", "--n", str(n), "--m", repr(m), "--q", repr(q)]
+            roots = electrovac.photon_sphere_radii(electrovac.RNParameters(n, m, q)).roots
+            runs += [argv] + [argv + ["--boundary", repr(roots[-1].r)] for _ in roots[-1:]]
+    data = electrovac.rn_data(electrovac.RNParameters(4, 1.0, 0.5))
+    rs = np.geomspace(1.05 * data.domain[0] + 0.1, 20.0, 400)
+    table = tmp_path / "n4-5.dat"
+    np.savetxt(table, np.column_stack([rs, *(getattr(data, name)(rs) for name in ("A", "V", "Emag", "Psi"))]))
+    runs.append(["verify", "--n", "4", "--profile", str(table)])
     got = run_fresh(f"""
         import contextlib, io
         import electrovac.cli
+        outs = []
+        for argv in {runs!r}:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                outs.append([electrovac.cli.main(argv), out.getvalue()])
+        print(json.dumps({{"outs": outs, "numpy": "numpy._core" in sys.modules}}))
+    """)
+    want = []
+    for argv in runs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = electrovac.cli.main({argv!r})
-        print(json.dumps({{"code": code, "out": out.getvalue(), "numpy": "numpy._core" in sys.modules}}))
-    """)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = electrovac.cli.main(argv)
-    assert got == {"code": code, "out": out.getvalue(), "numpy": False}
+            want.append([electrovac.cli.main(argv), out.getvalue()])
+    assert len(runs) == 27 and got == {"outs": want, "numpy": False}
 
 
 def test_a_fresh_table_verify_prints_what_the_array_path_prints(tmp_path):

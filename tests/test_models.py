@@ -40,6 +40,7 @@ from electrovac import (
     tabulated_profile,
     verify_all,
 )
+from electrovac.geometry import require_tolerance
 from electrovac.profiles import MODE_FINITE_DIFFERENCE
 
 
@@ -151,6 +152,28 @@ def test_an_int_beyond_the_float_range_raises_the_documented_error():
     # A value in range is kept as its float.
     assert QuadratureConfig(tol=1).tol == 1.0 and type(QuadratureConfig(tol=1).tol) is float
     assert type(RNParameters(3, 1, 0).m) is float and GridSpec(1, 10).radii()[-1] == 10.0
+
+
+DATA = rn_data(RNParameters(3, 1.0, 0.5))
+
+
+@pytest.mark.parametrize("number", ["3.0", b"3.0", bytearray(b"3.0")])
+@pytest.mark.parametrize("error, call", [
+    (DomainError, lambda x: quasilocal_check(DATA, x)),
+    (DomainError, lambda x: verify_all(DATA, default_grid(DATA), r_boundary=x)),
+    (DomainError, lambda x: horizon_gradient_limit(DATA, x)),
+    (ParameterError, lambda x: RNParameters(3, x, 0.0)),
+    (ParameterError, lambda x: RNParameters(3, 1.0, x)),
+    (DomainError, lambda x: GridSpec(x, 10.0)),
+    (DomainError, lambda x: GridSpec(1.0, x)),
+    (ParameterError, lambda x: require_tolerance(x)),
+    (ParameterError, lambda x: verify_all(DATA, default_grid(DATA), tol=x)),
+])
+def test_a_numeric_string_is_not_a_number(number, error, call):
+    # float() parses a numeric string, so each of these took "3.0" for 3.0;
+    # the CLI's own parser converts its options before any of them.
+    with pytest.raises(error, match=r"must be a number, got .*3\.0"):
+        call(number)
 
 
 def test_regime_labels():

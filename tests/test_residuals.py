@@ -170,7 +170,7 @@ def test_degenerate_potential_points_are_skipped_in_psi_form():
         Emag=constant_profile(0.0),
         Psi=constant_profile(0.0),
     )
-    with pytest.raises(DegeneracyError):
+    with pytest.raises(DegeneracyError, match="V is degenerate on the whole grid"):
         residual_pem(all_zero, grid)
 
 
@@ -739,9 +739,9 @@ def walk_cases():
 
 
 def float_walk(families, data, grid):
-    """The reducer driven with the grid's float radii, as a process without
-    numpy drives it."""
-    return residuals._reduce(families, data, grid._floats())
+    """The reducer driven with the grid's float radii as one run, as a
+    process without numpy drives it."""
+    return residuals._reduce(families, data, [grid._floats()])
 
 
 def test_the_float_walk_gives_the_array_reports_bit_for_bit(monkeypatch):
