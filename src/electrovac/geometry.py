@@ -244,7 +244,8 @@ def _joint_jets(joint, r, count):
             with np.errstate(all="ignore"):
                 jets = joint(r)[:count]
         total = sum(itertools.chain.from_iterable(jets))
-        return iter(jets) if type(total) is float and math.isfinite(total) else map(finite_jet, jets)
+        finite = type(total) is float and math.isfinite(total)
+        return iter(jets) if finite else map(finite_jet, jets)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return iter(joint(r))

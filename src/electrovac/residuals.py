@@ -298,9 +298,8 @@ def _worst(tag, rs, res) -> tuple[float, float]:
         res = list(map(abs, res))
         # max passes over a NaN; a sum is finite only if every entry is,
         # though finite entries may overflow it.
-        finite = math.isfinite(sum(res)) or all(map(math.isfinite, res))
-        mx = max(res) if finite else math.nan
-        rs = rs[res.index(mx)] if finite else None
+        mx = max(res) if math.isfinite(sum(res)) or all(map(math.isfinite, res)) else math.nan
+        rs = rs[res.index(mx)] if mx == mx else None
     else:
         res = np.abs(res)
         # argmax stops at the first NaN, and the max is inf if any entry is.
@@ -530,11 +529,8 @@ def _gather(families, data, rs) -> dict[str, list]:
     from one _Fields per radius; a radius that a family would skip raises
     TypeError."""
     fields = [_Fields(data, r) for r in rs]
-    cols: dict[str, list] = {}
-    for family in families:
-        rows = [family(f)[1] for f in fields]
-        cols.update({tag: [row[tag] for row in rows] for tag in rows[0]})
-    return cols
+    rows = [[family(f)[1] for f in fields] for family in families]
+    return {tag: [row[tag] for row in fam] for fam in rows for tag in fam[0]}
 
 
 def _report(families, data, grid, tol, r_boundary=None) -> ResidualReport:
