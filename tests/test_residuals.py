@@ -753,6 +753,24 @@ def test_the_float_walk_gives_the_array_reports_bit_for_bit(monkeypatch):
     assert len(got) == 106 and got == want
 
 
+def test_a_list_run_reduces_as_its_array_does():
+    # The walk reduces each tag's gathered residuals once: the first radius
+    # of the max, and NumericsError for a NaN or inf anywhere, though max
+    # passes over a NaN that is not first. Finite residuals whose sum
+    # overflows are reduced as usual.
+    nan, inf, big = math.nan, math.inf, 1.7e308
+    rs = [1.0, 2.0, 3.0, 4.0]
+    for res in ([0.5, -2.0, 2.0, 1.0], [0.0, -0.0, 0.0, 0.0], [big, -big, 1.0, 2.0],
+                [1.0, nan, 0.5, 2.0], [nan, 1.0, 2.0, 3.0], [1.0, 2.0, -inf, 3.0]):
+        try:
+            want = residuals._worst("E1", np.array(rs), np.array(res))
+        except NumericsError as exc:
+            with pytest.raises(NumericsError, match=str(exc)):
+                residuals._worst("E1", rs, res)
+            continue
+        assert residuals._worst("E1", rs, res) == want
+
+
 def test_the_float_walk_raises_where_the_array_path_does():
     # So the array path runs again and its error is the one reported.
     families = (residuals._system_rows, residuals._master_rows, residuals._traced_rows,
