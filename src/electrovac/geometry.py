@@ -305,11 +305,11 @@ def scalar_curvature_d1_kernel(n, a, ap, app, r):
     return (n - 1) * term1 + (n - 1) * (n - 2) * term2
 
 
-# ricci_radial, scalar_curvature_d1 and level_set_geometry run their kernels
-# with numpy's warnings off, as a residual block does: an overflow that ends
-# non-finite raises NumericsError (in ricci_kernel, or in scalar_curvature_d1
-# itself), and one that ends finite passes silently (at r = 1e200, r*r
-# overflows and K_tan = x/inf reads 0).
+# ricci_radial, scalar_curvature_d1, hessian_radial, laplacian_radial and
+# level_set_geometry run their kernels with numpy's warnings off, as a
+# residual block does: an overflow that ends non-finite raises NumericsError
+# (in ricci_kernel, or in the reader itself), and one that ends finite passes
+# silently (at r = 1e200, r*r overflows and K_tan = x/inf reads 0).
 @float_pass
 def ricci_radial(data: SphericalStaticData, r) -> FrameTensor2:
     """Ricci tensor of g in frame components at radius r."""
@@ -342,7 +342,10 @@ def hessian_radial(data: SphericalStaticData, f: RadialProfile, r) -> FrameTenso
     r = data.require_interior(r)
     (a, ap, _), = data.jets(r, 1)
     _, fp, fpp = f.jet(r)
-    return FrameTensor2(*hessian_kernel(a, ap, fp, fpp, r))
+    with quiet():
+        hess = hessian_kernel(a, ap, fp, fpp, r)
+    _require_finite("Hessian components", *hess)
+    return FrameTensor2(*hess)
 
 
 @float_pass
@@ -351,7 +354,10 @@ def laplacian_radial(data: SphericalStaticData, f: RadialProfile, r):
     r = data.require_interior(r)
     (a, ap, _), = data.jets(r, 1)
     _, fp, fpp = f.jet(r)
-    return laplacian_kernel(data.n, a, ap, fp, fpp, r)
+    with quiet():
+        lap = laplacian_kernel(data.n, a, ap, fp, fpp, r)
+    _require_finite("Laplacian", lap)
+    return lap
 
 
 @float_pass
@@ -392,9 +398,10 @@ def richardson_limit(samples):
     """Limit h -> 0 of f(h) from samples at h_k = h_0 / 10^k.
 
     Assumes a smooth expansion f = L + c_1 h + c_2 h^2 + ...; eliminates one
-    power per tableau column, of which only the latest is kept.
+    power per tableau column, of which only the latest is kept. Each sample
+    is converted by as_float, so a numeric string is a ParameterError.
     """
-    col = list(map(float, samples))
+    col = [as_float(s, "Richardson sample") for s in samples]
     if len(col) < 2:
         raise NumericsError("need at least two samples to extrapolate")
     for j in range(1, len(col)):

@@ -161,10 +161,10 @@ def scan_photon_spheres(data: SphericalStaticData, lo: Optional[float] = None,
     r0 = data.domain[0]
     if lo is None:
         lo = r0 * (1.0 + 1e-6) if r0 > 0 else 0.05 * data.r_scale
+    lo, hi = (as_float(x, "scan bound", DomainError) for x in (lo, hi))
     if not (data.domain[0] <= lo < hi < math.inf):
         raise DomainError(
             f"scan interval [{lo}, {hi}] is not a finite, non-empty interval of the data domain")
-    lo, hi = (as_float(x, "scan bound", DomainError) for x in (lo, hi))
 
     rs = np.geomspace(lo, hi, samples)
     vals = np.asarray(boundary_residual(data, rs), dtype=float)

@@ -92,9 +92,13 @@ def float_pass(fn):
 
 
 def float_array(value, what: str, error: type = DomainError):
-    """value as a float array; error (DomainError by default) where the
-    conversion overflows, as for an int beyond the float range, which numpy
-    rejects with a bare OverflowError: errors.as_float for arrays."""
+    """value as a float array; error (DomainError by default) for a str,
+    bytes or bytearray, or strings in an array or sequence, which numpy would
+    parse, and where the conversion overflows, as for an int beyond the float
+    range, which numpy rejects with a bare OverflowError: errors.as_float for
+    arrays."""
+    if isinstance(value, (str, bytes, bytearray)) or np.asarray(value).dtype.kind in "US":
+        raise error(f"{what} must be a number, got {value!r}")
     try:
         return np.asarray(value, dtype=float)
     except OverflowError:
@@ -286,22 +290,22 @@ class _Spline:
 
     They are built and read at a float radius in Python floats, a piece found
     by bisect; the read-only arrays that radius arrays read, with the same
-    Horner expressions, are built once, on the first array read, and stored
-    by one assignment, so first reads from many threads each see a whole set.
+    Horner expressions, are a functools.cached_property: built on the first
+    array read and stored by one assignment, so first reads from many threads
+    each see a whole set.
     """
 
     def __init__(self, knots: list, columns: list):
         self.knots = knots
         self.pieces = [_pieces(knots, col) for col in columns]
-        self._arrays = None
 
-    def _build(self):
+    @functools.cached_property
+    def _arrays(self):
         knots = np.array(self.knots)
         pieces = [np.array(list(zip(*col))) for col in self.pieces]
         for a in (knots, *pieces):
             a.flags.writeable = False
-        self._arrays = knots, pieces
-        return self._arrays
+        return knots, pieces
 
     def jets(self, r, columns) -> list:
         """The jets (f, f', f'') at r, inside the knots' open interval, of the
@@ -310,7 +314,7 @@ class _Spline:
             i = bisect.bisect_right(self.knots, r) - 1
             h = r - self.knots[i]
             return [_horner(*self.pieces[j][i], h) for j in columns]
-        knots, pieces = self._arrays or self._build()
+        knots, pieces = self._arrays
         i = np.searchsorted(knots, r, side="right") - 1
         h = r - knots[i]
         return [_horner(*pieces[j][:, i], h) for j in columns]

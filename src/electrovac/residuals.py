@@ -290,11 +290,9 @@ class ResidualReport(Record):
 
 
 def _worst(tag, rs, res) -> tuple[float, float]:
-    """(max |res|, the first radius where it occurs) at a float radius rs, or
-    over a non-empty list or array rs; NumericsError if that max is not finite."""
-    if type(rs) is float:
-        mx = abs(res)
-    elif type(rs) is list:
+    """(max |res|, the first radius where it occurs) over a non-empty list or
+    array rs; NumericsError if that max is not finite."""
+    if type(rs) is list:
         res = list(map(abs, res))
         # max passes over a NaN; a sum is finite only if every entry is,
         # though finite entries may overflow it.
@@ -541,7 +539,7 @@ def _report(families, data, grid, tol, r_boundary=None) -> ResidualReport:
     if r_boundary is not None:
         r_boundary = one_radius(r_boundary)
         defect = float(_robin_defect(data, r_boundary))
-        extra.update({tag: _entry(tag, *_worst(tag, r_boundary, defect), tol, note)
+        extra.update({tag: _entry(tag, *_worst(tag, [r_boundary], [defect]), tol, note)
                       for tag, note in _BOUNDARY.items() if tag in after})
     entries = {tag: _entry(
         tag, mx, r, tol, skipped=skipped,

@@ -18,15 +18,15 @@ whose frame components are the master-equation residual AE1: the first
 variation and AE1 take T from the same kernel, geometry.master_kernel, so
 data solving the static system is critical.
 
-The calls on one data set share their reads. A quadrature's node array is
-built once per pair of rules and kept read-only, and the jets of A, V and |E|
-on it are read once per data object across calls: the last three (data,
-node array) pairs keep their jets, and a call that needs fewer profiles
-takes a prefix. The annulus edges are checked and read as Python floats, the
-sphere geometry at each once per data object. So the four calls of one set
-read the data on two node arrays and at the two edges. This assumes a data
-set's profiles are pure functions of r, as verify_all does within a report;
-a read that raises keeps nothing.
+The calls on one data set share their reads, and every cache is a functools
+one. A quadrature's node array is built once per pair of rules and kept
+read-only, and the jets of A, V and |E| on it are read once per data object
+across calls: the last three (data, node array) pairs keep their jets, and a
+call that needs fewer profiles takes a prefix. The annulus edges are checked
+and read as Python floats, the sphere geometry at each once per data object.
+So the four calls of one set read the data on two node arrays and at the two
+edges. This assumes a data set's profiles are pure functions of r, as
+verify_all does within a report; a read that raises keeps nothing.
 
 The criticality ladder's rows, one per amplitude, differ only on the bump's
 support: off it b = b' = b'' = 0 and each row equals the first amplitude's,
@@ -45,7 +45,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from typing import Optional
 
 import numpy as np
@@ -168,27 +167,23 @@ def _rule_nodes(quad: QuadratureConfig, rules):
 _edge_geometry = functools.lru_cache(maxsize=4)(level_set_geometry)
 
 
-# (id(data), id(r)) -> (data, r, count, jets), least recently used first. An
-# entry pins data and r, so neither id is reused while it is kept. The jets'
-# arrays are shared by every call that takes them, and only read.
-_FIELDS: dict = {}
-_FIELD_ENTRIES = 3
-_FIELDS_LOCK = threading.Lock()
+# (data, id(r)) -> a one-item holder of (r, jets), the last three pairs kept.
+# A holder's item pins r, so its id is not reused while the item is kept; the
+# jets' arrays are shared by every call that takes them, and only read.
+@functools.lru_cache(maxsize=3)
+def _holder(data: SphericalStaticData, r_id: int) -> list:
+    return [(None, ())]
 
 
 def _jets(data: SphericalStaticData, r, count: int) -> list:
     """data.jets(r, count), read once per data object and radius array: a
-    call whose kept read covers count profiles takes its prefix."""
-    key = (id(data), id(r))
-    with _FIELDS_LOCK:
-        entry = _FIELDS.pop(key, None)
-    if entry is None or entry[2] < count:
-        entry = (data, r, count, data.jets(r, count))
-    with _FIELDS_LOCK:
-        _FIELDS[key] = entry
-        if len(_FIELDS) > _FIELD_ENTRIES:
-            del _FIELDS[next(iter(_FIELDS))]
-    return entry[3][:count]
+    call whose kept read covers count profiles takes its prefix, and a read
+    that raises keeps nothing."""
+    holder = _holder(data, id(r))
+    item = holder[0]
+    if item[0] is not r or len(item[1]) < count:
+        item = holder[0] = (r, data.jets(r, count))
+    return item[1][:count]
 
 
 def _finite_rows(vals) -> np.ndarray:

@@ -135,6 +135,22 @@ def test_an_overflowing_scalar_curvature_derivative_is_a_numerics_error():
                 scalar_curvature_d1(data, r)
 
 
+def test_an_overflowing_hessian_or_laplacian_is_a_numerics_error():
+    # With f' = 1e307 and f'' = 1e308 the kernels overflow near r = 1.9: the
+    # array and 0-d readers warned "overflow encountered in multiply" and
+    # the float reader returned inf. Each now raises, with no warning.
+    data = rn_data(RNParameters(3, 1.0, 0.5))
+    f = RadialProfile(jet=lambda r: (0.0 * r, 0.0 * r + 1e307, 0.0 * r + 1e308),
+                      domain=data.A.domain)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (1.9, np.asarray(1.9), np.array([1.9, 2.0])):
+            with pytest.raises(NumericsError, match="non-finite Hessian components"):
+                hessian_radial(data, f, r)
+            with pytest.raises(NumericsError, match="non-finite Laplacian"):
+                laplacian_radial(data, f, r)
+
+
 def test_hessian_of_r_squared_in_flat_space():
     data = flat_data(3)
     f = RadialProfile(lambda r: (r**2, 2 * r, 2 * np.ones_like(r)))

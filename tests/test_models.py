@@ -31,6 +31,7 @@ from electrovac import (
     phi_identity_residual,
     quasilocal_check,
     ricci_radial,
+    richardson_limit,
     rn_data,
     rn_horizon,
     rn_r0,
@@ -174,6 +175,29 @@ def test_a_numeric_string_is_not_a_number(number, error, call):
     # the CLI's own parser converts its options before any of them.
     with pytest.raises(error, match=r"must be a number, got .*3\.0"):
         call(number)
+
+
+@pytest.mark.parametrize("error, call", [
+    (DomainError, lambda: boundary_residual(DATA, "3.0")),
+    (DomainError, lambda: DATA.V("3.0")),
+    (DomainError, lambda: DATA.V.jet(["3.0"])),
+    (DomainError, lambda: level_set_geometry(DATA, ["3.0"])),
+    (DomainError, lambda: ricci_radial(DATA, "3.0")),
+    (DomainError, lambda: scalar_curvature_d1(DATA, "3.0")),
+    (DomainError, lambda: IsotropicChart(RNParameters(3, 1.0, 0.5)).point("3.0")),
+    (DomainError, lambda: IsotropicChart(RNParameters(3, 1.0, 0.5)).r_of_s(["3.0"])),
+    (NumericsError, lambda: tabulated_profile(["1", "2", "3", "4"], [1.0, 2.0, 3.0, 4.0])),
+    (DomainError, lambda: Perturbation(4.5, 1.0).bump_jet("4.5")),
+    (ParameterError, lambda: richardson_limit(["1", "2"])),
+    (DomainError, lambda: scan_photon_spheres(DATA, "3.0", 10.0)),
+    (DomainError, lambda: scan_photon_spheres(DATA, 3.0, "10")),
+])
+def test_a_numeric_string_is_not_a_radius_or_a_sample(error, call):
+    # numpy and float() parse numeric strings, so the array readers, the
+    # table, the bump and the extrapolation took them for numbers, and the
+    # scan compared a string bound and raised a bare TypeError.
+    with pytest.raises(error, match="must be a number, got "):
+        call()
 
 
 def test_regime_labels():

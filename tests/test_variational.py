@@ -37,6 +37,7 @@ from electrovac.variational import (
     _functional_boundary,
     _functional_integrand,
     _gauss_legendre,
+    _jets,
     _norm_density,
     _pohozaev_boundary,
     _pohozaev_integrands,
@@ -644,6 +645,35 @@ def test_a_read_that_raises_keeps_nothing_and_raises_again():
     assert pohozaev_residual(data, ANNULUS) == pohozaev_residual(base, ANNULUS)
     assert counts["A"] == {"jet": 3}
     assert data.A.scalar_calls == [("jet", r) for r in ANNULUS]
+
+
+def test_the_read_cache_keeps_the_last_three_radius_arrays():
+    # _jets keeps the jets of the last three (data, radius array) pairs: a
+    # call on a kept pair makes no joint pass and takes a prefix, the least
+    # recently used of four arrays is read again, and a call that needs more
+    # profiles than were kept makes one pass, which is then kept.
+    fresh = rn_data(RNParameters(3, 1.0, 0.5))
+    data, counts, radii = counting_joint_data(fresh)
+    arrays = a, b, c, d = [np.linspace(3.0 + k, 3.5 + k, 5) for k in range(4)]
+
+    def passes(*calls):
+        # The arrays read by joint passes during calls, by index.
+        start = len(radii)
+        for r, count in calls:
+            got, want = _jets(data, r, count), fresh.jets(r, count)
+            assert len(got) == count and all(map(np.array_equal, got, want))
+        return [next(i for i, x in enumerate(arrays) if np.array_equal(x, got))
+                for got in radii[start:]]
+
+    assert passes((a, 2), (b, 2), (c, 2)) == [0, 1, 2]
+    assert passes((c, 1), (a, 2), (b, 1)) == []
+    assert passes((d, 2)) == [3]
+    assert passes((a, 2), (b, 2), (d, 1)) == []
+    assert passes((c, 2)) == [2]
+    assert passes((b, 3)) == [1]
+    assert passes((b, 3), (b, 1), (c, 2), (d, 2)) == []
+    assert passes((a, 1)) == [0]
+    assert counts == {profile: {} for profile in PROFILES}
 
 
 def test_threads_sharing_the_read_cache_get_the_single_thread_results():
